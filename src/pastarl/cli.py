@@ -168,13 +168,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be positive, got {args.episodes}")
     run_dir = Path(args.run)
     ckpt = run_dir / args.checkpoint
     if not ckpt.exists():
         raise ConfigError(f"checkpoint not found: {ckpt}")
-    actor, meta = load_actor(ckpt)
-    env = make_env(meta["environment"], **meta.get("env_params", {}))
-    w = np.asarray(meta["preference"], dtype=np.float64)
+    try:
+        actor, meta = load_actor(ckpt)
+        env = make_env(meta["environment"], **meta.get("env_params", {}))
+        w = np.asarray(meta["preference"], dtype=np.float64)
+    except KeyError as e:
+        raise ConfigError(f"malformed checkpoint {ckpt}: missing entry {e}") from e
+    except (TypeError, ValueError) as e:  # ContractViolationError and JSONDecodeError too
+        raise ConfigError(f"malformed checkpoint {ckpt}: {e}") from e
     rng = np.random.default_rng(args.seed)
     totals = np.zeros((args.episodes, env.m))
     for ep in range(args.episodes):

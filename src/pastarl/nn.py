@@ -1,16 +1,24 @@
 """Minimal dense-network core: forward/backward on float64, Adam, checkpoints.
 
-Everything trainable in this repo is a stack of fully connected layers, so the
-whole parameter set of a network maps to one flat float64 vector.  The flat
-layout is layer-major: for each layer in order, weights in row-major order
-followed by that layer's biases.  Gradient surgery and the optimizer operate
-on these flat vectors directly.
+Everything trainable in this repo is a stack of fully connected layers.  Each
+model keeps all of its parameters in one float64 vector, and every layer's
+weights and biases are reshaped views into it.  The flat layout is
+layer-major: for each layer in order, weights in row-major order followed by
+that layer's biases; a model made of several networks concatenates theirs in
+a fixed order (the actor puts its log-std vector last).
+
+Adam updates a model's vector in place, so the optimizer and the layers never
+need copying between them.  Backward passes accept a leading objective axis
+on the output gradient: k per-objective gradients come out of one pass as
+the (k, P) matrix that gradient surgery consumes.  Checkpoints store each
+network's spec and flat vector; the format is unchanged at version 1.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,126 +46,100 @@ def _activation_grad_from_output(name: str, out: np.ndarray) -> np.ndarray:
     return np.ones_like(out)
 
 
-class DenseLayer:
-    """One fully connected layer: out = act(W @ x + b)."""
+class DenseLayer(NamedTuple):
+    """One fully connected layer, out = act(W @ x + b), as views into its network's vector."""
 
-    def __init__(self, weights: np.ndarray, biases: np.ndarray, activation: str):
-        if activation not in ACTIVATIONS:
-            raise ContractViolationError(f"unknown activation {activation!r}")
-        weights = np.asarray(weights, dtype=np.float64)
-        biases = np.asarray(biases, dtype=np.float64)
-        if weights.ndim != 2 or biases.ndim != 1 or biases.shape[0] != weights.shape[0]:
-            raise ContractViolationError(
-                f"layer shape mismatch: weights {weights.shape}, biases {biases.shape}"
-            )
-        self.weights = weights
-        self.biases = biases
-        self.activation = activation
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_params(self) -> int:
-        return self.weights.size + self.biases.size
-
-    @classmethod
-    def random(cls, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator) -> "DenseLayer":
-        # Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)], zero biases.
-        bound = 1.0 / np.sqrt(in_dim)
-        w = rng.uniform(-bound, bound, size=(out_dim, in_dim))
-        return cls(w, np.zeros(out_dim), activation)
-
-    @classmethod
-    def zeros(cls, in_dim: int, out_dim: int, activation: str) -> "DenseLayer":
-        return cls(np.zeros((out_dim, in_dim)), np.zeros(out_dim), activation)
+    weights: np.ndarray  # (out, in), or (stack, out, in)
+    biases: np.ndarray   # (out,), or (stack, out)
+    activation: str
 
 
 @dataclass
 class Tape:
     """Forward-pass record used by backward(): per-layer inputs and outputs."""
 
+    net: "Network"
     inputs: list[np.ndarray]
     outputs: list[np.ndarray]
     single: bool
-    signature: tuple
+    out_shape: tuple
+
+
+def _layout_size(dims: list[int]) -> int:
+    """Number of parameters of a dense stack with layer widths dims."""
+    return sum(dims[i + 1] * (dims[i] + 1) for i in range(len(dims) - 1))
 
 
 class Network:
-    """An ordered stack of DenseLayers with a flat-vector parameter view."""
+    """An ordered stack of dense layers whose parameters live in one vector.
 
-    def __init__(self, layers: list[DenseLayer]):
-        if not layers:
+    ``params`` follows the flat layout; every layer's ``weights`` and
+    ``biases`` are reshaped views into it, so an in-place write to either is
+    seen by the other.  Pass ``params`` to make the network a view into a
+    larger model vector; by default it owns a zero vector.
+
+    ``stack=s`` holds s independent networks of the same shape side by side:
+    ``params`` is their s flat vectors concatenated, weights are (s, out, in)
+    and a forward pass on a (B, in) batch returns (s, B, out).
+    """
+
+    def __init__(
+        self,
+        dims: list[int],
+        activations: list[str],
+        params: np.ndarray | None = None,
+        stack: int | None = None,
+    ):
+        """dims = [in, h1, ..., out]; activations has len(dims) - 1 entries."""
+        if len(dims) < 2:
             raise ContractViolationError("network needs at least one layer")
-        for a, b in zip(layers, layers[1:]):
-            if a.out_dim != b.in_dim:
-                raise ContractViolationError(
-                    f"layer dims do not chain: {a.out_dim} -> {b.in_dim}"
-                )
-        self.layers = layers
+        if len(activations) != len(dims) - 1:
+            raise ContractViolationError("need one activation per layer")
+        for name in activations:
+            if name not in ACTIVATIONS:
+                raise ContractViolationError(f"unknown activation {name!r}")
+        self.dims = [int(d) for d in dims]
+        self.activations = list(activations)
+        lead = () if stack is None else (stack,)
+        self._table_shape = lead + (_layout_size(self.dims),)
+        size = int(np.prod(self._table_shape))
+        if params is None:
+            params = np.zeros(size)
+        elif not isinstance(params, np.ndarray) or params.dtype != np.float64 or params.shape != (size,):
+            raise ContractViolationError(
+                f"flat vector has {np.shape(params)}, network needs ({size},)"
+            )
+        self.params = params
+        table = params.reshape(self._table_shape)
+        self.layers = []
+        self._slices = []
+        k = 0
+        for n_in, n_out, act in zip(self.dims, self.dims[1:], self.activations):
+            w, b = slice(k, k + n_out * n_in), slice(k + n_out * n_in, k + n_out * (n_in + 1))
+            self.layers.append(DenseLayer(table[..., w].reshape(lead + (n_out, n_in)), table[..., b], act))
+            self._slices.append((w, b))
+            k = b.stop
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.dims[0]
 
     @property
     def out_dim(self) -> int:
-        return self.layers[-1].out_dim
+        return self.dims[-1]
 
     @property
     def n_params(self) -> int:
-        return sum(l.n_params for l in self.layers)
-
-    def _signature(self) -> tuple:
-        return tuple((l.in_dim, l.out_dim, l.activation) for l in self.layers)
+        return self.params.size
 
     @classmethod
     def random(cls, dims: list[int], activations: list[str], rng: np.random.Generator) -> "Network":
-        """dims = [in, h1, ..., out]; activations has len(dims) - 1 entries."""
-        if len(activations) != len(dims) - 1:
-            raise ContractViolationError("need one activation per layer")
-        layers = [
-            DenseLayer.random(dims[i], dims[i + 1], activations[i], rng)
-            for i in range(len(activations))
-        ]
-        return cls(layers)
-
-    @classmethod
-    def zeros(cls, dims: list[int], activations: list[str]) -> "Network":
-        if len(activations) != len(dims) - 1:
-            raise ContractViolationError("need one activation per layer")
-        layers = [
-            DenseLayer.zeros(dims[i], dims[i + 1], activations[i])
-            for i in range(len(activations))
-        ]
-        return cls(layers)
-
-    def to_flat(self) -> np.ndarray:
-        parts = []
-        for l in self.layers:
-            parts.append(l.weights.ravel())
-            parts.append(l.biases)
-        return np.concatenate(parts)
-
-    def from_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ContractViolationError(
-                f"flat vector has {flat.shape}, network needs ({self.n_params},)"
-            )
-        k = 0
-        for l in self.layers:
-            nw = l.weights.size
-            l.weights = flat[k : k + nw].reshape(l.weights.shape).copy()
-            k += nw
-            nb = l.biases.size
-            l.biases = flat[k : k + nb].copy()
-            k += nb
+        """Uniform [-1/sqrt(fan_in), +1/sqrt(fan_in)] weights, zero biases."""
+        net = cls(dims, activations)
+        for l in net.layers:
+            bound = 1.0 / np.sqrt(l.weights.shape[-1])
+            l.weights[...] = rng.uniform(-bound, bound, size=l.weights.shape)
+        return net
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         """Run the stack on one vector or a batch of row vectors.
@@ -168,45 +150,49 @@ class Network:
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         h = x[None, :] if single else x
-        if h.shape[1] != self.in_dim:
+        if h.shape[-1] != self.in_dim:
             raise ContractViolationError(
-                f"input dim {h.shape[1]} != network in_dim {self.in_dim}"
+                f"input dim {h.shape[-1]} != network in_dim {self.in_dim}"
             )
         inputs, outputs = [], []
         for l in self.layers:
             inputs.append(h)
-            z = h @ l.weights.T + l.biases
+            z = h @ np.swapaxes(l.weights, -1, -2) + l.biases[..., None, :]
             h = _apply_activation(l.activation, z)
             outputs.append(h)
-        out = h[0] if single else h
-        return out, Tape(inputs, outputs, single, self._signature())
+        out = h[..., 0, :] if single else h
+        return out, Tape(self, inputs, outputs, single, out.shape)
 
     def backward(self, tape: Tape, output_grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Backpropagate d(sum_b output_grad[b] . output[b]) onto parameters.
 
-        Returns (flat_grad, input_grad) where flat_grad follows the flat
-        layout and input_grad has the shape of the forward input.
+        output_grad has the shape of the forward output, optionally with one
+        leading objective axis of length k; the k gradients then come from
+        one pass.  Returns (flat_grad, input_grad): flat_grad follows the
+        flat layout, (n_params,) or (k, n_params), and input_grad has the
+        shape of the forward input, with the same leading axes as the output.
         """
-        if tape.signature != self._signature():
+        if tape.net is not self:
             raise ContractViolationError("tape does not match this network")
         g = np.asarray(output_grad, dtype=np.float64)
-        if tape.single:
-            g = g[None, :]
-        if g.shape != tape.outputs[-1].shape:
+        objectives = g.shape[: g.ndim - len(tape.out_shape)]
+        if len(objectives) > 1 or g.shape[len(objectives) :] != tape.out_shape:
             raise ContractViolationError(
-                f"output_grad shape {g.shape} != output shape {tape.outputs[-1].shape}"
+                f"output_grad shape {g.shape} != output shape {tape.out_shape}"
             )
-        grads = [None] * len(self.layers)
+        if tape.single:
+            g = g[..., None, :]
+        grads = np.empty(objectives + self._table_shape)
         for idx in range(len(self.layers) - 1, -1, -1):
             l = self.layers[idx]
+            w, b = self._slices[idx]
             dz = g * _activation_grad_from_output(l.activation, tape.outputs[idx])
-            gw = dz.T @ tape.inputs[idx]
-            gb = dz.sum(axis=0)
-            grads[idx] = (gw, gb)
+            gw = np.swapaxes(dz, -1, -2) @ tape.inputs[idx]
+            grads[..., w] = gw.reshape(gw.shape[:-2] + (-1,))
+            grads[..., b] = dz.sum(axis=-2)
             g = dz @ l.weights
-        flat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in grads])
-        input_grad = g[0] if tape.single else g
-        return flat, input_grad
+        input_grad = g[..., 0, :] if tape.single else g
+        return grads.reshape(objectives + (self.n_params,)), input_grad
 
 
 @dataclass
@@ -235,8 +221,8 @@ def adam_update(
     state: AdamState,
     ascent: bool = False,
     name: str = "network",
-) -> np.ndarray:
-    """One Adam step on a flat parameter vector; mutates state, returns new theta.
+) -> None:
+    """One Adam step on a flat parameter vector, in place; mutates state too.
 
     ascent=True moves along +grad (policy objectives are maximized).  Raises
     DivergenceError naming `name` if the gradient has non-finite entries.
@@ -254,29 +240,18 @@ def adam_update(
     m_hat = state.m / (1.0 - state.beta1 ** state.step_count)
     v_hat = state.v / (1.0 - state.beta2 ** state.step_count)
     step = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return theta + step if ascent else theta - step
-
-
-def adam_step(
-    net: Network,
-    grad: np.ndarray,
-    state: AdamState,
-    ascent: bool = False,
-    name: str = "network",
-) -> None:
-    """Adam step applied in place to a Network via its flat view."""
-    net.from_flat(adam_update(net.to_flat(), grad, state, ascent, name))
+    if ascent:
+        theta += step
+    else:
+        theta -= step
 
 
 def network_spec(net: Network) -> dict:
-    return {
-        "dims": [net.in_dim] + [l.out_dim for l in net.layers],
-        "activations": [l.activation for l in net.layers],
-    }
+    return {"dims": list(net.dims), "activations": list(net.activations)}
 
 
-def network_from_spec(spec: dict) -> Network:
-    return Network.zeros(spec["dims"], spec["activations"])
+def network_from_spec(spec: dict, params: np.ndarray | None = None) -> Network:
+    return Network(spec["dims"], spec["activations"], params)
 
 
 def save_checkpoint(path, networks: dict, vectors: dict | None = None, metadata: dict | None = None) -> None:
@@ -290,7 +265,7 @@ def save_checkpoint(path, networks: dict, vectors: dict | None = None, metadata:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "metadata": metadata or {},
         "networks": {
-            name: {**network_spec(net), "flat": net.to_flat().tolist()}
+            name: {**network_spec(net), "flat": net.params.tolist()}
             for name, net in networks.items()
         },
         "vectors": {name: np.asarray(v, dtype=np.float64).tolist() for name, v in (vectors or {}).items()},
@@ -303,13 +278,11 @@ def load_checkpoint(path) -> tuple[dict, dict, dict]:
     """Read a checkpoint; returns (networks, vectors, metadata)."""
     with open(path) as f:
         payload = json.load(f)
-    version = payload.get("format_version")
+    version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ContractViolationError(f"unsupported checkpoint format_version {version!r}")
     networks = {}
     for name, entry in payload["networks"].items():
-        net = network_from_spec(entry)
-        net.from_flat(np.array(entry["flat"], dtype=np.float64))
-        networks[name] = net
+        networks[name] = network_from_spec(entry, np.array(entry["flat"], dtype=np.float64))
     vectors = {name: np.array(v, dtype=np.float64) for name, v in payload["vectors"].items()}
     return networks, vectors, payload["metadata"]

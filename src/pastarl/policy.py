@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from pastarl.errors import ContractViolationError
-from pastarl.nn import Network
+from pastarl.nn import Network, network_spec
 
 LOG_STD_INIT = float(np.log(0.5))
 LOG_STD_MIN = -20.0
@@ -42,14 +42,26 @@ class ActorTape:
 
 
 class GaussianActor:
-    """Tanh backbone -> sigmoid mean head, plus a learnable log-std vector."""
+    """Tanh backbone -> sigmoid mean head, plus a learnable log-std vector.
+
+    All parameters live in ``params``: the backbone's flat vector, then the
+    mean head's, then the log-std.  ``backbone``, ``mean_head`` and
+    ``log_std`` are views into it; the constructor copies the given parts in.
+    """
 
     def __init__(self, backbone: Network, mean_head: Network, log_std: np.ndarray):
         if mean_head.in_dim != backbone.out_dim:
             raise ContractViolationError("mean head does not fit backbone output")
-        self.backbone = backbone
-        self.mean_head = mean_head
-        self.log_std = np.asarray(log_std, dtype=np.float64).copy()
+        log_std = np.asarray(log_std, dtype=np.float64)
+        if log_std.shape != (mean_head.out_dim,):
+            raise ContractViolationError(
+                f"log_std has {log_std.shape}, actor needs ({mean_head.out_dim},)"
+            )
+        self.params = np.concatenate([backbone.params, mean_head.params, log_std])
+        nb, nh = backbone.n_params, mean_head.n_params
+        self.backbone = Network(backbone.dims, backbone.activations, self.params[:nb])
+        self.mean_head = Network(mean_head.dims, mean_head.activations, self.params[nb : nb + nh])
+        self.log_std = self.params[nb + nh :]
         self.action_dim = mean_head.out_dim
 
     @classmethod
@@ -66,22 +78,7 @@ class GaussianActor:
 
     @property
     def n_params(self) -> int:
-        return self.backbone.n_params + self.mean_head.n_params + self.action_dim
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([self.backbone.to_flat(), self.mean_head.to_flat(), self.log_std])
-
-    def from_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ContractViolationError(
-                f"flat vector has {flat.shape}, actor needs ({self.n_params},)"
-            )
-        nb = self.backbone.n_params
-        nh = self.mean_head.n_params
-        self.backbone.from_flat(flat[:nb])
-        self.mean_head.from_flat(flat[nb : nb + nh])
-        self.log_std = flat[nb + nh :].copy()
+        return self.params.size
 
     def clamp_log_std(self) -> None:
         # Projection step after optimizer updates keeps std in a sane range.
@@ -112,50 +109,62 @@ class GaussianActor:
         means, _ = self.mean_forward(x)
         return np.clip(means, 0.0, 1.0)
 
-    def log_prob_and_entropy(self, state, w, pre_clamp_action) -> tuple[float, float]:
-        x = np.concatenate([np.asarray(state, dtype=np.float64), np.asarray(w, dtype=np.float64)])
-        means, _ = self.mean_forward(x)
-        logp = float(self.log_probs(means, pre_clamp_action)[0])
-        return logp, self.entropy()
-
     def entropy(self) -> float:
         """State-independent: sum_d (0.5 ln(2 pi e) + log_std_d)."""
         return float(self.action_dim * ENTROPY_CONST + np.sum(self.log_std))
 
-    def entropy_grad_flat(self) -> np.ndarray:
-        g = np.zeros(self.n_params)
-        g[self.backbone.n_params + self.mean_head.n_params :] = 1.0
-        return g
+    def add_entropy_grad(self, grad: np.ndarray, scale: float) -> None:
+        """grad += scale * d entropy / d params, in place: scale on the log-std block only."""
+        grad[-self.action_dim :] += scale
 
     def backward_weighted_logp(
         self, tape: ActorTape, pre_clamp: np.ndarray, coeffs: np.ndarray
     ) -> np.ndarray:
-        """Gradient of sum_t coeffs[t] * log pi(pre_clamp[t] | state[t]) over flat params."""
+        """Gradients of sum_t coeffs[i, t] * log pi(pre_clamp[t] | state[t]), one per row i.
+
+        coeffs is (k, B); returns the (k, n_params) gradient matrix from a
+        single backward pass through the head and backbone.
+        """
         means = np.atleast_2d(tape.means)
         pre = np.atleast_2d(pre_clamp)
-        c = np.asarray(coeffs, dtype=np.float64)
-        if c.shape != (means.shape[0],):
-            raise ContractViolationError(f"coeffs shape {c.shape} != ({means.shape[0]},)")
+        c = np.ascontiguousarray(coeffs, dtype=np.float64)
+        if c.ndim != 2 or c.shape[1] != means.shape[0]:
+            raise ContractViolationError(f"coeffs shape {c.shape} != (k, {means.shape[0]})")
         var = np.exp(2.0 * self.log_std)
         diff = pre - means
-        g_mean = c[:, None] * diff / var
-        g_log_std = (c[:, None] * (diff * diff / var - 1.0)).sum(axis=0)
-        head_grad_input = g_mean[0] if tape.head.single else g_mean
+        g_mean = c[:, :, None] * diff / var
+        g_log_std = (c[:, :, None] * (diff * diff / var - 1.0)).sum(axis=1)
+        head_grad_input = g_mean[:, 0] if tape.head.single else g_mean
         head_flat, feat_grad = self.mean_head.backward(tape.head, head_grad_input)
         backbone_flat, _ = self.backbone.backward(tape.backbone, feat_grad)
-        return np.concatenate([backbone_flat, head_flat, g_log_std])
+        return np.concatenate([backbone_flat, head_flat, g_log_std], axis=1)
 
 
 class BranchedCritic:
-    """Shared trunk with one independent value head per objective."""
+    """Shared trunk with one independent value head per objective.
+
+    ``params`` holds the trunk's flat vector, then each head's in objective
+    order.  The heads share one shape, so they also run as a single stacked
+    network over an (m, head size) view of that vector; ``heads`` keeps one
+    view Network per head for checkpoints.
+    """
 
     def __init__(self, trunk: Network, heads: list[Network]):
         for h in heads:
             if h.in_dim != trunk.out_dim or h.out_dim != 1:
                 raise ContractViolationError("head shape does not fit trunk")
-        self.trunk = trunk
-        self.heads = heads
+            if network_spec(h) != network_spec(heads[0]):
+                raise ContractViolationError("value heads must share one shape")
         self.m = len(heads)
+        self.params = np.concatenate([trunk.params] + [h.params for h in heads])
+        nt = trunk.n_params
+        self.trunk = Network(trunk.dims, trunk.activations, self.params[:nt])
+        dims, acts = heads[0].dims, heads[0].activations
+        self.stacked_heads = Network(dims, acts, self.params[nt:], stack=self.m)
+        nh = heads[0].n_params
+        self.heads = [
+            Network(dims, acts, self.params[nt + i * nh : nt + (i + 1) * nh]) for i in range(self.m)
+        ]
 
     @classmethod
     def create(
@@ -167,8 +176,8 @@ class BranchedCritic:
 
     @classmethod
     def zeros(cls, obs_dim: int, m: int, hidden: int = 64) -> "BranchedCritic":
-        trunk = Network.zeros([obs_dim + m, hidden, hidden], ["tanh", "tanh"])
-        heads = [Network.zeros([hidden, hidden, 1], ["tanh", "identity"]) for _ in range(m)]
+        trunk = Network([obs_dim + m, hidden, hidden], ["tanh", "tanh"])
+        heads = [Network([hidden, hidden, 1], ["tanh", "identity"]) for _ in range(m)]
         return cls(trunk, heads)
 
     @property
@@ -177,52 +186,26 @@ class BranchedCritic:
 
     @property
     def n_params(self) -> int:
-        return self.trunk.n_params + sum(h.n_params for h in self.heads)
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate([self.trunk.to_flat()] + [h.to_flat() for h in self.heads])
-
-    def from_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ContractViolationError(
-                f"flat vector has {flat.shape}, critic needs ({self.n_params},)"
-            )
-        k = self.trunk.n_params
-        self.trunk.from_flat(flat[:k])
-        for h in self.heads:
-            h.from_flat(flat[k : k + h.n_params])
-            k += h.n_params
+        return self.params.size
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         feats, tape_t = self.trunk.forward(x)
-        outs, tapes_h = [], []
-        for h in self.heads:
-            v, th = h.forward(feats)
-            outs.append(v)
-            tapes_h.append(th)
-        if tape_t.single:
-            vals = np.array([float(v[0]) for v in outs])
-        else:
-            vals = np.concatenate(outs, axis=1)
-        return vals, (tape_t, tapes_h)
+        outs, tape_h = self.stacked_heads.forward(feats)  # (m, B, 1), or (m, 1) for one state
+        vals = np.ascontiguousarray(outs[..., 0].T)
+        return vals, (tape_t, tape_h)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
     def backward(self, cache: tuple, dvals: np.ndarray) -> np.ndarray:
         """Gradient over flat params given d(loss)/d(values), shape (B, m) or (m,)."""
-        tape_t, tapes_h = cache
-        dv = np.atleast_2d(np.asarray(dvals, dtype=np.float64))
-        feat_grad = None
-        head_flats = []
-        for i, h in enumerate(self.heads):
-            g_out = dv[:, i : i + 1] if not tape_t.single else dv[0, i : i + 1]
-            h_flat, f_grad = h.backward(tapes_h[i], g_out)
-            head_flats.append(h_flat)
-            feat_grad = f_grad if feat_grad is None else feat_grad + f_grad
-        trunk_flat, _ = self.trunk.backward(tape_t, feat_grad)
-        return np.concatenate([trunk_flat] + head_flats)
+        tape_t, tape_h = cache
+        # Objective-major and contiguous, so each head reduces over its batch
+        # exactly as a lone head network would.
+        dv = np.ascontiguousarray(np.asarray(dvals, dtype=np.float64).T)[..., None]
+        head_flat, feat_grads = self.stacked_heads.backward(tape_h, dv)
+        trunk_flat, _ = self.trunk.backward(tape_t, feat_grads.sum(axis=0))
+        return np.concatenate([trunk_flat, head_flat])
 
 
 class SharedCritic:
@@ -230,6 +213,7 @@ class SharedCritic:
 
     def __init__(self, net: Network):
         self.net = net
+        self.params = net.params
         self.m = net.out_dim
 
     @classmethod
@@ -244,7 +228,7 @@ class SharedCritic:
     @classmethod
     def zeros(cls, obs_dim: int, m: int, hidden: int = 64) -> "SharedCritic":
         return cls(
-            Network.zeros([obs_dim + m, hidden, hidden, hidden, m], ["tanh", "tanh", "tanh", "identity"])
+            Network([obs_dim + m, hidden, hidden, hidden, m], ["tanh", "tanh", "tanh", "identity"])
         )
 
     @property
@@ -255,12 +239,6 @@ class SharedCritic:
     def n_params(self) -> int:
         return self.net.n_params
 
-    def to_flat(self) -> np.ndarray:
-        return self.net.to_flat()
-
-    def from_flat(self, flat: np.ndarray) -> None:
-        self.net.from_flat(flat)
-
     def forward(self, x: np.ndarray):
         return self.net.forward(x)
 
@@ -270,9 +248,3 @@ class SharedCritic:
     def backward(self, cache, dvals: np.ndarray) -> np.ndarray:
         flat, _ = self.net.backward(cache, dvals)
         return flat
-
-
-def value_vector(critic, state: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Convenience: m-vector of values for one state under preference w."""
-    x = np.concatenate([np.asarray(state, dtype=np.float64), np.asarray(w, dtype=np.float64)])
-    return critic.values(x)

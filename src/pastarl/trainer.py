@@ -6,9 +6,9 @@ returns into the running normalizer to get r_bar; step the smoothness
 controller with the PREVIOUS iteration's conflict ratio; compute attention
 and the maintenance mix at the new mu; then run clipped-PPO epochs over
 shuffled minibatches, critic before actor inside every minibatch.  The actor
-update builds one flat gradient per objective, projects conflicts away, sums
-(optionally attention-weighted), adds the unprojected entropy term, and
-ascends.
+update gets the (m, P) per-objective gradient matrix from one backward pass,
+projects conflicts away, sums (optionally attention-weighted), adds the
+unprojected entropy term, and ascends in place on the actor's vector.
 
 Algorithms: "pasta" (full pipeline), "stch_fixed" (same pipeline, constant
 mu), "linear" (scalarized advantages, single clipped loss), "tch" (worst
@@ -93,6 +93,10 @@ class TrainConfig:
             raise ConfigError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
         if self.horizon < 1 or self.minibatch < 1 or self.epochs < 1:
             raise ConfigError("horizon, minibatch, and epochs must be positive")
+        if self.eval_every < 1:
+            raise ConfigError(f"eval_every must be positive, got {self.eval_every}")
+        if self.eval_episodes < 1:
+            raise ConfigError(f"eval_episodes must be positive, got {self.eval_episodes}")
         if self.total_iterations < 1:
             raise ConfigError("total_iterations must be positive")
         if self.algorithm == "stch_fixed" and self.fixed_mu <= 0:
@@ -323,9 +327,7 @@ class Trainer:
         self._last_value_loss = cfg.c1 * loss
         dldv = cfg.c1 * 2.0 * eta[None, :] * (vals - targets) / x.shape[0]
         grad = self.critic.backward(cache, dldv)
-        self.critic.from_flat(
-            adam_update(self.critic.to_flat(), grad, self.critic_opt, ascent=False, name="critic")
-        )
+        adam_update(self.critic.params, grad, self.critic_opt, ascent=False, name="critic")
         if self.on_event:
             self.on_event("critic_update", epoch=epoch, start=start)
 
@@ -350,26 +352,25 @@ class Trainer:
         active = unclipped <= np.clip(ratio[:, None], 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
         coeff = np.where(active, unclipped, 0.0)  # (B, m)
 
+        # One backward pass per minibatch: a single coefficient row for the
+        # scalarized baselines, one row per objective otherwise.
         if cfg.algorithm == "linear":
             a_lin = adv @ self.w
             unc = ratio * a_lin
             act = unc <= np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * a_lin
-            c = np.where(act, unc, 0.0)
-            direction = self.actor.backward_weighted_logp(tape, pre, c / B)
-            kappa_b = 0.0
+            coeffs, scale = np.where(act, unc, 0.0)[None, :], 1.0
         elif cfg.algorithm == "tch":
             if cfg.tch_per_minibatch:
                 j_worst = tch_worst_index(r_bar, self.w, self.z_star)[0]
-            g_j = self.actor.backward_weighted_logp(tape, pre, coeff[:, j_worst] / B)
-            direction = self.w[j_worst] * g_j
+            coeffs, scale = coeff[None, :, j_worst], self.w[j_worst]
+        else:
+            coeffs = coeff.T
+        grads = self.actor.backward_weighted_logp(tape, pre, coeffs / B)
+
+        if cfg.algorithm in ("linear", "tch"):
+            direction = scale * grads[0]
             kappa_b = 0.0
         else:
-            grads = np.stack(
-                [
-                    self.actor.backward_weighted_logp(tape, pre, coeff[:, i] / B)
-                    for i in range(self.m)
-                ]
-            )
             if cfg.no_pcgrad:
                 kappa_b = conflict_ratio(grads)
                 projected = grads
@@ -380,10 +381,8 @@ class Trainer:
             mode = "weighted" if cfg.weighted_pcgrad else "sum"
             direction = summed_update_direction(projected, mode, eta)
 
-        direction = direction + cfg.c2 * self.actor.entropy_grad_flat()
-        self.actor.from_flat(
-            adam_update(self.actor.to_flat(), direction, self.actor_opt, ascent=True, name="actor")
-        )
+        self.actor.add_entropy_grad(direction, cfg.c2)  # not projected
+        adam_update(self.actor.params, direction, self.actor_opt, ascent=True, name="actor")
         self.actor.clamp_log_std()
         if self.on_event:
             self.on_event("actor_update", epoch=epoch, start=start)

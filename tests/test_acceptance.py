@@ -113,18 +113,18 @@ def test_03_network_gradients_match_finite_differences():
             up = rng.normal(size=(4, dims[-1]))
             out, tape = net.forward(x)
             analytic, _ = net.backward(tape, up)
-            flat = net.to_flat()
+            flat = net.params.copy()
             idx = rng.choice(flat.size, size=min(40, flat.size), replace=False)
             fd = np.zeros(idx.size)
             for k, j in enumerate(idx):
                 for sign in (+1.0, -1.0):
                     probe = flat.copy()
                     probe[j] += sign * h
-                    net.from_flat(probe)
+                    net.params[:] = probe
                     val, _ = net.forward(x)
                     fd[k] += sign * float(np.sum(up * val))
                 fd[k] /= 2 * h
-            net.from_flat(flat)
+            net.params[:] = flat
             rel = np.linalg.norm(fd - analytic[idx]) / np.linalg.norm(analytic[idx])
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0

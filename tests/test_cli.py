@@ -108,6 +108,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "learning_rate" in err and "lr" in err
 
+    def test_zero_eval_counts_are_usage_errors(self, tiny_ini, tmp_path, capsys):
+        for key in ("eval_every", "eval_episodes"):
+            rc = main([
+                "train", "--config", str(tiny_ini), "--out", str(tmp_path / key),
+                "--override", f"output.{key}=0",
+            ])
+            assert rc == 2
+            assert key in capsys.readouterr().err
+
     def test_bad_preference_is_usage_error(self, tiny_ini, tmp_path):
         rc = main([
             "train", "--config", str(tiny_ini), "--out", str(tmp_path / "x"),
@@ -137,6 +146,45 @@ class TestEvaluate:
         (tmp_path / "empty").mkdir()
         assert main(["evaluate", "--run", str(tmp_path / "empty")]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_zero_episodes_is_usage_error(self, tiny_ini, tmp_path, capsys):
+        out = train(tiny_ini, tmp_path / "run")
+        capsys.readouterr()
+        assert main(["evaluate", "--run", str(out), "--episodes", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "--episodes" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda p: {**p, "format_version": 2}, id="format_version"),
+            pytest.param(
+                lambda p: {**p, "networks": {
+                    **p["networks"],
+                    "actor_mean_head": {
+                        **p["networks"]["actor_mean_head"],
+                        "flat": p["networks"]["actor_mean_head"]["flat"][:-1],
+                    },
+                }},
+                id="flat_one_short",
+            ),
+            pytest.param(
+                lambda p: {**p, "networks": {
+                    k: v for k, v in p["networks"].items() if k != "actor_backbone"
+                }},
+                id="missing_network",
+            ),
+            pytest.param(None, id="truncated_json"),
+        ],
+    )
+    def test_malformed_checkpoint_is_usage_error(self, corrupt, tiny_ini, tmp_path, capsys):
+        out = train(tiny_ini, tmp_path / "run")
+        ckpt = out / "checkpoint_final.json"
+        text = ckpt.read_text()
+        ckpt.write_text(text[: len(text) // 2] if corrupt is None else json.dumps(corrupt(json.loads(text))))
+        capsys.readouterr()
+        assert main(["evaluate", "--run", str(out)]) == 2
+        assert str(ckpt) in capsys.readouterr().err
 
 
 class TestSweep:

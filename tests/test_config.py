@@ -137,6 +137,11 @@ class TestBuildTrainConfig:
         cfg["algorithm"]["fixed_mu"] = -1.0
         with pytest.raises(ConfigError):
             cfgmod.build_train_config(cfg)
+        for key in ("eval_every", "eval_episodes"):
+            cfg = cfgmod.default_config()
+            cfg["output"][key] = 0
+            with pytest.raises(ConfigError, match=key):
+                cfgmod.build_train_config(cfg)
 
 
 class TestManifest:

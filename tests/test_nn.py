@@ -9,9 +9,7 @@ from pastarl.errors import ContractViolationError, DivergenceError
 from pastarl.nn import (
     ACTIVATIONS,
     AdamState,
-    DenseLayer,
     Network,
-    adam_step,
     adam_update,
     load_checkpoint,
     network_from_spec,
@@ -66,8 +64,8 @@ class TestForward:
             net.forward(np.zeros(4))
 
     def test_identity_single_layer_is_affine(self, rng):
-        layer = DenseLayer(rng.normal(size=(2, 3)), rng.normal(size=2), "identity")
-        net = Network([layer])
+        net = Network([3, 2], ["identity"], rng.normal(size=8))
+        layer = net.layers[0]
         x = rng.normal(size=(5, 3))
         out, _ = net.forward(x)
         np.testing.assert_allclose(out, x @ layer.weights.T + layer.biases, rtol=0, atol=0)
@@ -85,11 +83,11 @@ class TestInit:
     def test_same_seed_same_network(self):
         a = Network.random([3, 4, 2], ["tanh", "sigmoid"], np.random.default_rng(42))
         b = Network.random([3, 4, 2], ["tanh", "sigmoid"], np.random.default_rng(42))
-        np.testing.assert_array_equal(a.to_flat(), b.to_flat())
+        np.testing.assert_array_equal(a.params, b.params)
 
     def test_unknown_activation_rejected(self):
         with pytest.raises(ContractViolationError):
-            DenseLayer(np.zeros((2, 2)), np.zeros(2), "relu")
+            Network([2, 2], ["relu"])
         assert "relu" not in ACTIVATIONS
 
 
@@ -99,22 +97,34 @@ class TestFlatLayout:
         b0 = np.array([10.0, 11.0])
         w1 = np.array([[20.0, 21.0]])
         b1 = np.array([30.0])
-        net = Network([DenseLayer(w0, b0, "tanh"), DenseLayer(w1, b1, "identity")])
+        net = Network([3, 2, 1], ["tanh", "identity"])
+        for layer, (w, b) in zip(net.layers, [(w0, b0), (w1, b1)]):
+            layer.weights[...] = w
+            layer.biases[...] = b
         expected = np.concatenate([w0.ravel(), b0, w1.ravel(), b1])
-        np.testing.assert_array_equal(net.to_flat(), expected)
+        np.testing.assert_array_equal(net.params, expected)
+
+    def test_layers_are_views_into_params(self, rng):
+        net = Network.random([3, 4, 2], ["tanh", "identity"], rng)
+        net.params[:] = np.arange(net.n_params)
+        np.testing.assert_array_equal(net.layers[0].weights, np.arange(12.0).reshape(4, 3))
+        np.testing.assert_array_equal(net.layers[1].biases, [24.0, 25.0])
+        for layer in net.layers:
+            assert np.shares_memory(layer.weights, net.params)
+            assert np.shares_memory(layer.biases, net.params)
 
     def test_round_trip_preserves_outputs(self, rng):
         for dims, acts in ARCHS:
             net = Network.random(dims, acts, rng)
-            clone = Network.zeros(dims, acts)
-            clone.from_flat(net.to_flat())
+            clone = Network(dims, acts)
+            clone.params[:] = net.params
             x = rng.normal(size=(4, dims[0]))
             np.testing.assert_array_equal(clone.forward(x)[0], net.forward(x)[0])
 
     def test_wrong_length_rejected(self, rng):
         net = Network.random([3, 2], ["tanh"], rng)
-        with pytest.raises(ContractViolationError):
-            net.from_flat(np.zeros(net.n_params + 1))
+        with pytest.raises(ContractViolationError, match="network needs"):
+            Network([3, 2], ["tanh"], np.zeros(net.n_params + 1))
 
 
 class TestBackward:
@@ -124,19 +134,21 @@ class TestBackward:
             for dims, acts in ARCHS:
                 net = Network.random(dims, acts, rng)
                 x = rng.normal(size=(3, dims[0]))
-                v = rng.normal(size=(3, dims[-1]))
+                # one output gradient, and k = 3 of them along an objective axis
+                for v in (rng.normal(size=(3, dims[-1])), rng.normal(size=(3, 3, dims[-1]))):
+                    theta0 = net.params.copy()
+                    _, tape = net.forward(x)
+                    analytic, _ = net.backward(tape, v)
+                    for row, v_row in zip(np.atleast_2d(analytic), v.reshape(-1, 3, dims[-1])):
 
-                def loss(theta):
-                    net.from_flat(theta)
-                    out, _ = net.forward(x)
-                    return float(np.sum(out * v))
+                        def loss(theta):
+                            net.params[:] = theta
+                            out, _ = net.forward(x)
+                            return float(np.sum(out * v_row))
 
-                theta0 = net.to_flat()
-                _, tape = net.forward(x)
-                analytic, _ = net.backward(tape, v)
-                numeric = finite_difference(loss, theta0)
-                net.from_flat(theta0)
-                np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
+                        numeric = finite_difference(loss, theta0)
+                        net.params[:] = theta0
+                        np.testing.assert_allclose(row, numeric, rtol=1e-5, atol=1e-7)
 
     def test_input_grad_matches_finite_differences(self, rng):
         net = Network.random([4, 5, 2], ["tanh", "sigmoid"], rng)
@@ -164,6 +176,37 @@ class TestBackward:
             total += flat_b
         np.testing.assert_allclose(batch_flat, total, rtol=1e-12, atol=1e-12)
 
+    def test_objective_axis_rows_match_separate_calls(self, rng):
+        for dims, acts in ARCHS:
+            net = Network.random(dims, acts, rng)
+            for x, v in (
+                (rng.normal(size=(6, dims[0])), rng.normal(size=(4, 6, dims[-1]))),
+                (rng.normal(size=dims[0]), rng.normal(size=(4, dims[-1]))),
+            ):
+                _, tape = net.forward(x)
+                flat, input_grad = net.backward(tape, v)
+                assert flat.shape == (4, net.n_params)
+                assert input_grad.shape == (4,) + x.shape
+                for i in range(4):
+                    flat_i, input_grad_i = net.backward(tape, v[i])
+                    np.testing.assert_array_equal(flat[i], flat_i)
+                    np.testing.assert_array_equal(input_grad[i], input_grad_i)
+
+    def test_stacked_networks_match_separate_ones(self, rng):
+        dims, acts = [4, 5, 1], ["tanh", "identity"]
+        parts = [Network.random(dims, acts, rng) for _ in range(3)]
+        stacked = Network(dims, acts, np.concatenate([p.params for p in parts]), stack=3)
+        x = rng.normal(size=(6, 4))
+        out, tape = stacked.forward(x)
+        v = rng.normal(size=(3, 6, 1))
+        flat, input_grad = stacked.backward(tape, v)
+        for i, part in enumerate(parts):
+            out_i, tape_i = part.forward(x)
+            flat_i, input_grad_i = part.backward(tape_i, v[i])
+            np.testing.assert_array_equal(out[i], out_i)
+            np.testing.assert_array_equal(flat[i * part.n_params : (i + 1) * part.n_params], flat_i)
+            np.testing.assert_array_equal(input_grad[i], input_grad_i)
+
     def test_tape_from_other_network_rejected(self, rng):
         a = Network.random([3, 2], ["tanh"], rng)
         b = Network.random([3, 3], ["tanh"], rng)
@@ -183,7 +226,8 @@ class TestAdam:
         theta = np.array([1.0, -2.0, 0.5])
         grad = np.array([0.3, -0.1, 0.0])
         state = AdamState(3, lr=0.01)
-        new = adam_update(theta.copy(), grad, state)
+        new = theta.copy()
+        adam_update(new, grad, state)
         # After one step m_hat = g and v_hat = g^2, so the step is
         # lr * g / (|g| + eps) elementwise.
         expected = theta - 0.01 * grad / (np.abs(grad) + 1e-8)
@@ -193,8 +237,9 @@ class TestAdam:
     def test_ascent_mirrors_descent(self):
         theta = np.array([1.0, 2.0])
         grad = np.array([0.5, -0.5])
-        down = adam_update(theta.copy(), grad, AdamState(2, lr=0.1))
-        up = adam_update(theta.copy(), grad, AdamState(2, lr=0.1), ascent=True)
+        down, up = theta.copy(), theta.copy()
+        adam_update(down, grad, AdamState(2, lr=0.1))
+        adam_update(up, grad, AdamState(2, lr=0.1), ascent=True)
         np.testing.assert_allclose(up - theta, -(down - theta), rtol=1e-12)
 
     def test_two_steps_match_reference_recursion(self):
@@ -204,7 +249,7 @@ class TestAdam:
         state = AdamState(2, lr=lr)
         got = theta.copy()
         for g in grads:
-            got = adam_update(got, g, state)
+            adam_update(got, g, state)
         m = np.zeros(2)
         v = np.zeros(2)
         want = theta.copy()
@@ -223,11 +268,11 @@ class TestAdam:
         with pytest.raises(ContractViolationError):
             adam_update(np.zeros(3), np.zeros(2), AdamState(3))
 
-    def test_adam_step_updates_network_in_place(self, rng):
+    def test_adam_update_moves_network_in_place(self, rng):
         net = Network.random([2, 2], ["identity"], rng)
-        before = net.to_flat()
-        adam_step(net, np.ones(net.n_params), AdamState(net.n_params, lr=0.1))
-        assert not np.array_equal(net.to_flat(), before)
+        before = net.layers[0].weights.copy()
+        adam_update(net.params, np.ones(net.n_params), AdamState(net.n_params, lr=0.1))
+        np.testing.assert_allclose(net.layers[0].weights, before - 0.1, rtol=1e-7)
 
 
 class TestCheckpoint:
@@ -244,7 +289,7 @@ class TestCheckpoint:
         assert loaded_meta == meta
         np.testing.assert_array_equal(loaded_vecs["log_std"], vectors["log_std"])
         for name in nets:
-            np.testing.assert_array_equal(loaded_nets[name].to_flat(), nets[name].to_flat())
+            np.testing.assert_array_equal(loaded_nets[name].params, nets[name].params)
             assert network_spec(loaded_nets[name]) == network_spec(nets[name])
 
     def test_version_mismatch_rejected(self, rng, tmp_path):
@@ -260,13 +305,14 @@ class TestCheckpoint:
         net = Network.random([3, 5, 2], ["tanh", "sigmoid"], rng)
         rebuilt = network_from_spec(network_spec(net))
         assert rebuilt.n_params == net.n_params
-        assert rebuilt._signature() == net._signature()
+        assert network_spec(rebuilt) == network_spec(net)
 
 
 @given(st.lists(st.floats(-8, 8), min_size=13, max_size=13))
 def test_flat_assignment_round_trips_exactly(flat_values):
     # [2, 3, 1] identity/tanh has 2*3+3 + 3*1+1 = 13 parameters.
-    net = Network.zeros([2, 3, 1], ["tanh", "identity"])
+    net = Network([2, 3, 1], ["tanh", "identity"])
     flat = np.array(flat_values)
-    net.from_flat(flat)
-    np.testing.assert_array_equal(net.to_flat(), flat)
+    net.params[:] = flat
+    np.testing.assert_array_equal(net.params, flat)
+    np.testing.assert_array_equal(net.layers[1].weights.ravel(), flat[9:12])

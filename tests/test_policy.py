@@ -10,8 +10,8 @@ from pastarl.policy import (
     BranchedCritic,
     GaussianActor,
     SharedCritic,
-    value_vector,
 )
+from pastarl.nn import Network
 from tests.conftest import finite_difference
 
 OBS, M, ACT, HIDDEN = 4, 2, 3, 8
@@ -64,7 +64,7 @@ class TestActorSampling:
 
     def test_zero_weights_network_means_half(self, rng):
         actor = GaussianActor.create(OBS, M, ACT, rng, hidden=HIDDEN)
-        actor.from_flat(np.zeros(actor.n_params))
+        actor.params[:] = 0.0
         means, _ = actor.mean_forward(np.zeros(OBS + M))
         # sigmoid(0) = 0.5 for every action dimension.
         np.testing.assert_allclose(means, np.full(ACT, 0.5), rtol=1e-15)
@@ -99,11 +99,20 @@ class TestActorEntropy:
         assert actor.entropy() == pytest.approx(-logps.mean(), abs=5e-3)
 
     def test_entropy_grad_touches_only_log_std(self, actor):
-        g = actor.entropy_grad_flat()
+        g = np.zeros(actor.n_params)
+        actor.add_entropy_grad(g, 1.0)
         n_net = actor.backbone.n_params + actor.mean_head.n_params
         np.testing.assert_array_equal(g[:n_net], np.zeros(n_net))
         np.testing.assert_array_equal(g[n_net:], np.ones(ACT))
-        # d entropy / d log_std_d = 1 exactly, matching the analytic form.
+        # d entropy / d log_std_d = 1 exactly, matching finite differences.
+        theta0 = actor.params.copy()
+
+        def entropy_of(theta):
+            actor.params[:] = theta
+            return actor.entropy()
+
+        np.testing.assert_allclose(finite_difference(entropy_of, theta0), g, rtol=1e-9, atol=1e-12)
+        actor.params[:] = theta0
 
     def test_clamp_projects_into_range(self, actor):
         actor.log_std[:] = np.array([-50.0, 5.0, 0.0])
@@ -119,19 +128,22 @@ class TestActorBackward:
             B = 4
             x = rng.normal(size=(B, 5))
             pre = rng.normal(loc=0.5, scale=0.4, size=(B, 2))
-            coeffs = rng.normal(size=B)
+            # one coefficient row, and k = 3 rows (one per objective)
+            for coeffs in (rng.normal(size=(1, B)), rng.normal(size=(3, B))):
+                theta0 = actor.params.copy()
+                means, tape = actor.mean_forward(x)
+                analytic = actor.backward_weighted_logp(tape, pre, coeffs)
+                assert analytic.shape == (coeffs.shape[0], actor.n_params)
+                for row, c in zip(analytic, coeffs):
 
-            def loss(theta):
-                actor.from_flat(theta)
-                means, _ = actor.mean_forward(x)
-                return float(np.sum(coeffs * actor.log_probs(means, pre)))
+                    def loss(theta):
+                        actor.params[:] = theta
+                        means, _ = actor.mean_forward(x)
+                        return float(np.sum(c * actor.log_probs(means, pre)))
 
-            theta0 = actor.to_flat()
-            means, tape = actor.mean_forward(x)
-            analytic = actor.backward_weighted_logp(tape, pre, coeffs)
-            numeric = finite_difference(loss, theta0)
-            actor.from_flat(theta0)
-            np.testing.assert_allclose(analytic, numeric, rtol=2e-5, atol=1e-7)
+                    numeric = finite_difference(loss, theta0)
+                    actor.params[:] = theta0
+                    np.testing.assert_allclose(row, numeric, rtol=2e-5, atol=1e-7)
 
     def test_single_row_tape_supported(self, rng):
         actor = GaussianActor.create(3, 2, 2, rng, hidden=5)
@@ -139,27 +151,42 @@ class TestActorBackward:
         pre = rng.normal(size=(1, 2))
 
         def loss(theta):
-            actor.from_flat(theta)
+            actor.params[:] = theta
             means, _ = actor.mean_forward(x)
             return float(actor.log_probs(means, pre)[0] * 2.5)
 
-        theta0 = actor.to_flat()
+        theta0 = actor.params.copy()
         _, tape = actor.mean_forward(x)
-        analytic = actor.backward_weighted_logp(tape, pre, np.array([2.5]))
+        analytic = actor.backward_weighted_logp(tape, pre, np.array([[2.5], [-1.0]]))
         numeric = finite_difference(loss, theta0)
-        actor.from_flat(theta0)
-        np.testing.assert_allclose(analytic, numeric, rtol=2e-5, atol=1e-7)
+        actor.params[:] = theta0
+        np.testing.assert_allclose(analytic[0], numeric, rtol=2e-5, atol=1e-7)
+        np.testing.assert_allclose(analytic[1], numeric / -2.5, rtol=2e-5, atol=1e-7)
+
+    def test_batched_rows_match_separate_calls(self, rng):
+        """(k, B) coefficients give the same bits as k one-row calls."""
+        for k in (2, 3, 4):
+            actor = GaussianActor.create(OBS, k, ACT, rng, hidden=HIDDEN)
+            x = rng.normal(size=(16, OBS + k))
+            _, tape = actor.mean_forward(x)
+            pre = rng.normal(loc=0.5, scale=0.4, size=(16, ACT))
+            coeffs = rng.normal(size=(16, k)).T  # not contiguous, as in the trainer
+            batched = actor.backward_weighted_logp(tape, pre, coeffs)
+            for i in range(k):
+                single = actor.backward_weighted_logp(tape, pre, coeffs[i : i + 1])
+                np.testing.assert_array_equal(batched[i], single[0])
 
     def test_coeff_shape_mismatch_rejected(self, actor, rng):
         x = rng.normal(size=(4, OBS + M))
         _, tape = actor.mean_forward(x)
         with pytest.raises(ContractViolationError):
-            actor.backward_weighted_logp(tape, np.zeros((4, ACT)), np.zeros(3))
+            actor.backward_weighted_logp(tape, np.zeros((4, ACT)), np.zeros((1, 3)))
+        with pytest.raises(ContractViolationError):
+            actor.backward_weighted_logp(tape, np.zeros((4, ACT)), np.zeros(4))
 
     def test_flat_round_trip(self, actor, rng):
-        flat = actor.to_flat()
         clone = GaussianActor.create(OBS, M, ACT, rng, hidden=HIDDEN)
-        clone.from_flat(flat)
+        clone.params[:] = actor.params
         x = rng.normal(size=(3, OBS + M))
         np.testing.assert_array_equal(clone.mean_forward(x)[0], actor.mean_forward(x)[0])
         np.testing.assert_array_equal(clone.log_std, actor.log_std)
@@ -176,6 +203,7 @@ class TestBranchedCritic:
         flat = critic.backward(cache, dv)
         k = critic.trunk.n_params
         h = critic.heads[0].n_params
+        assert flat.shape == (critic.n_params,) == (k + 3 * h,)
         head_grads = [flat[k + i * h : k + (i + 1) * h] for i in range(3)]
         np.testing.assert_array_equal(head_grads[0], np.zeros(h))
         assert np.any(head_grads[1] != 0)
@@ -187,23 +215,42 @@ class TestBranchedCritic:
         dv = rng.normal(size=(3, 2))
 
         def loss(theta):
-            critic.from_flat(theta)
+            critic.params[:] = theta
             vals, _ = critic.forward(x)
             return float(np.sum(vals * dv))
 
-        theta0 = critic.to_flat()
+        theta0 = critic.params.copy()
         _, cache = critic.forward(x)
         analytic = critic.backward(cache, dv)
         numeric = finite_difference(loss, theta0)
-        critic.from_flat(theta0)
+        critic.params[:] = theta0
         np.testing.assert_allclose(analytic, numeric, rtol=2e-5, atol=1e-7)
 
-    def test_single_state_value_vector(self, rng):
+    def test_stacked_heads_match_per_head_networks(self, rng):
+        """The batched heads give the bits of m separate head passes."""
+        critic = BranchedCritic.create(3, 3, rng, hidden=6)
+        x = rng.normal(size=(9, 6))
+        vals, cache = critic.forward(x)
+        dv = rng.normal(size=(9, 3))
+        flat = critic.backward(cache, dv)
+        feats, tape_t = critic.trunk.forward(x)
+        feat_grad = 0.0
+        for i, head in enumerate(critic.heads):
+            v_i, tape_i = head.forward(feats)
+            np.testing.assert_array_equal(vals[:, i], v_i[:, 0])
+            head_flat, f_grad = head.backward(tape_i, dv[:, i : i + 1])
+            start = critic.trunk.n_params + i * head.n_params
+            np.testing.assert_array_equal(flat[start : start + head.n_params], head_flat)
+            feat_grad = feat_grad + f_grad
+        trunk_flat, _ = critic.trunk.backward(tape_t, feat_grad)
+        np.testing.assert_array_equal(flat[: critic.trunk.n_params], trunk_flat)
+
+    def test_single_state_values_match_batch_row(self, rng):
         critic = BranchedCritic.create(3, 2, rng, hidden=4)
-        v = value_vector(critic, np.zeros(3), np.full(2, 0.5))
+        x = np.concatenate([np.zeros(3), np.full(2, 0.5)])
+        v = critic.values(x)
         assert v.shape == (2,)
-        batch = critic.values(np.concatenate([np.zeros(3), np.full(2, 0.5)])[None, :])
-        np.testing.assert_allclose(v, batch[0], rtol=1e-15)
+        np.testing.assert_allclose(v, critic.values(x[None, :])[0], rtol=1e-15)
 
     def test_zeros_factory_gives_zero_values(self):
         critic = BranchedCritic.zeros(3, 2, hidden=4)
@@ -212,7 +259,7 @@ class TestBranchedCritic:
     def test_flat_round_trip(self, rng):
         critic = BranchedCritic.create(2, 3, rng, hidden=4)
         clone = BranchedCritic.zeros(2, 3, hidden=4)
-        clone.from_flat(critic.to_flat())
+        clone.params[:] = critic.params
         x = rng.normal(size=(4, 5))
         np.testing.assert_array_equal(clone.values(x), critic.values(x))
 
@@ -228,14 +275,14 @@ class TestSharedCritic:
         dv = rng.normal(size=(3, 2))
 
         def loss(theta):
-            critic.from_flat(theta)
+            critic.params[:] = theta
             return float(np.sum(critic.values(x) * dv))
 
-        theta0 = critic.to_flat()
+        theta0 = critic.params.copy()
         _, cache = critic.forward(x)
         analytic = critic.backward(cache, dv)
         numeric = finite_difference(loss, theta0)
-        critic.from_flat(theta0)
+        critic.params[:] = theta0
         np.testing.assert_allclose(analytic, numeric, rtol=2e-5, atol=1e-7)
 
     def test_no_head_isolation_in_shared_critic(self, rng):
@@ -254,15 +301,11 @@ class TestSharedCritic:
 class TestActorCriticShapes:
     def test_head_backbone_mismatch_rejected(self, rng):
         backbone = GaussianActor.create(OBS, M, ACT, rng, hidden=HIDDEN).backbone
-        from pastarl.nn import Network
-
         bad_head = Network.random([HIDDEN + 1, ACT], ["sigmoid"], rng)
         with pytest.raises(ContractViolationError):
             GaussianActor(backbone, bad_head, np.zeros(ACT))
 
     def test_branched_head_shape_rejected(self, rng):
-        from pastarl.nn import Network
-
         trunk = Network.random([4, 6], ["tanh"], rng)
         bad = Network.random([6, 2], ["identity"], rng)  # out_dim must be 1
         with pytest.raises(ContractViolationError):

@@ -121,6 +121,10 @@ class TestTrainConfigValidation:
             stub_cfg(horizon=0).validate()
         with pytest.raises(ConfigError):
             stub_cfg(total_iterations=0).validate()
+        with pytest.raises(ConfigError, match="eval_every"):
+            stub_cfg(eval_every=0).validate()
+        with pytest.raises(ConfigError, match="eval_episodes"):
+            stub_cfg(eval_episodes=0).validate()
 
     def test_rejects_nonpositive_fixed_mu(self):
         with pytest.raises(ConfigError, match="fixed_mu"):
@@ -162,8 +166,8 @@ class TestIterationMechanics:
         for _ in range(2):
             r1, r2 = t1.run_iteration(), t2.run_iteration()
         assert r1 == r2
-        np.testing.assert_array_equal(t1.actor.to_flat(), t2.actor.to_flat())
-        np.testing.assert_array_equal(t1.critic.to_flat(), t2.critic.to_flat())
+        np.testing.assert_array_equal(t1.actor.params, t2.actor.params)
+        np.testing.assert_array_equal(t1.critic.params, t2.critic.params)
         e1, e2 = t1.evaluate(2), t2.evaluate(2)
         assert e1 == e2
 
@@ -198,14 +202,14 @@ class TestIterationMechanics:
         r_proj, r_raw = t_proj.run_iteration(), t_raw.run_iteration()
         assert r_raw.kappa > 0.0
         assert r_proj.kappa == r_raw.kappa  # same batch, same conflict count
-        assert not np.array_equal(t_proj.actor.to_flat(), t_raw.actor.to_flat())
+        assert not np.array_equal(t_proj.actor.params, t_raw.actor.params)
 
     def test_weighted_aggregation_changes_update(self):
         t_sum = Trainer(stub_cfg(seed=2))
         t_wtd = Trainer(stub_cfg(seed=2, weighted_pcgrad=True))
         t_sum.run_iteration()
         t_wtd.run_iteration()
-        assert not np.array_equal(t_sum.actor.to_flat(), t_wtd.actor.to_flat())
+        assert not np.array_equal(t_sum.actor.params, t_wtd.actor.params)
 
     def test_critic_divergence_raises(self):
         t = Trainer(stub_cfg())
@@ -269,7 +273,7 @@ class TestScalarizationRouting:
         eta = np.array([0.5, 0.5])
         r_bar = np.array([0.5, 0.5])
         t._actor_update(x, batch, np.arange(T), eta, j_worst, r_bar, 0, 0)
-        return t.actor.to_flat()
+        return t.actor.params
 
     def test_linear_with_onehot_weight_ignores_other_objective(self):
         rng = np.random.default_rng(7)
@@ -313,7 +317,7 @@ class TestReductions:
             ra, rb = ta.run_iteration(), tb.run_iteration()
         assert ra.kappa == 0.0
         assert ra.clip_losses == rb.clip_losses
-        np.testing.assert_array_equal(ta.actor.to_flat(), tb.actor.to_flat())
+        np.testing.assert_array_equal(ta.actor.params, tb.actor.params)
 
     def test_frozen_controller_at_mu_start_matches_fixed_mu_baseline(self):
         # Disabling both decay and braking pins mu at mu_start, which must
@@ -324,7 +328,7 @@ class TestReductions:
             r1, r2 = t1.run_iteration(), t2.run_iteration()
         assert r1.clip_losses == r2.clip_losses
         assert r1.mu == r2.mu == 10.0
-        np.testing.assert_array_equal(t1.actor.to_flat(), t2.actor.to_flat())
+        np.testing.assert_array_equal(t1.actor.params, t2.actor.params)
 
 
 class TestTrainLoop:
