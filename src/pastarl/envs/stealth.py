@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from pastarl.envs.base import MomdpEnv, register_reward_fn
+from pastarl.errors import ConfigError
 
 
 def stealth_rewards(snap: dict) -> np.ndarray:
@@ -25,6 +26,22 @@ def stealth_rewards(snap: dict) -> np.ndarray:
 
 
 register_reward_fn("stealth", stealth_rewards)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcasting the leading axes.
+
+    matmul runs each pair through the BLAS dot that ``a @ b`` and
+    ``np.linalg.norm`` use on single vectors, so every entry is bit-identical
+    to the scalar call; ``a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]`` is not
+    (the BLAS kernel may fuse a multiply-add).
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 2) array."""
+    return np.sqrt(_dot(v, v))
 
 
 class StealthWorld(MomdpEnv):
@@ -42,6 +59,15 @@ class StealthWorld(MomdpEnv):
         scan_range: float = 0.3,
         safe_frac: float = 0.75,
     ):
+        for key, value in (("n_targets", n_targets), ("n_circles", n_circles), ("n_rects", n_rects)):
+            if value < 0:
+                raise ConfigError(f"environment.{key} must be non-negative, got {value}")
+        if episode_cap < 1:
+            raise ConfigError(f"environment.episode_cap must be positive, got {episode_cap}")
+        if not scan_range > 0:
+            raise ConfigError(f"environment.scan_range must be positive, got {scan_range}")
+        if not 0 < safe_frac <= 1:
+            raise ConfigError(f"environment.safe_frac must lie in (0, 1], got {safe_frac}")
         self.half_dims = np.array([1.0, 1.0])
         self.agent_radius = 0.05
         self.target_radius = 0.05
@@ -64,45 +90,42 @@ class StealthWorld(MomdpEnv):
         self.d_max = float(min(self.l_safe))
         self._rng = None
 
-    # -- geometry helpers ---------------------------------------------------
+    # -- geometry -----------------------------------------------------------
+    #
+    # circles, rects and targets are (n, 2) arrays of centers.  Each query runs
+    # over all rays and objects at once with the elementwise formulas of a
+    # per-object loop, dot products through _dot, and a min reduction, so every
+    # result is bit-identical to that loop; tests/test_envs.py keeps it as the
+    # reference.
+
+    def _overlaps(self, p: np.ndarray, radius: float) -> bool:
+        """Whether a disc of ``radius`` at p overlaps an obstacle circle or rect."""
+        near = np.clip(p, self.rects - self.rect_half, self.rects + self.rect_half)
+        return bool(
+            np.any(_norms(p - self.circles) < radius + self.circle_radius)
+            or np.any(_norms(p - near) < radius)
+        )
 
     def _collides(self, p: np.ndarray) -> bool:
-        r = self.agent_radius
-        if np.any(np.abs(p) + r > self.half_dims):
+        if np.any(np.abs(p) + self.agent_radius > self.half_dims):
             return True
-        for c in self.circles:
-            if np.linalg.norm(p - c) < r + self.circle_radius:
-                return True
-        for c in self.rects:
-            closest = np.clip(p, c - self.rect_half, c + self.rect_half)
-            if np.linalg.norm(p - closest) < r:
-                return True
-        return False
+        return self._overlaps(p, self.agent_radius)
 
     def _sample_free_point(self, rng: np.random.Generator, clearance: float) -> np.ndarray:
         for _ in range(1000):
             p = rng.uniform(-self.half_dims + clearance, self.half_dims - clearance)
-            ok = all(
-                np.linalg.norm(p - c) >= clearance + self.circle_radius for c in self.circles
-            ) and all(
-                np.linalg.norm(p - np.clip(p, c - self.rect_half, c + self.rect_half)) >= clearance
-                for c in self.rects
-            )
-            if ok:
+            if not self._overlaps(p, clearance):
                 return p
         raise RuntimeError("rejection sampling failed to place a free point")
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:
         self._rng = rng
-        self.circles = [
-            rng.uniform(-self.half_dims + 0.3, self.half_dims - 0.3) for _ in range(self.n_circles)
-        ]
-        self.rects = [
-            rng.uniform(-self.half_dims + 0.3, self.half_dims - 0.3) for _ in range(self.n_rects)
-        ]
+        lo, hi = -self.half_dims + 0.3, self.half_dims - 0.3
+        self.circles = rng.uniform(lo, hi, size=(self.n_circles, 2))
+        self.rects = rng.uniform(lo, hi, size=(self.n_rects, 2))
         self.targets = np.array(
             [self._sample_free_point(rng, self.target_radius) for _ in range(self.n_targets)]
-        )
+        ).reshape(self.n_targets, 2)
         self.scanned = np.zeros(self.n_targets, dtype=bool)
         self.pos = self._sample_free_point(rng, self.agent_radius)
         self.theta = rng.uniform(-np.pi, np.pi)
@@ -145,99 +168,72 @@ class StealthWorld(MomdpEnv):
     def _d_risk(self, p: np.ndarray) -> float:
         return float(max(0.0, min(self.l_safe[0] - abs(p[0]), self.l_safe[1] - abs(p[1]))))
 
+    def _target_bearings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distance to each target and its bearing off the heading, in [-pi, pi)."""
+        rel = self.targets - self.pos
+        bearing = self._wrap(np.arctan2(rel[:, 1], rel[:, 0]) - self.theta)
+        return _norms(rel), bearing
+
     def _scan_targets(self) -> int:
         """Unscanned targets inside the FOV wedge within scan_range become scanned."""
-        n_new = 0
-        for k in range(self.n_targets):
-            if self.scanned[k]:
-                continue
-            rel = self.targets[k] - self.pos
-            dist = np.linalg.norm(rel)
-            if dist > self.scan_range:
-                continue
-            bearing = self._wrap(np.arctan2(rel[1], rel[0]) - self.theta)
-            if abs(bearing) <= self.fov / 2.0:
-                self.scanned[k] = True
-                n_new += 1
-        return n_new
+        dist, bearing = self._target_bearings()
+        new = ~self.scanned & (dist <= self.scan_range) & (np.abs(bearing) <= self.fov / 2.0)
+        self.scanned |= new
+        return int(np.count_nonzero(new))
 
     @staticmethod
-    def _wrap(a: float) -> float:
+    def _wrap(a):
         return (a + np.pi) % (2.0 * np.pi) - np.pi
 
     def sensors(self) -> tuple[np.ndarray, np.ndarray]:
         """(vision_grid 6-vector, lidar 20-vector) for the current world state."""
-        counts = np.zeros(6)
-        for k in range(self.n_targets):
-            if self.scanned[k]:
-                continue
-            rel = self.targets[k] - self.pos
-            dist = np.linalg.norm(rel)
-            if dist > self.sensor_range:
-                continue
-            bearing = self._wrap(np.arctan2(rel[1], rel[0]) - self.theta)
-            if abs(bearing) > self.fov / 2.0:
-                continue
-            band = 0 if dist < self.sensor_range / 2.0 else 1
-            sector = min(2, int((bearing + self.fov / 2.0) / (self.fov / 3.0)))
-            counts[band * 3 + sector] += 1
+        dist, bearing = self._target_bearings()
+        seen = ~self.scanned & (dist <= self.sensor_range) & (np.abs(bearing) <= self.fov / 2.0)
+        band = dist[seen] >= self.sensor_range / 2.0
+        sector = ((bearing[seen] + self.fov / 2.0) / (self.fov / 3.0)).astype(int)
+        counts = np.bincount(3 * band + np.minimum(2, sector), minlength=6)
         grid = np.minimum(1.0, 0.5 * counts)
         return grid, self._lidar()
 
     def _lidar(self) -> np.ndarray:
+        """Range along each ray to the nearest wall, circle, unscanned target or
+        rect, divided by lidar_range; 1 where nothing lies within it."""
         angles = self.theta + 2.0 * np.pi * np.arange(self.n_lidar) / self.n_lidar
-        out = np.ones(self.n_lidar)
-        for i, ang in enumerate(angles):
-            u = np.array([np.cos(ang), np.sin(ang)])
-            t_hit = self._ray_walls(u)
-            for c in self.circles:
-                t_hit = min(t_hit, self._ray_circle(u, c, self.circle_radius))
-            for k in range(self.n_targets):
-                if not self.scanned[k]:
-                    t_hit = min(t_hit, self._ray_circle(u, self.targets[k], self.target_radius))
-            for c in self.rects:
-                t_hit = min(t_hit, self._ray_rect(u, c))
-            if t_hit <= self.lidar_range:
-                out[i] = t_hit / self.lidar_range
-        return out
+        u = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # (rays, 2)
+        # A ray parallel to an axis never crosses that axis' walls or slabs;
+        # dividing by 1 there keeps the masked quotients finite.
+        par = np.abs(u) < 1e-12
+        den = np.where(par, 1.0, u)[:, None, :]
+        pos = self.pos
 
-    def _ray_walls(self, u: np.ndarray) -> float:
-        best = np.inf
-        for axis in (0, 1):
-            if abs(u[axis]) < 1e-12:
-                continue
-            for wall in (-self.half_dims[axis], self.half_dims[axis]):
-                t = (wall - self.pos[axis]) / u[axis]
-                if t > 0:
-                    other = self.pos[1 - axis] + t * u[1 - axis]
-                    if abs(other) <= self.half_dims[1 - axis] + 1e-12:
-                        best = min(best, t)
-        return best
+        # Walls: t[ray, side, axis] to the line x_axis = -+half_dims[axis]; a
+        # hit must land on the wall segment (the other coordinate in range).
+        t = (np.stack([-self.half_dims, self.half_dims]) - pos) / den
+        other = pos[::-1] + t * u[:, None, ::-1]
+        hit = ~par[:, None, :] & (t > 0) & (np.abs(other) <= self.half_dims[::-1] + 1e-12)
+        best = np.where(hit, t, np.inf).min(axis=(1, 2))
 
-    def _ray_circle(self, u: np.ndarray, center: np.ndarray, radius: float) -> float:
-        rel = center - self.pos
-        b = float(rel @ u)
-        disc = b * b - float(rel @ rel) + radius * radius
-        if disc < 0:
-            return np.inf
-        t = b - np.sqrt(disc)
-        return t if t > 0 else np.inf
+        # Discs: obstacle circles and unscanned targets; t[ray, disc] is the
+        # first crossing b - sqrt(b^2 - |rel|^2 + r^2) in front of the agent.
+        live = self.targets[~self.scanned]
+        rel = np.concatenate([self.circles, live]) - pos
+        radii = np.repeat([self.circle_radius, self.target_radius], [len(self.circles), len(live)])
+        b = _dot(rel[None, :, :], u[:, None, :])
+        disc = b * b - _dot(rel, rel) + radii * radii
+        t = b - np.sqrt(np.maximum(disc, 0.0))
+        best = np.minimum(best, np.where((disc >= 0) & (t > 0), t, np.inf).min(axis=1, initial=np.inf))
 
-    def _ray_rect(self, u: np.ndarray, center: np.ndarray) -> float:
-        lo, hi = center - self.rect_half, center + self.rect_half
-        t_near, t_far = -np.inf, np.inf
-        for axis in (0, 1):
-            if abs(u[axis]) < 1e-12:
-                if not lo[axis] <= self.pos[axis] <= hi[axis]:
-                    return np.inf
-                continue
-            t1 = (lo[axis] - self.pos[axis]) / u[axis]
-            t2 = (hi[axis] - self.pos[axis]) / u[axis]
-            t_near = max(t_near, min(t1, t2))
-            t_far = min(t_far, max(t1, t2))
-        if t_near > t_far or t_far < 0:
-            return np.inf
-        return t_near if t_near > 0 else np.inf
+        # Rects: slab test, t[ray, rect, axis] to the near and far faces.
+        lo, hi = self.rects - self.rect_half, self.rects + self.rect_half
+        t1, t2 = (lo - pos) / den, (hi - pos) / den
+        near = np.where(par[:, None, :], -np.inf, np.minimum(t1, t2)).max(axis=2)
+        far = np.where(par[:, None, :], np.inf, np.maximum(t1, t2)).min(axis=2)
+        # Parallel to an axis, the ray misses unless the agent is inside that slab.
+        outside = (par[:, None, :] & ~((lo <= pos) & (pos <= hi))).any(axis=2)
+        hit = ~outside & (near <= far) & (far >= 0) & (near > 0)
+        best = np.minimum(best, np.where(hit, near, np.inf).min(axis=1, initial=np.inf))
+
+        return np.where(best <= self.lidar_range, best / self.lidar_range, 1.0)
 
     def _observation(self) -> np.ndarray:
         grid, lidar = self.sensors()

@@ -91,6 +91,12 @@ class TrainConfig:
             )
         if not 0.0 < self.clip_eps < 1.0:
             raise ConfigError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
+        if not 0.0 < self.gamma <= 1.0:
+            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
+        if not 0.0 <= self.lambda_gae <= 1.0:
+            raise ConfigError(f"lambda_gae must lie in [0, 1], got {self.lambda_gae}")
+        if not self.lr > 0.0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.horizon < 1 or self.minibatch < 1 or self.epochs < 1:
             raise ConfigError("horizon, minibatch, and epochs must be positive")
         if self.eval_every < 1:

@@ -117,6 +117,38 @@ class TestTrain:
             assert rc == 2
             assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        ["ppo.gamma=1.5", "ppo.lambda_gae=2.0", "ppo.lr=-1"],
+    )
+    def test_out_of_range_ppo_value_is_usage_error(self, tiny_ini, tmp_path, capsys, override):
+        rc = main([
+            "train", "--config", str(tiny_ini), "--out", str(tmp_path / "x"),
+            "--override", override,
+        ])
+        assert rc == 2
+        assert override.split("=")[0].split(".")[1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "environment.n_targets=-2",
+            "environment.n_circles=-1",
+            "environment.n_rects=-1",
+            "environment.episode_cap=0",
+            "environment.scan_range=0",
+            "environment.safe_frac=0",
+            "environment.safe_frac=1.5",
+        ],
+    )
+    def test_bad_stealth_parameter_is_usage_error(self, tiny_ini, tmp_path, capsys, override):
+        rc = main([
+            "train", "--config", str(tiny_ini), "--out", str(tmp_path / "x"),
+            "--override", "environment.name=stealth", "--override", override,
+        ])
+        assert rc == 2
+        assert override.split("=")[0] in capsys.readouterr().err
+
     def test_bad_preference_is_usage_error(self, tiny_ini, tmp_path):
         rc = main([
             "train", "--config", str(tiny_ini), "--out", str(tmp_path / "x"),

@@ -143,6 +143,23 @@ class TestBuildTrainConfig:
             with pytest.raises(ConfigError, match=key):
                 cfgmod.build_train_config(cfg)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("gamma", 1.5), ("gamma", 0.0), ("gamma", float("nan")), ("lambda_gae", 2.0),
+         ("lambda_gae", -0.1), ("lr", -1.0), ("lr", 0.0)],
+    )
+    def test_out_of_range_ppo_values_raise(self, key, value):
+        cfg = cfgmod.default_config()
+        cfg["ppo"][key] = value
+        with pytest.raises(ConfigError, match=key):
+            cfgmod.build_train_config(cfg)
+
+    @pytest.mark.parametrize("key, value", [("gamma", 1.0), ("lambda_gae", 0.0), ("lambda_gae", 1.0)])
+    def test_ppo_range_ends_accepted(self, key, value):
+        cfg = cfgmod.default_config()
+        cfg["ppo"][key] = value
+        assert getattr(cfgmod.build_train_config(cfg), key) == value
+
 
 class TestManifest:
     def test_round_trip_preserves_config(self, tmp_path):

@@ -33,8 +33,8 @@ class _AlwaysReverse:
 def blank_stealth(n_targets=1):
     """A stealth world with hand-placed geometry instead of a sampled one."""
     env = StealthWorld(n_targets=n_targets, n_circles=0, n_rects=0, episode_cap=50)
-    env.circles = []
-    env.rects = []
+    env.circles = np.empty((0, 2))
+    env.rects = np.empty((0, 2))
     env.targets = np.zeros((n_targets, 2))
     env.scanned = np.zeros(n_targets, dtype=bool)
     env.pos = np.zeros(2)
@@ -135,7 +135,7 @@ class TestStealthGeometry:
     def test_lidar_rect_slab_intersection(self):
         env = blank_stealth()
         env.targets = np.array([[0.0, -0.9]])
-        env.rects = [np.array([0.3, 0.0])]
+        env.rects = np.array([[0.3, 0.0]])
         _, lidar = env.sensors()
         # Rect near face sits at x = 0.3 - 0.12 = 0.18.
         assert lidar[0] == pytest.approx(0.18 / 0.35, rel=1e-12)
@@ -162,7 +162,7 @@ class TestStealthDynamics:
     def test_collision_restores_position_and_flags(self):
         env = blank_stealth()
         env.targets = np.array([[0.0, -0.9]])
-        env.circles = [np.array([0.1, 0.0])]
+        env.circles = np.array([[0.1, 0.0]])
         before = env.pos.copy()
         _, reward, _, info = env.step(np.array([1.0, 0.5]))  # straight ahead
         assert info["events"]["collision"]
@@ -211,6 +211,250 @@ class TestStealthDynamics:
             assert len(env.circles) == 3 and len(env.rects) == 2
             assert env.targets.shape == (4, 2)
             assert not env.scanned.any()
+
+
+# -- reference: StealthWorld's geometry as per-object loops -------------------
+#
+# StealthWorld computes its sensors, scans and collisions over all rays and
+# objects at once.  These loops are the scalar form of the same formulas, one
+# ray and one object at a time; the vectorized code must match them bit for bit.
+
+
+def ref_ray_walls(env, u):
+    best = np.inf
+    for axis in (0, 1):
+        if abs(u[axis]) < 1e-12:
+            continue
+        for wall in (-env.half_dims[axis], env.half_dims[axis]):
+            t = (wall - env.pos[axis]) / u[axis]
+            if t > 0:
+                other = env.pos[1 - axis] + t * u[1 - axis]
+                if abs(other) <= env.half_dims[1 - axis] + 1e-12:
+                    best = min(best, t)
+    return best
+
+
+def ref_ray_circle(env, u, center, radius):
+    rel = center - env.pos
+    b = float(rel @ u)
+    disc = b * b - float(rel @ rel) + radius * radius
+    if disc < 0:
+        return np.inf
+    t = b - np.sqrt(disc)
+    return t if t > 0 else np.inf
+
+
+def ref_ray_rect(env, u, center):
+    lo, hi = center - env.rect_half, center + env.rect_half
+    t_near, t_far = -np.inf, np.inf
+    for axis in (0, 1):
+        if abs(u[axis]) < 1e-12:
+            if not lo[axis] <= env.pos[axis] <= hi[axis]:
+                return np.inf
+            continue
+        t1 = (lo[axis] - env.pos[axis]) / u[axis]
+        t2 = (hi[axis] - env.pos[axis]) / u[axis]
+        t_near = max(t_near, min(t1, t2))
+        t_far = min(t_far, max(t1, t2))
+    if t_near > t_far or t_far < 0:
+        return np.inf
+    return t_near if t_near > 0 else np.inf
+
+
+def ref_lidar(env):
+    angles = env.theta + 2.0 * np.pi * np.arange(env.n_lidar) / env.n_lidar
+    out = np.ones(env.n_lidar)
+    for i, ang in enumerate(angles):
+        u = np.array([np.cos(ang), np.sin(ang)])
+        t_hit = ref_ray_walls(env, u)
+        for c in env.circles:
+            t_hit = min(t_hit, ref_ray_circle(env, u, c, env.circle_radius))
+        for k in range(len(env.targets)):
+            if not env.scanned[k]:
+                t_hit = min(t_hit, ref_ray_circle(env, u, env.targets[k], env.target_radius))
+        for c in env.rects:
+            t_hit = min(t_hit, ref_ray_rect(env, u, c))
+        if t_hit <= env.lidar_range:
+            out[i] = t_hit / env.lidar_range
+    return out
+
+
+def ref_target_view(env, k):
+    rel = env.targets[k] - env.pos
+    return np.linalg.norm(rel), env._wrap(np.arctan2(rel[1], rel[0]) - env.theta)
+
+
+def ref_grid(env):
+    counts = np.zeros(6)
+    for k in range(len(env.targets)):
+        if env.scanned[k]:
+            continue
+        dist, bearing = ref_target_view(env, k)
+        if dist > env.sensor_range or abs(bearing) > env.fov / 2.0:
+            continue
+        band = 0 if dist < env.sensor_range / 2.0 else 1
+        sector = min(2, int((bearing + env.fov / 2.0) / (env.fov / 3.0)))
+        counts[band * 3 + sector] += 1
+    return np.minimum(1.0, 0.5 * counts)
+
+
+def ref_scan(env):
+    """The scanned mask after a scan, without changing env."""
+    scanned = env.scanned.copy()
+    for k in range(len(env.targets)):
+        if scanned[k]:
+            continue
+        dist, bearing = ref_target_view(env, k)
+        if dist <= env.scan_range and abs(bearing) <= env.fov / 2.0:
+            scanned[k] = True
+    return scanned
+
+
+def ref_overlaps(env, p, radius):
+    for c in env.circles:
+        if np.linalg.norm(p - c) < radius + env.circle_radius:
+            return True
+    for c in env.rects:
+        closest = np.clip(p, c - env.rect_half, c + env.rect_half)
+        if np.linalg.norm(p - closest) < radius:
+            return True
+    return False
+
+
+def ref_collides(env, p):
+    return bool(np.any(np.abs(p) + env.agent_radius > env.half_dims)) or ref_overlaps(env, p, env.agent_radius)
+
+
+def ref_reset(env, rng):
+    """(circles, rects, targets, pos, theta) drawn one object at a time."""
+    lo, hi = -env.half_dims + 0.3, env.half_dims - 0.3
+    env.circles = [rng.uniform(lo, hi) for _ in range(env.n_circles)]
+    env.rects = [rng.uniform(lo, hi) for _ in range(env.n_rects)]
+
+    def free_point(clearance):
+        while True:
+            p = rng.uniform(-env.half_dims + clearance, env.half_dims - clearance)
+            if not ref_overlaps(env, p, clearance):
+                return p
+
+    targets = [free_point(env.target_radius) for _ in range(env.n_targets)]
+    pos = free_point(env.agent_radius)
+    return env.circles, env.rects, targets, pos, rng.uniform(-np.pi, np.pi)
+
+
+def assert_matches_reference(env, probe):
+    """Vectorized sensors, scan and collision test equal the loops exactly."""
+    grid, lidar = env.sensors()
+    np.testing.assert_array_equal(lidar, ref_lidar(env))
+    np.testing.assert_array_equal(grid, ref_grid(env))
+    expected = ref_scan(env)
+    before = env.scanned.copy()
+    assert env._scan_targets() == np.count_nonzero(expected & ~before)
+    np.testing.assert_array_equal(env.scanned, expected)
+    env.scanned = before
+    assert env._collides(probe) == ref_collides(env, probe)
+
+
+class TestStealthReference:
+    @pytest.mark.parametrize(
+        "params, seed",
+        [
+            ({}, 0),
+            ({"n_targets": 8, "n_circles": 5, "n_rects": 4, "scan_range": 0.5}, 1),
+            ({"n_targets": 2, "n_circles": 0, "n_rects": 1}, 2),
+        ],
+    )
+    def test_random_rollout_states_match_loops(self, params, seed):
+        """1800 states per case (5400 in all) from random-action rollouts.  At
+        each state a random subset of targets is marked scanned so the lidar
+        and grid see every mix, and a probe point near the agent checks the
+        collision test, often right at an obstacle's edge."""
+        env = StealthWorld(episode_cap=150, **params)
+        rng = np.random.default_rng(seed)
+        probe_rng = np.random.default_rng(seed + 100)
+        env.reset(rng)
+        for _ in range(1800):
+            _, _, done, _ = env.step(rng.random(2))
+            trajectory_mask = env.scanned
+            env.scanned = probe_rng.random(env.n_targets) < 0.5
+            assert_matches_reference(env, env.pos + probe_rng.normal(scale=0.1, size=2))
+            env.scanned = trajectory_mask
+            if done:
+                env.reset(rng)
+
+    def test_reset_matches_per_object_draws(self):
+        for seed in range(20):
+            env = StealthWorld(n_targets=6, n_circles=4, n_rects=3)
+            env.reset(np.random.default_rng(seed))
+            circles, rects, targets, pos, theta = ref_reset(StealthWorld(n_targets=6, n_circles=4, n_rects=3),
+                                                            np.random.default_rng(seed))
+            np.testing.assert_array_equal(env.circles, circles)
+            np.testing.assert_array_equal(env.rects, rects)
+            np.testing.assert_array_equal(env.targets, targets)
+            np.testing.assert_array_equal(env.pos, pos)
+            assert env.theta == theta
+
+    def test_axis_parallel_rays(self):
+        env = blank_stealth()
+        env.targets = np.array([[0.0, -0.9]])
+        # At theta = 0, rays 5 and 15 point along +-y with |cos| < 1e-12.
+        u = np.cos(env.theta + 2.0 * np.pi * np.array([5, 15]) / env.n_lidar)
+        assert np.all(np.abs(u) < 1e-12)
+        # Agent inside the rect's x slab: ray 5 hits its lower face at y = 0.25 - 0.09.
+        env.rects = np.array([[0.0, 0.25], [0.3, -0.25]])
+        lidar = env.sensors()[1]
+        assert lidar[5] == pytest.approx(0.16 / 0.35, rel=1e-12)
+        # Outside the second rect's x slab: ray 15 passes it.
+        assert lidar[15] == 1.0
+        assert_matches_reference(env, np.array([0.0, 0.1]))
+
+    def test_agent_inside_slab_on_parallel_axis_at_slab_edge(self):
+        env = blank_stealth()
+        env.targets = np.array([[0.0, -0.9]])
+        env.rects = np.array([[0.12, 0.25]])  # agent x = 0 lies on the slab's edge
+        assert env.sensors()[1][5] == pytest.approx(0.16 / 0.35, rel=1e-12)
+        assert_matches_reference(env, np.zeros(2))
+
+    def test_tangent_ray(self):
+        env = blank_stealth()
+        env.targets = np.array([[0.0, -0.9]])
+        env.circle_radius = 0.125  # exact binary values make disc exactly 0
+        env.circles = np.array([[0.25, 0.125]])
+        rel = env.circles[0] - env.pos
+        assert (rel @ np.array([1.0, 0.0])) ** 2 - rel @ rel + env.circle_radius**2 == 0.0
+        assert env.sensors()[1][0] == 0.25 / 0.35
+        assert_matches_reference(env, np.zeros(2))
+
+    def test_obstacles_behind_agent(self):
+        env = blank_stealth()
+        env.targets = np.array([[-0.2, 0.0]])
+        env.circles = np.array([[-0.3, 0.05]])
+        env.rects = np.array([[-0.25, -0.05]])
+        lidar = env.sensors()[1]
+        assert lidar[0] == 1.0  # nothing ahead within range
+        assert lidar[10] < 1.0  # the target straight behind
+        assert_matches_reference(env, np.array([-0.1, 0.0]))
+
+    def test_all_targets_scanned(self):
+        env = StealthWorld(n_targets=4)
+        env.reset(np.random.default_rng(3))
+        env.scanned[:] = True
+        grid, lidar = env.sensors()
+        np.testing.assert_array_equal(grid, np.zeros(6))
+        np.testing.assert_array_equal(lidar, ref_lidar(env))
+        assert env._scan_targets() == 0
+        assert_matches_reference(env, env.pos)
+
+    def test_no_obstacles_and_no_targets(self):
+        env = StealthWorld(n_targets=0, n_circles=0, n_rects=0, episode_cap=30)
+        rng = np.random.default_rng(4)
+        env.reset(rng)
+        assert env.circles.shape == env.rects.shape == env.targets.shape == (0, 2)
+        for _ in range(60):
+            _, _, done, _ = env.step(rng.random(2))
+            assert_matches_reference(env, env.pos + rng.normal(scale=0.1, size=2))
+            if done:
+                env.reset(rng)
 
 
 class TestPatrolOpponent:
