@@ -182,7 +182,7 @@ class StealthWorld(MomdpEnv):
         return int(np.count_nonzero(new))
 
     @staticmethod
-    def _wrap(a):
+    def _wrap(a: np.ndarray) -> np.ndarray:
         return (a + np.pi) % (2.0 * np.pi) - np.pi
 
     def sensors(self) -> tuple[np.ndarray, np.ndarray]:
