@@ -23,6 +23,13 @@ def register_reward_fn(name: str, fn) -> None:
     REWARD_FUNCTIONS[name] = fn
 
 
+def checked_episode_cap(episode_cap: int) -> int:
+    """episode_cap itself; ConfigError unless it allows at least one step."""
+    if episode_cap < 1:
+        raise ConfigError(f"environment.episode_cap must be positive, got {episode_cap}")
+    return episode_cap
+
+
 class MomdpEnv:
     """Interface: reset(rng) -> obs; step(action) -> (obs, reward, done, info)."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pastarl.envs.base import MomdpEnv, register_reward_fn
+from pastarl.envs.base import MomdpEnv, checked_episode_cap, register_reward_fn
 
 STEP_CAP_DISPLACEMENT = 0.05
 REVERSAL_PROB = 0.05
@@ -66,7 +66,7 @@ class FroggerEnv(MomdpEnv):
     m = 3
 
     def __init__(self, episode_cap: int = 400):
-        self.episode_cap = episode_cap
+        self.episode_cap = checked_episode_cap(episode_cap)
         self.half = 1.0
         self.start = np.array([0.0, -0.75])
         self.goal = np.array([0.0, 0.75])
@@ -161,7 +161,7 @@ class FormationEnv(MomdpEnv):
     n_agents = 3
 
     def __init__(self, episode_cap: int = 600):
-        self.episode_cap = episode_cap
+        self.episode_cap = checked_episode_cap(episode_cap)
         self.half = 1.0
         self.l_target = 0.45
         self.goal = np.array([0.0, 0.7])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pastarl.envs.base import MomdpEnv, register_reward_fn
+from pastarl.envs.base import MomdpEnv, checked_episode_cap, register_reward_fn
 
 
 def stub_rewards(snap: dict) -> np.ndarray:
@@ -26,7 +26,7 @@ class StubEnv(MomdpEnv):
     m = 2
 
     def __init__(self, episode_cap: int = 16):
-        self.episode_cap = episode_cap
+        self.episode_cap = checked_episode_cap(episode_cap)
         self.steps = 0
 
     def reset(self, rng: np.random.Generator) -> np.ndarray:

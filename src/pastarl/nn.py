@@ -119,6 +119,11 @@ class Network:
             self.layers.append(DenseLayer(table[..., w].reshape(lead + (n_out, n_in)), table[..., b], act))
             self._slices.append((w, b))
             k = b.stop
+        # What forward() multiplies by and adds, per layer: views into params
+        # too, so they follow in-place updates.
+        self._affine = [
+            (np.swapaxes(l.weights, -1, -2), l.biases[..., None, :], l.activation) for l in self.layers
+        ]
 
     @property
     def in_dim(self) -> int:
@@ -147,7 +152,8 @@ class Network:
         Returns (output, tape); the tape feeds backward() and is only valid
         for the parameter values used here.
         """
-        x = np.asarray(x, dtype=np.float64)
+        if not (isinstance(x, np.ndarray) and x.dtype == np.float64):
+            x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         h = x[None, :] if single else x
         if h.shape[-1] != self.in_dim:
@@ -155,10 +161,9 @@ class Network:
                 f"input dim {h.shape[-1]} != network in_dim {self.in_dim}"
             )
         inputs, outputs = [], []
-        for l in self.layers:
+        for weights_t, biases, activation in self._affine:
             inputs.append(h)
-            z = h @ np.swapaxes(l.weights, -1, -2) + l.biases[..., None, :]
-            h = _apply_activation(l.activation, z)
+            h = _apply_activation(activation, h @ weights_t + biases)
             outputs.append(h)
         out = h[..., 0, :] if single else h
         return out, Tape(self, inputs, outputs, single, out.shape)

@@ -17,6 +17,7 @@ objective only, scaled by its weight).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,12 @@ class TrainConfig:
             raise ConfigError(f"lambda_gae must lie in [0, 1], got {self.lambda_gae}")
         if not self.lr > 0.0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.c1 < math.inf:
+            raise ConfigError(f"c1 must be finite and positive, got {self.c1}")
+        if not 0.0 <= self.c2 < math.inf:
+            raise ConfigError(f"c2 must be finite and non-negative, got {self.c2}")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be positive, got {self.hidden}")
         if self.horizon < 1 or self.minibatch < 1 or self.epochs < 1:
             raise ConfigError("horizon, minibatch, and epochs must be positive")
         if self.eval_every < 1:

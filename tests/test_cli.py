@@ -119,7 +119,8 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "override",
-        ["ppo.gamma=1.5", "ppo.lambda_gae=2.0", "ppo.lr=-1"],
+        ["ppo.gamma=1.5", "ppo.lambda_gae=2.0", "ppo.lr=-1", "ppo.hidden=0", "ppo.hidden=-4",
+         "ppo.c1=-1", "ppo.c1=inf", "ppo.c2=nan", "ppo.c2=-0.5"],
     )
     def test_out_of_range_ppo_value_is_usage_error(self, tiny_ini, tmp_path, capsys, override):
         rc = main([
@@ -148,6 +149,16 @@ class TestTrain:
         ])
         assert rc == 2
         assert override.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("env", ["stub", "formation", "frogger"])
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_nonpositive_episode_cap_is_usage_error(self, tiny_ini, tmp_path, capsys, env, cap):
+        rc = main([
+            "train", "--config", str(tiny_ini), "--out", str(tmp_path / "x"),
+            "--override", f"environment.name={env}", "--override", f"environment.episode_cap={cap}",
+        ])
+        assert rc == 2
+        assert "environment.episode_cap" in capsys.readouterr().err
 
     def test_bad_preference_is_usage_error(self, tiny_ini, tmp_path):
         rc = main([

@@ -146,7 +146,9 @@ class TestBuildTrainConfig:
     @pytest.mark.parametrize(
         "key, value",
         [("gamma", 1.5), ("gamma", 0.0), ("gamma", float("nan")), ("lambda_gae", 2.0),
-         ("lambda_gae", -0.1), ("lr", -1.0), ("lr", 0.0)],
+         ("lambda_gae", -0.1), ("lr", -1.0), ("lr", 0.0), ("hidden", 0), ("hidden", -4),
+         ("c1", -1.0), ("c1", 0.0), ("c1", float("inf")), ("c1", float("nan")),
+         ("c2", -0.01), ("c2", float("inf")), ("c2", float("nan"))],
     )
     def test_out_of_range_ppo_values_raise(self, key, value):
         cfg = cfgmod.default_config()
@@ -154,7 +156,11 @@ class TestBuildTrainConfig:
         with pytest.raises(ConfigError, match=key):
             cfgmod.build_train_config(cfg)
 
-    @pytest.mark.parametrize("key, value", [("gamma", 1.0), ("lambda_gae", 0.0), ("lambda_gae", 1.0)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("gamma", 1.0), ("lambda_gae", 0.0), ("lambda_gae", 1.0), ("hidden", 1), ("c1", 1e-12),
+         ("c2", 0.0)],
+    )
     def test_ppo_range_ends_accepted(self, key, value):
         cfg = cfgmod.default_config()
         cfg["ppo"][key] = value

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,59 @@ class TestStealthRewards:
         assert stealth_rewards(snap)[2] == 1.0
         snap["displacement"] = 0.02
         assert stealth_rewards(snap)[2] == pytest.approx(0.04)
+
+    @staticmethod
+    def clip_rewards(snap):
+        """The reward formula with np.clip on each objective."""
+        return np.array([
+            np.clip(10.0 * snap["n_new"] + 0.05 * snap["vision_sum"], 0.0, 10.0 * snap["n_targets"]),
+            np.clip(1.0 - snap["d_risk"] / snap["d_max"] - snap["collided"], 0.0, 1.0),
+            np.clip(2.0 * snap["displacement"], 0.0, 1.0),
+        ])
+
+    def assert_same_bits(self, snap):
+        r, expected = stealth_rewards(snap), self.clip_rewards(snap)
+        assert r.dtype == np.float64 and r.shape == (3,)
+        # Bit patterns, so that a zero's sign counts too.
+        np.testing.assert_array_equal(r.view(np.int64), expected.view(np.int64))
+
+    def test_matches_clip_formula_on_random_snapshots(self):
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            n_targets = int(rng.integers(0, 8))
+            snap = dict(
+                n_new=int(rng.integers(0, n_targets + 1)),
+                vision_sum=float(0.5 * rng.integers(0, 13)),
+                n_targets=n_targets,
+                d_risk=float(rng.uniform(0.0, 0.75)),
+                d_max=0.75,
+                collided=int(rng.integers(0, 2)),
+                displacement=float(rng.uniform(0.0, 0.06)) * int(rng.integers(0, 2)),
+            )
+            self.assert_same_bits(snap)
+            # Replay reads snapshots back from JSON lines.
+            self.assert_same_bits(json.loads(json.dumps(snap)))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {},  # every objective exactly at its lower bound, 0
+            {"n_new": 5},  # score exactly at its upper bound
+            {"n_new": 5, "vision_sum": 1.5},  # score above it
+            {"n_targets": 0, "vision_sum": 0.5},  # an upper bound of 0
+            {"d_risk": 0.0},  # stealth exactly 1
+            {"d_risk": 0.0, "collided": 1},  # stealth exactly 0 from a collision
+            {"d_risk": 0.9},  # stealth below 0
+            {"displacement": 0.5},  # exploration exactly 1
+            {"displacement": 0.9},  # exploration above 1
+            {"displacement": -0.0},  # a negative zero stays negative, as under np.clip
+        ],
+    )
+    def test_matches_clip_formula_at_bounds(self, change):
+        snap = {**dict(n_new=0, vision_sum=0.0, n_targets=5, d_risk=0.75, d_max=0.75,
+                       collided=0, displacement=0.0), **change}
+        self.assert_same_bits(snap)
+        self.assert_same_bits(json.loads(json.dumps(snap)))
 
 
 class TestStealthGeometry:
@@ -443,6 +498,81 @@ class TestStealthReference:
         np.testing.assert_array_equal(env.sensors()[0], np.zeros(6))
         assert env._scan_targets() == 0
         assert_matches_reference(env, env.pos)
+
+    @pytest.mark.parametrize("delta", [-1e-12, 0.0, 1e-12])
+    @pytest.mark.parametrize("kind", ["circle", "target", "rect"])
+    def test_near_edge_at_lidar_range(self, kind, delta):
+        """Ray 0 runs along +x from the origin; the object's near edge lies at
+        lidar_range + delta on it, right at the edge of what the lidar keeps."""
+        env = blank_stealth()
+        env.targets = np.array([[0.0, -0.9]])
+        edge = env.lidar_range + delta
+        if kind == "circle":
+            env.circles = np.array([[edge + env.circle_radius, 0.0]])
+        elif kind == "target":
+            env.targets = np.array([[edge + env.target_radius, 0.0]])
+        else:
+            env.rects = np.array([[edge + env.rect_half[0], 0.0]])
+        lidar = env.sensors()[1]
+        if delta < 0:
+            assert lidar[0] < 1.0
+        elif delta > 0:
+            assert lidar[0] == 1.0
+        assert_matches_reference(env, np.zeros(2))
+
+    def test_objects_around_the_lidar_reach(self):
+        """Discs and rects whose nearest point lies within a few 1e-10 of
+        lidar_range, straight along a ray or nearly so."""
+        rng = np.random.default_rng(7)
+        env = StealthWorld(n_targets=3, n_circles=3, n_rects=3)
+        step = 2.0 * np.pi / env.n_lidar
+        for _ in range(400):
+            env.reset(rng)
+            env.pos = rng.uniform(-0.5, 0.5, size=2)
+            # Rays along the axes (theta a multiple of the ray spacing), give or take.
+            env.theta = step * rng.integers(-10, 10) + rng.choice([0.0, 1e-7]) * rng.normal()
+            ang = env.theta + step * rng.integers(0, env.n_lidar, size=(6, 1)) + 1e-6 * rng.normal(size=(6, 1))
+            reach = env.lidar_range + rng.normal(scale=3e-10, size=(9, 1))
+            toward = np.concatenate([np.cos(ang), np.sin(ang)], axis=1)
+            env.circles = env.pos + (reach[:3] + env.circle_radius) * toward[:3]
+            env.targets = env.pos + (reach[3:6] + env.target_radius) * toward[3:6]
+            # A rect straight along an axis has its near face at reach.
+            axis = rng.integers(0, 2, size=3)
+            offset = np.zeros((3, 2))
+            offset[np.arange(3), axis] = reach[6:, 0] + env.rect_half[axis]
+            env.rects = env.pos + rng.choice([-1.0, 1.0], size=(3, 1)) * offset
+            env.scanned = rng.random(3) < 0.3
+            assert_matches_reference(env, env.pos)
+
+    def test_only_walls_in_range(self):
+        """Every disc and rect lies beyond lidar_range; the walls alone set the
+        readings, as if the objects were not there."""
+        env = blank_stealth(n_targets=2)
+        env.pos = np.array([0.8, -0.1])
+        env.theta = 0.3
+        env.circles = np.array([[0.2, 0.5], [0.8, -0.6]])
+        env.targets = np.array([[0.3, -0.1], [0.8, 0.5]])
+        env.rects = np.array([[0.1, -0.6]])
+        lidar = env.sensors()[1]
+        assert np.any(lidar < 1.0)
+        assert_matches_reference(env, env.pos)
+        env.circles, env.rects, env.targets = np.empty((0, 2)), np.empty((0, 2)), np.empty((0, 2))
+        env.scanned = np.zeros(0, dtype=bool)
+        np.testing.assert_array_equal(env.sensors()[1], lidar)
+
+    def test_open_space(self):
+        """Nothing, walls included, lies within lidar_range of the agent."""
+        env = StealthWorld()
+        env.reset(np.random.default_rng(8))
+        env.pos = np.array([0.05, -0.1])
+        env.circles = np.array([[0.6, 0.6], [-0.6, 0.5]])
+        env.targets = np.array([[-0.3, -0.6], [0.5, -0.5], [0.0, 0.7], [-0.7, 0.0], [0.7, 0.0]])
+        env.rects = np.array([[-0.5, -0.6], [0.6, -0.1]])
+        env.scanned = np.zeros(5, dtype=bool)
+        for theta in np.linspace(-np.pi, np.pi, 13):
+            env.theta = theta
+            np.testing.assert_array_equal(env.sensors()[1], np.ones(env.n_lidar))
+            assert_matches_reference(env, env.pos)
 
     def test_no_obstacles_and_no_targets(self):
         env = StealthWorld(n_targets=0, n_circles=0, n_rects=0, episode_cap=30)
