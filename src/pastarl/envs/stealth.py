@@ -134,7 +134,7 @@ class StealthWorld(MomdpEnv):
         self.pos = self._sample_free_point(rng, self.agent_radius)
         self.theta = rng.uniform(-np.pi, np.pi)
         self.steps = 0
-        return self._observation()
+        return self._observation(*self.sensors())
 
     def step(self, action: np.ndarray):
         a = np.clip(np.asarray(action, dtype=np.float64), 0.0, 1.0)
@@ -166,7 +166,7 @@ class StealthWorld(MomdpEnv):
         reward = stealth_rewards(snap)
         self.steps += 1
         done = self.steps >= self.episode_cap
-        obs = np.concatenate([self.pos, heading, grid, lidar])
+        obs = self._observation(grid, lidar)
         info = {"reward_snapshot": snap, "events": {"collision": collided, "n_new": int(n_new)}}
         return obs, reward, done, info
 
@@ -217,7 +217,7 @@ class StealthWorld(MomdpEnv):
         """
         reach = self.lidar_range + 1e-9
         angles = self.theta + self._ray_offsets
-        u = np.empty((self.n_lidar, 2))  # contiguous rows, as _dot's bits need
+        u = np.empty((self.n_lidar, 2))  # (rays, 2)
         u[:, 0], u[:, 1] = np.cos(angles), np.sin(angles)
         # A ray parallel to an axis never crosses that axis' walls or slabs;
         # dividing by inf there keeps the masked quotients finite, and makes
@@ -262,8 +262,5 @@ class StealthWorld(MomdpEnv):
 
         return np.where(best <= self.lidar_range, best / self.lidar_range, 1.0)
 
-    def _observation(self) -> np.ndarray:
-        grid, lidar = self.sensors()
-        return np.concatenate(
-            [[self.pos[0], self.pos[1], np.cos(self.theta), np.sin(self.theta)], grid, lidar]
-        )
+    def _observation(self, grid: np.ndarray, lidar: np.ndarray) -> np.ndarray:
+        return np.concatenate([self.pos, [np.cos(self.theta), np.sin(self.theta)], grid, lidar])
