@@ -141,8 +141,7 @@ class StealthWorld(MomdpEnv):
         v = a[0] * self.v_scale
         omega = (2.0 * a[1] - 1.0) * self.omega_scale
         self.theta = self.theta + omega * self.dt
-        heading = np.array([np.cos(self.theta), np.sin(self.theta)])
-        candidate = self.pos + v * self.dt * heading
+        candidate = self.pos + v * self.dt * np.array([np.cos(self.theta), np.sin(self.theta)])
         collided = self._collides(candidate)
         displacement = 0.0
         if not collided:
