@@ -23,7 +23,7 @@ from pastarl.envs import make_env
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.nn import load_checkpoint, save_checkpoint
 from pastarl.policy import GaussianActor
-from pastarl.trainer import Trainer
+from pastarl.trainer import Trainer, deterministic_returns
 
 
 def _fmt(x) -> str:
@@ -113,13 +113,12 @@ def load_actor(path) -> tuple:
 
 def run_training(cfg: dict, out_dir) -> Path:
     """Train one run and write manifest, metrics.csv, eval.csv, checkpoints."""
+    tc = configlib.build_train_config(cfg)
+    trainer = Trainer(tc)  # bad input fails here, before any file is written
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tc = configlib.build_train_config(cfg)
-    trainer = Trainer(tc)
     configlib.write_manifest(out_dir, cfg)
     m = trainer.m
-    checkpoint_every = cfg["output"]["checkpoint_every"]
     with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
         mw, ew = _writer(mf), _writer(ef)
         mw.writerow(_metrics_header(m))
@@ -132,8 +131,8 @@ def run_training(cfg: dict, out_dir) -> Path:
                 ew.writerow(_eval_row(report.eval))
             mw.writerow(_metrics_row(report, m))
             if (
-                checkpoint_every
-                and (k + 1) % checkpoint_every == 0
+                tc.checkpoint_every
+                and (k + 1) % tc.checkpoint_every == 0
                 and k != tc.total_iterations - 1
             ):
                 save_trainer_checkpoint(trainer, out_dir / f"checkpoint_iter{k + 1:05d}.json")
@@ -183,14 +182,7 @@ def cmd_evaluate(args) -> int:
     except (TypeError, ValueError) as e:  # ContractViolationError and JSONDecodeError too
         raise ConfigError(f"malformed checkpoint {ckpt}: {e}") from e
     rng = np.random.default_rng(args.seed)
-    totals = np.zeros((args.episodes, env.m))
-    for ep in range(args.episodes):
-        obs = env.reset(rng)
-        done = False
-        while not done:
-            obs, r, done, _ = env.step(actor.act_deterministic(obs, w))
-            totals[ep] += r
-    means = totals.mean(axis=0)
+    means = deterministic_returns(actor, env, w, rng, args.episodes).mean(axis=0)
     for i, v in enumerate(means):
         print(f"return_{i} {_fmt(v)}")
     print(f"expected_utility {_fmt(w @ means)}")
@@ -214,8 +206,8 @@ def _read_eval_csv(path: Path) -> np.ndarray:
 
 
 def method_label(manifest: dict) -> str:
-    alg_cfg = manifest["config"]["algorithm"]
-    ctl_cfg = manifest["config"]["controller"]
+    cfg = manifest["config"]
+    alg_cfg = cfg["algorithm"]
     name = alg_cfg["name"]
     if name == "stch_fixed":
         return f"stch_fixed(mu={alg_cfg['fixed_mu']:g})"
@@ -225,10 +217,11 @@ def method_label(manifest: dict) -> str:
             tags.append("no_pcgrad")
         if alg_cfg.get("weighted_pcgrad"):
             tags.append("weighted_pcgrad")
-        if alg_cfg.get("critic", "branched_weighted") != "branched_weighted":
-            tags.append(alg_cfg["critic"])
-        if ctl_cfg.get("mode", "full") != "full":
-            tags.append(ctl_cfg["mode"])
+        defaults = configlib.default_config()
+        for section, key in (("algorithm", "critic"), ("controller", "mode")):
+            value = cfg[section].get(key, defaults[section][key])
+            if value != defaults[section][key]:
+                tags.append(value)
     return name + (f"[{','.join(tags)}]" if tags else "")
 
 
@@ -408,19 +401,14 @@ def _parse_axis(spec: str) -> tuple:
     name = name.strip()
     if name not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {name!r} (known: {', '.join(sorted(SWEEP_AXES))})")
-    if name == "preference":
-        if raw.strip() == "default8":
-            values = list(configlib.DEFAULT_PREFERENCES_M3)
-        else:
-            values = [
-                tuple(float(t) for t in vec.split(",")) for vec in raw.split(";") if vec.strip()
-            ]
+    section, key = SWEEP_AXES[name]
+    if name == "preference" and raw.strip() == "default8":
+        values = list(configlib.DEFAULT_PREFERENCES_M3)
     elif name == "mu_fixed" and raw.strip() == "grid":
         values = list(configlib.FIXED_MU_GRID)
-    elif name == "seed":
-        values = [int(t) for t in raw.split(",") if t.strip()]
     else:
-        values = [float(t) for t in raw.split(",") if t.strip()]
+        sep = ";" if name == "preference" else ","
+        values = [configlib._convert(section, key, t) for t in raw.split(sep) if t.strip()]
     if not values:
         raise ConfigError(f"axis {name!r} has no values")
     return name, values
@@ -445,7 +433,6 @@ def cmd_sweep(args) -> int:
     if not axes:
         raise ConfigError("sweep needs at least one --axis")
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
 
     jobs = []
     for combo in itertools.product(*(values for _, values in axes)):
@@ -458,8 +445,10 @@ def cmd_sweep(args) -> int:
         run_dir = out_root / "_".join(tags)
         cfg["output"]["dir"] = str(run_dir)
         cfg["algorithm"]["preference"] = tuple(cfg["algorithm"]["preference"])
+        configlib.build_train_config(cfg)  # every combination is checked before the first run
         jobs.append((cfg, run_dir))
 
+    out_root.mkdir(parents=True, exist_ok=True)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             done = list(pool.map(_sweep_worker, jobs))

@@ -1,11 +1,18 @@
-"""Sectioned key-value config files, overrides, and run manifests.
+"""Config knobs, sectioned config files, overrides, and run manifests.
+
+Every knob is declared once, as a field of ``TrainConfig``: its INI section
+and key, converter, default, valid range and meaning.  A range is an interval
+such as ``(0, 1]`` (``inf`` for an open end) or a tuple of choices; the same
+text drives the check, the error message and the README table.  The INI
+schema and the defaults are derived from those declarations.  The
+environment keys are forwarded to the environment constructor only when set,
+and their ranges are checked there.
 
 Config files are INI-style with five sections: environment, algorithm,
-controller, ppo, output.  Every key has a declared type and default; unknown
-sections or keys are hard errors so programmatic sweeps cannot silently
-misspell a knob.  A RunManifest snapshots the fully resolved config plus
-seed and build id; re-running from a manifest reproduces the metrics CSV
-byte for byte.
+controller, ppo, output.  Unknown sections or keys are hard errors so
+programmatic sweeps cannot silently misspell a knob.  A RunManifest snapshots
+the fully resolved config plus seed and build id; re-running from a manifest
+reproduces the metrics CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -13,11 +20,13 @@ from __future__ import annotations
 import configparser
 import json
 import subprocess
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from pastarl import __version__
+from pastarl.envs import ENV_CLASSES
 from pastarl.errors import ConfigError
-from pastarl.trainer import TrainConfig
+from pastarl.scalarize import preference_vector
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -52,60 +61,153 @@ def _parse_floats(s: str) -> tuple:
         raise ConfigError(f"expected comma-separated floats, got {s!r}") from e
 
 
-# section -> key -> (converter, default)
-CONFIG_SCHEMA = {
-    "environment": {
-        "name": (str, "stub"),
-        "episode_cap": (int, None),
-        "n_targets": (int, None),
-        "n_circles": (int, None),
-        "n_rects": (int, None),
-        "scan_range": (float, None),
-        "safe_frac": (float, None),
-    },
-    "algorithm": {
-        "name": (str, "pasta"),
-        "preference": (_parse_floats, (0.5, 0.5)),
-        "fixed_mu": (float, 1.0),
-        "no_pcgrad": (_parse_bool, False),
-        "weighted_pcgrad": (_parse_bool, False),
-        "critic": (str, "branched_weighted"),
-        "tch_per_minibatch": (_parse_bool, False),
-    },
-    "controller": {
-        "mode": (str, "full"),
-        "mu_start": (float, 10.0),
-        "mu_min": (float, 0.05),
-        "mu_max": (float, 10.0),
-        "tau": (float, 0.4),
-        "lambda_ema": (float, 0.05),
-        "rho": (float, 0.15),
-        "zeta": (float, 1.05),
-    },
-    "ppo": {
-        "horizon": (int, 2048),
-        "epochs": (int, 10),
-        "minibatch": (int, 64),
-        "clip_eps": (float, 0.2),
-        "c1": (float, 0.5),
-        "c2": (float, 0.01),
-        "gamma": (float, 0.99),
-        "lambda_gae": (float, 0.95),
-        "lr": (float, 3e-4),
-        "total_iterations": (int, 100),
-        "seed": (int, 0),
-        "hidden": (int, 64),
-    },
-    "output": {
-        "dir": (str, "runs/run"),
-        "eval_every": (int, 10),
-        "eval_episodes": (int, 8),
-        "checkpoint_every": (int, 0),
-    },
-}
+def knob(section: str, key: str, conv, default, valid=None, doc: str = ""):
+    """Declare a TrainConfig field as the config knob ``section.key``."""
+    return field(
+        default=default,
+        metadata={"section": section, "key": key, "conv": conv, "valid": valid, "doc": doc},
+    )
 
-# Environment-parameter keys are only passed through when set.
-ENV_PARAM_KEYS = ("episode_cap", "n_targets", "n_circles", "n_rects", "scan_range", "safe_frac")
+
+def _within(value, valid) -> bool:
+    """Whether value is one of the choices, or lies in an interval like "(0, 1]"."""
+    if isinstance(valid, tuple):
+        return value in valid
+    lo, hi = (float(end) for end in valid[1:-1].split(","))
+    try:
+        above = lo < value if valid[0] == "(" else lo <= value
+        return above and (value < hi if valid[-1] == ")" else value <= hi)
+    except TypeError:  # not a number
+        return False
+
+
+BOOL = (False, True)
+POSITIVE = "(0, inf)"
+AT_LEAST_1 = "[1, inf)"
+
+
+@dataclass
+class TrainConfig:
+    env_name: str = knob("environment", "name", str, "stub", tuple(ENV_CLASSES), "simulated task")
+    env_params: dict = field(default_factory=dict)  # the ENV_PARAM_KEYS that are set
+    algorithm: str = knob(
+        "algorithm", "name", str, "pasta", ("pasta", "linear", "tch", "stch_fixed"),
+        "method: adaptive smooth Tchebycheff or a baseline",
+    )
+    preference: tuple = knob(
+        "algorithm", "preference", _parse_floats, (0.5, 0.5),
+        doc="non-negative weights summing to 1, one per objective",
+    )
+    fixed_mu: float = knob(
+        "algorithm", "fixed_mu", float, 1.0, POSITIVE,
+        "smoothing constant for `stch_fixed` (checked only there)",
+    )
+    no_pcgrad: bool = knob(
+        "algorithm", "no_pcgrad", _parse_bool, False, BOOL, "ablation: skip the gradient projection"
+    )
+    weighted_pcgrad: bool = knob(
+        "algorithm", "weighted_pcgrad", _parse_bool, False, BOOL,
+        "ablation: eta-weighted sum of the projected gradients",
+    )
+    critic: str = knob(
+        "algorithm", "critic", str, "branched_weighted",
+        ("branched_weighted", "branched_unweighted", "shared_weighted", "shared_unweighted"),
+        "one value head per objective or one shared trunk, eta-weighted value loss or not",
+    )
+    tch_per_minibatch: bool = knob(
+        "algorithm", "tch_per_minibatch", _parse_bool, False, BOOL,
+        "`tch`: recompute the worst objective per minibatch",
+    )
+    controller_mode: str = knob(
+        "controller", "mode", str, "full",
+        ("full", "no_conflict", "no_decay", "no_conflict_no_decay"),
+        "ablations: drop the conflict braking, the decay, or both",
+    )
+    mu_start: float = knob(
+        "controller", "mu_start", float, 10.0, POSITIVE,
+        "initial smoothing; `mu_min <= mu_start <= mu_max`",
+    )
+    mu_min: float = knob("controller", "mu_min", float, 0.05, POSITIVE, "end of the anneal")
+    mu_max: float = knob("controller", "mu_max", float, 10.0, POSITIVE, "braking ceiling")
+    tau: float = knob("controller", "tau", float, 0.4, "[0, 1)", "conflict threshold for braking")
+    lambda_ema: float = knob(
+        "controller", "lambda_ema", float, 0.05, "(0, 1]", "smoothing-parameter EMA rate"
+    )
+    rho: float = knob("controller", "rho", float, 0.15, "(0, 1)", "uniform maintenance mass in eta")
+    zeta: float = knob(
+        "controller", "zeta", float, 1.05, "(1, inf)", "utopia point in normalized return space"
+    )
+    horizon: int = knob("ppo", "horizon", int, 2048, AT_LEAST_1, "rollout steps per iteration")
+    epochs: int = knob("ppo", "epochs", int, 10, AT_LEAST_1, "passes over each rollout")
+    minibatch: int = knob("ppo", "minibatch", int, 64, AT_LEAST_1, "steps per update")
+    clip_eps: float = knob("ppo", "clip_eps", float, 0.2, "(0, 1)", "clip range")
+    c1: float = knob("ppo", "c1", float, 0.5, POSITIVE, "value-loss coefficient")
+    c2: float = knob("ppo", "c2", float, 0.01, "[0, inf)", "entropy coefficient")
+    gamma: float = knob("ppo", "gamma", float, 0.99, "(0, 1]", "discount")
+    lambda_gae: float = knob("ppo", "lambda_gae", float, 0.95, "[0, 1]", "advantage decay")
+    lr: float = knob("ppo", "lr", float, 3e-4, POSITIVE, "Adam step size")
+    total_iterations: int = knob(
+        "ppo", "total_iterations", int, 100, AT_LEAST_1, "training length, also the anneal horizon"
+    )
+    seed: int = knob("ppo", "seed", int, 0, "[0, inf)", "master seed")
+    hidden: int = knob("ppo", "hidden", int, 64, AT_LEAST_1, "hidden layer width")
+    out_dir: str = knob("output", "dir", str, "runs/run", doc="run directory")
+    eval_every: int = knob(
+        "output", "eval_every", int, 10, AT_LEAST_1, "iterations between evaluations"
+    )
+    eval_episodes: int = knob(
+        "output", "eval_episodes", int, 8, AT_LEAST_1, "deterministic episodes per evaluation"
+    )
+    checkpoint_every: int = knob(
+        "output", "checkpoint_every", int, 0, "[0, inf)",
+        "iterations between checkpoints; 0 writes only the final one",
+    )
+
+    def validate(self) -> "TrainConfig":
+        """ConfigError naming ``section.key`` unless every declared range holds."""
+        for f in KNOBS:
+            valid = f.metadata["valid"]
+            # Only stch_fixed reads fixed_mu.
+            if valid is None or (f.name == "fixed_mu" and self.algorithm != "stch_fixed"):
+                continue
+            value = getattr(self, f.name)
+            if not _within(value, valid):
+                must = "be one of" if isinstance(valid, tuple) else "lie in"
+                raise ConfigError(f"{_knob_name(f)} must {must} {valid}, got {value!r}")
+        # The Trainer checks its length against the environment it is given.
+        try:
+            preference_vector(self.preference)
+        except ConfigError as e:
+            raise ConfigError(f"algorithm.preference: {e}") from None
+        return self
+
+
+KNOBS = tuple(f for f in fields(TrainConfig) if "key" in f.metadata)
+
+# Keys forwarded to the environment constructor when set, with converters.
+ENV_PARAM_KEYS = (
+    ("episode_cap", int),
+    ("n_targets", int),
+    ("n_circles", int),
+    ("n_rects", int),
+    ("scan_range", float),
+    ("safe_frac", float),
+)
+
+# section -> key -> (converter, default), in declaration order
+CONFIG_SCHEMA: dict = {}
+for _f in KNOBS:
+    CONFIG_SCHEMA.setdefault(_f.metadata["section"], {})[_f.metadata["key"]] = (
+        _f.metadata["conv"],
+        _f.default,
+    )
+CONFIG_SCHEMA["environment"].update((key, (conv, None)) for key, conv in ENV_PARAM_KEYS)
+
+
+def _knob_name(f) -> str:
+    """``section.key`` of a declared field, plus the field name where it differs."""
+    name = f"{f.metadata['section']}.{f.metadata['key']}"
+    return name if f.name == f.metadata["key"] else f"{name} ({f.name})"
 
 
 def default_config() -> dict:
@@ -173,44 +275,11 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 
 def build_train_config(cfg: dict) -> TrainConfig:
+    """The validated TrainConfig of a sectioned config dict."""
     env = cfg["environment"]
-    alg = cfg["algorithm"]
-    ctl = cfg["controller"]
-    ppo = cfg["ppo"]
-    out = cfg["output"]
-    env_params = {k: env[k] for k in ENV_PARAM_KEYS if env.get(k) is not None}
     return TrainConfig(
-        algorithm=alg["name"],
-        env_name=env["name"],
-        env_params=env_params,
-        preference=tuple(alg["preference"]),
-        fixed_mu=alg["fixed_mu"],
-        no_pcgrad=alg["no_pcgrad"],
-        weighted_pcgrad=alg["weighted_pcgrad"],
-        critic=alg["critic"],
-        tch_per_minibatch=alg["tch_per_minibatch"],
-        controller_mode=ctl["mode"],
-        mu_start=ctl["mu_start"],
-        mu_min=ctl["mu_min"],
-        mu_max=ctl["mu_max"],
-        tau=ctl["tau"],
-        lambda_ema=ctl["lambda_ema"],
-        rho=ctl["rho"],
-        zeta=ctl["zeta"],
-        horizon=ppo["horizon"],
-        epochs=ppo["epochs"],
-        minibatch=ppo["minibatch"],
-        clip_eps=ppo["clip_eps"],
-        c1=ppo["c1"],
-        c2=ppo["c2"],
-        gamma=ppo["gamma"],
-        lambda_gae=ppo["lambda_gae"],
-        lr=ppo["lr"],
-        total_iterations=ppo["total_iterations"],
-        seed=ppo["seed"],
-        hidden=ppo["hidden"],
-        eval_every=out["eval_every"],
-        eval_episodes=out["eval_episodes"],
+        env_params={key: env[key] for key, _ in ENV_PARAM_KEYS if env.get(key) is not None},
+        **{f.name: cfg[f.metadata["section"]][f.metadata["key"]] for f in KNOBS},
     ).validate()
 
 

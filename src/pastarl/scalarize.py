@@ -21,12 +21,14 @@ NORM_EPS = 1e-8
 
 
 def preference_vector(values, m: int | None = None) -> np.ndarray:
-    """Validate a preference vector: non-negative, sums to 1 within 1e-9."""
+    """Validate a preference vector: finite, non-negative, sums to 1 within 1e-9."""
     w = np.asarray(values, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise ConfigError(f"preference must be a non-empty 1-D vector, got shape {w.shape}")
     if m is not None and w.size != m:
         raise ConfigError(f"preference has {w.size} entries, expected {m}")
+    if not np.all(np.isfinite(w)):
+        raise ConfigError(f"preference entries must be finite: {w.tolist()}")
     if np.any(w < 0):
         raise ConfigError(f"preference entries must be non-negative: {w.tolist()}")
     if abs(float(w.sum()) - 1.0) > SIMPLEX_TOL:

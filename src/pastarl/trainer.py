@@ -1,4 +1,4 @@
-"""Training loops: the adaptive smooth-Tchebycheff PPO plus three baselines.
+"""One training iteration of the adaptive smooth-Tchebycheff PPO and three baselines.
 
 One iteration runs, in order: collect a fixed horizon of steps; per-objective
 GAE and advantage normalization; fold the iteration's completed-episode
@@ -17,15 +17,15 @@ objective only, scaled by its weight).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from pastarl import metrics
+from pastarl.config import TrainConfig
 from pastarl.controller import ControllerTrace, SmoothnessConfig, SmoothnessController
 from pastarl.envs import make_env
-from pastarl.errors import ConfigError, DivergenceError
+from pastarl.errors import DivergenceError
 from pastarl.gae import RolloutBatch, compute_gae, normalize_advantages
 from pastarl.nn import AdamState, adam_update
 from pastarl.policy import BranchedCritic, GaussianActor, SharedCritic
@@ -38,83 +38,6 @@ from pastarl.scalarize import (
     utopia_point,
 )
 from pastarl.surgery import conflict_ratio, project_conflicts, summed_update_direction
-
-ALGORITHMS = ("pasta", "linear", "tch", "stch_fixed")
-CRITIC_KINDS = ("branched_weighted", "branched_unweighted", "shared_weighted", "shared_unweighted")
-CONTROLLER_MODES = ("full", "no_conflict", "no_decay", "no_conflict_no_decay")
-
-
-@dataclass
-class TrainConfig:
-    algorithm: str = "pasta"
-    env_name: str = "stub"
-    env_params: dict = field(default_factory=dict)
-    preference: tuple = (0.5, 0.5)
-    fixed_mu: float = 1.0
-    horizon: int = 2048
-    epochs: int = 10
-    minibatch: int = 64
-    clip_eps: float = 0.2
-    c1: float = 0.5
-    c2: float = 0.01
-    gamma: float = 0.99
-    lambda_gae: float = 0.95
-    lr: float = 3e-4
-    total_iterations: int = 100
-    seed: int = 0
-    hidden: int = 64
-    # smoothness controller
-    mu_start: float = 10.0
-    mu_min: float = 0.05
-    mu_max: float = 10.0
-    tau: float = 0.4
-    lambda_ema: float = 0.05
-    rho: float = 0.15
-    zeta: float = 1.05
-    controller_mode: str = "full"
-    # ablations
-    no_pcgrad: bool = False
-    weighted_pcgrad: bool = False
-    critic: str = "branched_weighted"
-    tch_per_minibatch: bool = False
-    # evaluation schedule
-    eval_every: int = 10
-    eval_episodes: int = 8
-
-    def validate(self) -> "TrainConfig":
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.critic not in CRITIC_KINDS:
-            raise ConfigError(f"critic must be one of {CRITIC_KINDS}, got {self.critic!r}")
-        if self.controller_mode not in CONTROLLER_MODES:
-            raise ConfigError(
-                f"controller_mode must be one of {CONTROLLER_MODES}, got {self.controller_mode!r}"
-            )
-        if not 0.0 < self.clip_eps < 1.0:
-            raise ConfigError(f"clip_eps must lie in (0, 1), got {self.clip_eps}")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ConfigError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not 0.0 <= self.lambda_gae <= 1.0:
-            raise ConfigError(f"lambda_gae must lie in [0, 1], got {self.lambda_gae}")
-        if not self.lr > 0.0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if not 0.0 < self.c1 < math.inf:
-            raise ConfigError(f"c1 must be finite and positive, got {self.c1}")
-        if not 0.0 <= self.c2 < math.inf:
-            raise ConfigError(f"c2 must be finite and non-negative, got {self.c2}")
-        if self.hidden < 1:
-            raise ConfigError(f"hidden must be positive, got {self.hidden}")
-        if self.horizon < 1 or self.minibatch < 1 or self.epochs < 1:
-            raise ConfigError("horizon, minibatch, and epochs must be positive")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be positive, got {self.eval_every}")
-        if self.eval_episodes < 1:
-            raise ConfigError(f"eval_episodes must be positive, got {self.eval_episodes}")
-        if self.total_iterations < 1:
-            raise ConfigError("total_iterations must be positive")
-        if self.algorithm == "stch_fixed" and self.fixed_mu <= 0:
-            raise ConfigError(f"fixed_mu must be positive, got {self.fixed_mu}")
-        return self
 
 
 @dataclass
@@ -154,6 +77,18 @@ def weighted_value_loss(values, targets, eta) -> float:
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     eta = np.asarray(eta, dtype=np.float64)
     return float(np.mean(np.sum(eta * (v - y) ** 2, axis=1)))
+
+
+def deterministic_returns(actor, env, w, rng, episodes: int) -> np.ndarray:
+    """(episodes, m) raw returns of the actor's mean action, resetting env from rng."""
+    totals = np.zeros((episodes, env.m))
+    for ep in range(episodes):
+        obs = env.reset(rng)
+        done = False
+        while not done:
+            obs, r, done, _ = env.step(actor.act_deterministic(obs, w))
+            totals[ep] += r
+    return totals
 
 
 class Trainer:
@@ -206,7 +141,6 @@ class Trainer:
         self.last_kappa = 0.0
         self.iteration = 0
         self.eval_history: list[EvalRecord] = []
-        self.on_event = None  # optional callable(name, **details), used by trace tests
         self._obs = None
         self._partial_return = np.zeros(self.m)
 
@@ -296,13 +230,13 @@ class Trainer:
         entropy_acc = 0.0
         n_updates = 0
 
-        for epoch in range(cfg.epochs):
+        for _ in range(cfg.epochs):
             perm = self.shuffle_rng.permutation(T)
             for start in range(0, T, cfg.minibatch):
                 mb = perm[start : start + cfg.minibatch]
-                self._critic_update(inputs[mb], batch.value_targets[mb], eta_critic, epoch, start)
+                self._critic_update(inputs[mb], batch.value_targets[mb], eta_critic)
                 kappa_b, clip_losses = self._actor_update(
-                    inputs[mb], batch, mb, eta, j_worst, r_bar, epoch, start
+                    inputs[mb], batch, mb, eta, j_worst, r_bar
                 )
                 kappas.append(kappa_b)
                 clip_loss_acc += clip_losses
@@ -331,7 +265,7 @@ class Trainer:
             n_episodes=len(batch.episodic_returns),
         )
 
-    def _critic_update(self, x, targets, eta, epoch, start) -> None:
+    def _critic_update(self, x, targets, eta) -> None:
         cfg = self.cfg
         vals, cache = self.critic.forward(x)
         loss = weighted_value_loss(vals, targets, eta)
@@ -341,10 +275,8 @@ class Trainer:
         dldv = cfg.c1 * 2.0 * eta[None, :] * (vals - targets) / x.shape[0]
         grad = self.critic.backward(cache, dldv)
         adam_update(self.critic.params, grad, self.critic_opt, ascent=False, name="critic")
-        if self.on_event:
-            self.on_event("critic_update", epoch=epoch, start=start)
 
-    def _actor_update(self, x, batch, mb, eta, j_worst, r_bar, epoch, start):
+    def _actor_update(self, x, batch, mb, eta, j_worst, r_bar):
         cfg = self.cfg
         means, tape = self.actor.mean_forward(x)
         pre = batch.pre_clamp[mb]
@@ -397,24 +329,16 @@ class Trainer:
         self.actor.add_entropy_grad(direction, cfg.c2)  # not projected
         adam_update(self.actor.params, direction, self.actor_opt, ascent=True, name="actor")
         self.actor.clamp_log_std()
-        if self.on_event:
-            self.on_event("actor_update", epoch=epoch, start=start)
         return kappa_b, clip_losses
 
-    # -- evaluation and the outer loop ---------------------------------------
+    # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, iteration: int) -> EvalRecord:
         """Deterministic (mean-action) episodes on a fresh rng; appends to history."""
-        cfg = self.cfg
         rng = np.random.default_rng(self._eval_seeds.spawn(1)[0])
-        totals = np.zeros((cfg.eval_episodes, self.m))
-        for ep in range(cfg.eval_episodes):
-            obs = self.eval_env.reset(rng)
-            done = False
-            while not done:
-                action = self.actor.act_deterministic(obs, self.w)
-                obs, r, done, _ = self.eval_env.step(action)
-                totals[ep] += r
+        totals = deterministic_returns(
+            self.actor, self.eval_env, self.w, rng, self.cfg.eval_episodes
+        )
         mean_returns = totals.mean(axis=0)
         record = EvalRecord(
             iteration=iteration,
@@ -431,15 +355,3 @@ class Trainer:
         lo, hi = pts.min(axis=0), pts.max(axis=0)
         normed = np.clip((pts - lo) / (hi - lo + 1e-8), 0.0, 1.0)
         return metrics.hypervolume(normed)
-
-    def train(self) -> list[IterationReport]:
-        """Full schedule: initial eval, per-iteration updates, periodic evals."""
-        cfg = self.cfg
-        reports = []
-        self.evaluate(iteration=0)
-        for k in range(cfg.total_iterations):
-            report = self.run_iteration()
-            if (k + 1) % cfg.eval_every == 0 or k == cfg.total_iterations - 1:
-                report.eval = self.evaluate(iteration=k + 1)
-            reports.append(report)
-        return reports

@@ -120,15 +120,19 @@ class TestTrain:
     @pytest.mark.parametrize(
         "override",
         ["ppo.gamma=1.5", "ppo.lambda_gae=2.0", "ppo.lr=-1", "ppo.hidden=0", "ppo.hidden=-4",
-         "ppo.c1=-1", "ppo.c1=inf", "ppo.c2=nan", "ppo.c2=-0.5"],
+         "ppo.c1=-1", "ppo.c1=inf", "ppo.c2=nan", "ppo.c2=-0.5", "ppo.seed=-1",
+         "controller.zeta=nan", "algorithm.name=stch_fixed algorithm.fixed_mu=nan",
+         "algorithm.preference=nan,nan", "controller.rho=0", "controller.rho=nan",
+         "output.checkpoint_every=-1"],
     )
     def test_out_of_range_ppo_value_is_usage_error(self, tiny_ini, tmp_path, capsys, override):
-        rc = main([
-            "train", "--config", str(tiny_ini), "--out", str(tmp_path / "x"),
-            "--override", override,
-        ])
-        assert rc == 2
-        assert override.split("=")[0].split(".")[1] in capsys.readouterr().err
+        # Space-separated overrides apply in order; the last one is the bad value.
+        argv = ["train", "--config", str(tiny_ini), "--out", str(tmp_path / "x")]
+        for item in override.split():
+            argv += ["--override", item]
+        assert main(argv) == 2
+        assert override.split()[-1].split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "override",
@@ -149,6 +153,7 @@ class TestTrain:
         ])
         assert rc == 2
         assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     @pytest.mark.parametrize("env", ["stub", "formation", "frogger"])
     @pytest.mark.parametrize("cap", [0, -3])
@@ -159,6 +164,7 @@ class TestTrain:
         ])
         assert rc == 2
         assert "environment.episode_cap" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "manifest.json").exists()
 
     def test_bad_preference_is_usage_error(self, tiny_ini, tmp_path):
         rc = main([
@@ -268,6 +274,22 @@ class TestSweep:
             for rec in doc["runs"]
         )
         assert mus == [0.1, 1.0]
+
+    def test_every_combination_is_checked_before_the_first_run(self, tiny_ini, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = main([
+            "sweep", "--config", str(tiny_ini), "--out", str(out), "--axis", "rho=0.1,1.5",
+        ])
+        assert rc == 2
+        assert "controller.rho" in capsys.readouterr().err
+        assert not (out / "rho_0.1").exists() and not (out / "rho_1.5").exists()
+
+    def test_unparsable_axis_value_is_usage_error(self, tiny_ini, tmp_path, capsys):
+        rc = main([
+            "sweep", "--config", str(tiny_ini), "--out", str(tmp_path / "sw"), "--axis", "seed=0,x",
+        ])
+        assert rc == 2
+        assert "ppo.seed" in capsys.readouterr().err
 
     def test_unknown_axis_is_usage_error(self, tiny_ini, tmp_path):
         rc = main([

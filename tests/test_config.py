@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pastarl import config as cfgmod
 from pastarl.errors import ConfigError
@@ -24,6 +27,12 @@ seed = 9
 [output]
 dir = runs/demo
 """
+
+
+def split_key(key):
+    """"section.key" -> (section, key); a bare key is in [ppo]."""
+    section, _, key = key.rpartition(".")
+    return section or "ppo", key
 
 
 def write_ini(tmp_path, text=INI, name="run.ini"):
@@ -148,23 +157,111 @@ class TestBuildTrainConfig:
         [("gamma", 1.5), ("gamma", 0.0), ("gamma", float("nan")), ("lambda_gae", 2.0),
          ("lambda_gae", -0.1), ("lr", -1.0), ("lr", 0.0), ("hidden", 0), ("hidden", -4),
          ("c1", -1.0), ("c1", 0.0), ("c1", float("inf")), ("c1", float("nan")),
-         ("c2", -0.01), ("c2", float("inf")), ("c2", float("nan"))],
+         ("c2", -0.01), ("c2", float("inf")), ("c2", float("nan")), ("seed", -1),
+         ("controller.zeta", float("nan")), ("algorithm.fixed_mu", float("nan")),
+         ("algorithm.preference", (float("nan"), float("nan"))), ("controller.rho", 0.0),
+         ("controller.rho", float("nan")), ("output.checkpoint_every", -1)],
     )
     def test_out_of_range_ppo_values_raise(self, key, value):
+        section, key = split_key(key)
         cfg = cfgmod.default_config()
-        cfg["ppo"][key] = value
-        with pytest.raises(ConfigError, match=key):
+        if key == "fixed_mu":
+            cfg["algorithm"]["name"] = "stch_fixed"  # the only algorithm that reads it
+        cfg[section][key] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
             cfgmod.build_train_config(cfg)
 
     @pytest.mark.parametrize(
         "key, value",
         [("gamma", 1.0), ("lambda_gae", 0.0), ("lambda_gae", 1.0), ("hidden", 1), ("c1", 1e-12),
-         ("c2", 0.0)],
+         ("c2", 0.0), ("seed", 0), ("controller.tau", 0.0), ("controller.lambda_ema", 1.0),
+         ("output.checkpoint_every", 0)],
     )
     def test_ppo_range_ends_accepted(self, key, value):
+        section, key = split_key(key)
         cfg = cfgmod.default_config()
-        cfg["ppo"][key] = value
+        cfg[section][key] = value
         assert getattr(cfgmod.build_train_config(cfg), key) == value
+
+    def test_fixed_mu_is_checked_only_under_stch_fixed(self):
+        cfg = cfgmod.default_config()
+        cfg["algorithm"]["fixed_mu"] = -1.0
+        assert cfgmod.build_train_config(cfg).fixed_mu == -1.0
+
+
+def interval(text):
+    """"(0, 1]" -> (0.0, 1.0, lower end closed, upper end closed)."""
+    m = re.fullmatch(r"([\[(])(\S+), (\S+)([\])])", text)
+    assert m, f"not an interval: {text!r}"
+    return float(m[2]), float(m[3]), m[1] == "[", m[4] == "]"
+
+
+INTERVAL_KNOBS = [f for f in cfgmod.KNOBS if isinstance(f.metadata["valid"], str)]
+CHOICE_KNOBS = [f for f in cfgmod.KNOBS if isinstance(f.metadata["valid"], tuple)]
+
+
+def knob_id(f):
+    return f"{f.metadata['section']}.{f.metadata['key']}"
+
+
+def config_with(f, value):
+    cfg = cfgmod.default_config()
+    if f.name == "fixed_mu":
+        cfg["algorithm"]["name"] = "stch_fixed"  # the only algorithm that reads it
+    cfg[f.metadata["section"]][f.metadata["key"]] = value
+    return cfg
+
+
+def outside(f):
+    """Values outside a declared interval: NaN and infinities for floats."""
+    lo, hi, lo_closed, hi_closed = interval(f.metadata["valid"])
+    if f.metadata["conv"] is int:
+        assert lo_closed and hi == np.inf
+        return st.integers(max_value=int(lo) - 1)
+    below = st.floats(max_value=lo, exclude_max=lo_closed)
+    above = (
+        st.floats(min_value=hi, exclude_min=hi_closed) if np.isfinite(hi) else st.just(np.inf)
+    )
+    return st.one_of(below, above, st.just(float("nan")))
+
+
+class TestDeclaredRanges:
+    def test_every_knob_declares_a_range_or_is_free_text(self):
+        free = [knob_id(f) for f in cfgmod.KNOBS if f.metadata["valid"] is None]
+        assert free == ["algorithm.preference", "output.dir"]
+
+    @pytest.mark.parametrize("f", INTERVAL_KNOBS, ids=knob_id)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_values_outside_an_interval_are_rejected(self, f, data):
+        value = data.draw(outside(f))
+        with pytest.raises(ConfigError, match=re.escape(knob_id(f))):
+            cfgmod.build_train_config(config_with(f, value))
+
+    @pytest.mark.parametrize("f", INTERVAL_KNOBS, ids=knob_id)
+    def test_closed_ends_are_accepted(self, f):
+        lo, hi, lo_closed, hi_closed = interval(f.metadata["valid"])
+        ends = [end for end, closed in ((lo, lo_closed), (hi, hi_closed)) if closed]
+        for end in ends:
+            value = int(end) if f.metadata["conv"] is int else end
+            assert getattr(cfgmod.build_train_config(config_with(f, value)), f.name) == value
+
+    @pytest.mark.parametrize("f", CHOICE_KNOBS, ids=knob_id)
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_values_outside_the_choices_are_rejected(self, f, data):
+        choices = f.metadata["valid"]
+        names = st.text("abcdefghijklmnopqrstuvwxyz_", max_size=12)
+        value = data.draw(
+            st.one_of(names, st.integers(min_value=2)).filter(lambda v: v not in choices)
+        )
+        with pytest.raises(ConfigError, match=re.escape(knob_id(f))):
+            cfgmod.build_train_config(config_with(f, value))
+
+    @pytest.mark.parametrize("f", CHOICE_KNOBS, ids=knob_id)
+    def test_every_choice_is_accepted(self, f):
+        for value in f.metadata["valid"]:
+            assert getattr(cfgmod.build_train_config(config_with(f, value)), f.name) == value
 
 
 class TestManifest:

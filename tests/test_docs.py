@@ -1,0 +1,78 @@
+"""The README and the example configs agree with the config declarations."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from pastarl import config as cfgmod
+
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+
+def _ini(value) -> str:
+    """A value as it is written in a config file."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(str(v) for v in value)
+    return str(value)
+
+
+def _range_cell(valid) -> str:
+    if valid is None:
+        return "-"
+    if isinstance(valid, tuple):
+        return ", ".join(f"`{_ini(choice)}`" for choice in valid)
+    return f"`{valid}`"
+
+
+def render_config_table() -> str:
+    """The README configuration table, one row per declared knob."""
+    lines = ["| Section | Key | Default | Range | Meaning |", "|---|---|---|---|---|"]
+    for f in cfgmod.KNOBS:
+        meta = f.metadata
+        lines.append(
+            f"| {meta['section']} | {meta['key']} | {_ini(f.default)} "
+            f"| {_range_cell(meta['valid'])} | {meta['doc']} |"
+        )
+        if f.name == "env_name":
+            keys = ", ".join(key for key, _ in cfgmod.ENV_PARAM_KEYS)
+            lines.append(
+                f"| environment | {keys} | env-specific | checked by the environment "
+                "| forwarded to the environment only when set |"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def readme_config_table() -> str:
+    text = README.read_text()
+    section = text[text.index("## Configuration reference"):]
+    table = re.search(r"^\|.*?\n(?!\|)", section, flags=re.M | re.S)
+    return table[0] if table else ""
+
+
+def test_readme_config_table_matches_the_declarations():
+    rendered = render_config_table()
+    assert readme_config_table() == rendered, (
+        "README configuration table is out of date; regenerated:\n\n" + rendered
+    )
+
+
+def readme_minimal_config() -> str:
+    text = README.read_text()
+    start = text.index("A minimal `cfg.ini`")
+    return re.search(r"```ini\n(.*?)```", text[start:], flags=re.S)[1]
+
+
+@pytest.mark.parametrize(
+    "name", [p.name for p in sorted((ROOT / "examples").glob("*.ini"))] + ["README cfg.ini"]
+)
+def test_example_config_is_valid(name, tmp_path):
+    if name == "README cfg.ini":
+        path = tmp_path / "cfg.ini"
+        path.write_text(readme_minimal_config())
+    else:
+        path = ROOT / "examples" / name
+    cfgmod.build_train_config(cfgmod.load_config(path))

@@ -1,6 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
+from pastarl import config as configlib
+from pastarl.cli import run_training
 from pastarl.envs.base import MomdpEnv
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.gae import RolloutBatch
@@ -179,16 +183,26 @@ class TestIterationMechanics:
         rep = t.run_iteration()
         np.testing.assert_allclose(rep.clip_losses, [0.0, 0.0], atol=1e-12)
 
-    def test_critic_updates_precede_actor_updates_per_minibatch(self):
-        t = Trainer(stub_cfg(horizon=64, epochs=2, minibatch=32))
+    def test_critic_updates_precede_actor_updates_per_minibatch(self, monkeypatch):
         events = []
-        t.on_event = lambda name, **kw: events.append((name, kw["epoch"], kw["start"]))
-        t.run_iteration()
+
+        def recording(name):
+            method = getattr(Trainer, name)
+
+            def wrapped(self, x, *args):
+                events.append((name, x.copy()))
+                return method(self, x, *args)
+
+            return wrapped
+
+        for name in ("_critic_update", "_actor_update"):
+            monkeypatch.setattr(Trainer, name, recording(name))
+        Trainer(stub_cfg(horizon=64, epochs=2, minibatch=32)).run_iteration()
         assert len(events) == 2 * 2 * (64 // 32)
         for k in range(0, len(events), 2):
             critic, actor = events[k], events[k + 1]
-            assert critic[0] == "critic_update" and actor[0] == "actor_update"
-            assert critic[1:] == actor[1:]
+            assert critic[0] == "_critic_update" and actor[0] == "_actor_update"
+            np.testing.assert_array_equal(critic[1], actor[1])  # the same minibatch
 
     def test_conflicting_stub_objectives_produce_nonzero_kappa(self):
         t = Trainer(stub_cfg(seed=2))
@@ -216,7 +230,7 @@ class TestIterationMechanics:
         x = np.zeros((4, 3 + 2))
         bad = np.full((4, 2), np.nan)
         with pytest.raises(DivergenceError, match="value_loss"):
-            t._critic_update(x, bad, np.array([0.5, 0.5]), 0, 0)
+            t._critic_update(x, bad, np.array([0.5, 0.5]))
 
 
 class TestAlgorithmTraces:
@@ -272,7 +286,7 @@ class TestScalarizationRouting:
         batch, x = make_flat_batch(t, T, adv)
         eta = np.array([0.5, 0.5])
         r_bar = np.array([0.5, 0.5])
-        t._actor_update(x, batch, np.arange(T), eta, j_worst, r_bar, 0, 0)
+        t._actor_update(x, batch, np.arange(T), eta, j_worst, r_bar)
         return t.actor.params
 
     def test_linear_with_onehot_weight_ignores_other_objective(self):
@@ -332,15 +346,26 @@ class TestReductions:
 
 
 class TestTrainLoop:
-    def test_schedule_evaluates_initially_periodically_and_at_end(self):
-        t = Trainer(stub_cfg(total_iterations=5, eval_every=2))
-        reports = t.train()
-        assert [r.iteration for r in reports] == [1, 2, 3, 4, 5]
-        assert [r.eval is not None for r in reports] == [False, True, False, True, True]
-        assert [rec.iteration for rec in t.eval_history] == [0, 2, 4, 5]
-        for rec in t.eval_history:
-            assert rec.eu == pytest.approx(float(np.dot(t.w, rec.returns)))
-            assert 0.0 <= rec.hv_so_far <= 1.0
+    def test_schedule_evaluates_initially_periodically_and_at_end(self, tmp_path):
+        cfg = configlib.default_config()
+        cfg["environment"]["episode_cap"] = 8
+        cfg["ppo"].update(
+            horizon=64, epochs=2, minibatch=32, total_iterations=5, seed=11, hidden=16
+        )
+        cfg["output"].update(eval_every=2, eval_episodes=2)
+        out = run_training(cfg, tmp_path / "run")
+        with open(out / "metrics.csv", newline="") as f:
+            metrics = list(csv.DictReader(f))
+        with open(out / "eval.csv", newline="") as f:
+            evals = list(csv.DictReader(f))
+        assert [int(r["iteration"]) for r in metrics] == [1, 2, 3, 4, 5]
+        assert [r["eval_hv"] != "" for r in metrics] == [False, True, False, True, True]
+        assert [int(rec["iteration"]) for rec in evals] == [0, 2, 4, 5]
+        w = np.array(cfg["algorithm"]["preference"])
+        for rec in evals:
+            returns = [float(rec["return_0"]), float(rec["return_1"])]
+            assert float(rec["eu"]) == pytest.approx(float(np.dot(w, returns)))
+            assert 0.0 <= float(rec["hv_so_far"]) <= 1.0
 
     def test_policy_learns_single_objective_stub(self):
         # w = (1, 0) turns the stub into "push action 0 toward 1"; ten
