@@ -11,6 +11,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -32,6 +33,14 @@ def _fmt(x) -> str:
 
 def _writer(f):
     return csv.writer(f, lineterminator="\n")
+
+
+def _require(args, names, ok, rule: str) -> None:
+    """ConfigError naming the first of these flags whose value fails ok."""
+    for name in names:
+        value = getattr(args, name)
+        if not ok(value):
+            raise ConfigError(f"--{name.replace('_', '-')} must be {rule}, got {value!r}")
 
 
 # -- train ------------------------------------------------------------------
@@ -167,8 +176,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be positive, got {args.episodes}")
+    _require(args, ("episodes",), lambda v: v >= 1, ">= 1")
+    _require(args, ("seed",), lambda v: v >= 0, ">= 0")
     run_dir = Path(args.run)
     ckpt = run_dir / args.checkpoint
     if not ckpt.exists():
@@ -469,6 +478,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_toybench(args) -> int:
+    _require(args, ("resolution", "n_prefs", "steps"), lambda v: v >= 1, ">= 1")
+    _require(
+        args, ("spread", "lr", "mu", "tol"), lambda v: math.isfinite(v) and v > 0, "finite and > 0"
+    )
+    _require(args, ("seed",), lambda v: v >= 0, ">= 0")
     if args.problem == "concave":
         mop = toybench.concave_mop(spread=args.spread)
     elif args.problem == "convex":

@@ -164,7 +164,8 @@ class TrainConfig:
     )
 
     def validate(self) -> "TrainConfig":
-        """ConfigError naming ``section.key`` unless every declared range holds."""
+        """ConfigError naming ``section.key`` unless every declared range holds
+        and ``mu_min <= mu_start <= mu_max``."""
         for f in KNOBS:
             valid = f.metadata["valid"]
             # Only stch_fixed reads fixed_mu.
@@ -174,6 +175,12 @@ class TrainConfig:
             if not _within(value, valid):
                 must = "be one of" if isinstance(valid, tuple) else "lie in"
                 raise ConfigError(f"{_knob_name(f)} must {must} {valid}, got {value!r}")
+        # After the ranges, so that an out-of-range value gets its own message.
+        if not self.mu_min <= self.mu_start <= self.mu_max:
+            raise ConfigError(
+                f"controller.mu_start must lie in [controller.mu_min, controller.mu_max] = "
+                f"[{self.mu_min!r}, {self.mu_max!r}], got {self.mu_start!r}"
+            )
         # The Trainer checks its length against the environment it is given.
         try:
             preference_vector(self.preference)

@@ -1,44 +1,21 @@
 """Conflict-driven schedule for the Tchebycheff smoothing parameter mu.
 
-The controller anneals mu from mu_start toward mu_min over a horizon of T
-training iterations, but brakes (pushes mu back up toward mu_max) whenever
+The controller anneals mu from mu_start toward mu_min over the run's
+total_iterations, but brakes (pushes mu back up toward mu_max) whenever
 the observed gradient-conflict ratio kappa exceeds the threshold tau.  The
 braking target is tracked through an exponential moving average, so a short
 conflict spike produces a transient bump that relaxes back to the base
-schedule, while sustained conflict holds mu high.
+schedule, while sustained conflict holds mu high.  The knobs are read from
+TrainConfig (the ``[controller]`` fields, and ``ppo.total_iterations`` as the
+anneal horizon), whose validate() checks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pastarl.errors import ConfigError, ContractViolationError
-
-
-@dataclass
-class SmoothnessConfig:
-    mu_start: float = 10.0
-    mu_min: float = 0.05
-    mu_max: float = 10.0
-    tau: float = 0.4
-    lambda_ema: float = 0.05
-    horizon: int = 100
-    conflict_braking: bool = True   # False reproduces the no-conflict ablation
-    decay: bool = True              # False reproduces the no-decay ablation
-
-    def validate(self) -> "SmoothnessConfig":
-        if not (0 < self.mu_min <= self.mu_start <= self.mu_max):
-            raise ConfigError(
-                f"need 0 < mu_min <= mu_start <= mu_max, got "
-                f"{self.mu_min}, {self.mu_start}, {self.mu_max}"
-            )
-        if not 0.0 <= self.tau < 1.0:
-            raise ConfigError(f"tau must lie in [0, 1), got {self.tau}")
-        if not 0.0 < self.lambda_ema <= 1.0:
-            raise ConfigError(f"lambda_ema must lie in (0, 1], got {self.lambda_ema}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        return self
+from pastarl.config import TrainConfig
+from pastarl.errors import ContractViolationError
 
 
 @dataclass
@@ -53,24 +30,24 @@ class ControllerTrace:
     mu: float
 
 
-def base_decay(cfg: SmoothnessConfig, t: int) -> float:
-    """Linear anneal mu_start -> mu_min over cfg.horizon iterations, then flat."""
-    if not cfg.decay:
+def base_decay(cfg: TrainConfig, t: int) -> float:
+    """Linear anneal mu_start -> mu_min over cfg.total_iterations, then flat."""
+    if cfg.controller_mode not in ("full", "no_conflict"):
         return cfg.mu_start
-    frac = min(1.0, t / cfg.horizon)
+    frac = min(1.0, t / cfg.total_iterations)
     return cfg.mu_start - (cfg.mu_start - cfg.mu_min) * frac
 
 
-def braking_boost(cfg: SmoothnessConfig, kappa: float) -> float:
+def braking_boost(cfg: TrainConfig, kappa: float) -> float:
     """beta = (kappa - tau) / (1 - tau) when kappa exceeds tau, else 0."""
     if not 0.0 <= kappa <= 1.0:
         raise ContractViolationError(f"kappa must lie in [0, 1], got {kappa}")
-    if not cfg.conflict_braking or kappa <= cfg.tau:
+    if cfg.controller_mode not in ("full", "no_decay") or kappa <= cfg.tau:
         return 0.0
     return (kappa - cfg.tau) / (1.0 - cfg.tau)
 
 
-def target_mu(cfg: SmoothnessConfig, t: int, kappa: float) -> tuple[float, float, float]:
+def target_mu(cfg: TrainConfig, t: int, kappa: float) -> tuple[float, float, float]:
     """Returns (mu_base, beta, mu_star) with mu_star = mu_base + beta*(mu_max - mu_base)."""
     mu_b = base_decay(cfg, t)
     beta = braking_boost(cfg, kappa)
@@ -80,8 +57,8 @@ def target_mu(cfg: SmoothnessConfig, t: int, kappa: float) -> tuple[float, float
 class SmoothnessController:
     """Stateful mu schedule: call step(kappa) once per training iteration."""
 
-    def __init__(self, cfg: SmoothnessConfig):
-        self.cfg = cfg.validate()
+    def __init__(self, cfg: TrainConfig):
+        self.cfg = cfg
         self.mu = cfg.mu_start
         self.t = 0
 

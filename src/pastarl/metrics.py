@@ -65,25 +65,6 @@ def _hv_recursive(pts: np.ndarray) -> float:
     return float(total)
 
 
-def pareto_filter(points) -> np.ndarray:
-    """Rows not strictly dominated by any other row (maximization)."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    n = pts.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        others = np.delete(np.arange(n), i)
-        dominated = np.any(
-            np.all(pts[others] >= pts[i], axis=1) & np.any(pts[others] > pts[i], axis=1)
-        )
-        if dominated:
-            keep[i] = False
-    return pts[keep]
-
-
 def normalize_points(groups: dict) -> dict:
     """Min-max normalize every group's points with bounds shared across groups.
 
@@ -98,11 +79,6 @@ def normalize_points(groups: dict) -> dict:
         label: np.clip((np.atleast_2d(np.asarray(v, dtype=np.float64)) - lo) / span, 0.0, 1.0)
         for label, v in groups.items()
     }
-
-
-def expected_utility(returns, w) -> float:
-    """Scalarized expected return w . r."""
-    return float(np.dot(np.asarray(w, dtype=np.float64), np.asarray(returns, dtype=np.float64)))
 
 
 def win_rate(mean_hv: np.ndarray) -> np.ndarray:

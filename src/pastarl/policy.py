@@ -73,10 +73,6 @@ class GaussianActor:
         return cls(backbone, mean_head, np.full(action_dim, LOG_STD_INIT))
 
     @property
-    def in_dim(self) -> int:
-        return self.backbone.in_dim
-
-    @property
     def n_params(self) -> int:
         return self.params.size
 
@@ -174,16 +170,6 @@ class BranchedCritic:
         heads = [Network.random([hidden, hidden, 1], ["tanh", "identity"], rng) for _ in range(m)]
         return cls(trunk, heads)
 
-    @classmethod
-    def zeros(cls, obs_dim: int, m: int, hidden: int = 64) -> "BranchedCritic":
-        trunk = Network([obs_dim + m, hidden, hidden], ["tanh", "tanh"])
-        heads = [Network([hidden, hidden, 1], ["tanh", "identity"]) for _ in range(m)]
-        return cls(trunk, heads)
-
-    @property
-    def in_dim(self) -> int:
-        return self.trunk.in_dim
-
     @property
     def n_params(self) -> int:
         return self.params.size
@@ -224,16 +210,6 @@ class SharedCritic:
             [obs_dim + m, hidden, hidden, hidden, m], ["tanh", "tanh", "tanh", "identity"], rng
         )
         return cls(net)
-
-    @classmethod
-    def zeros(cls, obs_dim: int, m: int, hidden: int = 64) -> "SharedCritic":
-        return cls(
-            Network([obs_dim + m, hidden, hidden, hidden, m], ["tanh", "tanh", "tanh", "identity"])
-        )
-
-    @property
-    def in_dim(self) -> int:
-        return self.net.in_dim
 
     @property
     def n_params(self) -> int:

@@ -1,13 +1,16 @@
-"""Preference handling, return normalization, and Tchebycheff scalarizers.
+"""Preference handling, return normalization, objective attention and its mix.
 
-All scalarizers here work in maximization form on normalized returns
+Everything here works in maximization form on normalized returns
 r_bar in [0, 1]^m with a utopia point z* = zeta * ones sitting strictly above
-the normalized range.  The smooth Tchebycheff value is
+the normalized range.  The attention is the gradient, divided by w, of the
+smooth Tchebycheff value (Lin et al., ICML 2024)
 
-    S(r_bar) = -mu * log sum_i exp(w_i * (z*_i - r_bar_i) / mu)
+    S(r_bar) = -mu * log sum_i exp(w_i * (z*_i - r_bar_i) / mu),
 
-so S is maximized as every weighted deviation shrinks.  mu -> 0 recovers the
-hard Tchebycheff objective; mu -> infinity approaches a weighted sum.
+which is maximized as every weighted deviation shrinks.  mu -> 0 recovers the
+hard Tchebycheff objective; mu -> infinity approaches a weighted sum.  S itself
+lives in ``tests/oracles.py``, as the reference whose finite differences the
+attention must match.
 """
 
 from __future__ import annotations
@@ -77,10 +80,6 @@ class ReturnNormalizer:
         return np.clip(r_bar, 0.0, 1.0)
 
 
-def linear_scalarize(r_bar: np.ndarray, w: np.ndarray) -> float:
-    return float(np.dot(np.asarray(w, dtype=np.float64), np.asarray(r_bar, dtype=np.float64)))
-
-
 def _deviations(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray) -> np.ndarray:
     r_bar = np.asarray(r_bar, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -98,18 +97,6 @@ def tch_worst_index(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray) -> tup
     return int(np.argmax(y)), y
 
 
-def stch_scalarize(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray, mu: float) -> float:
-    """Smooth Tchebycheff value S = -mu * logsumexp(y / mu), y = w * (z* - r_bar).
-
-    Uses the max-subtraction trick so tiny mu stays finite.
-    """
-    if mu <= 0:
-        raise ConfigError(f"smoothing mu must be positive, got {mu}")
-    y = _deviations(r_bar, w, z_star) / mu
-    y_max = float(np.max(y))
-    return -mu * (y_max + float(np.log(np.sum(np.exp(y - y_max)))))
-
-
 def stch_attention(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray, mu: float) -> np.ndarray:
     """Objective attention delta_i = softmax_i(y_i / mu).
 
@@ -121,11 +108,6 @@ def stch_attention(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray, mu: flo
     y = _deviations(r_bar, w, z_star) / mu
     e = np.exp(y - np.max(y))
     return e / e.sum()
-
-
-def stch_gradient(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray, mu: float) -> np.ndarray:
-    """dS/dr_bar: equals w * softmax(y/mu) componentwise (S increases in r_bar)."""
-    return np.asarray(w, dtype=np.float64) * stch_attention(r_bar, w, z_star, mu)
 
 
 def maintenance_mix(delta: np.ndarray, rho: float) -> np.ndarray:

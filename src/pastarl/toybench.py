@@ -1,4 +1,4 @@
-"""Synthetic differentiable MOO problems with known Pareto fronts.
+"""Synthetic differentiable bi-objective problems with known Pareto fronts.
 
 These are minimization problems used to show, without RL noise, that linear
 scalarization cannot land inside concave front regions while small-mu smooth
@@ -120,15 +120,14 @@ def pareto_grid_oracle(
 
     Returns (front_objectives, front_points) with duplicate objective rows
     removed.  Minimization dominance: a <= b componentwise with one strict.
+    Both objectives are filtered in one sweep, so mop must be bi-objective, as
+    both factories here are.
     """
     axes = [np.linspace(mop.lo[d], mop.hi[d], resolution) for d in range(mop.n)]
     mesh = np.meshgrid(*axes, indexing="ij")
     xs = np.stack([g.ravel() for g in mesh], axis=1)
     objs = mop.f(xs)
-    if mop.m == 2:
-        keep = _nondominated_2d_min(objs)
-    else:
-        keep = _nondominated_min(objs)
+    keep = _nondominated_2d_min(objs)
     front_objs, idx = np.unique(objs[keep], axis=0, return_index=True)
     return front_objs, xs[keep][idx]
 
@@ -141,18 +140,6 @@ def _nondominated_2d_min(objs: np.ndarray) -> np.ndarray:
         if objs[i, 1] < best_f1:
             keep[i] = True
             best_f1 = objs[i, 1]
-    return keep
-
-
-def _nondominated_min(objs: np.ndarray) -> np.ndarray:
-    n = objs.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for i in range(n):
-        if not keep[i]:
-            continue
-        dominates_i = np.all(objs <= objs[i], axis=1) & np.any(objs < objs[i], axis=1)
-        if np.any(dominates_i):
-            keep[i] = False
     return keep
 
 

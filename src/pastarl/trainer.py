@@ -23,7 +23,7 @@ import numpy as np
 
 from pastarl import metrics
 from pastarl.config import TrainConfig
-from pastarl.controller import ControllerTrace, SmoothnessConfig, SmoothnessController
+from pastarl.controller import ControllerTrace, SmoothnessController
 from pastarl.envs import make_env
 from pastarl.errors import DivergenceError
 from pastarl.gae import RolloutBatch, compute_gae, normalize_advantages
@@ -124,20 +124,7 @@ class Trainer:
         self.critic_opt = AdamState(self.critic.n_params, lr=cfg.lr)
 
         self.normalizer = ReturnNormalizer(self.m)
-        braking = cfg.controller_mode in ("full", "no_decay")
-        decay = cfg.controller_mode in ("full", "no_conflict")
-        self.controller = SmoothnessController(
-            SmoothnessConfig(
-                mu_start=cfg.mu_start,
-                mu_min=cfg.mu_min,
-                mu_max=cfg.mu_max,
-                tau=cfg.tau,
-                lambda_ema=cfg.lambda_ema,
-                horizon=cfg.total_iterations,
-                conflict_braking=braking,
-                decay=decay,
-            )
-        )
+        self.controller = SmoothnessController(cfg)
         self.last_kappa = 0.0
         self.iteration = 0
         self.eval_history: list[EvalRecord] = []

@@ -14,19 +14,14 @@ import pytest
 from pastarl import metrics, toybench
 from pastarl.cli import main as cli_main
 from pastarl.config import DEFAULT_PREFERENCES_M3
-from pastarl.controller import SmoothnessConfig, SmoothnessController, base_decay
+from pastarl.controller import SmoothnessController, base_decay
 from pastarl.envs import make_env
 from pastarl.envs.base import REWARD_FUNCTIONS, TrajectoryRecorder, replay_rewards
 from pastarl.nn import Network
-from pastarl.scalarize import (
-    stch_attention,
-    stch_gradient,
-    stch_scalarize,
-    tch_worst_index,
-    utopia_point,
-)
+from pastarl.scalarize import stch_attention, tch_worst_index, utopia_point
 from pastarl.surgery import project_conflicts
 from pastarl.trainer import TrainConfig, Trainer
+from tests.oracles import stch_scalarize
 
 
 def report(index: int, name: str, ok: bool, detail: str) -> None:
@@ -78,7 +73,7 @@ def test_02_attention_matches_finite_difference_gradient():
         r = rng.uniform(0.0, 1.0, m)
         mu = float(np.exp(rng.uniform(np.log(1e-3), np.log(10.0))))
         z = utopia_point(m, 1.05)
-        analytic = stch_gradient(r, w, z, mu)
+        analytic = w * stch_attention(r, w, z, mu)
         h = 1e-4 * mu
         fd = np.zeros(m)
         for i in range(m):
@@ -225,17 +220,17 @@ def test_06_controller_dynamics():
     recovery within 200 iterations of a conflict spike, (c) sustained maximal
     conflict pins mu near mu_max."""
     t0 = time.perf_counter()
-    base_cfg = dict(mu_start=10.0, mu_min=0.05, mu_max=10.0, tau=0.4, horizon=400)
+    base_cfg = dict(mu_start=10.0, mu_min=0.05, mu_max=10.0, tau=0.4, total_iterations=400)
 
     # (a) lambda = 1 with kappa <= tau follows the decay schedule exactly,
     # and the default EMA matches an in-test scalar recursion.
     rng = np.random.default_rng(606)
-    c = SmoothnessController(SmoothnessConfig(lambda_ema=1.0, **base_cfg))
+    c = SmoothnessController(TrainConfig(lambda_ema=1.0, **base_cfg))
     exact = True
     for t in range(400):
         tr = c.step(float(rng.uniform(0.0, 0.4)))
         exact = exact and tr.mu == base_decay(c.cfg, t)
-    cfg = SmoothnessConfig(lambda_ema=0.05, **base_cfg)
+    cfg = TrainConfig(lambda_ema=0.05, **base_cfg)
     c2 = SmoothnessController(cfg)
     mu_ref = cfg.mu_start
     worst_rec = 0.0
@@ -250,8 +245,8 @@ def test_06_controller_dynamics():
 
     # (b) 5-iteration kappa = 0.9 spike: back within 1% of the no-spike
     # trajectory within 200 iterations of the spike's end.
-    spiked = SmoothnessController(SmoothnessConfig(lambda_ema=0.05, **base_cfg))
-    calm = SmoothnessController(SmoothnessConfig(lambda_ema=0.05, **base_cfg))
+    spiked = SmoothnessController(TrainConfig(lambda_ema=0.05, **base_cfg))
+    calm = SmoothnessController(TrainConfig(lambda_ema=0.05, **base_cfg))
     gap_at_check = None
     for t in range(256):
         kappa = 0.9 if 50 <= t < 55 else 0.2
@@ -261,7 +256,7 @@ def test_06_controller_dynamics():
             gap_at_check = abs(mu_s - mu_c) / mu_c
 
     # (c) decay for 100 steps, then kappa = 1 brakes mu back toward mu_max.
-    brake = SmoothnessController(SmoothnessConfig(lambda_ema=0.05, **base_cfg))
+    brake = SmoothnessController(TrainConfig(lambda_ema=0.05, **base_cfg))
     for _ in range(100):
         brake.step(0.0)
     for _ in range(150):

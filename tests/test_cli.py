@@ -123,7 +123,7 @@ class TestTrain:
          "ppo.c1=-1", "ppo.c1=inf", "ppo.c2=nan", "ppo.c2=-0.5", "ppo.seed=-1",
          "controller.zeta=nan", "algorithm.name=stch_fixed algorithm.fixed_mu=nan",
          "algorithm.preference=nan,nan", "controller.rho=0", "controller.rho=nan",
-         "output.checkpoint_every=-1"],
+         "output.checkpoint_every=-1", "controller.mu_start=0.01", "controller.mu_max=0.01"],
     )
     def test_out_of_range_ppo_value_is_usage_error(self, tiny_ini, tmp_path, capsys, override):
         # Space-separated overrides apply in order; the last one is the bad value.
@@ -131,7 +131,10 @@ class TestTrain:
         for item in override.split():
             argv += ["--override", item]
         assert main(argv) == 2
-        assert override.split()[-1].split("=")[0] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert override.split()[-1].split("=")[0] in err
+        if override.startswith("controller.mu_"):  # the ordering names the knob it constrains
+            assert "controller.mu_start" in err
         assert not (tmp_path / "x" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
@@ -202,6 +205,13 @@ class TestEvaluate:
         assert main(["evaluate", "--run", str(out), "--episodes", "0"]) == 2
         captured = capsys.readouterr()
         assert "--episodes" in captured.err and captured.out == ""
+
+    def test_negative_seed_is_usage_error(self, tiny_ini, tmp_path, capsys):
+        out = train(tiny_ini, tmp_path / "run")
+        capsys.readouterr()
+        assert main(["evaluate", "--run", str(out), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -283,6 +293,16 @@ class TestSweep:
         assert rc == 2
         assert "controller.rho" in capsys.readouterr().err
         assert not (out / "rho_0.1").exists() and not (out / "rho_1.5").exists()
+
+    def test_controller_ordering_is_checked_before_the_first_run(self, tiny_ini, tmp_path, capsys):
+        out = tmp_path / "sw"
+        rc = main([
+            "sweep", "--config", str(tiny_ini), "--out", str(out),
+            "--override", "controller.mu_start=0.01", "--axis", "seed=0,1",
+        ])
+        assert rc == 2
+        assert "controller.mu_start" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unparsable_axis_value_is_usage_error(self, tiny_ini, tmp_path, capsys):
         rc = main([
@@ -372,3 +392,14 @@ class TestToybench:
         text = capsys.readouterr().out
         for method in ("linear", "tch", "stch"):
             assert method in text
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--resolution=0", "--n-prefs=0", "--steps=-1", "--spread=nan", "--spread=0",
+         "--lr=inf", "--mu=-0.05", "--tol=0", "--seed=-1"],
+    )
+    def test_bad_numeric_flag_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "toy"
+        assert main(["toybench", "--out", str(out), flag]) == 2
+        assert flag.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pastarl.config import TrainConfig
 from pastarl.controller import (
     ControllerTrace,
-    SmoothnessConfig,
     SmoothnessController,
     base_decay,
     braking_boost,
@@ -13,7 +13,9 @@ from pastarl.controller import (
 )
 from pastarl.errors import ConfigError, ContractViolationError
 
-CFG = SmoothnessConfig(mu_start=10.0, mu_min=0.05, mu_max=10.0, tau=0.4, lambda_ema=0.05, horizon=100)
+CFG = TrainConfig(
+    mu_start=10.0, mu_min=0.05, mu_max=10.0, tau=0.4, lambda_ema=0.05, total_iterations=100
+)
 
 
 class TestBaseDecay:
@@ -26,7 +28,7 @@ class TestBaseDecay:
         assert base_decay(CFG, 100) == base_decay(CFG, 5000)
 
     def test_disabled_decay_pins_mu_start(self):
-        cfg = SmoothnessConfig(decay=False)
+        cfg = TrainConfig(controller_mode="no_decay")
         for t in (0, 10, 10_000):
             assert base_decay(cfg, t) == cfg.mu_start
 
@@ -41,7 +43,7 @@ class TestBrakingBoost:
         assert braking_boost(CFG, 1.0) == pytest.approx(1.0)
 
     def test_disabled_braking_ignores_kappa(self):
-        cfg = SmoothnessConfig(conflict_braking=False)
+        cfg = TrainConfig(controller_mode="no_conflict")
         assert braking_boost(cfg, 0.99) == 0.0
 
     def test_rejects_kappa_out_of_range(self):
@@ -70,7 +72,7 @@ class TestController:
         mu = CFG.mu_start
         for t, kappa in enumerate(kappas):
             trace = ctl.step(float(kappa))
-            mu_b = CFG.mu_start - (CFG.mu_start - CFG.mu_min) * min(1.0, t / CFG.horizon)
+            mu_b = CFG.mu_start - (CFG.mu_start - CFG.mu_min) * min(1.0, t / CFG.total_iterations)
             beta = (kappa - CFG.tau) / (1.0 - CFG.tau) if kappa > CFG.tau else 0.0
             mu_star = mu_b + beta * (CFG.mu_max - mu_b)
             mu = (1.0 - CFG.lambda_ema) * mu + CFG.lambda_ema * mu_star
@@ -81,7 +83,7 @@ class TestController:
             assert trace.mu == pytest.approx(mu, rel=1e-14)
 
     def test_lambda_one_tracks_base_schedule_exactly(self):
-        cfg = SmoothnessConfig(lambda_ema=1.0, horizon=10)
+        cfg = TrainConfig(lambda_ema=1.0, total_iterations=10)
         ctl = SmoothnessController(cfg)
         for t in range(15):
             trace = ctl.step(0.0)
@@ -97,7 +99,7 @@ class TestController:
 
     def test_spike_recovers_to_base_schedule(self):
         """A 5-iteration conflict spike decays back to within 1% of no-spike mu."""
-        cfg = SmoothnessConfig(horizon=400)
+        cfg = TrainConfig(total_iterations=400)
         spiked = SmoothnessController(cfg)
         calm = SmoothnessController(cfg)
         for t in range(300):
@@ -128,16 +130,16 @@ class TestController:
 class TestConfigValidation:
     def test_rejects_inverted_mu_ordering(self):
         with pytest.raises(ConfigError):
-            SmoothnessConfig(mu_start=0.01, mu_min=0.05).validate()
+            TrainConfig(mu_start=0.01, mu_min=0.05).validate()
         with pytest.raises(ConfigError):
-            SmoothnessConfig(mu_start=20.0, mu_max=10.0).validate()
+            TrainConfig(mu_start=20.0, mu_max=10.0).validate()
 
     def test_rejects_bad_tau_and_lambda(self):
         with pytest.raises(ConfigError):
-            SmoothnessConfig(tau=1.0).validate()
+            TrainConfig(tau=1.0).validate()
         with pytest.raises(ConfigError):
-            SmoothnessConfig(lambda_ema=0.0).validate()
+            TrainConfig(lambda_ema=0.0).validate()
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ConfigError):
-            SmoothnessConfig(horizon=0).validate()
+            TrainConfig(total_iterations=0).validate()

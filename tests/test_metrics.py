@@ -7,13 +7,12 @@ from pastarl.errors import ContractViolationError
 from pastarl.metrics import (
     dolan_more_auc,
     dolan_more_profile,
-    expected_utility,
     hypervolume,
     normalize_points,
     objective_dominance_rate,
-    pareto_filter,
     win_rate,
 )
+from tests.oracles import pareto_filter
 
 
 def inclusion_exclusion_hv(points):
@@ -142,11 +141,6 @@ class TestNormalizePoints:
         groups = {k: rng.normal(size=(7, 3)) * 10 for k in "abc"}
         for pts in normalize_points(groups).values():
             assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
-
-
-class TestExpectedUtility:
-    def test_dot_product(self):
-        assert expected_utility([2.0, -1.0], [0.75, 0.25]) == pytest.approx(1.25)
 
 
 class TestWinRate:

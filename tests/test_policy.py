@@ -252,13 +252,9 @@ class TestBranchedCritic:
         assert v.shape == (2,)
         np.testing.assert_allclose(v, critic.values(x[None, :])[0], rtol=1e-15)
 
-    def test_zeros_factory_gives_zero_values(self):
-        critic = BranchedCritic.zeros(3, 2, hidden=4)
-        np.testing.assert_array_equal(critic.values(np.zeros((2, 5))), np.zeros((2, 2)))
-
     def test_flat_round_trip(self, rng):
         critic = BranchedCritic.create(2, 3, rng, hidden=4)
-        clone = BranchedCritic.zeros(2, 3, hidden=4)
+        clone = BranchedCritic.create(2, 3, rng, hidden=4)
         clone.params[:] = critic.params
         x = rng.normal(size=(4, 5))
         np.testing.assert_array_equal(clone.values(x), critic.values(x))

@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from pastarl.errors import ConfigError, ContractViolationError
 from pastarl.scalarize import (
     ReturnNormalizer,
-    linear_scalarize,
     maintenance_mix,
     preference_vector,
     stch_attention,
-    stch_gradient,
-    stch_scalarize,
     tch_worst_index,
     utopia_point,
 )
+from tests.oracles import stch_scalarize
 
 
 class TestPreferenceVector:
@@ -104,7 +102,7 @@ class TestStchValue:
 
     def test_rejects_nonpositive_mu(self):
         with pytest.raises(ConfigError):
-            stch_scalarize(np.ones(2), np.full(2, 0.5), utopia_point(2), 0.0)
+            stch_attention(np.ones(2), np.full(2, 0.5), utopia_point(2), 0.0)
 
     def test_tiny_mu_stays_finite(self):
         w = np.array([0.9, 0.1])
@@ -113,7 +111,7 @@ class TestStchValue:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ContractViolationError):
-            stch_scalarize(np.ones(3), np.full(2, 0.5), utopia_point(2), 0.1)
+            stch_attention(np.ones(3), np.full(2, 0.5), utopia_point(2), 0.1)
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5),
@@ -153,14 +151,6 @@ class TestAttention:
         d = stch_attention(np.array([0.0, 1.0]), np.full(2, 0.5), utopia_point(2), 0.005)
         assert d[0] > 0.999999
 
-    def test_gradient_is_weighted_attention(self):
-        r = np.array([0.3, 0.6])
-        w = np.array([0.7, 0.3])
-        z = utopia_point(2)
-        np.testing.assert_allclose(
-            stch_gradient(r, w, z, 0.1), w * stch_attention(r, w, z, 0.1), rtol=1e-14
-        )
-
     def test_gradient_matches_finite_difference_of_value(self):
         w = np.array([0.6, 0.4])
         z = utopia_point(2)
@@ -172,7 +162,7 @@ class TestAttention:
             up[i] += h
             dn[i] -= h
             num = (stch_scalarize(up, w, z, mu) - stch_scalarize(dn, w, z, mu)) / (2 * h)
-            assert stch_gradient(r, w, z, mu)[i] == pytest.approx(num, rel=1e-6)
+            assert (w * stch_attention(r, w, z, mu))[i] == pytest.approx(num, rel=1e-6)
 
 
 class TestHardTch:
@@ -186,11 +176,6 @@ class TestHardTch:
     def test_tie_goes_to_lowest_index(self):
         j, _ = tch_worst_index(np.array([0.5, 0.5]), np.full(2, 0.5), utopia_point(2))
         assert j == 0
-
-
-class TestLinear:
-    def test_dot_product(self):
-        assert linear_scalarize(np.array([0.2, 0.4]), np.array([0.5, 0.5])) == pytest.approx(0.3)
 
 
 class TestMaintenanceMix:
