@@ -435,6 +435,7 @@ def _sweep_worker(job: tuple) -> str:
 
 
 def cmd_sweep(args) -> int:
+    _require(args, ("workers",), lambda v: v >= 1, ">= 1")
     base = configlib.load_config(args.config)
     if args.override:
         configlib.apply_overrides(base, args.override)

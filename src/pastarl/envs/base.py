@@ -5,6 +5,10 @@ reward, and computes that reward through a pure module-level function of a
 flat float snapshot.  step() puts the snapshot in info["reward_snapshot"],
 so a recorded trajectory can be replayed through the same pure function and
 must reproduce the reward vectors bit for bit.
+
+The float helpers here (_clip, _dot, _norms) let the environments step on
+Python floats and stacked arrays while every value stays bit-identical to
+the per-call np.clip and np.linalg.norm it stands for.
 """
 
 from __future__ import annotations
@@ -28,6 +32,29 @@ def checked_episode_cap(episode_cap: int) -> int:
     if episode_cap < 1:
         raise ConfigError(f"environment.episode_cap must be positive, got {episode_cap}")
     return episode_cap
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.clip on one float, for lo <= hi: x itself unless it lies outside
+    [lo, hi], so a value equal to a bound keeps the sign of its zero and a
+    NaN stays NaN, as under np.clip."""
+    return lo if x < lo else hi if x > hi else x
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcasting the leading axes.
+
+    matmul runs each pair through the BLAS dot that ``a @ b`` and
+    ``np.linalg.norm`` use on single vectors, so every entry is bit-identical
+    to the scalar call; ``a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]`` is not
+    (the BLAS kernel may fuse a multiply-add).
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, 2) array."""
+    return np.sqrt(_dot(v, v))
 
 
 class MomdpEnv:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pastarl.envs.base import MomdpEnv, checked_episode_cap, register_reward_fn
+from pastarl.envs.base import MomdpEnv, _clip, _norms, checked_episode_cap, register_reward_fn
 
 STEP_CAP_DISPLACEMENT = 0.05
 REVERSAL_PROB = 0.05
@@ -47,16 +47,33 @@ def frogger_rewards(snap: dict) -> np.ndarray:
     violation = snap["out_of_bounds"]
     collided = snap["collided"]
     r_goal = (
-        np.clip(snap["prev_goal_dist"] - snap["goal_dist"], -1.0, 1.0)
+        _clip(snap["prev_goal_dist"] - snap["goal_dist"], -1.0, 1.0)
         + 10.0 * snap["reached_goal"]
         - 15.0 * max(collided, violation)
     )
-    r_bounds = 0.1 * np.clip(snap["d_wall"] / 0.2, 0.0, 1.0) - 25.0 * violation
-    r_avoid = 0.1 * np.clip(snap["d_opp"] / 0.3, 0.0, 1.0) - 25.0 * collided
+    r_bounds = 0.1 * _clip(snap["d_wall"] / 0.2, 0.0, 1.0) - 25.0 * violation
+    r_avoid = 0.1 * _clip(snap["d_opp"] / 0.3, 0.0, 1.0) - 25.0 * collided
     return np.array([r_goal, r_bounds, r_avoid])
 
 
 register_reward_fn("frogger", frogger_rewards)
+
+
+def _displacement(action, size: int) -> list[float]:
+    """Each of the ``size`` action entries clipped into [0, 1] and mapped onto
+    [-STEP_CAP_DISPLACEMENT, STEP_CAP_DISPLACEMENT], as Python floats."""
+    a = np.asarray(action, dtype=np.float64).reshape(size).tolist()
+    return [(2.0 * _clip(v, 0.0, 1.0) - 1.0) * STEP_CAP_DISPLACEMENT for v in a]
+
+
+# The steps below work on Python floats, which round exactly as numpy's
+# elementwise ops do, and stack all of a step's distances into one numpy pass
+# per formula, so every value is bit-identical to a per-call np.linalg.norm
+# step.  A norm of one vector is sqrt(x.dot(x)), a BLAS dot, so those rows go
+# through _norms (a0*b0 + a1*b1 would differ in the last bit); a norm over
+# axis=1 is sqrt(add.reduce(x * x)), so those rows share one add.reduce.  Mins,
+# maxima and clips run on the (never NaN) floats.  tests/test_envs.py keeps
+# the per-call steps as the reference.
 
 
 class FroggerEnv(MomdpEnv):
@@ -91,19 +108,24 @@ class FroggerEnv(MomdpEnv):
         return self._observation()
 
     def step(self, action: np.ndarray):
-        a = np.clip(np.asarray(action, dtype=np.float64), 0.0, 1.0)
-        disp = (2.0 * a - 1.0) * STEP_CAP_DISPLACEMENT
-        prev_goal_dist = float(np.linalg.norm(self.pos - self.goal))
-        self.pos = self.pos + disp
+        dx, dy = _displacement(action, self.action_dim)
+        x0, y0 = self.pos.tolist()
+        x, y = x0 + dx, y0 + dy
+        self.pos = np.array([x, y])
         for opp in self.opponents:
             opponent_step(opp, self._rng)
 
-        goal_dist = float(np.linalg.norm(self.pos - self.goal))
-        out_of_bounds = bool(np.any(np.abs(self.pos) > self.half))
-        d_wall = float(min(self.half - abs(self.pos[0]), self.half - abs(self.pos[1])))
-        d_opp = float(
-            min(np.linalg.norm(self.pos - np.array([o.x, o.y])) for o in self.opponents)
-        )
+        # Single-vector norms, one BLAS dot each: the goal distance before and
+        # after the move, and the distance to each opponent.
+        gx, gy = self.goal.tolist()
+        dot_rows = [x0 - gx, y0 - gy, x - gx, y - gy]
+        for o in self.opponents:
+            dot_rows += [x - o.x, y - o.y]
+        prev_goal_dist, goal_dist, *opp_dists = _norms(np.array(dot_rows).reshape(-1, 2)).tolist()
+        half = self.half
+        out_of_bounds = abs(x) > half or abs(y) > half
+        d_wall = min(half - abs(x), half - abs(y))
+        d_opp = min(opp_dists)
         collided = d_opp < self.collision_dist
         reached_goal = goal_dist < self.goal_radius and not (collided or out_of_bounds)
 
@@ -127,13 +149,15 @@ class FroggerEnv(MomdpEnv):
                 "out_of_bounds": out_of_bounds,
             },
         }
-        return self._observation(), reward, bool(done), info
+        return self._observation(), reward, done, info
 
     def _observation(self) -> np.ndarray:
-        parts = [self.pos, self.goal - self.pos]
+        x, y = self.pos.tolist()
+        gx, gy = self.goal.tolist()
+        obs = [x, y, gx - x, gy - y]
         for o in self.opponents:
-            parts.append(np.array([o.x - self.pos[0], o.y - self.pos[1], o.direction * o.speed]))
-        return np.concatenate(parts)
+            obs += [o.x - x, o.y - y, o.direction * o.speed]
+        return np.array(obs)
 
 
 def formation_rewards(snap: dict) -> np.ndarray:
@@ -144,13 +168,25 @@ def formation_rewards(snap: dict) -> np.ndarray:
         + 10.0 * snap["converged"]
         - 5.0 * snap["collided"]
     )
-    r_bounds = 0.1 * np.clip(snap["min_wall_margin"] / 0.2, 0.0, 1.0)
-    r_avoid = 0.2 * np.clip(snap["min_opp_dist"] / 0.4, 0.0, 1.0) - 10.0 * snap["obstacle_hit"]
-    r_form = np.exp(-5.0 * e) - np.clip(e, 0.0, 1.0)
+    r_bounds = 0.1 * _clip(snap["min_wall_margin"] / 0.2, 0.0, 1.0)
+    r_avoid = 0.2 * _clip(snap["min_opp_dist"] / 0.4, 0.0, 1.0) - 10.0 * snap["obstacle_hit"]
+    r_form = np.exp(-5.0 * e) - _clip(e, 0.0, 1.0)
     return np.array([r_goal, r_bounds, r_avoid, r_form])
 
 
 register_reward_fn("formation", formation_rewards)
+
+
+def _centroid(xy: list[float]) -> tuple[float, float]:
+    """positions.mean(axis=0) of the flat [x0, y0, x1, y1, x2, y2]: numpy adds
+    the rows in order onto 0.0, then divides."""
+    return (0.0 + xy[0] + xy[2] + xy[4]) / 3, (0.0 + xy[1] + xy[3] + xy[5]) / 3
+
+
+def _pair_rows(xy: list[float]) -> list[float]:
+    """positions[i] - positions[j] for the pairs (0, 1), (0, 2), (1, 2), flat."""
+    x0, y0, x1, y1, x2, y2 = xy
+    return [x0 - x1, y0 - y1, x0 - x2, y0 - y2, x1 - x2, y1 - y2]
 
 
 class FormationEnv(MomdpEnv):
@@ -185,34 +221,36 @@ class FormationEnv(MomdpEnv):
             [np.cos(angles), np.sin(angles)], axis=1
         )
         self.steps = 0
-        return self._observation()
+        xy = self.positions.ravel().tolist()
+        pair_dists = _norms(np.array(_pair_rows(xy)).reshape(3, 2)).tolist()
+        return self._observation(xy, _centroid(xy), pair_dists)
 
     def step(self, joint_action: np.ndarray):
-        a = np.clip(np.asarray(joint_action, dtype=np.float64), 0.0, 1.0).reshape(3, 2)
-        disp = (2.0 * a - 1.0) * STEP_CAP_DISPLACEMENT
-        prev_centroid = self.positions.mean(axis=0)
-        prev_goal_dist = float(np.linalg.norm(prev_centroid - self.goal))
+        disp = _displacement(joint_action, self.action_dim)
+        prev = self.positions.ravel().tolist()
         # Hard walls: agents cannot leave the arena.
-        self.positions = np.clip(self.positions + disp, -self.half, self.half)
-        opponent_step(self.opponent, self._rng)
+        half = self.half
+        xy = [_clip(p + d, -half, half) for p, d in zip(prev, disp)]
+        self.positions = np.array(xy).reshape(3, 2)
+        opp = opponent_step(self.opponent, self._rng)
 
-        centroid = self.positions.mean(axis=0)
-        goal_dist = float(np.linalg.norm(centroid - self.goal))
-        mean_effort = float(np.mean(np.linalg.norm(disp, axis=1)))
-        wall_margins = np.minimum(
-            self.half - np.abs(self.positions[:, 0]), self.half - np.abs(self.positions[:, 1])
-        )
-        opp_pos = np.array([self.opponent.x, self.opponent.y])
-        opp_dists = np.linalg.norm(self.positions - opp_pos, axis=1)
-        pair_dists = np.array(
-            [
-                np.linalg.norm(self.positions[i] - self.positions[j])
-                for i, j in ((0, 1), (0, 2), (1, 2))
-            ]
-        )
-        formation_error = float(np.max(np.abs(pair_dists - self.l_target)))
-        agent_collision = bool(np.any(pair_dists < self.agent_collision_dist))
-        obstacle_hit = bool(np.any(opp_dists < self.obstacle_hit_dist))
+        # Single-vector norms, one BLAS dot each: the centroid's goal distance
+        # before and after the move, and the three pair distances.
+        gx, gy = self.goal.tolist()
+        (px, py), (cx, cy) = _centroid(prev), _centroid(xy)
+        dot_rows = [px - gx, py - gy, cx - gx, cy - gy] + _pair_rows(xy)
+        prev_goal_dist, goal_dist, *pair_dists = _norms(np.array(dot_rows).reshape(5, 2)).tolist()
+        # Row norms, one add.reduce: each agent's displacement and its distance
+        # to the opponent.
+        sum_rows = np.array(disp + [v - o for v, o in zip(xy, (opp.x, opp.y) * 3)]).reshape(6, 2)
+        e0, e1, e2, *opp_dists = np.sqrt(np.add.reduce(sum_rows * sum_rows, axis=1)).tolist()
+
+        mean_effort = (e0 + e1 + e2) / 3  # np.mean: adding onto 0.0 keeps a norm as it is
+        min_wall_margin = min(half - abs(v) for v in xy)
+        formation_error = max(abs(d - self.l_target) for d in pair_dists)
+        agent_collision = min(pair_dists) < self.agent_collision_dist
+        min_opp_dist = min(opp_dists)
+        obstacle_hit = min_opp_dist < self.obstacle_hit_dist
         converged = goal_dist < self.converge_dist
 
         snap = {
@@ -221,8 +259,8 @@ class FormationEnv(MomdpEnv):
             "mean_effort": mean_effort,
             "converged": int(converged),
             "collided": int(agent_collision or obstacle_hit),
-            "min_wall_margin": float(np.min(wall_margins)),
-            "min_opp_dist": float(np.min(opp_dists)),
+            "min_wall_margin": min_wall_margin,
+            "min_opp_dist": min_opp_dist,
             "obstacle_hit": int(obstacle_hit),
             "formation_error": formation_error,
         }
@@ -237,22 +275,22 @@ class FormationEnv(MomdpEnv):
                 "obstacle_hit": obstacle_hit,
             },
         }
-        return self._observation(), reward, bool(done), info
+        return self._observation(xy, (cx, cy), pair_dists), reward, done, info
 
-    def _observation(self) -> np.ndarray:
-        centroid = self.positions.mean(axis=0)
-        rel_agents = (self.positions - centroid).ravel()
-        opp = np.array(
-            [
-                self.opponent.x - centroid[0],
-                self.opponent.y - centroid[1],
-                self.opponent.direction * self.opponent.speed,
-            ]
-        )
-        pair_dists = np.array(
-            [
-                np.linalg.norm(self.positions[i] - self.positions[j]) - self.l_target
-                for i, j in ((0, 1), (0, 2), (1, 2))
-            ]
-        )
-        return np.concatenate([self.goal - centroid, rel_agents, opp, pair_dists])
+    def _observation(
+        self, xy: list[float], centroid: tuple[float, float], pair_dists: list[float]
+    ) -> np.ndarray:
+        """[goal, agents, opponent] relative to the centroid, the opponent's
+        velocity, and the pair distances less l_target; xy is the flat positions."""
+        x0, y0, x1, y1, x2, y2 = xy
+        cx, cy = centroid
+        gx, gy = self.goal.tolist()
+        opp = self.opponent
+        l = self.l_target
+        d01, d02, d12 = pair_dists
+        return np.array([
+            gx - cx, gy - cy,
+            x0 - cx, y0 - cy, x1 - cx, y1 - cy, x2 - cx, y2 - cy,
+            opp.x - cx, opp.y - cy, opp.direction * opp.speed,
+            d01 - l, d02 - l, d12 - l,
+        ])

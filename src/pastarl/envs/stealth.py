@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from pastarl.envs.base import MomdpEnv, checked_episode_cap, register_reward_fn
+from pastarl.envs.base import MomdpEnv, _clip, _dot, _norms, checked_episode_cap, register_reward_fn
 from pastarl.errors import ConfigError
-
-
-def _clip(x: float, lo: float, hi: float) -> float:
-    """np.clip on one float: min(max(x, lo), hi), returning x itself when it
-    equals a bound, as np.clip does (the sign of a zero survives)."""
-    return min(max(x, lo), hi)
 
 
 def stealth_rewards(snap: dict) -> np.ndarray:
@@ -30,22 +24,6 @@ def stealth_rewards(snap: dict) -> np.ndarray:
 
 
 register_reward_fn("stealth", stealth_rewards)
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, broadcasting the leading axes.
-
-    matmul runs each pair through the BLAS dot that ``a @ b`` and
-    ``np.linalg.norm`` use on single vectors, so every entry is bit-identical
-    to the scalar call; ``a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]`` is not
-    (the BLAS kernel may fuse a multiply-add).
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (n, 2) array."""
-    return np.sqrt(_dot(v, v))
 
 
 class StealthWorld(MomdpEnv):

@@ -86,24 +86,25 @@ class GaussianActor:
         return means, ActorTape(tape_b, tape_h, means)
 
     def log_probs(self, means: np.ndarray, pre_clamp: np.ndarray) -> np.ndarray:
-        """Diagonal-Gaussian log density of raw samples; batched over rows."""
-        means = np.atleast_2d(means)
-        pre = np.atleast_2d(pre_clamp)
-        z = (pre - means) / np.exp(self.log_std)
-        return -0.5 * np.sum(z * z, axis=1) - np.sum(self.log_std) - pre.shape[1] * HALF_LOG_2PI
+        """Diagonal-Gaussian log density of raw samples over the last axis;
+        batched over any leading axes."""
+        return self._log_density(means, pre_clamp, np.exp(self.log_std))
+
+    def _log_density(self, means: np.ndarray, pre: np.ndarray, std: np.ndarray) -> np.ndarray:
+        z = (pre - means) / std
+        return -0.5 * (z * z).sum(axis=-1) - self.log_std.sum() - pre.shape[-1] * HALF_LOG_2PI
 
     def act(self, state: np.ndarray, w: np.ndarray, rng: np.random.Generator) -> ActSample:
-        x = np.concatenate([np.asarray(state, dtype=np.float64), np.asarray(w, dtype=np.float64)])
-        means, _ = self.mean_forward(x)
+        means, _ = self.mean_forward(np.concatenate((state, w)))
         std = np.exp(self.log_std)
         pre = means + std * rng.standard_normal(self.action_dim)
-        logp = float(self.log_probs(means, pre)[0])
-        return ActSample(np.clip(pre, 0.0, 1.0), logp, pre)
+        logp = float(self._log_density(means, pre, std))
+        # np.clip's values without its Python-level dispatch.
+        return ActSample(np.minimum(np.maximum(pre, 0.0), 1.0), logp, pre)
 
     def act_deterministic(self, state: np.ndarray, w: np.ndarray) -> np.ndarray:
-        x = np.concatenate([np.asarray(state, dtype=np.float64), np.asarray(w, dtype=np.float64)])
-        means, _ = self.mean_forward(x)
-        return np.clip(means, 0.0, 1.0)
+        means, _ = self.mean_forward(np.concatenate((state, w)))
+        return np.minimum(np.maximum(means, 0.0), 1.0)
 
     def entropy(self) -> float:
         """State-independent: sum_d (0.5 ln(2 pi e) + log_std_d)."""

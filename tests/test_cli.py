@@ -311,6 +311,17 @@ class TestSweep:
         assert rc == 2
         assert "ppo.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_is_usage_error(self, tiny_ini, tmp_path, capsys, workers):
+        out = tmp_path / "sw"
+        rc = main([
+            "sweep", "--config", str(tiny_ini), "--out", str(out), "--axis", "seed=0,1",
+            "--workers", workers,
+        ])
+        assert rc == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_axis_is_usage_error(self, tiny_ini, tmp_path):
         rc = main([
             "sweep", "--config", str(tiny_ini), "--out", str(tmp_path / "sw"),

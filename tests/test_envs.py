@@ -807,6 +807,275 @@ class TestFormationEnv:
         np.testing.assert_array_equal(rews[0], rews[1])
 
 
+# -- reference: the frogger and formation steps as per-call numpy -------------
+#
+# FroggerEnv and FormationEnv step on Python floats and stack every distance of
+# a step into one numpy pass.  These are the steps as they read with one
+# np.linalg.norm call per distance, np.clip on each reward term and arrays for
+# the bookkeeping; the stacked steps must match them bit for bit.
+
+
+def ref_frogger_rewards(snap):
+    violation = snap["out_of_bounds"]
+    collided = snap["collided"]
+    r_goal = (
+        np.clip(snap["prev_goal_dist"] - snap["goal_dist"], -1.0, 1.0)
+        + 10.0 * snap["reached_goal"]
+        - 15.0 * max(collided, violation)
+    )
+    r_bounds = 0.1 * np.clip(snap["d_wall"] / 0.2, 0.0, 1.0) - 25.0 * violation
+    r_avoid = 0.1 * np.clip(snap["d_opp"] / 0.3, 0.0, 1.0) - 25.0 * collided
+    return np.array([r_goal, r_bounds, r_avoid])
+
+
+def ref_frogger_observation(env):
+    parts = [env.pos, env.goal - env.pos]
+    for o in env.opponents:
+        parts.append(np.array([o.x - env.pos[0], o.y - env.pos[1], o.direction * o.speed]))
+    return np.concatenate(parts)
+
+
+def ref_frogger_step(env, action):
+    a = np.clip(np.asarray(action, dtype=np.float64), 0.0, 1.0)
+    disp = (2.0 * a - 1.0) * 0.05
+    prev_goal_dist = float(np.linalg.norm(env.pos - env.goal))
+    env.pos = env.pos + disp
+    for opp in env.opponents:
+        opponent_step(opp, env._rng)
+    goal_dist = float(np.linalg.norm(env.pos - env.goal))
+    out_of_bounds = bool(np.any(np.abs(env.pos) > env.half))
+    d_wall = float(min(env.half - abs(env.pos[0]), env.half - abs(env.pos[1])))
+    d_opp = float(min(np.linalg.norm(env.pos - np.array([o.x, o.y])) for o in env.opponents))
+    collided = d_opp < env.collision_dist
+    reached_goal = goal_dist < env.goal_radius and not (collided or out_of_bounds)
+    snap = {
+        "prev_goal_dist": prev_goal_dist,
+        "goal_dist": goal_dist,
+        "reached_goal": int(reached_goal),
+        "collided": int(collided),
+        "out_of_bounds": int(out_of_bounds),
+        "d_wall": d_wall,
+        "d_opp": d_opp,
+    }
+    env.steps += 1
+    done = reached_goal or collided or out_of_bounds or env.steps >= env.episode_cap
+    events = {"goal": reached_goal, "collision": collided, "out_of_bounds": out_of_bounds}
+    return ref_frogger_observation(env), ref_frogger_rewards(snap), bool(done), snap, events
+
+
+def ref_formation_rewards(snap):
+    e = snap["formation_error"]
+    r_goal = (
+        5.0 * (snap["prev_goal_dist"] - snap["goal_dist"])
+        - 0.1 * snap["mean_effort"]
+        + 10.0 * snap["converged"]
+        - 5.0 * snap["collided"]
+    )
+    r_bounds = 0.1 * np.clip(snap["min_wall_margin"] / 0.2, 0.0, 1.0)
+    r_avoid = 0.2 * np.clip(snap["min_opp_dist"] / 0.4, 0.0, 1.0) - 10.0 * snap["obstacle_hit"]
+    r_form = np.exp(-5.0 * e) - np.clip(e, 0.0, 1.0)
+    return np.array([r_goal, r_bounds, r_avoid, r_form])
+
+
+def ref_pair_dists(env):
+    return np.array(
+        [np.linalg.norm(env.positions[i] - env.positions[j]) for i, j in ((0, 1), (0, 2), (1, 2))]
+    )
+
+
+def ref_formation_observation(env):
+    centroid = env.positions.mean(axis=0)
+    rel_agents = (env.positions - centroid).ravel()
+    opp = np.array([
+        env.opponent.x - centroid[0],
+        env.opponent.y - centroid[1],
+        env.opponent.direction * env.opponent.speed,
+    ])
+    return np.concatenate([env.goal - centroid, rel_agents, opp, ref_pair_dists(env) - env.l_target])
+
+
+def ref_formation_step(env, joint_action):
+    a = np.clip(np.asarray(joint_action, dtype=np.float64), 0.0, 1.0).reshape(3, 2)
+    disp = (2.0 * a - 1.0) * 0.05
+    prev_goal_dist = float(np.linalg.norm(env.positions.mean(axis=0) - env.goal))
+    env.positions = np.clip(env.positions + disp, -env.half, env.half)
+    opponent_step(env.opponent, env._rng)
+    goal_dist = float(np.linalg.norm(env.positions.mean(axis=0) - env.goal))
+    mean_effort = float(np.mean(np.linalg.norm(disp, axis=1)))
+    wall_margins = np.minimum(
+        env.half - np.abs(env.positions[:, 0]), env.half - np.abs(env.positions[:, 1])
+    )
+    opp_pos = np.array([env.opponent.x, env.opponent.y])
+    opp_dists = np.linalg.norm(env.positions - opp_pos, axis=1)
+    pair_dists = ref_pair_dists(env)
+    formation_error = float(np.max(np.abs(pair_dists - env.l_target)))
+    agent_collision = bool(np.any(pair_dists < env.agent_collision_dist))
+    obstacle_hit = bool(np.any(opp_dists < env.obstacle_hit_dist))
+    converged = goal_dist < env.converge_dist
+    snap = {
+        "prev_goal_dist": prev_goal_dist,
+        "goal_dist": goal_dist,
+        "mean_effort": mean_effort,
+        "converged": int(converged),
+        "collided": int(agent_collision or obstacle_hit),
+        "min_wall_margin": float(np.min(wall_margins)),
+        "min_opp_dist": float(np.min(opp_dists)),
+        "obstacle_hit": int(obstacle_hit),
+        "formation_error": formation_error,
+    }
+    env.steps += 1
+    done = converged or env.steps >= env.episode_cap
+    events = {"converged": converged, "agent_collision": agent_collision, "obstacle_hit": obstacle_hit}
+    return ref_formation_observation(env), ref_formation_rewards(snap), bool(done), snap, events
+
+
+REF_STEPS = {FroggerEnv: ref_frogger_step, FormationEnv: ref_formation_step}
+REF_OBSERVATIONS = {FroggerEnv: ref_frogger_observation, FormationEnv: ref_formation_observation}
+
+
+def bits(x):
+    """The float64 bit patterns of x, so that a zero's sign counts too."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def reset_twins(env, ref, seed):
+    """Reset an env and its reference copy from equal rng streams; the reset
+    observations must agree."""
+    obs = env.reset(np.random.default_rng(seed))
+    ref.reset(np.random.default_rng(seed))
+    np.testing.assert_array_equal(bits(obs), bits(REF_OBSERVATIONS[type(env)](ref)))
+
+
+def twin_envs(cls, seed, episode_cap=200):
+    env, ref = cls(episode_cap=episode_cap), cls(episode_cap=episode_cap)
+    reset_twins(env, ref, seed)
+    return env, ref
+
+
+def place(envs, **state):
+    """Put the same hand-made state into each env: arrays by attribute name,
+    and opponents as dicts of their fields."""
+    for env in envs:
+        for key, value in state.items():
+            if key == "opponents":
+                for opp, fields in zip(env.opponents, value):
+                    vars(opp).update(fields)
+            elif key == "opponent":
+                vars(env.opponent).update(value)
+            else:
+                setattr(env, key, np.array(value, dtype=np.float64))
+
+
+def assert_step_matches(env, ref, action):
+    """One step of each; outputs and snapshot values agree bit for bit.
+    Returns (done, info) of the env's step."""
+    obs, reward, done, info = env.step(action)
+    ref_obs, ref_reward, ref_done, ref_snap, ref_events = REF_STEPS[type(env)](ref, action)
+    np.testing.assert_array_equal(bits(obs), bits(ref_obs))
+    np.testing.assert_array_equal(bits(reward), bits(ref_reward))
+    assert done is ref_done
+    snap = info["reward_snapshot"]
+    assert list(snap) == list(ref_snap)
+    for key, value in snap.items():
+        assert type(value) is type(ref_snap[key]), key
+        assert bits(value) == bits(ref_snap[key]), (key, value, ref_snap[key])
+    assert info["events"] == ref_events
+    return done, info
+
+
+# Distances that land exactly on a threshold: 0.0 - 0.1 is exact, and the
+# square root of a rounded square gives the value back.
+AT_LIMIT = 0.1
+INSIDE_LIMIT = float(np.nextafter(0.1, 0.0))
+STILL = 0.5  # an action entry whose displacement is exactly 0.0
+
+
+class TestCrazyflieReference:
+    @pytest.mark.parametrize("cls", [FroggerEnv, FormationEnv])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_rollout_steps_match_per_call_steps(self, cls, seed):
+        """1500 steps per case.  Each episode draws its own drift, so agents
+        wander, run into the walls or (frogger) leave the arena; actions reach
+        outside [0, 1], so the clip acts too."""
+        env, ref = twin_envs(cls, seed, episode_cap=120)
+        act_rng = np.random.default_rng(seed + 10)
+        drift = act_rng.uniform(0.2, 0.8, cls.action_dim)
+        for _ in range(1500):
+            done, _ = assert_step_matches(env, ref, drift + act_rng.normal(scale=0.4, size=cls.action_dim))
+            if done:
+                reset_twins(env, ref, int(act_rng.integers(1 << 30)))
+                drift = act_rng.uniform(0.2, 0.8, cls.action_dim)
+
+    @pytest.mark.parametrize("cls", [FroggerEnv, FormationEnv])
+    def test_opponent_bounces_at_x_lim(self, cls):
+        envs = twin_envs(cls, 3)
+        fields = {"x": 0.93, "direction": 1, "speed": 0.04}
+        if cls is FroggerEnv:
+            place(envs, opponents=[fields, {**fields, "x": -0.93, "direction": -1}])
+        else:
+            place(envs, opponent=fields)
+        _, info = assert_step_matches(*envs, np.full(cls.action_dim, STILL))
+        opponents = envs[0].opponents if cls is FroggerEnv else [envs[0].opponent]
+        assert all(abs(o.x) == o.x_lim for o in opponents)
+
+    def test_frogger_out_of_bounds(self):
+        envs = twin_envs(FroggerEnv, 4)
+        # The last move ends on the corner (1, -1) itself, still in bounds.
+        for pos, action, leaves in (([0.0, 0.98], [STILL, 1.0], True), ([-0.97, 0.2], [0.0, STILL], True),
+                                    ([0.95, -0.95], [1.0, 0.0], False)):
+            place(envs, pos=pos)
+            _, info = assert_step_matches(*envs, np.array(action))
+            assert info["events"]["out_of_bounds"] is leaves
+
+    def test_frogger_goal_reached_in_a_collision(self):
+        envs = twin_envs(FroggerEnv, 5)
+        place(envs, pos=[0.0, 0.68], opponents=[{}, {"x": 0.0, "y": 0.72, "speed": 0.0}])
+        done, info = assert_step_matches(*envs, np.array([STILL, 1.0]))
+        assert done and info["events"]["collision"] and not info["events"]["goal"]
+        assert info["reward_snapshot"]["goal_dist"] < envs[0].goal_radius
+
+    @pytest.mark.parametrize("gap, collides", [(AT_LIMIT, False), (INSIDE_LIMIT, True)])
+    def test_frogger_opponent_at_the_collision_distance(self, gap, collides):
+        envs = twin_envs(FroggerEnv, 6)
+        place(envs, pos=[0.0, -0.3], opponents=[{"x": gap, "speed": 0.0}, {"x": -0.9}])
+        _, info = assert_step_matches(*envs, np.full(2, STILL))
+        assert info["reward_snapshot"]["d_opp"] == gap
+        assert info["events"]["collision"] is collides
+
+    def test_formation_agents_clamped_at_the_walls(self):
+        envs = twin_envs(FormationEnv, 7)
+        place(envs, positions=[[0.99, 0.0], [0.0, 0.99], [-0.99, -0.99]])
+        for action in ([1, STILL, STILL, 1, 0, 0], np.ones(6), np.zeros(6), [1, 0, 0, 1, 1, 0]):
+            _, info = assert_step_matches(*envs, np.array(action, dtype=np.float64))
+        assert np.abs(envs[0].positions).max() == 1.0
+        assert info["reward_snapshot"]["min_wall_margin"] == 0.0
+
+    @pytest.mark.parametrize("collision", ["agents", "opponent"])
+    def test_formation_converges_in_a_collision(self, collision):
+        envs = twin_envs(FormationEnv, 8)
+        # Centroid on the goal; two agents 0.05 apart, or the opponent on one.
+        place(envs, positions=[[0.0, 0.75], [0.05, 0.65], [-0.05, 0.7]],
+              opponent={"x": -0.9, "speed": 0.0})
+        if collision == "agents":
+            place(envs, positions=[[0.0, 0.7], [0.05, 0.7], [-0.05, 0.7]])
+        else:
+            place(envs, opponent={"x": 0.05, "y": 0.65, "speed": 0.0})
+        done, info = assert_step_matches(*envs, np.full(6, STILL))
+        assert done and info["events"]["converged"]
+        assert info["reward_snapshot"]["collided"] == 1
+
+    @pytest.mark.parametrize("gap", [AT_LIMIT, INSIDE_LIMIT])
+    def test_formation_distances_at_the_thresholds(self, gap):
+        envs = twin_envs(FormationEnv, 9)
+        # Agents 0 and 1 gap apart; agent 2 gap above the opponent.
+        place(envs, positions=[[0.0, 0.0], [gap, 0.0], [0.6, gap]],
+              opponent={"x": 0.6, "y": 0.0, "speed": 0.0})
+        _, info = assert_step_matches(*envs, np.full(6, STILL))
+        snap, events = info["reward_snapshot"], info["events"]
+        assert snap["min_opp_dist"] == gap and min(ref_pair_dists(envs[1])) == gap
+        assert events["agent_collision"] is events["obstacle_hit"] is (gap < 0.1)
+
+
 class TestStub:
     def test_rewards_are_complementary(self):
         env = StubEnv()
