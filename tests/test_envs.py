@@ -1014,7 +1014,7 @@ class TestCrazyflieReference:
             place(envs, opponents=[fields, {**fields, "x": -0.93, "direction": -1}])
         else:
             place(envs, opponent=fields)
-        _, info = assert_step_matches(*envs, np.full(cls.action_dim, STILL))
+        assert_step_matches(*envs, np.full(cls.action_dim, STILL))
         opponents = envs[0].opponents if cls is FroggerEnv else [envs[0].opponent]
         assert all(abs(o.x) == o.x_lim for o in opponents)
 
@@ -1050,16 +1050,18 @@ class TestCrazyflieReference:
         assert np.abs(envs[0].positions).max() == 1.0
         assert info["reward_snapshot"]["min_wall_margin"] == 0.0
 
-    @pytest.mark.parametrize("collision", ["agents", "opponent"])
-    def test_formation_converges_in_a_collision(self, collision):
+    @pytest.mark.parametrize(
+        "positions, opponent",
+        [
+            # Centroid on the goal with two agents 0.05 apart, or with the
+            # opponent on an agent.
+            ([[0.0, 0.7], [0.05, 0.7], [-0.05, 0.7]], {"x": -0.9, "speed": 0.0}),
+            ([[0.0, 0.75], [0.05, 0.65], [-0.05, 0.7]], {"x": 0.05, "y": 0.65, "speed": 0.0}),
+        ],
+    )
+    def test_formation_converges_in_a_collision(self, positions, opponent):
         envs = twin_envs(FormationEnv, 8)
-        # Centroid on the goal; two agents 0.05 apart, or the opponent on one.
-        place(envs, positions=[[0.0, 0.75], [0.05, 0.65], [-0.05, 0.7]],
-              opponent={"x": -0.9, "speed": 0.0})
-        if collision == "agents":
-            place(envs, positions=[[0.0, 0.7], [0.05, 0.7], [-0.05, 0.7]])
-        else:
-            place(envs, opponent={"x": 0.05, "y": 0.65, "speed": 0.0})
+        place(envs, positions=positions, opponent=opponent)
         done, info = assert_step_matches(*envs, np.full(6, STILL))
         assert done and info["events"]["converged"]
         assert info["reward_snapshot"]["collided"] == 1
