@@ -73,25 +73,39 @@ class StealthWorld(MomdpEnv):
 
     # -- geometry -----------------------------------------------------------
     #
-    # circles, rects and targets are (n, 2) arrays of centers.  Each query runs
-    # over all rays and objects at once with the elementwise formulas of a
-    # per-object loop, dot products through _dot, and a min reduction, so every
-    # result is bit-identical to that loop; tests/test_envs.py keeps it as the
-    # reference.  Everything is derived per call from the current arrays, which
-    # callers may assign directly.
+    # circles, rects and targets are (n, 2) arrays of centers; everything is
+    # derived per call from the current arrays, which callers may assign
+    # directly.  The scalar parts (the move, the arena test, d_risk, the vision
+    # grid and the scan) run on Python floats, which round exactly as numpy's
+    # elementwise ops do; every 2-vector norm still goes through _norms (one
+    # stacked pass per query, since a0*a0 + a1*a1 differs in the last bit), and
+    # cos, sin and arctan2 stay numpy ufuncs (libm's differ from numpy's SIMD
+    # kernels on AVX-512 hosts).  The lidar runs over all rays and objects at
+    # once with the elementwise formulas of a per-object loop.  So every result
+    # is bit-identical to per-object numpy code; tests/test_envs.py keeps it as
+    # the reference.
 
-    def _overlaps(self, p: np.ndarray, radius: float) -> bool:
-        """Whether a disc of ``radius`` at p overlaps an obstacle circle or rect."""
-        near = np.minimum(np.maximum(p, self.rects - self.rect_half), self.rects + self.rect_half)
-        return bool(
-            (_norms(p - self.circles) < radius + self.circle_radius).any()
-            or (_norms(p - near) < radius).any()
-        )
+    def _overlaps(self, p, radius: float) -> bool:
+        """Whether a disc of ``radius`` at p = (x, y) overlaps an obstacle circle or rect."""
+        x, y = p
+        hx, hy = self.rect_half.tolist()
+        rows = []
+        for cx, cy in self.circles.tolist():
+            rows += (x - cx, y - cy)
+        for rx, ry in self.rects.tolist():  # to the rect's nearest point
+            rows += (x - _clip(x, rx - hx, rx + hx), y - _clip(y, ry - hy, ry + hy))
+        dists = _norms(np.array(rows).reshape(-1, 2)).tolist()
+        n = len(self.circles)
+        reach = radius + self.circle_radius
+        return any(d < reach for d in dists[:n]) or any(d < radius for d in dists[n:])
 
-    def _collides(self, p: np.ndarray) -> bool:
-        if (np.abs(p) + self.agent_radius > self.half_dims).any():
+    def _collides(self, p) -> bool:
+        x, y = p
+        hx, hy = self.half_dims.tolist()
+        r = self.agent_radius
+        if abs(x) + r > hx or abs(y) + r > hy:
             return True
-        return self._overlaps(p, self.agent_radius)
+        return self._overlaps(p, r)
 
     def _sample_free_point(self, rng: np.random.Generator, clearance: float) -> np.ndarray:
         for _ in range(1000):
@@ -112,30 +126,33 @@ class StealthWorld(MomdpEnv):
         self.pos = self._sample_free_point(rng, self.agent_radius)
         self.theta = rng.uniform(-np.pi, np.pi)
         self.steps = 0
-        return self._observation(*self.sensors())
+        return self._observation((np.cos(self.theta), np.sin(self.theta)), *self.sensors())
 
     def step(self, action: np.ndarray):
-        a = np.clip(np.asarray(action, dtype=np.float64), 0.0, 1.0)
-        v = a[0] * self.v_scale
-        omega = (2.0 * a[1] - 1.0) * self.omega_scale
-        self.theta = self.theta + omega * self.dt
-        candidate = self.pos + v * self.dt * np.array([np.cos(self.theta), np.sin(self.theta)])
+        a0, a1 = np.asarray(action, dtype=np.float64).reshape(self.action_dim).tolist()
+        v = _clip(a0, 0.0, 1.0) * self.v_scale
+        omega = (2.0 * _clip(a1, 0.0, 1.0) - 1.0) * self.omega_scale
+        self.theta = theta = self.theta + omega * self.dt
+        cos_th, sin_th = float(np.cos(theta)), float(np.sin(theta))
+        x, y = self.pos.tolist()
+        move = v * self.dt
+        candidate = (x + move * cos_th, y + move * sin_th)
         collided = self._collides(candidate)
         displacement = 0.0
         if not collided:
-            displacement = float(_norms(candidate - self.pos))
-            self.pos = candidate
+            displacement = _norms(np.array([candidate[0] - x, candidate[1] - y])).item()
+            x, y = candidate
+            self.pos = np.array(candidate)
 
         # Scanning changes only the scanned mask, not where the targets lie.
         view = self._target_bearings()
         n_new = self._scan_targets(view)
         grid, lidar = self.sensors(view)
-        d_risk = self._d_risk(self.pos)
         snap = {
-            "n_new": int(n_new),
-            "vision_sum": float(grid.sum()),
+            "n_new": n_new,
+            "vision_sum": sum(grid),
             "n_targets": int(self.n_targets),
-            "d_risk": float(d_risk),
+            "d_risk": self._d_risk((x, y)),
             "d_max": float(self.d_max),
             "collided": int(collided),
             "displacement": displacement,
@@ -143,45 +160,56 @@ class StealthWorld(MomdpEnv):
         reward = stealth_rewards(snap)
         self.steps += 1
         done = self.steps >= self.episode_cap
-        obs = self._observation(grid, lidar)
-        info = {"reward_snapshot": snap, "events": {"collision": collided, "n_new": int(n_new)}}
+        obs = self._observation((cos_th, sin_th), grid, lidar)
+        info = {"reward_snapshot": snap, "events": {"collision": collided, "n_new": n_new}}
         return obs, reward, done, info
 
-    def _d_risk(self, p: np.ndarray) -> float:
-        return float(max(0.0, min(self.l_safe[0] - abs(p[0]), self.l_safe[1] - abs(p[1]))))
+    def _d_risk(self, p) -> float:
+        x, y = p
+        lx, ly = self.l_safe.tolist()
+        return max(0.0, min(lx - abs(x), ly - abs(y)))
 
-    def _target_bearings(self) -> tuple[np.ndarray, np.ndarray]:
+    def _target_bearings(self) -> tuple[list[float], list[float]]:
         """Distance to each target and its bearing off the heading, in [-pi, pi)."""
         rel = self.targets - self.pos
         bearing = self._wrap(np.arctan2(rel[:, 1], rel[:, 0]) - self.theta)
-        return _norms(rel), bearing
+        return _norms(rel).tolist(), bearing.tolist()
 
-    def _scan_targets(self, view: tuple[np.ndarray, np.ndarray] | None = None) -> int:
+    def _scan_targets(self, view: tuple[list[float], list[float]] | None = None) -> int:
         """Unscanned targets inside the FOV wedge within scan_range become scanned.
 
         ``view`` is this state's ``_target_bearings()``, when already computed.
         """
         dist, bearing = self._target_bearings() if view is None else view
-        new = ~self.scanned & (dist <= self.scan_range) & (np.abs(bearing) <= self.fov / 2.0)
-        self.scanned |= new
-        return int(np.count_nonzero(new))
+        half_fov = self.fov / 2.0
+        n_new = 0
+        for k, (d, b, done) in enumerate(zip(dist, bearing, self.scanned.tolist())):
+            if not done and d <= self.scan_range and abs(b) <= half_fov:
+                self.scanned[k] = True
+                n_new += 1
+        return n_new
 
     @staticmethod
     def _wrap(a: np.ndarray) -> np.ndarray:
         return (a + np.pi) % (2.0 * np.pi) - np.pi
 
-    def sensors(self, view: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(vision_grid 6-vector, lidar 20-vector) for the current world state.
+    def sensors(self, view: tuple[list[float], list[float]] | None = None) -> tuple[list[float], np.ndarray]:
+        """(vision grid as 6 floats, lidar 20-vector) for the current world state.
 
-        ``view`` is this state's ``_target_bearings()``, when already computed.
+        The grid counts unscanned targets in the FOV within sensor_range, by
+        band (near, far) and sector (three equal wedges from the right), 0.5
+        per target up to 1.  ``view`` is this state's ``_target_bearings()``,
+        when already computed.
         """
         dist, bearing = self._target_bearings() if view is None else view
-        seen = ~self.scanned & (dist <= self.sensor_range) & (np.abs(bearing) <= self.fov / 2.0)
-        band = dist[seen] >= self.sensor_range / 2.0
-        sector = ((bearing[seen] + self.fov / 2.0) / (self.fov / 3.0)).astype(int)
-        counts = np.bincount(3 * band + np.minimum(2, sector), minlength=6)
-        grid = np.minimum(1.0, 0.5 * counts)
-        return grid, self._lidar()
+        half_fov, sector_width = self.fov / 2.0, self.fov / 3.0
+        far = self.sensor_range / 2.0
+        counts = [0] * 6
+        for d, b, done in zip(dist, bearing, self.scanned.tolist()):
+            if not done and d <= self.sensor_range and abs(b) <= half_fov:
+                # int() truncates as astype(int) does; the quotient is >= 0.
+                counts[3 * (d >= far) + min(2, int((b + half_fov) / sector_width))] += 1
+        return [min(1.0, 0.5 * c) for c in counts], self._lidar()
 
     def _lidar(self) -> np.ndarray:
         """Range along each ray to the nearest wall, circle, unscanned target or
@@ -202,33 +230,49 @@ class StealthWorld(MomdpEnv):
         par = np.abs(u) < 1e-12
         den = np.where(par, np.inf, u)[:, None, :]
         pos = self.pos
+        x, y = pos.tolist()
+        hx, hy = self.half_dims.tolist()
 
         # Walls: t[ray, side, axis] to the line x_axis = -+half_dims[axis].
         # _collides keeps the agent strictly inside the arena, so the smallest
         # positive t is where the ray leaves it, a point on a wall segment.
-        t = (np.array([-self.half_dims, self.half_dims]) - pos) / den
+        t = np.array([[-hx - x, -hy - y], [hx - x, hy - y]]) / den
         best = np.where(t > 0, t, np.inf).min(axis=(1, 2))
 
-        # Discs: obstacle circles and unscanned targets; t[ray, disc] is the
-        # first crossing b - sqrt(b^2 - |rel|^2 + r^2) in front of the agent.
-        live = self.targets[~self.scanned]
-        rel = np.concatenate([self.circles, live]) - pos
-        radii = np.repeat([self.circle_radius, self.target_radius], [len(self.circles), len(live)])
-        rr = _dot(rel, rel)
-        close = rr < (reach + radii) ** 2
-        if close.any():
-            rel, rr, radii = rel[close], rr[close], radii[close]
+        # Which discs (obstacle circles, then unscanned targets) and rects lie
+        # within reach: one _dot over each disc's offset from the agent and
+        # each rect's gap to its nearest point.
+        discs = [(cx - x, cy - y, self.circle_radius) for cx, cy in self.circles.tolist()]
+        discs += [
+            (tx - x, ty - y, self.target_radius)
+            for (tx, ty), done in zip(self.targets.tolist(), self.scanned.tolist())
+            if not done
+        ]
+        rx, ry = self.rect_half.tolist()
+        boxes = [(cx - rx, cy - ry, cx + rx, cy + ry) for cx, cy in self.rects.tolist()]
+        rows = [v for dx, dy, _ in discs for v in (dx, dy)]
+        for lx, ly, ux, uy in boxes:
+            rows += (max(max(lx - x, x - ux), 0.0), max(max(ly - y, y - uy), 0.0))
+        offsets = np.array(rows).reshape(-1, 2)
+        sq = _dot(offsets, offsets).tolist()
+
+        # Discs: t[ray, disc] is the first crossing b - sqrt(b^2 - |rel|^2 + r^2)
+        # in front of the agent.
+        close = [k for k, (_, _, r) in enumerate(discs) if sq[k] < (reach + r) * (reach + r)]
+        if close:
+            rel = offsets[close]
+            rr = np.array([sq[k] for k in close])
+            radii = np.array([discs[k][2] for k in close])
             b = _dot(rel[None, :, :], u[:, None, :])
             disc = b * b - rr + radii * radii
             t = b - np.sqrt(np.maximum(disc, 0.0))
             best = np.minimum(best, np.where((disc >= 0) & (t > 0), t, np.inf).min(axis=1))
 
         # Rects: slab test, t[ray, rect, axis] to the near and far faces.
-        lo, hi = self.rects - self.rect_half, self.rects + self.rect_half
-        gap = np.maximum(np.maximum(lo - pos, pos - hi), 0.0)  # to the nearest point
-        close = _dot(gap, gap) < reach * reach
-        if close.any():
-            lo, hi = lo[close], hi[close]
+        close = [box for box, d in zip(boxes, sq[len(discs):]) if d < reach * reach]
+        if close:
+            box = np.array(close)
+            lo, hi = box[:, :2], box[:, 2:]
             t1, t2 = (lo - pos) / den, (hi - pos) / den
             near = np.where(par[:, None, :], -np.inf, np.minimum(t1, t2)).max(axis=2)
             far = np.where(par[:, None, :], np.inf, np.maximum(t1, t2)).min(axis=2)
@@ -239,5 +283,6 @@ class StealthWorld(MomdpEnv):
 
         return np.where(best <= self.lidar_range, best / self.lidar_range, 1.0)
 
-    def _observation(self, grid: np.ndarray, lidar: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.pos, [np.cos(self.theta), np.sin(self.theta)], grid, lidar])
+    def _observation(self, heading, grid: list[float], lidar: np.ndarray) -> np.ndarray:
+        """[x, y] ++ heading ++ grid ++ lidar; heading is (cos theta, sin theta)."""
+        return np.concatenate((self.pos, heading, grid, lidar))

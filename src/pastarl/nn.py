@@ -202,7 +202,11 @@ class Network:
 
 @dataclass
 class AdamState:
-    """Per-parameter-vector Adam accumulators (bias-corrected)."""
+    """Per-parameter-vector Adam accumulators (bias-corrected).
+
+    adam_update overwrites m and v in place and works in two scratch vectors
+    of the same size, so a step allocates nothing parameter-sized.
+    """
 
     size: int
     lr: float = 3e-4
@@ -212,12 +216,14 @@ class AdamState:
     step_count: int = 0
     m: np.ndarray = field(default=None)
     v: np.ndarray = field(default=None)
+    scratch: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m is None:
             self.m = np.zeros(self.size)
         if self.v is None:
             self.v = np.zeros(self.size)
+        self.scratch = (np.empty(self.size), np.empty(self.size))
 
 
 def adam_update(
@@ -231,6 +237,13 @@ def adam_update(
 
     ascent=True moves along +grad (policy objectives are maximized).  Raises
     DivergenceError naming `name` if the gradient has non-finite entries.
+    Each ufunc writes into m, v or a scratch vector, in the operation order of
+
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad * grad
+        step = lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+
+    so every value is bit-identical to those expressions.
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != theta.shape:
@@ -240,11 +253,18 @@ def adam_update(
     if not np.all(np.isfinite(grad)):
         raise DivergenceError(f"non-finite gradient in {name}")
     state.step_count += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step_count)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step_count)
-    step = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, (step, denom) = state.m, state.v, state.scratch
+    m *= state.beta1
+    m += np.multiply(1.0 - state.beta1, grad, out=step)
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, grad, out=step)
+    v += np.multiply(step, grad, out=step)
+    np.divide(v, 1.0 - state.beta2 ** state.step_count, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, 1.0 - state.beta1 ** state.step_count, out=step)
+    step *= state.lr
+    step /= denom
     if ascent:
         theta += step
     else:

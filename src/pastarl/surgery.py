@@ -50,24 +50,26 @@ def project_conflicts(grads: np.ndarray, rng: np.random.Generator) -> Projection
     against the original g_j, and each detected conflict removes the g_j
     component:  g_i <- g_i - (g_i . g_j / ||g_j||^2) g_j.
     """
-    original = np.array(grads, dtype=np.float64, copy=True)
+    original = np.asarray(grads, dtype=np.float64)
     if original.ndim != 2:
         raise ContractViolationError(f"grads must be (m, P), got shape {original.shape}")
     m = original.shape[0]
     projected = original.copy()
     if m < 2:
         return ProjectionResult(projected, 0, 0)
-    sq_norms = np.einsum("ij,ij->i", original, original)
+    sq_norms = np.einsum("ij,ij->i", original, original).tolist()
     conflicts = 0
-    for i in range(m):
-        others = np.delete(np.arange(m), i)
-        for j in rng.permutation(others):
+    for i, row in enumerate(projected):  # row views: updates land in projected
+        others = [j for j in range(m) if j != i]
+        # permutation(m - 1) draws what permutation(others) draws; index others with it.
+        for k in rng.permutation(m - 1).tolist():
+            j = others[k]
             if sq_norms[j] <= ZERO_NORM_EPS:
                 continue
-            dot = float(projected[i] @ original[j])
+            dot = float(row @ original[j])
             if dot < 0.0:
                 conflicts += 1
-                projected[i] -= (dot / sq_norms[j]) * original[j]
+                row -= (dot / sq_norms[j]) * original[j]
     return ProjectionResult(projected, m * (m - 1), conflicts)
 
 

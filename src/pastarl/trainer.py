@@ -64,13 +64,6 @@ class IterationReport:
     eval: EvalRecord | None = None
 
 
-def clipped_objective_loss(ratio, a_hat, clip_eps: float):
-    """Elementwise min(ratio * A, clip(ratio, 1-eps, 1+eps) * A)."""
-    ratio = np.asarray(ratio, dtype=np.float64)
-    a_hat = np.asarray(a_hat, dtype=np.float64)
-    return np.minimum(ratio * a_hat, np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * a_hat)
-
-
 def weighted_value_loss(values, targets, eta) -> float:
     """(1/N) sum_t sum_i eta_i (V_i(s_t) - y_i(s_t))^2."""
     v = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -272,25 +265,26 @@ class Trainer:
         adv = batch.norm_advantages[mb]  # (B, m)
         B = len(mb)
 
-        # Per-objective clipped losses, always computed for reporting.
-        losses = clipped_objective_loss(ratio[:, None], adv, cfg.clip_eps)  # (B, m)
-        clip_losses = losses.mean(axis=0)
+        # PPO's two branches per objective, ratio * A and clip(ratio) * A; the
+        # ratio is clipped once, to the values np.clip gives (NaN included).
+        clipped_ratio = np.minimum(np.maximum(ratio, 1.0 - cfg.clip_eps), 1.0 + cfg.clip_eps)
+        unclipped = ratio[:, None] * adv  # (B, m)
+        clipped = clipped_ratio[:, None] * adv
+        # The clipped objective min(unclipped, clipped), always reported.
+        clip_losses = np.minimum(unclipped, clipped).mean(axis=0)
         for i in range(self.m):
             if not np.isfinite(clip_losses[i]):
                 raise DivergenceError(f"non-finite clip_loss[{i}] in actor update")
         # d(min)/d(logp): the unclipped branch carries ratio * A; a strictly
         # smaller clipped branch means the gradient is dead for that sample.
-        unclipped = ratio[:, None] * adv
-        active = unclipped <= np.clip(ratio[:, None], 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * adv
-        coeff = np.where(active, unclipped, 0.0)  # (B, m)
+        coeff = np.where(unclipped <= clipped, unclipped, 0.0)  # (B, m)
 
         # One backward pass per minibatch: a single coefficient row for the
         # scalarized baselines, one row per objective otherwise.
         if cfg.algorithm == "linear":
             a_lin = adv @ self.w
             unc = ratio * a_lin
-            act = unc <= np.clip(ratio, 1.0 - cfg.clip_eps, 1.0 + cfg.clip_eps) * a_lin
-            coeffs, scale = np.where(act, unc, 0.0)[None, :], 1.0
+            coeffs, scale = np.where(unc <= clipped_ratio * a_lin, unc, 0.0)[None, :], 1.0
         elif cfg.algorithm == "tch":
             if cfg.tch_per_minibatch:
                 j_worst = tch_worst_index(r_bar, self.w, self.z_star)[0]

@@ -22,6 +22,14 @@ def stch_scalarize(r_bar, w, z_star, mu: float) -> float:
     return -mu * (y_max + float(np.log(np.sum(np.exp(y - y_max)))))
 
 
+def clipped_objective_loss(ratio, a_hat, clip_eps: float):
+    """PPO's clipped surrogate, elementwise min(ratio * A, clip(ratio, 1-eps, 1+eps) * A)
+    (Schulman et al., "Proximal Policy Optimization Algorithms", 2017)."""
+    ratio = np.asarray(ratio, dtype=np.float64)
+    a_hat = np.asarray(a_hat, dtype=np.float64)
+    return np.minimum(ratio * a_hat, np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * a_hat)
+
+
 def pareto_filter(points) -> np.ndarray:
     """Rows not strictly dominated by any other row (maximization)."""
     pts = np.asarray(points, dtype=np.float64)

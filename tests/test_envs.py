@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,15 +413,17 @@ def assert_matches_reference(env, probe):
     assert env._collides(probe) == ref_collides(env, probe)
 
 
+# World parameter mixes, each with a seed: the defaults, a crowded world with
+# a wider scan, and a sparse one with no circles.
+STEALTH_MIXES = [
+    ({}, 0),
+    ({"n_targets": 8, "n_circles": 5, "n_rects": 4, "scan_range": 0.5}, 1),
+    ({"n_targets": 2, "n_circles": 0, "n_rects": 1}, 2),
+]
+
+
 class TestStealthReference:
-    @pytest.mark.parametrize(
-        "params, seed",
-        [
-            ({}, 0),
-            ({"n_targets": 8, "n_circles": 5, "n_rects": 4, "scan_range": 0.5}, 1),
-            ({"n_targets": 2, "n_circles": 0, "n_rects": 1}, 2),
-        ],
-    )
+    @pytest.mark.parametrize("params, seed", STEALTH_MIXES)
     def test_random_rollout_states_match_loops(self, params, seed):
         """1800 states per case (5400 in all) from random-action rollouts.  At
         each state a random subset of targets is marked scanned so the lidar
@@ -807,12 +811,14 @@ class TestFormationEnv:
         np.testing.assert_array_equal(rews[0], rews[1])
 
 
-# -- reference: the frogger and formation steps as per-call numpy -------------
+# -- reference: the frogger, formation and stealth steps as per-call numpy -----
 #
-# FroggerEnv and FormationEnv step on Python floats and stack every distance of
-# a step into one numpy pass.  These are the steps as they read with one
-# np.linalg.norm call per distance, np.clip on each reward term and arrays for
-# the bookkeeping; the stacked steps must match them bit for bit.
+# FroggerEnv, FormationEnv and StealthWorld step on Python floats and stack the
+# distances of a step into one numpy pass per query.  These are the steps as
+# they read with one np.linalg.norm call per distance, np.clip on each reward
+# term and arrays for the bookkeeping; the float steps must match them bit for
+# bit.  The stealth step's collision test, scan and grid are the per-object
+# loops above, which the vectorized numpy forms they replace were pinned to.
 
 
 def ref_frogger_rewards(snap):
@@ -929,8 +935,55 @@ def ref_formation_step(env, joint_action):
     return ref_formation_observation(env), ref_formation_rewards(snap), bool(done), snap, events
 
 
-REF_STEPS = {FroggerEnv: ref_frogger_step, FormationEnv: ref_formation_step}
-REF_OBSERVATIONS = {FroggerEnv: ref_frogger_observation, FormationEnv: ref_formation_observation}
+def ref_stealth_observation(env):
+    heading = [np.cos(env.theta), np.sin(env.theta)]
+    return np.concatenate([env.pos, heading, ref_grid(env), env._lidar()])
+
+
+def ref_stealth_step(env, action):
+    """StealthWorld.step on numpy arrays, with np.clip, np.linalg.norm and the
+    per-object collision test, scan and grid loops above.  The lidar is the
+    env's own: test_random_rollout_states_match_loops pins it to ref_lidar."""
+    a = np.clip(np.asarray(action, dtype=np.float64), 0.0, 1.0)
+    v = a[0] * env.v_scale
+    omega = (2.0 * a[1] - 1.0) * env.omega_scale
+    env.theta = env.theta + omega * env.dt
+    candidate = env.pos + v * env.dt * np.array([np.cos(env.theta), np.sin(env.theta)])
+    collided = ref_collides(env, candidate)
+    displacement = 0.0
+    if not collided:
+        displacement = float(np.linalg.norm(candidate - env.pos))
+        env.pos = candidate
+    scanned = ref_scan(env)
+    n_new = int(np.count_nonzero(scanned & ~env.scanned))
+    env.scanned = scanned
+    grid = ref_grid(env)
+    d_risk = max(0.0, min(env.l_safe[0] - abs(env.pos[0]), env.l_safe[1] - abs(env.pos[1])))
+    snap = {
+        "n_new": n_new,
+        "vision_sum": float(grid.sum()),
+        "n_targets": int(env.n_targets),
+        "d_risk": float(d_risk),
+        "d_max": float(env.d_max),
+        "collided": int(collided),
+        "displacement": displacement,
+    }
+    env.steps += 1
+    done = env.steps >= env.episode_cap
+    events = {"collision": collided, "n_new": n_new}
+    return ref_stealth_observation(env), TestStealthRewards.clip_rewards(snap), bool(done), snap, events
+
+
+REF_STEPS = {
+    FroggerEnv: ref_frogger_step,
+    FormationEnv: ref_formation_step,
+    StealthWorld: ref_stealth_step,
+}
+REF_OBSERVATIONS = {
+    FroggerEnv: ref_frogger_observation,
+    FormationEnv: ref_formation_observation,
+    StealthWorld: ref_stealth_observation,
+}
 
 
 def bits(x):
@@ -946,8 +999,8 @@ def reset_twins(env, ref, seed):
     np.testing.assert_array_equal(bits(obs), bits(REF_OBSERVATIONS[type(env)](ref)))
 
 
-def twin_envs(cls, seed, episode_cap=200):
-    env, ref = cls(episode_cap=episode_cap), cls(episode_cap=episode_cap)
+def twin_envs(cls, seed, episode_cap=200, **params):
+    env, ref = cls(episode_cap=episode_cap, **params), cls(episode_cap=episode_cap, **params)
     reset_twins(env, ref, seed)
     return env, ref
 
@@ -980,6 +1033,8 @@ def assert_step_matches(env, ref, action):
         assert type(value) is type(ref_snap[key]), key
         assert bits(value) == bits(ref_snap[key]), (key, value, ref_snap[key])
     assert info["events"] == ref_events
+    for key, value in info["events"].items():
+        assert type(value) is type(ref_events[key]), key
     return done, info
 
 
@@ -1076,6 +1131,122 @@ class TestCrazyflieReference:
         snap, events = info["reward_snapshot"], info["events"]
         assert snap["min_opp_dist"] == gap and min(ref_pair_dists(envs[1])) == gap
         assert events["agent_collision"] is events["obstacle_hit"] is (gap < 0.1)
+
+
+STAY = np.array([0.0, STILL])  # no move and no turn: the step only senses
+
+
+def blank_stealth_twins(n_targets=1, **state):
+    """Two blank stealth worlds holding the same hand-made state."""
+    envs = blank_stealth(n_targets), blank_stealth(n_targets)
+    place(envs, **state)
+    return envs
+
+
+class TestStealthStepReference:
+    @pytest.mark.parametrize("params, seed", STEALTH_MIXES)
+    def test_random_rollout_steps_match_per_call_steps(self, params, seed):
+        """1500 steps per case.  Each episode draws its own drift, so the
+        agent wanders into walls and obstacles and scans targets; actions
+        reach outside [0, 1], so the clip acts too."""
+        env, ref = twin_envs(StealthWorld, seed, episode_cap=150, **params)
+        act_rng = np.random.default_rng(seed + 10)
+        drift = act_rng.uniform(0.2, 0.8, 2)
+        for _ in range(1500):
+            done, _ = assert_step_matches(env, ref, drift + act_rng.normal(scale=0.4, size=2))
+            if done:
+                reset_twins(env, ref, int(act_rng.integers(1 << 30)))
+                drift = act_rng.uniform(0.2, 0.8, 2)
+
+    def test_no_circles_rects_or_targets(self):
+        env, ref = twin_envs(StealthWorld, 3, episode_cap=60, n_targets=0, n_circles=0, n_rects=0)
+        act_rng = np.random.default_rng(13)
+        for _ in range(200):
+            done, _ = assert_step_matches(env, ref, act_rng.uniform(-0.2, 1.2, 2))
+            if done:
+                reset_twins(env, ref, int(act_rng.integers(1 << 30)))
+
+    @pytest.mark.parametrize("x, collides", [(0.9, False), (float(np.nextafter(0.9, 1.0)), True)])
+    def test_wall_hit(self, x, collides):
+        """A full step along +x from 0.9 ends with the agent's edge exactly on
+        the wall at 1, which is allowed; from one ulp further it hits."""
+        envs = blank_stealth_twins(pos=[x, 0.0], targets=[[0.0, -0.9]])
+        _, info = assert_step_matches(*envs, np.array([1.0, STILL]))
+        assert info["events"]["collision"] is collides
+
+    @pytest.mark.parametrize("obstacle", ["circles", "rects"])
+    def test_move_into_an_obstacle(self, obstacle):
+        envs = blank_stealth_twins(**{obstacle: [[0.2, 0.0]]}, targets=[[0.0, -0.9]])
+        _, info = assert_step_matches(*envs, np.array([1.0, STILL]))
+        assert info["events"]["collision"] and info["reward_snapshot"]["displacement"] == 0.0
+        np.testing.assert_array_equal(envs[0].pos, np.zeros(2))
+
+    def test_all_targets_scanned(self):
+        envs = blank_stealth_twins(n_targets=3, targets=[[0.2, 0.0], [0.4, 0.1], [0.25, -0.05]])
+        for env in envs:
+            env.scanned[:] = True
+        _, info = assert_step_matches(*envs, STAY)
+        assert info["reward_snapshot"]["vision_sum"] == 0.0 and info["events"]["n_new"] == 0
+
+    @pytest.mark.parametrize("gap, scanned", [(0.3, True), (float(np.nextafter(0.3, 1.0)), False)])
+    def test_target_at_the_scan_range(self, gap, scanned):
+        """Dead ahead at scan_range (0.3 is its own rounded square's root) the
+        target is scanned; one ulp further it is only tracked by the grid."""
+        envs = blank_stealth_twins(targets=[[gap, 0.0]])
+        _, info = assert_step_matches(*envs, STAY)
+        assert info["events"]["n_new"] == int(scanned)
+        assert info["reward_snapshot"]["vision_sum"] == (0.0 if scanned else 0.5)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_target_at_the_fov_edge(self, side):
+        """The target's bearing lies within 1e-15 of fov/2 (mirrored for the
+        other edge).  On AVX-512 hosts np.arctan2 puts it 1.1e-16 inside the
+        edge and math.atan2 3.3e-16 outside, so a step that called
+        math.atan2 would leave it unscanned."""
+        envs = blank_stealth_twins(targets=[[0.1392587133452974, side * 0.1609412700450897]])
+        dist, bearing = ref_target_view(envs[1], 0)
+        assert dist < envs[1].scan_range and abs(abs(bearing) - envs[1].fov / 2.0) < 1e-15
+        assert_step_matches(*envs, STAY)
+
+
+# -- float rewrites stay on numpy's transcendentals ---------------------------
+
+ENV_SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pastarl" / "envs").glob("*.py"))
+LIBM_NAMES = {"cos", "sin", "atan2", "tan", "exp", "log"}
+
+
+def libm_transcendentals(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each use of math.cos, sin, atan2, tan, exp or log in
+    source, through ``import math [as x]`` or ``from math import ...``."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "math"
+    }
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in LIBM_NAMES
+                and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            hits += [(node.lineno, alias.name) for alias in node.names if alias.name in LIBM_NAMES]
+    return sorted(hits)
+
+
+class TestTranscendentalGuard:
+    def test_envs_use_no_libm_transcendentals(self):
+        assert ENV_SOURCES
+        found = {path.name: hits for path in ENV_SOURCES if (hits := libm_transcendentals(path.read_text()))}
+        assert not found, (
+            f"math transcendentals in src/pastarl/envs: {found}.  numpy's SIMD kernels for "
+            "cos, sin, atan2, tan, exp and log are not bit-equal to libm's on AVX-512 hosts, "
+            "so a float rewrite that calls math.* moves golden bits; call the numpy ufunc."
+        )
+
+    def test_guard_sees_every_import_form(self):
+        source = "import math\nimport math as m\nfrom math import exp, sqrt\nmath.atan2(1, 2)\nm.cos(0)\nmath.sqrt(2)\n"
+        assert libm_transcendentals(source) == [(3, "exp"), (4, "atan2"), (5, "cos")]
 
 
 class TestStub:

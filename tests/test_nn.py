@@ -259,6 +259,31 @@ class TestAdam:
             want -= lr * (m / (1 - b1**k)) / (np.sqrt(v / (1 - b2**k)) + eps)
         np.testing.assert_allclose(got, want, rtol=1e-14)
 
+    @pytest.mark.parametrize("ascent", [False, True])
+    def test_in_place_step_matches_the_expressions_bit_for_bit(self, ascent):
+        """60 steps on gradients whose scales span 1e-8 to 1e4 (zeros and sign
+        flips included) against Adam written as plain expressions; m and v are
+        updated in place, so they stay the same objects."""
+        rng = np.random.default_rng(11)
+        size = 257
+        state = AdamState(size, lr=3e-3)
+        m_obj, v_obj = state.m, state.v
+        got = rng.normal(size=size)
+        want, m, v = got.copy(), np.zeros(size), np.zeros(size)
+        b1, b2 = state.beta1, state.beta2
+        for t in range(1, 61):
+            g = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 4, size=size)
+            g[rng.random(size) < 0.05] = 0.0
+            adam_update(got, g, state, ascent=ascent)
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            step = state.lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + state.eps)
+            want = want + step if ascent else want - step
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            np.testing.assert_array_equal(state.m.view(np.int64), m.view(np.int64))
+            np.testing.assert_array_equal(state.v.view(np.int64), v.view(np.int64))
+        assert state.m is m_obj and state.v is v_obj and state.step_count == 60
+
     def test_non_finite_gradient_raises_named_divergence(self):
         state = AdamState(2)
         with pytest.raises(DivergenceError, match="actor"):

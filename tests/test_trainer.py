@@ -8,12 +8,8 @@ from pastarl.cli import run_training
 from pastarl.envs.base import MomdpEnv
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.gae import RolloutBatch
-from pastarl.trainer import (
-    TrainConfig,
-    Trainer,
-    clipped_objective_loss,
-    weighted_value_loss,
-)
+from pastarl.trainer import TrainConfig, Trainer, weighted_value_loss
+from tests.oracles import clipped_objective_loss
 
 
 def stub_cfg(**overrides) -> TrainConfig:
@@ -288,6 +284,23 @@ class TestScalarizationRouting:
         r_bar = np.array([0.5, 0.5])
         t._actor_update(x, batch, np.arange(T), eta, j_worst, r_bar)
         return t.actor.params
+
+    @pytest.mark.parametrize("algorithm", ["pasta", "linear"])
+    def test_reported_clip_losses_are_the_clipped_objective(self, algorithm):
+        """Logged probabilities off the current policy's put the ratio on both
+        sides of the clip range; the reported per-objective losses are the
+        minibatch means of the clipped objective, bit for bit."""
+        t = Trainer(stub_cfg(algorithm=algorithm, preference=(1.0, 0.0)))
+        T = 16
+        rng = np.random.default_rng(3)
+        batch, x = make_flat_batch(t, T, rng.normal(size=(T, 2)))
+        batch.log_probs = batch.log_probs + rng.normal(scale=0.5, size=T)
+        means, _ = t.actor.mean_forward(x)
+        ratio = np.exp(t.actor.log_probs(means, batch.pre_clamp) - batch.log_probs)
+        assert (ratio < 1.0 - t.cfg.clip_eps).any() and (ratio > 1.0 + t.cfg.clip_eps).any()
+        _, clip_losses = t._actor_update(x, batch, np.arange(T), np.array([0.5, 0.5]), 0, np.array([0.5, 0.5]))
+        expected = clipped_objective_loss(ratio[:, None], batch.norm_advantages, t.cfg.clip_eps).mean(axis=0)
+        np.testing.assert_array_equal(clip_losses, expected)
 
     def test_linear_with_onehot_weight_ignores_other_objective(self):
         rng = np.random.default_rng(7)
