@@ -13,7 +13,6 @@ import itertools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -123,29 +122,31 @@ def load_actor(path) -> tuple:
 def run_training(cfg: dict, out_dir) -> Path:
     """Train one run and write manifest, metrics.csv, eval.csv, checkpoints."""
     tc = configlib.build_train_config(cfg)
-    trainer = Trainer(tc)  # bad input fails here, before any file is written
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    configlib.write_manifest(out_dir, cfg)
-    m = trainer.m
-    with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
-        mw, ew = _writer(mf), _writer(ef)
-        mw.writerow(_metrics_header(m))
-        ew.writerow(_eval_header(m))
-        ew.writerow(_eval_row(trainer.evaluate(0)))
-        for k in range(tc.total_iterations):
-            report = trainer.run_iteration()
-            if (k + 1) % tc.eval_every == 0 or k == tc.total_iterations - 1:
-                report.eval = trainer.evaluate(k + 1)
-                ew.writerow(_eval_row(report.eval))
-            mw.writerow(_metrics_row(report, m))
-            if (
-                tc.checkpoint_every
-                and (k + 1) % tc.checkpoint_every == 0
-                and k != tc.total_iterations - 1
-            ):
-                save_trainer_checkpoint(trainer, out_dir / f"checkpoint_iter{k + 1:05d}.json")
-        save_trainer_checkpoint(trainer, out_dir / "checkpoint_final.json")
+    # Bad input fails in Trainer(), before any file is written; leaving the
+    # block stops the critic's worker process, on errors too.
+    with Trainer(tc) as trainer:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        configlib.write_manifest(out_dir, cfg)
+        m = trainer.m
+        with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
+            mw, ew = _writer(mf), _writer(ef)
+            mw.writerow(_metrics_header(m))
+            ew.writerow(_eval_header(m))
+            ew.writerow(_eval_row(trainer.evaluate(0)))
+            for k in range(tc.total_iterations):
+                report = trainer.run_iteration()
+                if (k + 1) % tc.eval_every == 0 or k == tc.total_iterations - 1:
+                    report.eval = trainer.evaluate(k + 1)
+                    ew.writerow(_eval_row(report.eval))
+                mw.writerow(_metrics_row(report, m))
+                if (
+                    tc.checkpoint_every
+                    and (k + 1) % tc.checkpoint_every == 0
+                    and k != tc.total_iterations - 1
+                ):
+                    save_trainer_checkpoint(trainer, out_dir / f"checkpoint_iter{k + 1:05d}.json")
+            save_trainer_checkpoint(trainer, out_dir / "checkpoint_final.json")
     return out_dir
 
 
@@ -460,6 +461,9 @@ def cmd_sweep(args) -> int:
 
     out_root.mkdir(parents=True, exist_ok=True)
     if args.workers > 1:
+        # Imported here: it loads multiprocessing, which only this path needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             done = list(pool.map(_sweep_worker, jobs))
     else:

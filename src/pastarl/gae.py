@@ -49,17 +49,27 @@ def compute_gae(batch: RolloutBatch, gamma: float, lam: float) -> RolloutBatch:
     delta_t = r_t + gamma * (1 - done_t) * V(s_{t+1}) - V(s_t)
     A_t     = delta_t + gamma * lam * (1 - done_t) * A_{t+1}
     targets = A + V
+
+    The recursion runs on Python floats, one objective at a time, and
+    multiplies and adds in the order written above, ((gamma * nd) * V) and
+    ((gamma * lam) * nd) * A, so it rounds exactly as the same expressions
+    on numpy rows do.
     """
     r = np.asarray(batch.rewards, dtype=np.float64)
     v = np.asarray(batch.values, dtype=np.float64)
-    not_done = 1.0 - np.asarray(batch.dones, dtype=np.float64)
+    not_done = (1.0 - np.asarray(batch.dones, dtype=np.float64)).tolist()
     T, m = r.shape
-    adv = np.zeros((T, m))
-    carry = np.zeros(m)
-    for t in range(T - 1, -1, -1):
-        delta = r[t] + gamma * not_done[t] * v[t + 1] - v[t]
-        carry = delta + gamma * lam * not_done[t] * carry
-        adv[t] = carry
+    g_nd = [gamma * nd for nd in not_done]
+    gl = gamma * lam
+    gl_nd = [gl * nd for nd in not_done]
+    adv = np.empty((T, m))
+    for i, (r_i, v_i) in enumerate(zip(r.T.tolist(), v.T.tolist())):
+        column = [0.0] * T
+        carry = 0.0
+        for t in range(T - 1, -1, -1):
+            carry = (r_i[t] + g_nd[t] * v_i[t + 1] - v_i[t]) + gl_nd[t] * carry
+            column[t] = carry
+        adv[:, i] = column
     batch.advantages = adv
     batch.value_targets = adv + v[:T]
     return batch

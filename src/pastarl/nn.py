@@ -168,7 +168,9 @@ class Network:
         out = h[..., 0, :] if single else h
         return out, Tape(self, inputs, outputs, single, out.shape)
 
-    def backward(self, tape: Tape, output_grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def backward(
+        self, tape: Tape, output_grad: np.ndarray, input_grad: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None]:
         """Backpropagate d(sum_b output_grad[b] . output[b]) onto parameters.
 
         output_grad has the shape of the forward output, optionally with one
@@ -176,6 +178,8 @@ class Network:
         one pass.  Returns (flat_grad, input_grad): flat_grad follows the
         flat layout, (n_params,) or (k, n_params), and input_grad has the
         shape of the forward input, with the same leading axes as the output.
+        With input_grad=False the first layer's input-gradient matmul is
+        skipped and None comes back in its place.
         """
         if tape.net is not self:
             raise ContractViolationError("tape does not match this network")
@@ -195,9 +199,12 @@ class Network:
             gw = np.swapaxes(dz, -1, -2) @ tape.inputs[idx]
             grads[..., w] = gw.reshape(gw.shape[:-2] + (-1,))
             grads[..., b] = dz.sum(axis=-2)
-            g = dz @ l.weights
-        input_grad = g[..., 0, :] if tape.single else g
-        return grads.reshape(objectives + (self.n_params,)), input_grad
+            if idx or input_grad:
+                g = dz @ l.weights
+        flat = grads.reshape(objectives + (self.n_params,))
+        if not input_grad:
+            return flat, None
+        return flat, g[..., 0, :] if tape.single else g
 
 
 @dataclass
@@ -296,7 +303,9 @@ def save_checkpoint(path, networks: dict, vectors: dict | None = None, metadata:
         "vectors": {name: np.asarray(v, dtype=np.float64).tolist() for name, v in (vectors or {}).items()},
     }
     with open(path, "w") as f:
-        json.dump(payload, f)
+        # json.dumps takes the C encoder; json.dump streams through the
+        # pure-Python one.  The bytes are the same.
+        f.write(json.dumps(payload))
 
 
 def load_checkpoint(path) -> tuple[dict, dict, dict]:

@@ -133,7 +133,7 @@ class GaussianActor:
         g_log_std = (c[:, :, None] * (diff * diff / var - 1.0)).sum(axis=1)
         head_grad_input = g_mean[:, 0] if tape.head.single else g_mean
         head_flat, feat_grad = self.mean_head.backward(tape.head, head_grad_input)
-        backbone_flat, _ = self.backbone.backward(tape.backbone, feat_grad)
+        backbone_flat, _ = self.backbone.backward(tape.backbone, feat_grad, input_grad=False)
         return np.concatenate([backbone_flat, head_flat, g_log_std], axis=1)
 
 
@@ -143,17 +143,18 @@ class BranchedCritic:
     ``params`` holds the trunk's flat vector, then each head's in objective
     order.  The heads share one shape, so they also run as a single stacked
     network over an (m, head size) view of that vector; ``heads`` keeps one
-    view Network per head for checkpoints.
+    view Network per head for checkpoints.  The constructor copies the given
+    parts into ``params``, a new vector or the buffer passed in.
     """
 
-    def __init__(self, trunk: Network, heads: list[Network]):
+    def __init__(self, trunk: Network, heads: list[Network], params: np.ndarray | None = None):
         for h in heads:
             if h.in_dim != trunk.out_dim or h.out_dim != 1:
                 raise ContractViolationError("head shape does not fit trunk")
             if network_spec(h) != network_spec(heads[0]):
                 raise ContractViolationError("value heads must share one shape")
         self.m = len(heads)
-        self.params = np.concatenate([trunk.params] + [h.params for h in heads])
+        self.params = np.concatenate([trunk.params] + [h.params for h in heads], out=params)
         nt = trunk.n_params
         self.trunk = Network(trunk.dims, trunk.activations, self.params[:nt])
         dims, acts = heads[0].dims, heads[0].activations
@@ -191,14 +192,21 @@ class BranchedCritic:
         # exactly as a lone head network would.
         dv = np.ascontiguousarray(np.asarray(dvals, dtype=np.float64).T)[..., None]
         head_flat, feat_grads = self.stacked_heads.backward(tape_h, dv)
-        trunk_flat, _ = self.trunk.backward(tape_t, feat_grads.sum(axis=0))
+        trunk_flat, _ = self.trunk.backward(tape_t, feat_grads.sum(axis=0), input_grad=False)
         return np.concatenate([trunk_flat, head_flat])
 
 
 class SharedCritic:
-    """Single network emitting all m values from one output layer."""
+    """Single network emitting all m values from one output layer.
 
-    def __init__(self, net: Network):
+    Given a ``params`` buffer, the network's vector is copied into it and
+    the critic runs on the buffer.
+    """
+
+    def __init__(self, net: Network, params: np.ndarray | None = None):
+        if params is not None:
+            params[...] = net.params
+            net = Network(net.dims, net.activations, params)
         self.net = net
         self.params = net.params
         self.m = net.out_dim
@@ -223,5 +231,5 @@ class SharedCritic:
         return self.net.forward(x)[0]
 
     def backward(self, cache, dvals: np.ndarray) -> np.ndarray:
-        flat, _ = self.net.backward(cache, dvals)
+        flat, _ = self.net.backward(cache, dvals, input_grad=False)
         return flat

@@ -1,3 +1,6 @@
+import gc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,3 +29,35 @@ def finite_difference(fn, theta, h=1e-5):
         dn[i] -= h
         g[i] = (fn(up) - fn(dn)) / (2.0 * h)
     return g
+
+
+PROC_TASKS = Path("/proc/self/task")
+
+
+def live_child_pids() -> set[int]:
+    """Pids of this process's children, running or not yet reaped (Linux)."""
+    pids: set[int] = set()
+    for path in PROC_TASKS.glob("*/children"):
+        pids.update(int(pid) for pid in path.read_text().split())
+    return pids
+
+
+@pytest.fixture
+def child_pids():
+    """The function that lists this process's child processes."""
+    if next(PROC_TASKS.glob("*/children"), None) is None:
+        pytest.skip("listing child processes needs /proc/self/task/*/children")
+    return live_child_pids
+
+
+def pytest_sessionfinish(session):
+    """Fail the run if a test left a child process behind, such as a
+    trainer's critic worker."""
+    gc.collect()  # a dropped trainer reaps its worker when collected
+    left = sorted(live_child_pids())
+    if left:
+        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+        if reporter is not None:
+            reporter.ensure_newline()
+            reporter.write_sep("=", f"child processes still running after the tests: {left}", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

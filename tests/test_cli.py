@@ -258,6 +258,23 @@ class TestSweep:
             assert (run_dir / "metrics.csv").exists()
             assert (run_dir / "manifest.json").exists()
 
+    def test_pool_workers_write_the_same_bytes_as_one_process(self, tiny_ini, tmp_path, child_pids):
+        """Pool processes run the critic inline; this process may fork a
+        critic worker.  The outputs are the same bytes either way."""
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers{workers}"
+            argv = ["sweep", "--config", str(tiny_ini), "--out", str(out), "--axis", "seed=0,1"]
+            assert main(argv + ["--workers", workers]) == 0
+            outputs.append({
+                str(p.relative_to(out)): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name not in ("manifest.json", "sweep_manifest.json")
+            })
+        assert len(outputs[0]) == 2 * 3  # metrics.csv, eval.csv, final checkpoint per run
+        assert outputs[0] == outputs[1]
+        assert not child_pids()
+
     def test_cartesian_product_of_axes(self, tiny_ini, tmp_path):
         out = tmp_path / "sw"
         rc = main([

@@ -95,6 +95,26 @@ class TestComputeGae:
             compute_gae(solo, 0.97, 0.9)
             np.testing.assert_array_equal(batch.advantages[:, [i]], solo.advantages)
 
+    def test_matches_the_numpy_row_recursion_bit_for_bit(self):
+        """The float recursion rounds as the recursion on numpy rows did."""
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            T, m = int(rng.integers(1, 200)), int(rng.integers(1, 5))
+            rewards = rng.normal(size=(T, m)) * 10.0 ** rng.integers(-3, 4)
+            dones = rng.random(T) < 0.1
+            values = rng.normal(size=(T + 1, m))
+            gamma, lam = float(rng.uniform(0.8, 1.0)), float(rng.uniform(0.5, 1.0))
+            not_done = 1.0 - dones.astype(np.float64)
+            expected = np.zeros((T, m))
+            carry = np.zeros(m)
+            for t in range(T - 1, -1, -1):
+                delta = rewards[t] + gamma * not_done[t] * values[t + 1] - values[t]
+                carry = delta + gamma * lam * not_done[t] * carry
+                expected[t] = carry
+            batch = compute_gae(make_batch(rewards, dones, values), gamma, lam)
+            assert batch.advantages.tobytes() == expected.tobytes()
+            assert batch.value_targets.tobytes() == (expected + values[:T]).tobytes()
+
     def test_done_boundary_blocks_leakage(self):
         # Identical prefixes, different post-done suffixes: advantages before
         # the boundary must be identical.

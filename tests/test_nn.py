@@ -207,6 +207,20 @@ class TestBackward:
             np.testing.assert_array_equal(flat[i * part.n_params : (i + 1) * part.n_params], flat_i)
             np.testing.assert_array_equal(input_grad[i], input_grad_i)
 
+    def test_skipping_the_input_grad_keeps_the_parameter_grad(self, rng):
+        """input_grad=False drops only the first layer's input-gradient matmul."""
+        for dims, acts in ARCHS:
+            for stack in (None, 3):
+                net = Network(dims, acts, stack=stack)
+                net.params[:] = rng.normal(size=net.n_params)
+                for x in (rng.normal(size=(6, dims[0])), rng.normal(size=dims[0])):
+                    out, tape = net.forward(x)
+                    for v in (rng.normal(size=out.shape), rng.normal(size=(4,) + out.shape)):
+                        flat, _ = net.backward(tape, v)
+                        trimmed, input_grad = net.backward(tape, v, input_grad=False)
+                        assert input_grad is None
+                        assert trimmed.tobytes() == flat.tobytes()
+
     def test_tape_from_other_network_rejected(self, rng):
         a = Network.random([3, 2], ["tanh"], rng)
         b = Network.random([3, 3], ["tanh"], rng)

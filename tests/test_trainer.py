@@ -1,10 +1,19 @@
 import csv
+import faulthandler
+import functools
+import gc
+import operator
+import os
+import signal
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pastarl import config as configlib
-from pastarl.cli import run_training
+from pastarl import trainer as trainer_mod
+from pastarl.cli import main, run_training
 from pastarl.envs.base import MomdpEnv
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.gae import RolloutBatch
@@ -179,26 +188,27 @@ class TestIterationMechanics:
         rep = t.run_iteration()
         np.testing.assert_allclose(rep.clip_losses, [0.0, 0.0], atol=1e-12)
 
-    def test_critic_updates_precede_actor_updates_per_minibatch(self, monkeypatch):
-        events = []
+    def test_critic_and_actor_loops_see_the_same_minibatches(self, monkeypatch):
+        monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: False)
+        seen = {"_critic_update": [], "_actor_update": []}
 
         def recording(name):
             method = getattr(Trainer, name)
 
             def wrapped(self, x, *args):
-                events.append((name, x.copy()))
+                seen[name].append(x.copy())
                 return method(self, x, *args)
 
             return wrapped
 
-        for name in ("_critic_update", "_actor_update"):
+        for name in seen:
             monkeypatch.setattr(Trainer, name, recording(name))
-        Trainer(stub_cfg(horizon=64, epochs=2, minibatch=32)).run_iteration()
-        assert len(events) == 2 * 2 * (64 // 32)
-        for k in range(0, len(events), 2):
-            critic, actor = events[k], events[k + 1]
-            assert critic[0] == "_critic_update" and actor[0] == "_actor_update"
-            np.testing.assert_array_equal(critic[1], actor[1])  # the same minibatch
+        Trainer(stub_cfg(horizon=64, epochs=2, minibatch=24)).run_iteration()
+        critic, actor = seen["_critic_update"], seen["_actor_update"]
+        assert [len(x) for x in critic] == [24, 24, 16] * 2
+        assert len(actor) == len(critic)
+        for c, a in zip(critic, actor):
+            np.testing.assert_array_equal(c, a)
 
     def test_conflicting_stub_objectives_produce_nonzero_kappa(self):
         t = Trainer(stub_cfg(seed=2))
@@ -227,6 +237,226 @@ class TestIterationMechanics:
         bad = np.full((4, 2), np.nan)
         with pytest.raises(DivergenceError, match="value_loss"):
             t._critic_update(x, bad, np.array([0.5, 0.5]))
+
+
+def interleaved_epochs(t, batch, eta, eta_critic, j_worst, r_bar):
+    """Reference for Trainer._epochs: the epoch loop as it was before the
+    critic's epochs and the actor's were split, drawing each epoch's
+    permutation as the epoch starts and updating the critic, then the
+    actor, in every minibatch."""
+    cfg, T = t.cfg, t.cfg.horizon
+    inputs = np.hstack([batch.states, np.tile(t.w, (T, 1))])
+    value_losses, kappas, clip_loss_acc, entropy_acc = [], [], np.zeros(t.m), 0.0
+    for _ in range(cfg.epochs):
+        perm = t.shuffle_rng.permutation(T)
+        for start in range(0, T, cfg.minibatch):
+            mb = perm[start : start + cfg.minibatch]
+            value_loss = t._critic_update(inputs[mb], batch.value_targets[mb], eta_critic)
+            kappa_b, clip_losses = t._actor_update(inputs[mb], batch, mb, eta, j_worst, r_bar)
+            kappas.append(kappa_b)
+            clip_loss_acc += clip_losses
+            value_losses.append(value_loss)
+            entropy_acc += t.actor.entropy()
+    return value_losses, kappas, clip_loss_acc, entropy_acc
+
+
+def reference_trainer(cfg) -> Trainer:
+    t = Trainer(cfg)
+    t._epochs = functools.partial(interleaved_epochs, t)
+    return t
+
+
+@pytest.fixture(params=["inline", "worker"])
+def placement(request, monkeypatch):
+    """Runs the critic's epochs inline or in a worker, whatever the host's CPUs."""
+    monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: request.param == "worker")
+    return request.param
+
+
+ORIGINAL_UPDATES = {name: getattr(Trainer, name) for name in ("_critic_update", "_actor_update")}
+
+
+def failing_update(name, k):
+    """The update `name` raising DivergenceError at its k-th call (from 0) in
+    the process that runs it."""
+    original, calls = ORIGINAL_UPDATES[name], [0]
+
+    def update(self, *args):
+        calls[0] += 1
+        if calls[0] == k + 1:
+            raise DivergenceError(f"{name} failed at minibatch {k}")
+        return original(self, *args)
+
+    return update
+
+
+class TestSplitEpochs:
+    @pytest.mark.parametrize("critic", ["branched_weighted", "shared_unweighted"])
+    @pytest.mark.parametrize("algorithm", ["pasta", "linear", "tch"])
+    def test_matches_the_interleaved_loop_bit_for_bit(self, algorithm, critic, placement):
+        # minibatch 24 leaves a short last minibatch in each epoch.
+        cfg = stub_cfg(algorithm=algorithm, critic=critic, minibatch=24, seed=5)
+        ref = reference_trainer(cfg)
+        with Trainer(cfg) as t:
+            for _ in range(3):
+                assert t.run_iteration() == ref.run_iteration()
+            assert (t._worker is not None) == (placement == "worker")
+            for name in ("actor.params", "critic.params", "critic_opt.m", "critic_opt.v", "actor_opt.m"):
+                get = operator.attrgetter(name)
+                assert get(t).tobytes() == get(ref).tobytes(), name
+            assert t.critic_opt.step_count == ref.critic_opt.step_count == 3 * 2 * 3
+            for rng in ("shuffle_rng", "projection_rng"):
+                assert getattr(t, rng).bit_generator.state == getattr(ref, rng).bit_generator.state
+            assert t.evaluate(3) == ref.evaluate(3)
+
+    @pytest.mark.parametrize(
+        "critic_at, actor_at, winner",
+        [(2, None, "_critic"), (None, 2, "_actor"), (2, 2, "_critic"), (2, 1, "_actor"), (1, 3, "_critic")],
+    )
+    def test_raises_the_error_of_the_interleaved_loop(
+        self, monkeypatch, placement, critic_at, actor_at, winner
+    ):
+        def first_error(make) -> str:
+            for name, k in (("_critic_update", critic_at), ("_actor_update", actor_at)):
+                if k is not None:
+                    monkeypatch.setattr(Trainer, name, failing_update(name, k))
+            with make(stub_cfg()) as t, pytest.raises(DivergenceError) as info:
+                t.run_iteration()
+            return str(info.value)
+
+        expected = first_error(reference_trainer)
+        assert expected.startswith(winner)
+        assert first_error(Trainer) == expected
+
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """Forces a critic worker on every trainer and lists the pids started."""
+    pids = []
+    start = trainer_mod._CriticWorker.__init__
+
+    def recording(self, trainer):
+        start(self, trainer)
+        pids.append(self.pid)
+
+    monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: True)
+    monkeypatch.setattr(trainer_mod._CriticWorker, "__init__", recording)
+    return pids
+
+
+class TestCriticWorker:
+    def tiny_train_config(self, tmp_path):
+        path = tmp_path / "tiny.ini"
+        path.write_text(
+            "[environment]\nname = stub\nepisode_cap = 8\n"
+            "[ppo]\nhorizon = 64\nepochs = 2\nminibatch = 32\ntotal_iterations = 2\nhidden = 16\n"
+            "[output]\neval_every = 2\neval_episodes = 2\n"
+        )
+        return path
+
+    def test_train_leaves_no_child_process(self, tmp_path, worker_pids, child_pids):
+        ini = self.tiny_train_config(tmp_path)
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 0
+        assert len(worker_pids) == 1
+        assert not child_pids()
+
+    def test_divergence_exits_3_with_the_inline_message_and_no_child(
+        self, tmp_path, monkeypatch, capsys, child_pids
+    ):
+        ini = self.tiny_train_config(tmp_path)
+        messages = []
+        for wanted in (False, True):
+            monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: wanted)
+            monkeypatch.setattr(Trainer, "_critic_update", failing_update("_critic_update", 3))
+            assert main(["train", "--config", str(ini), "--out", str(tmp_path / f"run{wanted}")]) == 3
+            messages.append(capsys.readouterr().err)
+            assert not child_pids()
+        assert messages[0] == messages[1] == "divergence: _critic_update failed at minibatch 3\n"
+
+    def test_dropped_trainer_reaps_its_worker(self, worker_pids, child_pids):
+        t = Trainer(stub_cfg())
+        t.run_iteration()
+        assert worker_pids and set(worker_pids) <= child_pids()
+        del t
+        gc.collect()
+        assert not set(worker_pids) & child_pids()
+
+    def test_closed_trainer_runs_on_inline_and_bit_for_bit(self, worker_pids, child_pids):
+        ref = reference_trainer(stub_cfg())
+        t = Trainer(stub_cfg())
+        assert t.run_iteration() == ref.run_iteration()
+        t.close()
+        assert not child_pids()
+        for _ in range(2):
+            assert t.run_iteration() == ref.run_iteration()
+        assert len(worker_pids) == 1
+        assert t.critic.params.tobytes() == ref.critic.params.tobytes()
+
+    def test_more_workers_than_cores_keep_their_own_state(self, worker_pids, child_pids):
+        """Several trainers, each with a worker, step in turn; each matches its
+        own inline reference bit for bit, and closing them in any order reaps
+        every worker."""
+        faulthandler.dump_traceback_later(60, exit=True)  # a hung pipe ends the run
+        try:
+            n = len(os.sched_getaffinity(0)) + 2
+            cfgs = [stub_cfg(seed=20 + i, algorithm=("pasta", "linear")[i % 2]) for i in range(n)]
+            trainers = [Trainer(cfg) for cfg in cfgs]
+            refs = [reference_trainer(cfg) for cfg in cfgs]
+            for _ in range(3):
+                for t, ref in zip(trainers, refs):
+                    assert t.run_iteration() == ref.run_iteration()
+            assert len(worker_pids) == n and set(worker_pids) <= child_pids()
+            for t, ref in zip(trainers, refs):
+                assert t.critic.params.tobytes() == ref.critic.params.tobytes()
+            for t in trainers[1::2] + trainers[::2]:
+                t.close()
+            assert not child_pids()
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
+    def test_worker_exits_when_its_parent_dies(self, child_pids):
+        """A process that dies holding an unclosed trainer leaves no worker
+        running: the worker reads end-of-file and exits."""
+        pid_r, pid_w = os.pipe()
+        parent = os.fork()
+        if parent == 0:  # a parent that dies without closing its trainers
+            try:
+                trainer_mod._worker_wanted = lambda: True
+                trainers = [Trainer(stub_cfg(seed=s)) for s in (1, 2)]
+                for t in trainers:
+                    t.run_iteration()
+                os.write(pid_w, b"".join(t._worker.pid.to_bytes(8, "little") for t in trainers))
+            finally:
+                os._exit(0)
+        os.close(pid_w)
+        data = b""  # read no further: the workers hold the pipe open too
+        while len(data) < 16 and (chunk := os.read(pid_r, 16 - len(data))):
+            data += chunk
+        os.close(pid_r)
+        os.waitpid(parent, 0)
+        assert len(data) == 16
+        workers = [int.from_bytes(data[i : i + 8], "little") for i in (0, 8)]
+
+        def running(pid) -> bool:  # exited workers may stay zombies of init
+            try:
+                stat = Path(f"/proc/{pid}/stat").read_text()
+            except FileNotFoundError:
+                return False
+            return stat[stat.rindex(")") + 2] != "Z"
+
+        deadline = time.monotonic() + 30
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        left = [pid for pid in workers if running(pid)]
+        for pid in left:  # a failing run leaves nothing behind either
+            os.kill(pid, signal.SIGKILL)
+        assert not left
+
+    def test_worker_is_not_wanted_in_a_pool_process(self):
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(trainer_mod._worker_wanted).result() is False
 
 
 class TestAlgorithmTraces:
