@@ -80,10 +80,13 @@ class StealthWorld(MomdpEnv):
     # elementwise ops do; every 2-vector norm still goes through _norms (one
     # stacked pass per query, since a0*a0 + a1*a1 differs in the last bit), and
     # cos, sin and arctan2 stay numpy ufuncs (libm's differ from numpy's SIMD
-    # kernels on AVX-512 hosts).  The lidar runs over all rays and objects at
-    # once with the elementwise formulas of a per-object loop.  So every result
-    # is bit-identical to per-object numpy code; tests/test_envs.py keeps it as
-    # the reference.
+    # kernels on AVX-512 hosts).  The lidar runs over all rays and the objects
+    # within its reach at once with the elementwise formulas of a per-object
+    # loop.  Reach alone is tested on floats, dx*dx + dy*dy against a limit
+    # 1e-9 beyond lidar_range: that sum may differ from _dot in the last bit,
+    # but it only decides which objects are skipped, never a reading.  So every
+    # result is bit-identical to per-object numpy code; tests/test_envs.py
+    # keeps it as the reference.
 
     def _overlaps(self, p, radius: float) -> bool:
         """Whether a disc of ``radius`` at p = (x, y) overlaps an obstacle circle or rect."""
@@ -240,38 +243,35 @@ class StealthWorld(MomdpEnv):
         best = np.where(t > 0, t, np.inf).min(axis=(1, 2))
 
         # Which discs (obstacle circles, then unscanned targets) and rects lie
-        # within reach: one _dot over each disc's offset from the agent and
-        # each rect's gap to its nearest point.
+        # within reach, tested on floats (see the geometry note above).
         discs = [(cx - x, cy - y, self.circle_radius) for cx, cy in self.circles.tolist()]
         discs += [
             (tx - x, ty - y, self.target_radius)
             for (tx, ty), done in zip(self.targets.tolist(), self.scanned.tolist())
             if not done
         ]
+        discs = [(dx, dy, r) for dx, dy, r in discs if dx * dx + dy * dy < (reach + r) * (reach + r)]
         rx, ry = self.rect_half.tolist()
-        boxes = [(cx - rx, cy - ry, cx + rx, cy + ry) for cx, cy in self.rects.tolist()]
-        rows = [v for dx, dy, _ in discs for v in (dx, dy)]
-        for lx, ly, ux, uy in boxes:
-            rows += (max(max(lx - x, x - ux), 0.0), max(max(ly - y, y - uy), 0.0))
-        offsets = np.array(rows).reshape(-1, 2)
-        sq = _dot(offsets, offsets).tolist()
+        boxes = []
+        for cx, cy in self.rects.tolist():
+            lx, ly, ux, uy = cx - rx, cy - ry, cx + rx, cy + ry
+            gx, gy = max(max(lx - x, x - ux), 0.0), max(max(ly - y, y - uy), 0.0)
+            if gx * gx + gy * gy < reach * reach:  # the gap to the nearest point
+                boxes.append((lx, ly, ux, uy))
 
         # Discs: t[ray, disc] is the first crossing b - sqrt(b^2 - |rel|^2 + r^2)
         # in front of the agent.
-        close = [k for k, (_, _, r) in enumerate(discs) if sq[k] < (reach + r) * (reach + r)]
-        if close:
-            rel = offsets[close]
-            rr = np.array([sq[k] for k in close])
-            radii = np.array([discs[k][2] for k in close])
+        if discs:
+            rel = np.array([(dx, dy) for dx, dy, _ in discs])
+            radii = np.array([r for _, _, r in discs])
             b = _dot(rel[None, :, :], u[:, None, :])
-            disc = b * b - rr + radii * radii
+            disc = b * b - _dot(rel, rel) + radii * radii
             t = b - np.sqrt(np.maximum(disc, 0.0))
             best = np.minimum(best, np.where((disc >= 0) & (t > 0), t, np.inf).min(axis=1))
 
         # Rects: slab test, t[ray, rect, axis] to the near and far faces.
-        close = [box for box, d in zip(boxes, sq[len(discs):]) if d < reach * reach]
-        if close:
-            box = np.array(close)
+        if boxes:
+            box = np.array(boxes)
             lo, hi = box[:, :2], box[:, 2:]
             t1, t2 = (lo - pos) / den, (hi - pos) / den
             near = np.where(par[:, None, :], -np.inf, np.minimum(t1, t2)).max(axis=2)

@@ -14,7 +14,6 @@ critic is a single network with an m-dimensional output layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -26,12 +25,6 @@ LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 ENTROPY_CONST = 0.5 * float(np.log(2.0 * np.pi * np.e))
-
-
-class ActSample(NamedTuple):
-    action: np.ndarray     # clamped into [0, 1]^d
-    log_prob: float        # density of the pre-clamp sample
-    pre_clamp: np.ndarray
 
 
 @dataclass
@@ -88,23 +81,9 @@ class GaussianActor:
     def log_probs(self, means: np.ndarray, pre_clamp: np.ndarray) -> np.ndarray:
         """Diagonal-Gaussian log density of raw samples over the last axis;
         batched over any leading axes."""
-        return self._log_density(means, pre_clamp, np.exp(self.log_std))
-
-    def _log_density(self, means: np.ndarray, pre: np.ndarray, std: np.ndarray) -> np.ndarray:
-        z = (pre - means) / std
-        return -0.5 * (z * z).sum(axis=-1) - self.log_std.sum() - pre.shape[-1] * HALF_LOG_2PI
-
-    def act(self, state: np.ndarray, w: np.ndarray, rng: np.random.Generator) -> ActSample:
-        means, _ = self.mean_forward(np.concatenate((state, w)))
-        std = np.exp(self.log_std)
-        pre = means + std * rng.standard_normal(self.action_dim)
-        logp = float(self._log_density(means, pre, std))
-        # np.clip's values without its Python-level dispatch.
-        return ActSample(np.minimum(np.maximum(pre, 0.0), 1.0), logp, pre)
-
-    def act_deterministic(self, state: np.ndarray, w: np.ndarray) -> np.ndarray:
-        means, _ = self.mean_forward(np.concatenate((state, w)))
-        return np.minimum(np.maximum(means, 0.0), 1.0)
+        z = (pre_clamp - means) / np.exp(self.log_std)
+        d = pre_clamp.shape[-1]
+        return -0.5 * (z * z).sum(axis=-1) - self.log_std.sum() - d * HALF_LOG_2PI
 
     def entropy(self) -> float:
         """State-independent: sum_d (0.5 ln(2 pi e) + log_std_d)."""

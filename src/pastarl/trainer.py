@@ -101,11 +101,17 @@ def weighted_value_loss(values, targets, eta) -> float:
 def deterministic_returns(actor, env, w, rng, episodes: int) -> np.ndarray:
     """(episodes, m) raw returns of the actor's mean action, resetting env from rng."""
     totals = np.zeros((episodes, env.m))
+    obs_dim = env.observation_dim
+    x = np.empty(obs_dim + len(w))  # the actor's input [obs, w]
+    x[obs_dim:] = w
     for ep in range(episodes):
-        obs = env.reset(rng)
+        x[:obs_dim] = env.reset(rng)
         done = False
         while not done:
-            obs, r, done, _ = env.step(actor.act_deterministic(obs, w))
+            means, _ = actor.mean_forward(x)
+            # np.clip's values without its Python-level dispatch.
+            obs, r, done, _ = env.step(np.minimum(np.maximum(means, 0.0), 1.0))
+            x[:obs_dim] = obs
             totals[ep] += r
     return totals
 
@@ -174,45 +180,58 @@ class Trainer:
     # -- rollout ------------------------------------------------------------
 
     def collect_rollout(self) -> RolloutBatch:
-        cfg = self.cfg
-        T = cfg.horizon
+        """T steps of the Gaussian policy, continuing the episode in progress.
+
+        The actor's parameters hold still for the whole horizon, so its std
+        and the horizon's noise come first: one (T, act_dim) draw, the values
+        T single-step draws give, in order.  Each step then runs only the
+        actor's mean on its [obs, w] row, and the log-probs of all T samples
+        come from one batched pass after the loop.  The same (T + 1)-row
+        input buffer, the bootstrap state last, feeds the critic's values.
+        """
+        T = self.cfg.horizon
+        env, actor = self.env, self.actor
         if self._obs is None:
-            self._obs = self.env.reset(self.env_rng)
+            self._obs = env.reset(self.env_rng)
             self._partial_return[:] = 0.0
-        obs_dim, act_dim = self.env.observation_dim, self.env.action_dim
-        states = np.empty((T, obs_dim))
-        actions = np.empty((T, act_dim))
+        obs_dim, act_dim = env.observation_dim, env.action_dim
+        inputs = np.empty((T + 1, obs_dim + self.m))
+        inputs[:, obs_dim:] = self.w
+        std = np.exp(actor.log_std)
+        noise = self.action_rng.standard_normal((T, act_dim)) * std
+        means = np.empty((T, act_dim))
         pre_clamp = np.empty((T, act_dim))
-        log_probs = np.empty(T)
+        actions = np.empty((T, act_dim))
         rewards = np.empty((T, self.m))
         dones = np.zeros(T, dtype=bool)
         completed: list[np.ndarray] = []
+        obs = self._obs
+        inputs[0, :obs_dim] = obs
         for t in range(T):
-            states[t] = self._obs
-            sample = self.actor.act(self._obs, self.w, self.action_rng)
-            obs2, r, done, _ = self.env.step(sample.action)
-            actions[t] = sample.action
-            pre_clamp[t] = sample.pre_clamp
-            log_probs[t] = sample.log_prob
+            mean = means[t] = actor.mean_forward(inputs[t])[0]
+            pre, action = pre_clamp[t], actions[t]
+            np.add(mean, noise[t], out=pre)
+            # np.clip's values without its Python-level dispatch.
+            np.maximum(pre, 0.0, out=action)
+            np.minimum(action, 1.0, out=action)
+            obs, r, done, _ = env.step(action)
             rewards[t] = r
             dones[t] = done
             self._partial_return += r
             if done:
                 completed.append(self._partial_return.copy())
                 self._partial_return[:] = 0.0
-                obs2 = self.env.reset(self.env_rng)
-            self._obs = obs2
-        all_states = np.vstack([states, self._obs[None, :]])
-        inputs = np.hstack([all_states, np.tile(self.w, (T + 1, 1))])
-        values = np.atleast_2d(self.critic.values(inputs))
+                obs = env.reset(self.env_rng)
+            inputs[t + 1, :obs_dim] = obs
+        self._obs = obs
         return RolloutBatch(
-            states=states,
+            states=inputs[:T, :obs_dim],
             actions=actions,
             pre_clamp=pre_clamp,
-            log_probs=log_probs,
+            log_probs=actor.log_probs(means, pre_clamp),
             rewards=rewards,
             dones=dones,
-            values=values,
+            values=np.atleast_2d(self.critic.values(inputs)),
             episodic_returns=completed,
         )
 

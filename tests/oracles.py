@@ -4,6 +4,8 @@ Nothing under ``src/`` calls these; they are written plainly, with no shared
 helpers, so that a fault in the package cannot hide in its own reference.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 
@@ -47,3 +49,28 @@ def pareto_filter(points) -> np.ndarray:
         if dominated:
             keep[i] = False
     return pts[keep]
+
+
+class ActSample(NamedTuple):
+    action: np.ndarray     # clamped into [0, 1]^d
+    log_prob: float        # density of the pre-clamp sample
+    pre_clamp: np.ndarray
+
+
+def act(actor, state, w, rng) -> ActSample:
+    """One draw from the actor's diagonal Gaussian at [state, w]: the mean
+    plus std times act_dim fresh standard normals, clamped into the box, with
+    the log density of the raw, pre-clamp sample."""
+    means, _ = actor.mean_forward(np.concatenate((state, w)))
+    std = np.exp(actor.log_std)
+    pre = means + std * rng.standard_normal(actor.action_dim)
+    z = (pre - means) / std
+    half_log_2pi = 0.5 * float(np.log(2.0 * np.pi))
+    log_prob = float(-0.5 * (z * z).sum() - actor.log_std.sum() - pre.size * half_log_2pi)
+    return ActSample(np.minimum(np.maximum(pre, 0.0), 1.0), log_prob, pre)
+
+
+def act_deterministic(actor, state, w) -> np.ndarray:
+    """The actor's mean action at [state, w], clamped into the box."""
+    means, _ = actor.mean_forward(np.concatenate((state, w)))
+    return np.minimum(np.maximum(means, 0.0), 1.0)

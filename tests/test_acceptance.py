@@ -20,7 +20,7 @@ from pastarl.envs.base import REWARD_FUNCTIONS, TrajectoryRecorder, replay_rewar
 from pastarl.nn import Network
 from pastarl.scalarize import stch_attention, tch_worst_index, utopia_point
 from pastarl.surgery import project_conflicts
-from pastarl.trainer import TrainConfig, Trainer
+from pastarl.trainer import TrainConfig, Trainer, deterministic_returns
 from tests.oracles import stch_scalarize
 
 
@@ -383,15 +383,7 @@ def test_09_mu_limits_interpolate_tch_and_linear():
 
 def _eval_episode_returns(trainer, episodes=8, seed=12345):
     rng = np.random.default_rng(seed)
-    pts = np.zeros((episodes, trainer.m))
-    for ep in range(episodes):
-        obs = trainer.eval_env.reset(rng)
-        done = False
-        while not done:
-            action = trainer.actor.act_deterministic(obs, trainer.w)
-            obs, r, done, _ = trainer.eval_env.step(action)
-            pts[ep] += r
-    return pts
+    return deterministic_returns(trainer.actor, trainer.eval_env, trainer.w, rng, episodes)
 
 
 def test_10_training_improves_river_crossing():

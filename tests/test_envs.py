@@ -524,6 +524,49 @@ class TestStealthReference:
             assert lidar[0] == 1.0
         assert_matches_reference(env, np.zeros(2))
 
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", ["circle", "target", "rect"])
+    def test_at_the_reach_margin(self, kind, side):
+        """Ray 0 runs along +x from the origin.  The object lies where the
+        lidar's float reach test puts its limit: a disc's center at
+        lidar_range + 1e-9 + r, a rect's near face at lidar_range + 1e-9,
+        or one ulp to either side.  The one ulp inside is kept and the
+        others are skipped, but all lie beyond lidar_range, so every reading
+        is 1 whichever way the test goes."""
+        env = blank_stealth()
+        env.targets = np.array([[0.0, -0.9]])
+        reach = env.lidar_range + 1e-9
+
+        def nudged(v):
+            return np.nextafter(v, side * np.inf) if side else v
+
+        if kind == "rect":
+            gap = nudged(reach)
+            env.rects = np.array([[gap + env.rect_half[0], 0.0]])
+            assert env.rects[0, 0] - env.rect_half[0] == gap
+            assert (gap * gap < reach * reach) == (side < 0)
+        else:
+            r = env.circle_radius if kind == "circle" else env.target_radius
+            center = nudged(reach + r)
+            assert (center * center < (reach + r) * (reach + r)) == (side < 0)
+            if kind == "circle":
+                env.circles = np.array([[center, 0.0]])
+            else:
+                env.targets = np.array([[center, 0.0]])
+        np.testing.assert_array_equal(env.sensors()[1], np.ones(env.n_lidar))
+        assert_matches_reference(env, np.zeros(2))
+
+    def test_disc_only_one_ray_reaches(self):
+        """A circle 0.4 ahead: ray 0 meets it at 0.28, and the rays 18
+        degrees to either side pass it at 0.4 sin 18deg = 0.1236 > 0.12."""
+        env = blank_stealth()
+        env.targets = np.array([[0.0, -0.9]])
+        env.circles = np.array([[0.4, 0.0]])
+        lidar = env.sensors()[1]
+        assert lidar[0] == pytest.approx(0.28 / 0.35, rel=1e-12)
+        assert np.count_nonzero(lidar < 1.0) == 1
+        assert_matches_reference(env, np.zeros(2))
+
     def test_objects_around_the_lidar_reach(self):
         """Discs and rects whose nearest point lies within a few 1e-10 of
         lidar_range, straight along a ray or nearly so."""

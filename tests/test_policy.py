@@ -13,6 +13,7 @@ from pastarl.policy import (
 )
 from pastarl.nn import Network
 from tests.conftest import finite_difference
+from tests.oracles import act, act_deterministic
 
 OBS, M, ACT, HIDDEN = 4, 2, 3, 8
 
@@ -36,23 +37,24 @@ class TestActorSampling:
     def test_actions_live_in_unit_box(self, actor, rng):
         for _ in range(100):
             s = rng.normal(size=OBS) * 3
-            sample = actor.act(s, np.full(M, 0.5), rng)
+            sample = act(actor, s, np.full(M, 0.5), rng)
             assert np.all(sample.action >= 0.0) and np.all(sample.action <= 1.0)
 
     def test_log_prob_evaluated_at_pre_clamp(self, actor, rng):
         s = rng.normal(size=OBS)
         w = np.full(M, 0.5)
-        sample = actor.act(s, w, rng)
+        sample = act(actor, s, w, rng)
         x = np.concatenate([s, w])
         means, _ = actor.mean_forward(x)
         expected = gaussian_logpdf(sample.pre_clamp, means, np.exp(actor.log_std))
         assert sample.log_prob == pytest.approx(expected, rel=1e-12)
+        assert actor.log_probs(means, sample.pre_clamp) == pytest.approx(expected, rel=1e-12)
 
     def test_nearly_deterministic_at_log_std_floor(self, actor, rng):
         actor.log_std[:] = LOG_STD_MIN
         s = rng.normal(size=OBS)
         w = np.full(M, 0.5)
-        sample = actor.act(s, w, rng)
+        sample = act(actor, s, w, rng)
         means, _ = actor.mean_forward(np.concatenate([s, w]))
         np.testing.assert_allclose(sample.pre_clamp, means, atol=1e-8)
 
@@ -60,7 +62,7 @@ class TestActorSampling:
         s = rng.normal(size=OBS)
         w = np.full(M, 0.5)
         means, _ = actor.mean_forward(np.concatenate([s, w]))
-        np.testing.assert_array_equal(actor.act_deterministic(s, w), np.clip(means, 0, 1))
+        np.testing.assert_array_equal(act_deterministic(actor, s, w), np.clip(means, 0, 1))
 
     def test_zero_weights_network_means_half(self, rng):
         actor = GaussianActor.create(OBS, M, ACT, rng, hidden=HIDDEN)
@@ -72,8 +74,8 @@ class TestActorSampling:
     def test_same_rng_same_sample(self, actor):
         s = np.arange(OBS, dtype=np.float64)
         w = np.full(M, 0.5)
-        a = actor.act(s, w, np.random.default_rng(5))
-        b = actor.act(s, w, np.random.default_rng(5))
+        a = act(actor, s, w, np.random.default_rng(5))
+        b = act(actor, s, w, np.random.default_rng(5))
         np.testing.assert_array_equal(a.pre_clamp, b.pre_clamp)
         assert a.log_prob == b.log_prob
 

@@ -14,11 +14,12 @@ import pytest
 from pastarl import config as configlib
 from pastarl import trainer as trainer_mod
 from pastarl.cli import main, run_training
+from pastarl.envs import make_env
 from pastarl.envs.base import MomdpEnv
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.gae import RolloutBatch
-from pastarl.trainer import TrainConfig, Trainer, weighted_value_loss
-from tests.oracles import clipped_objective_loss
+from pastarl.trainer import TrainConfig, Trainer, deterministic_returns, weighted_value_loss
+from tests.oracles import act, act_deterministic, clipped_objective_loss
 
 
 def stub_cfg(**overrides) -> TrainConfig:
@@ -167,6 +168,68 @@ class TestRollout:
         assert b2.dones[3]
         carried = b1.rewards[8:].sum(axis=0) + b2.rewards[:4].sum(axis=0)
         np.testing.assert_allclose(b2.episodic_returns[0], carried)
+
+
+def assert_same_bits(got, want, what: str) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), what
+
+
+def step_by_step_rollout(t: Trainer, T: int) -> dict:
+    """One horizon of oracle ``act`` draws and ``env.step`` calls on t's own
+    streams, continuing the episode in progress as collect_rollout does."""
+    if t._obs is None:
+        t._obs = t.env.reset(t.env_rng)
+    out = {k: [] for k in ("states", "actions", "pre_clamp", "log_probs", "rewards", "dones")}
+    for _ in range(T):
+        sample = act(t.actor, t._obs, t.w, t.action_rng)
+        obs, r, done, _ = t.env.step(sample.action)
+        for key, value in zip(out, (t._obs, sample.action, sample.pre_clamp, sample.log_prob, r, done)):
+            out[key].append(value)
+        t._obs = t.env.reset(t.env_rng) if done else obs
+    out = {k: np.array(v) for k, v in out.items()}
+    states = np.vstack([out["states"], t._obs[None, :]])
+    out["values"] = np.atleast_2d(t.critic.values(np.hstack([states, np.tile(t.w, (T + 1, 1))])))
+    return out
+
+
+ROLLOUT_CASES = [
+    stub_cfg(horizon=20, env_params={"episode_cap": 8}),
+    stub_cfg(env_name="stealth", preference=(0.3, 0.3, 0.4), horizon=24, env_params={"episode_cap": 10}),
+]
+
+
+class TestRolloutAgainstSingleSteps:
+    @pytest.mark.parametrize("cfg", ROLLOUT_CASES, ids=["stub", "stealth"])
+    def test_collect_rollout_equals_act_and_step_loop(self, cfg):
+        """Two horizons, each spanning a reset, the second continuing the
+        episode the first left open: every array and the action stream's
+        state afterwards match the single-step loop bit for bit."""
+        fast, slow = Trainer(cfg), Trainer(cfg)
+        for _ in range(2):
+            batch = fast.collect_rollout()
+            want = step_by_step_rollout(slow, cfg.horizon)
+            assert batch.dones.any()
+            for key, value in want.items():
+                assert_same_bits(getattr(batch, key), value, key)
+            assert fast.action_rng.bit_generator.state == slow.action_rng.bit_generator.state
+            assert_same_bits(fast._obs, slow._obs, "carried observation")
+
+    @pytest.mark.parametrize("cfg", ROLLOUT_CASES, ids=["stub", "stealth"])
+    def test_evaluation_totals_equal_oracle_loop(self, cfg):
+        t = Trainer(cfg)
+        t.actor.params[:] += np.random.default_rng(1).normal(scale=0.3, size=t.actor.n_params)
+        env = make_env(cfg.env_name, **cfg.env_params)
+        rng = np.random.default_rng(5)
+        want = np.zeros((3, t.m))
+        for ep in range(3):
+            obs, done = env.reset(rng), False
+            while not done:
+                obs, r, done, _ = env.step(act_deterministic(t.actor, obs, t.w))
+                want[ep] += r
+        got = deterministic_returns(t.actor, t.eval_env, t.w, np.random.default_rng(5), 3)
+        assert_same_bits(got, want, "evaluation totals")
 
 
 class TestIterationMechanics:
