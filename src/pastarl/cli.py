@@ -23,6 +23,7 @@ from pastarl.envs import make_env
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.nn import load_checkpoint, save_checkpoint
 from pastarl.policy import GaussianActor
+from pastarl.scalarize import preference_vector
 from pastarl.trainer import Trainer, deterministic_returns
 
 
@@ -215,24 +216,50 @@ def _read_eval_csv(path: Path) -> np.ndarray:
     return np.array([[float(r[j]) for j in ret_cols] for r in body])
 
 
-def method_label(manifest: dict) -> str:
-    cfg = manifest["config"]
-    alg_cfg = cfg["algorithm"]
-    name = alg_cfg["name"]
-    if name == "stch_fixed":
-        return f"stch_fixed(mu={alg_cfg['fixed_mu']:g})"
-    tags = []
-    if name == "pasta":
-        if alg_cfg.get("no_pcgrad"):
-            tags.append("no_pcgrad")
-        if alg_cfg.get("weighted_pcgrad"):
-            tags.append("weighted_pcgrad")
-        defaults = configlib.default_config()
-        for section, key in (("algorithm", "critic"), ("controller", "mode")):
-            value = cfg[section].get(key, defaults[section][key])
-            if value != defaults[section][key]:
-                tags.append(value)
-    return name + (f"[{','.join(tags)}]" if tags else "")
+def _format_value(value) -> str:
+    """A knob value as run-directory tags and method labels write it: strings
+    as they are, booleans as in an INI file, floats exactly."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return "-".join(_format_value(v) for v in value)
+    if isinstance(value, float):
+        return repr(value).removesuffix(".0")
+    return str(value)
+
+
+# Knobs that never tag a label: compare's grid runs over preferences and
+# seeds, and every run has its own directory.
+_UNTAGGED = {("algorithm", "preference"), ("ppo", "seed"), ("output", "dir")}
+
+
+def method_labels(configs: list) -> list:
+    """Each run's algorithm.name, tagged ``key=value`` for every knob whose value
+    varies among the given runs of that algorithm and differs from its default,
+    so that two different configurations never share a label."""
+    defaults = {
+        (section, key): default
+        for section, keys in configlib.default_config().items()
+        for key, default in keys.items()
+        if (section, key) not in _UNTAGGED
+    }
+    runs = [
+        (cfg["algorithm"]["name"], {(s, k): cfg[s].get(k, d) for (s, k), d in defaults.items()})
+        for cfg in configs
+    ]
+    seen = {}  # algorithm -> knob -> the values its runs have
+    for name, values in runs:
+        for knob, value in values.items():
+            seen.setdefault(name, {}).setdefault(knob, set()).add(value)
+    labels = []
+    for name, values in runs:
+        tags = [
+            f"{key}={_format_value(value)}"
+            for (section, key), value in values.items()
+            if len(seen[name][section, key]) > 1 and value != defaults[section, key]
+        ]
+        labels.append(name + (f"[{','.join(tags)}]" if tags else ""))
+    return labels
 
 
 def _load_runs(run_dirs: list) -> list[dict]:
@@ -247,7 +274,7 @@ def _load_runs(run_dirs: list) -> list[dict]:
             {
                 "dir": d,
                 "env": man["environment"],
-                "method": method_label(man),
+                "config": man["config"],
                 "preference": tuple(float(v) for v in man["preference"]),
                 "seed": int(man["seed"]),
                 "points": _read_eval_csv(d / "eval.csv"),
@@ -256,6 +283,16 @@ def _load_runs(run_dirs: list) -> list[dict]:
     envs = sorted({r["env"] for r in runs})
     if len(envs) > 1:
         raise ConfigError(f"refusing to compare runs from different environments: {envs}")
+    seen = {}
+    for r, label in zip(runs, method_labels([r["config"] for r in runs])):
+        r["method"] = label
+        key = (label, r["preference"], r["seed"])
+        if key in seen:
+            raise ConfigError(
+                f"{seen[key]} and {r['dir']} are the same run "
+                f"({label}, preference {r['preference']}, seed {r['seed']})"
+            )
+        seen[key] = r["dir"]
     return runs
 
 
@@ -393,41 +430,25 @@ def cmd_compare(args) -> int:
 
 # -- sweep --------------------------------------------------------------------
 
-SWEEP_AXES = {
-    "mu_fixed": ("algorithm", "fixed_mu"),
-    "rho": ("controller", "rho"),
-    "tau": ("controller", "tau"),
-    "lambda_ema": ("controller", "lambda_ema"),
-    "zeta": ("controller", "zeta"),
-    "preference": ("algorithm", "preference"),
-    "seed": ("ppo", "seed"),
-}
-
-
 def _parse_axis(spec: str) -> tuple:
+    """(name, section, key, values) of ``--axis NAME=V1,V2,...``.  NAME names a
+    knob as --override does; values go through its converter, separated by
+    ``;`` for a tuple-valued knob, or are one of its NAMED_VALUES."""
     if "=" not in spec:
         raise ConfigError(f"axis must look like name=v1,v2,..., got {spec!r}")
-    name, raw = spec.split("=", 1)
-    name = name.strip()
-    if name not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {name!r} (known: {', '.join(sorted(SWEEP_AXES))})")
-    section, key = SWEEP_AXES[name]
-    if name == "preference" and raw.strip() == "default8":
-        values = list(configlib.DEFAULT_PREFERENCES_M3)
-    elif name == "mu_fixed" and raw.strip() == "grid":
-        values = list(configlib.FIXED_MU_GRID)
+    name, raw = (part.strip() for part in spec.split("=", 1))
+    section, key = configlib.resolve_knob(name)
+    if (section, key) == ("output", "dir"):
+        raise ConfigError("output.dir cannot be a sweep axis: sweep sets each run's directory")
+    named = configlib.NAMED_VALUES.get((section, key, raw))
+    if named is not None:
+        values = list(named)
     else:
-        sep = ";" if name == "preference" else ","
-        values = [configlib._convert(section, key, t) for t in raw.split(sep) if t.strip()]
+        sep = ";" if isinstance(configlib.CONFIG_SCHEMA[section][key][1], tuple) else ","
+        values = [configlib._convert(section, key, t.strip()) for t in raw.split(sep) if t.strip()]
     if not values:
         raise ConfigError(f"axis {name!r} has no values")
-    return name, values
-
-
-def _axis_tag(name: str, value) -> str:
-    if name == "preference":
-        return name + "_" + "-".join(f"{v:g}" for v in value)
-    return f"{name}_{value:g}"
+    return name, section, key, values
 
 
 def _sweep_worker(job: tuple) -> str:
@@ -443,20 +464,27 @@ def cmd_sweep(args) -> int:
     axes = [_parse_axis(spec) for spec in args.axis]
     if not axes:
         raise ConfigError("sweep needs at least one --axis")
+    knobs = [f"{section}.{key}" for _, section, key, _ in axes]
+    if len(set(knobs)) < len(knobs):
+        raise ConfigError(f"a knob is given as more than one --axis: {', '.join(knobs)}")
     out_root = Path(args.out)
 
     jobs = []
-    for combo in itertools.product(*(values for _, values in axes)):
+    for combo in itertools.product(*(values for *_, values in axes)):
         cfg = json.loads(json.dumps(base))  # deep copy, manifests stay independent
         tags = []
-        for (name, _), value in zip(axes, combo):
-            section, key = SWEEP_AXES[name]
+        for (_, section, key, _), value in zip(axes, combo):
             cfg[section][key] = value
-            tags.append(_axis_tag(name, value))
+            tags.append(f"{key}_{_format_value(value)}")
         run_dir = out_root / "_".join(tags)
+        if any(run_dir == job[1] for job in jobs):
+            raise ConfigError(f"an axis repeats a value: two runs would share {run_dir}")
         cfg["output"]["dir"] = str(run_dir)
         cfg["algorithm"]["preference"] = tuple(cfg["algorithm"]["preference"])
-        configlib.build_train_config(cfg)  # every combination is checked before the first run
+        # Every combination is checked before the first run, its environment too.
+        tc = configlib.build_train_config(cfg)
+        env = make_env(tc.env_name, **tc.env_params)
+        preference_vector(tc.preference, env.m)
         jobs.append((cfg, run_dir))
 
     out_root.mkdir(parents=True, exist_ok=True)
@@ -470,7 +498,7 @@ def cmd_sweep(args) -> int:
         done = [_sweep_worker(job) for job in jobs]
     with open(out_root / "sweep_manifest.json", "w") as f:
         json.dump(
-            {"axes": [{"name": n, "values": [list(v) if isinstance(v, tuple) else v for v in vs]} for n, vs in axes],
+            {"axes": [{"name": n, "values": [list(v) if isinstance(v, tuple) else v for v in vs]} for n, *_, vs in axes],
              "runs": done},
             f,
             indent=2,

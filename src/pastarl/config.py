@@ -5,8 +5,10 @@ and key, converter, default, valid range and meaning.  A range is an interval
 such as ``(0, 1]`` (``inf`` for an open end) or a tuple of choices; the same
 text drives the check, the error message and the README table.  The INI
 schema and the defaults are derived from those declarations.  The
-environment keys are forwarded to the environment constructor only when set,
-and their ranges are checked there.
+environment keys are the keyword parameters of the environment constructors;
+they are forwarded to the environment only when set, and their ranges are
+checked there.  A knob is named ``section.key``, or by a bare key that only
+one section declares.
 
 Config files are INI-style with five sections: environment, algorithm,
 controller, ppo, output.  Unknown sections or keys are hard errors so
@@ -18,6 +20,7 @@ reproduces the metrics CSV byte for byte.
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import subprocess
 from dataclasses import dataclass, field, fields
@@ -43,6 +46,12 @@ DEFAULT_PREFERENCES_M3 = (
 )
 
 FIXED_MU_GRID = (0.01, 0.1, 0.5, 1.0, 5.0, 10.0)
+
+# Named value sets that a sweep axis may give in place of a list.
+NAMED_VALUES = {
+    ("algorithm", "preference", "default8"): DEFAULT_PREFERENCES_M3,
+    ("algorithm", "fixed_mu", "grid"): FIXED_MU_GRID,
+}
 
 
 def _parse_bool(s: str) -> bool:
@@ -191,15 +200,13 @@ class TrainConfig:
 
 KNOBS = tuple(f for f in fields(TrainConfig) if "key" in f.metadata)
 
-# Keys forwarded to the environment constructor when set, with converters.
-ENV_PARAM_KEYS = (
-    ("episode_cap", int),
-    ("n_targets", int),
-    ("n_circles", int),
-    ("n_rects", int),
-    ("scan_range", float),
-    ("safe_frac", float),
-)
+# The environment constructors' keyword parameters, forwarded when set; each
+# converts to the type of its default.
+ENV_PARAM_KEYS = {
+    p.name: type(p.default)
+    for cls in ENV_CLASSES.values()
+    for p in inspect.signature(cls).parameters.values()
+}
 
 # section -> key -> (converter, default), in declaration order
 CONFIG_SCHEMA: dict = {}
@@ -208,7 +215,7 @@ for _f in KNOBS:
         _f.metadata["conv"],
         _f.default,
     )
-CONFIG_SCHEMA["environment"].update((key, (conv, None)) for key, conv in ENV_PARAM_KEYS)
+CONFIG_SCHEMA["environment"].update((key, (conv, None)) for key, conv in ENV_PARAM_KEYS.items())
 
 
 def _knob_name(f) -> str:
@@ -224,21 +231,34 @@ def default_config() -> dict:
     }
 
 
-def _convert(section: str, key: str, raw) -> object:
-    if section not in CONFIG_SCHEMA:
-        raise ConfigError(f"unknown config section [{section}]")
-    if key not in CONFIG_SCHEMA[section]:
-        known = ", ".join(sorted(CONFIG_SCHEMA[section]))
-        raise ConfigError(f"unknown key {key!r} in section [{section}] (known: {known})")
+def resolve_knob(name: str) -> tuple:
+    """(section, key) of the knob ``section.key``, or of a bare key that only
+    one section declares; ConfigError otherwise."""
+    name = name.strip()
+    if "." in name:
+        section, key = name.split(".", 1)
+        if section not in CONFIG_SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        if key not in CONFIG_SCHEMA[section]:
+            known = ", ".join(sorted(CONFIG_SCHEMA[section]))
+            raise ConfigError(f"unknown key {key!r} in section [{section}] (known: {known})")
+        return section, key
+    sections = [section for section, keys in CONFIG_SCHEMA.items() if name in keys]
+    if len(sections) > 1:
+        raise ConfigError(f"{name!r} is ambiguous: say {' or '.join(f'{s}.{name}' for s in sections)}")
+    if not sections:
+        raise ConfigError(f"unknown knob {name!r}; name it as section.key ({', '.join(CONFIG_SCHEMA)})")
+    return sections[0], name
+
+
+def _convert(section: str, key: str, raw: str) -> object:
     conv, _ = CONFIG_SCHEMA[section][key]
-    if isinstance(raw, str):
-        try:
-            return conv(raw)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({e})") from e
-    return raw
+    try:
+        return conv(raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value for {section}.{key}: {raw!r} ({e})") from e
 
 
 def load_config(path) -> dict:
@@ -270,13 +290,13 @@ def load_config(path) -> dict:
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
-    """Apply --override section.key=value pairs onto a resolved config."""
+    """Apply --override section.key=value pairs onto a resolved config; a bare
+    key that only one section declares names its knob too."""
     for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
+        if "=" not in item:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
         target, value = item.split("=", 1)
-        section, key = target.split(".", 1)
-        cfg.setdefault(section, {})
+        section, key = resolve_knob(target)
         cfg[section][key] = _convert(section, key, value)
     return cfg
 
@@ -285,7 +305,7 @@ def build_train_config(cfg: dict) -> TrainConfig:
     """The validated TrainConfig of a sectioned config dict."""
     env = cfg["environment"]
     return TrainConfig(
-        env_params={key: env[key] for key, _ in ENV_PARAM_KEYS if env.get(key) is not None},
+        env_params={key: env[key] for key in ENV_PARAM_KEYS if env.get(key) is not None},
         **{f.name: cfg[f.metadata["section"]][f.metadata["key"]] for f in KNOBS},
     ).validate()
 

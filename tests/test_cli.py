@@ -1,10 +1,14 @@
 import csv
+import inspect
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from pastarl.cli import main
+from pastarl import config as configlib
+from pastarl.cli import _parse_axis, main
+from pastarl.envs import ENV_CLASSES
 
 
 TINY_INI = """
@@ -292,7 +296,7 @@ class TestSweep:
         rc = main([
             "sweep", "--config", str(tiny_ini), "--out", str(out),
             "--override", "algorithm.name=stch_fixed",
-            "--axis", "mu_fixed=0.1,1.0",
+            "--axis", "fixed_mu=0.1,1.0",
         ])
         assert rc == 0
         doc = json.loads((out / "sweep_manifest.json").read_text())
@@ -339,12 +343,91 @@ class TestSweep:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_unknown_axis_is_usage_error(self, tiny_ini, tmp_path):
-        rc = main([
-            "sweep", "--config", str(tiny_ini), "--out", str(tmp_path / "sw"),
-            "--axis", "velocity=1,2",
-        ])
-        assert rc == 2
+    def test_unknown_axis_is_usage_error(self, tiny_ini, tmp_path, capsys):
+        out = tmp_path / "sw"
+        for axis, message in [
+            ("velocity=1,2", "unknown knob 'velocity'"),
+            ("name=pasta,linear", "environment.name or algorithm.name"),
+            ("output.dir=a,b", "output.dir"),
+        ]:
+            rc = main(["sweep", "--config", str(tiny_ini), "--out", str(out), "--axis", axis])
+            assert rc == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--axis", "environment.episode_cap=16,0"], "environment.episode_cap"),
+            (["--override", "environment.name=stealth", "--override", "environment.scan_range=0",
+              "--axis", "seed=0,1"], "environment.scan_range"),
+            # stub has two objectives, frogger three
+            (["--axis", "environment.name=stub,frogger"], "preference has 2 entries, expected 3"),
+        ],
+    )
+    def test_environment_is_checked_before_the_first_run(self, tiny_ini, tmp_path, capsys, argv, message):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(tiny_ini), "--out", str(out), *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "axes", [["seed=0,1", "ppo.seed=2"], ["seed=0,0"], ["rho=0.1,0.10"]]
+    )
+    def test_runs_that_would_coincide_are_usage_error(self, tiny_ini, tmp_path, axes):
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", str(tiny_ini), "--out", str(out)]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert main(argv) == 2
+        assert not out.exists()
+
+
+def declared_knobs():
+    """(section, key, default) of every knob a sweep may vary: each TrainConfig
+    knob but output.dir, and each environment key with its constructors' default."""
+    for f in configlib.KNOBS:
+        if f.name != "out_dir":
+            yield f.metadata["section"], f.metadata["key"], f.default
+    for key in configlib.ENV_PARAM_KEYS:
+        default = next(
+            p.default
+            for cls in ENV_CLASSES.values()
+            for p in inspect.signature(cls).parameters.values()
+            if p.name == key
+        )
+        yield "environment", key, default
+
+
+def ini(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+class TestAxis:
+    @pytest.mark.parametrize(
+        "section, key, default",
+        [pytest.param(*knob, id=f"{knob[0]}.{knob[1]}") for knob in declared_knobs()],
+    )
+    def test_every_declared_knob_is_an_axis(self, section, key, default):
+        names = [f"{section}.{key}"] + ([] if key == "name" else [key])
+        for name in names:
+            assert _parse_axis(f"{name}={ini(default)}") == (name, section, key, [default])
+
+    def test_named_value_sets(self):
+        assert _parse_axis("preference=default8")[3] == list(configlib.DEFAULT_PREFERENCES_M3)
+        assert _parse_axis("algorithm.fixed_mu=grid")[3] == list(configlib.FIXED_MU_GRID)
+
+    def test_tuple_values_are_separated_by_semicolons(self):
+        assert _parse_axis("preference=0.2,0.8;0.5, 0.5")[3] == [(0.2, 0.8), (0.5, 0.5)]
+
+
+def sweep(tiny_ini, out, *argv):
+    assert main(["sweep", "--config", str(tiny_ini), "--out", str(out), *argv]) == 0
+    return sorted(p for p in out.iterdir() if p.is_dir())
 
 
 class TestCompare:
@@ -384,6 +467,58 @@ class TestCompare:
         w = rows[0].index("win_rate")
         total = sum(float(r[w]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_rejects_duplicate_runs(self, four_runs, tmp_path, capsys):
+        copy = tmp_path / "copy"
+        shutil.copytree(four_runs[0], copy)
+        for original, duplicate in ((four_runs[0], copy), (four_runs[1], four_runs[1])):
+            dirs = [*four_runs, duplicate]
+            assert main(["compare", *map(str, dirs), "--out", str(tmp_path / "cmp")]) == 2
+            assert f"{original} and {duplicate} are the same run" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, labels",
+        [
+            pytest.param(
+                ["--axis", "rho=0.1,0.5"], ["pasta[rho=0.1]", "pasta[rho=0.5]"], id="rho"
+            ),
+            pytest.param(
+                ["--override", "algorithm.name=tch", "--axis", "tch_per_minibatch=false,true"],
+                ["tch", "tch[tch_per_minibatch=true]"],
+                id="tch_per_minibatch",
+            ),
+            pytest.param(
+                ["--override", "algorithm.name=stch_fixed", "--axis", "fixed_mu=0.1,1"],
+                ["stch_fixed", "stch_fixed[fixed_mu=0.1]"],
+                id="fixed_mu",
+            ),
+            pytest.param(
+                ["--override", "algorithm.name=stch_fixed", "--override", "algorithm.fixed_mu=0.1",
+                 "--axis", "seed=0,1"],
+                ["stch_fixed"],
+                id="one_fixed_mu",
+            ),
+        ],
+    )
+    def test_runs_that_differ_in_a_knob_are_separate_methods(self, tiny_ini, tmp_path, argv, labels):
+        runs = sweep(tiny_ini, tmp_path / "sw", *argv)
+        assert main(["compare", *map(str, runs), "--out", str(tmp_path / "cmp")]) == 0
+        assert [r[0] for r in read_csv(tmp_path / "cmp" / "summary.csv")[1:]] == labels
+
+    def test_one_sweep_compares_algorithms_and_ablations(self, tiny_ini, tmp_path):
+        runs = sweep(
+            tiny_ini, tmp_path / "sw",
+            "--axis", "algorithm.name=pasta,linear", "--axis", "algorithm.no_pcgrad=false,true",
+            "--axis", "seed=0,1",
+        )
+        assert [p.name for p in runs] == [
+            f"name_{name}_no_pcgrad_{flag}_seed_{seed}"
+            for name in ("linear", "pasta") for flag in ("false", "true") for seed in (0, 1)
+        ]
+        assert main(["compare", *map(str, runs), "--out", str(tmp_path / "cmp")]) == 0
+        assert [r[0] for r in read_csv(tmp_path / "cmp" / "summary.csv")[1:]] == [
+            "linear", "linear[no_pcgrad=true]", "pasta", "pasta[no_pcgrad=true]",
+        ]
 
     def test_rejects_directory_without_manifest(self, tmp_path):
         (tmp_path / "junk").mkdir()

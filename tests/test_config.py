@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pastarl import config as cfgmod
+from pastarl.envs import ENV_CLASSES
 from pastarl.errors import ConfigError
 
 
@@ -123,6 +125,14 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="unknown key"):
             cfgmod.apply_overrides(cfgmod.default_config(), ["ppo.sead=3"])
 
+    def test_bare_key_names_the_one_section_that_declares_it(self):
+        cfg = cfgmod.apply_overrides(cfgmod.default_config(), ["seed=3", "episode_cap=12"])
+        assert cfg["ppo"]["seed"] == 3 and cfg["environment"]["episode_cap"] == 12
+        with pytest.raises(ConfigError, match="environment.name or algorithm.name"):
+            cfgmod.apply_overrides(cfgmod.default_config(), ["name=linear"])
+        with pytest.raises(ConfigError, match="unknown knob 'sead'"):
+            cfgmod.apply_overrides(cfgmod.default_config(), ["sead=3"])
+
 
 class TestBuildTrainConfig:
     def test_fields_map_through(self, tmp_path):
@@ -135,6 +145,13 @@ class TestBuildTrainConfig:
         assert tc.fixed_mu == 0.5
         assert tc.horizon == 128
         assert tc.seed == 9
+
+    def test_environment_keys_are_the_constructors_keyword_parameters(self):
+        params = [p for cls in ENV_CLASSES.values() for p in inspect.signature(cls).parameters.values()]
+        assert set(cfgmod.ENV_PARAM_KEYS) == {p.name for p in params}
+        for p in params:  # each converter is the type of the key's default, in every constructor
+            assert cfgmod.ENV_PARAM_KEYS[p.name] is type(p.default)
+        assert cfgmod.CONFIG_SCHEMA["environment"]["scan_range"] == (float, None)
 
     def test_unset_env_params_not_forwarded(self):
         tc = cfgmod.build_train_config(cfgmod.default_config())

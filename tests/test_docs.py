@@ -6,9 +6,11 @@ from pathlib import Path
 import pytest
 
 from pastarl import config as cfgmod
+from pastarl.cli import _parse_axis
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+DOCS = [README, *sorted((ROOT / "examples").glob("*.ini"))]
 
 
 def _ini(value) -> str:
@@ -38,10 +40,10 @@ def render_config_table() -> str:
             f"| {_range_cell(meta['valid'])} | {meta['doc']} |"
         )
         if f.name == "env_name":
-            keys = ", ".join(key for key, _ in cfgmod.ENV_PARAM_KEYS)
+            keys = ", ".join(cfgmod.ENV_PARAM_KEYS)
             lines.append(
                 f"| environment | {keys} | env-specific | checked by the environment "
-                "| forwarded to the environment only when set |"
+                "| the environment constructors' keyword parameters, forwarded only when set |"
             )
     return "\n".join(lines) + "\n"
 
@@ -76,3 +78,12 @@ def test_example_config_is_valid(name, tmp_path):
     else:
         path = ROOT / "examples" / name
     cfgmod.build_train_config(cfgmod.load_config(path))
+
+
+def documented_axes() -> list:
+    return [(path.name, spec) for path in DOCS for spec in re.findall(r"--axis[ =](\S+)", path.read_text())]
+
+
+@pytest.mark.parametrize("where, spec", documented_axes())
+def test_documented_sweep_axis_resolves(where, spec):
+    _parse_axis(spec)
