@@ -90,16 +90,7 @@ def _eval_row(rec) -> list:
 
 
 def save_trainer_checkpoint(trainer: Trainer, path) -> None:
-    networks = {
-        "actor_backbone": trainer.actor.backbone,
-        "actor_mean_head": trainer.actor.mean_head,
-    }
-    if hasattr(trainer.critic, "trunk"):
-        networks["critic_trunk"] = trainer.critic.trunk
-        for i, head in enumerate(trainer.critic.heads):
-            networks[f"critic_head_{i}"] = head
-    else:
-        networks["critic"] = trainer.critic.net
+    networks = {**trainer.actor.checkpoint_networks(), **trainer.critic.checkpoint_networks()}
     metadata = {
         "environment": trainer.cfg.env_name,
         "env_params": trainer.cfg.env_params,
@@ -124,30 +115,29 @@ def run_training(cfg: dict, out_dir) -> Path:
     """Train one run and write manifest, metrics.csv, eval.csv, checkpoints."""
     tc = configlib.build_train_config(cfg)
     out_dir = Path(out_dir)
-    # Bad input fails in Trainer(), before any file is written; leaving the
-    # block stops the critic's worker process, on errors too.
-    with Trainer(tc) as trainer:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        configlib.write_manifest(out_dir, cfg)
-        m = trainer.m
-        with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
-            mw, ew = _writer(mf), _writer(ef)
-            mw.writerow(_metrics_header(m))
-            ew.writerow(_eval_header(m))
-            ew.writerow(_eval_row(trainer.evaluate(0)))
-            for k in range(tc.total_iterations):
-                report = trainer.run_iteration()
-                if (k + 1) % tc.eval_every == 0 or k == tc.total_iterations - 1:
-                    report.eval = trainer.evaluate(k + 1)
-                    ew.writerow(_eval_row(report.eval))
-                mw.writerow(_metrics_row(report, m))
-                if (
-                    tc.checkpoint_every
-                    and (k + 1) % tc.checkpoint_every == 0
-                    and k != tc.total_iterations - 1
-                ):
-                    save_trainer_checkpoint(trainer, out_dir / f"checkpoint_iter{k + 1:05d}.json")
-            save_trainer_checkpoint(trainer, out_dir / "checkpoint_final.json")
+    # Bad input fails in Trainer(), before any file is written.
+    trainer = Trainer(tc)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    configlib.write_manifest(out_dir, cfg)
+    m = trainer.m
+    with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
+        mw, ew = _writer(mf), _writer(ef)
+        mw.writerow(_metrics_header(m))
+        ew.writerow(_eval_header(m))
+        ew.writerow(_eval_row(trainer.evaluate(0)))
+        for k in range(tc.total_iterations):
+            report = trainer.run_iteration()
+            if (k + 1) % tc.eval_every == 0 or k == tc.total_iterations - 1:
+                report.eval = trainer.evaluate(k + 1)
+                ew.writerow(_eval_row(report.eval))
+            mw.writerow(_metrics_row(report, m))
+            if (
+                tc.checkpoint_every
+                and (k + 1) % tc.checkpoint_every == 0
+                and k != tc.total_iterations - 1
+            ):
+                save_trainer_checkpoint(trainer, out_dir / f"checkpoint_iter{k + 1:05d}.json")
+        save_trainer_checkpoint(trainer, out_dir / "checkpoint_final.json")
     return out_dir
 
 
@@ -190,6 +180,8 @@ def cmd_evaluate(args) -> int:
         w = np.asarray(meta["preference"], dtype=np.float64)
     except KeyError as e:
         raise ConfigError(f"malformed checkpoint {ckpt}: missing entry {e}") from e
+    except OSError as e:  # a directory, say
+        raise ConfigError(f"could not read checkpoint {ckpt}: {e}") from e
     except (TypeError, ValueError) as e:  # ContractViolationError and JSONDecodeError too
         raise ConfigError(f"malformed checkpoint {ckpt}: {e}") from e
     rng = np.random.default_rng(args.seed)
@@ -207,13 +199,20 @@ def _read_eval_csv(path: Path) -> np.ndarray:
     """Eval returns as an (n_checkpoints, m) array of raw per-objective means."""
     if not path.exists():
         raise ConfigError(f"no eval.csv in {path.parent}")
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    header, body = rows[0], rows[1:]
-    if not body:
-        raise ConfigError(f"eval.csv in {path.parent} has no checkpoints")
-    ret_cols = [j for j, name in enumerate(header) if name.startswith("return_")]
-    return np.array([[float(r[j]) for j in ret_cols] for r in body])
+    try:
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"could not read {path}: {e}") from e
+    if len(rows) < 2:
+        raise ConfigError(f"{path} has no checkpoints")
+    ret_cols = [j for j, name in enumerate(rows[0]) if name.startswith("return_")]
+    if not ret_cols:
+        raise ConfigError(f"{path} has no return_ columns")
+    try:
+        return np.array([[float(r[j]) for j in ret_cols] for r in rows[1:]])
+    except (IndexError, ValueError) as e:
+        raise ConfigError(f"malformed {path}: {e}") from e
 
 
 def _format_value(value) -> str:
@@ -270,16 +269,18 @@ def _load_runs(run_dirs: list) -> list[dict]:
         if not man_path.exists():
             raise ConfigError(f"no manifest.json in {d}; is it a run directory?")
         man = configlib.load_manifest(man_path)
-        runs.append(
-            {
+        try:
+            run = {
                 "dir": d,
                 "env": man["environment"],
                 "config": man["config"],
                 "preference": tuple(float(v) for v in man["preference"]),
                 "seed": int(man["seed"]),
-                "points": _read_eval_csv(d / "eval.csv"),
             }
-        )
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"malformed manifest {man_path}: {e!r}") from e
+        run["points"] = _read_eval_csv(d / "eval.csv")
+        runs.append(run)
     envs = sorted({r["env"] for r in runs})
     if len(envs) > 1:
         raise ConfigError(f"refusing to compare runs from different environments: {envs}")

@@ -264,12 +264,16 @@ def _convert(section: str, key: str, raw: str) -> object:
 def load_config(path) -> dict:
     """Parse and validate a config file; unknown sections/keys are errors."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     parser.optionxform = str  # keep key case as written
+    # Opened here, not by parser.read, which skips a path it cannot open.
     try:
-        parser.read(path)
+        with open(path, encoding="utf-8") as f:
+            parser.read_file(f)
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"could not read config {path}: {e}") from e
     except configparser.Error as e:
         raise ConfigError(f"could not parse config {path}: {e}") from e
     cfg = default_config()
@@ -347,15 +351,33 @@ def write_manifest(out_dir: Path, cfg: dict) -> dict:
 
 
 def load_manifest(path) -> dict:
+    """A manifest that ``write_manifest`` wrote; ConfigError naming the file
+    if it cannot be read or its config lacks a declared knob."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"manifest not found: {path}")
-    with open(path) as f:
-        manifest = json.load(f)
-    version = manifest.get("format_version")
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except FileNotFoundError:
+        raise ConfigError(f"manifest not found: {path}") from None
+    except (OSError, ValueError) as e:  # JSONDecodeError and UnicodeDecodeError too
+        raise ConfigError(f"could not read manifest {path}: {e}") from e
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version != MANIFEST_FORMAT_VERSION:
-        raise ConfigError(f"unsupported manifest format_version {version!r}")
-    cfg = manifest["config"]
+        raise ConfigError(f"unsupported manifest format_version {version!r} in {path}")
+    cfg = manifest.get("config")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"manifest {path} has no config")
+    missing = [
+        f"{section}.{key}"
+        for section, keys in CONFIG_SCHEMA.items()
+        for key in keys
+        if not isinstance(cfg.get(section), dict) or key not in cfg[section]
+    ]
+    if missing:
+        raise ConfigError(f"manifest {path} has no config entry for {', '.join(missing)}")
+    preference = cfg["algorithm"]["preference"]
+    if not isinstance(preference, list):
+        raise ConfigError(f"manifest {path}: algorithm.preference must be a list, got {preference!r}")
     # JSON round-trips preference tuples as lists; restore tuples for equality.
-    cfg["algorithm"]["preference"] = tuple(cfg["algorithm"]["preference"])
+    cfg["algorithm"]["preference"] = tuple(preference)
     return manifest

@@ -69,6 +69,10 @@ class GaussianActor:
     def n_params(self) -> int:
         return self.params.size
 
+    def checkpoint_networks(self) -> dict:
+        """The networks a checkpoint stores, by name; ``log_std`` is stored as a vector."""
+        return {"actor_backbone": self.backbone, "actor_mean_head": self.mean_head}
+
     def clamp_log_std(self) -> None:
         # Projection step after optimizer updates keeps std in a sane range.
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
@@ -155,6 +159,11 @@ class BranchedCritic:
     def n_params(self) -> int:
         return self.params.size
 
+    def checkpoint_networks(self) -> dict:
+        """The networks a checkpoint stores, by name."""
+        heads = {f"critic_head_{i}": head for i, head in enumerate(self.heads)}
+        return {"critic_trunk": self.trunk, **heads}
+
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         feats, tape_t = self.trunk.forward(x)
         outs, tape_h = self.stacked_heads.forward(feats)  # (m, B, 1), or (m, 1) for one state
@@ -202,6 +211,10 @@ class SharedCritic:
     @property
     def n_params(self) -> int:
         return self.net.n_params
+
+    def checkpoint_networks(self) -> dict:
+        """The networks a checkpoint stores, by name."""
+        return {"critic": self.net}
 
     def forward(self, x: np.ndarray):
         return self.net.forward(x)

@@ -13,10 +13,11 @@ ascends in place on the actor's vector.
 The actor and the critic have separate vectors and Adam states, so within
 an iteration neither update reads what the other writes.  The critic's
 epochs and the actor's therefore run as two loops over the same minibatches:
-on a host with two or more usable CPUs the critic's run in a forked worker
-process (``_CriticWorker``) while this process runs the actor's, and
-otherwise the critic's run first, inline.  Either way every value is the one
-the interleaved loop (critic, then actor, per minibatch) gives.
+on a host with two or more usable CPUs each iteration forks one child process
+that runs the critic's while this process runs the actor's, and otherwise
+the critic's run first, inline.  Either way every value is the one the
+interleaved loop (critic, then actor, per minibatch) gives, and no child
+outlives the iteration that forked it.
 
 Algorithms: "pasta" (full pipeline), "stch_fixed" (same pipeline, constant
 mu), "linear" (scalarized advantages, single clipped loss), "tch" (worst
@@ -25,16 +26,15 @@ objective only, scaled by its weight).
 
 from __future__ import annotations
 
+import functools
 import mmap
 import os
 import pickle
 import signal
 import sys
 import traceback
-import weakref
 from contextlib import suppress
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -117,9 +117,7 @@ def deterministic_returns(actor, env, w, rng, episodes: int) -> np.ndarray:
 
 
 class Trainer:
-    """Owns networks, optimizers, normalizer, controller, and rng streams,
-    and the critic's worker process once one starts; ``close()`` (or leaving
-    a ``with`` block) stops it."""
+    """Owns networks, optimizers, normalizer, controller, and rng streams."""
 
     def __init__(self, cfg: TrainConfig, env=None, eval_env=None):
         self.cfg = cfg.validate()
@@ -144,30 +142,19 @@ class Trainer:
         critic = (BranchedCritic if branched else SharedCritic).create(
             obs_dim, self.m, init_rng, cfg.hidden
         )
-        # Everything the critic's epochs read or write lives in one shared
-        # mapping, so a forked worker and this process see the same memory.
-        n, T = critic.n_params, cfg.horizon
-        self._shared = _shared_arrays(
-            critic=((n,), np.float64),
-            critic_m=((n,), np.float64),
-            critic_v=((n,), np.float64),
-            inputs=((T, obs_dim + self.m), np.float64),
-            value_targets=((T, self.m), np.float64),
-            perms=((cfg.epochs, T), np.int64),
-        )
+        # The critic's vector and Adam moments sit in one anonymous MAP_SHARED
+        # mapping: the Adam steps of a child forked for the critic's epochs
+        # land in the memory this process reads.
+        n = critic.n_params
+        params, adam_m, adam_v = np.frombuffer(mmap.mmap(-1, 3 * 8 * n)).reshape(3, n)
         self.critic = (
-            BranchedCritic(critic.trunk, critic.heads, params=self._shared.critic)
+            BranchedCritic(critic.trunk, critic.heads, params=params)
             if branched
-            else SharedCritic(critic.net, params=self._shared.critic)
+            else SharedCritic(critic.net, params=params)
         )
         self.critic_weighted = cfg.critic.endswith("_weighted")
         self.actor_opt = AdamState(self.actor.n_params, lr=cfg.lr)
-        self.critic_opt = AdamState(
-            n, lr=cfg.lr, m=self._shared.critic_m, v=self._shared.critic_v
-        )
-        self._placed = False  # whether the critic's placement is decided
-        self._worker: _CriticWorker | None = None
-        self._reap_worker = None
+        self.critic_opt = AdamState(n, lr=cfg.lr, m=adam_m, v=adam_v)
 
         self.normalizer = ReturnNormalizer(self.m)
         self.controller = SmoothnessController(cfg)
@@ -187,7 +174,8 @@ class Trainer:
         T single-step draws give, in order.  Each step then runs only the
         actor's mean on its [obs, w] row, and the log-probs of all T samples
         come from one batched pass after the loop.  The same (T + 1)-row
-        input buffer, the bootstrap state last, feeds the critic's values.
+        input buffer, the bootstrap state last, feeds the critic's values,
+        and its first T rows are the batch's inputs to both updates.
         """
         T = self.cfg.horizon
         env, actor = self.env, self.actor
@@ -225,7 +213,7 @@ class Trainer:
             inputs[t + 1, :obs_dim] = obs
         self._obs = obs
         return RolloutBatch(
-            states=inputs[:T, :obs_dim],
+            inputs=inputs[:T],
             actions=actions,
             pre_clamp=pre_clamp,
             log_probs=actor.log_probs(means, pre_clamp),
@@ -297,10 +285,10 @@ class Trainer:
             n_episodes=len(batch.episodic_returns),
         )
 
-    def _minibatches(self):
+    def _minibatches(self, perms):
         """Each epoch's permutation of the horizon, cut into minibatches."""
         size = self.cfg.minibatch
-        for perm in self._shared.perms:
+        for perm in perms:
             for start in range(0, len(perm), size):
                 yield perm[start : start + size]
 
@@ -308,32 +296,31 @@ class Trainer:
         """The critic's epochs and the actor's over the same minibatches.
 
         Returns (value losses, kappas, summed clip losses, summed entropy),
-        each in minibatch order.  With a worker, the critic's epochs run there
-        while this process runs the actor's; without, they run first, here.
-        An error is the one the interleaved loop would raise: the failure at
-        the earliest minibatch, the critic's on a tie, since it went first.
+        each in minibatch order.  Where ``_worker_wanted()``, a child forked
+        here runs the critic's epochs on what it inherits while this process
+        runs the actor's, and is reaped before this returns or raises;
+        otherwise the critic's epochs run first, here.  An error is the one
+        the interleaved loop would raise: the failure at the earliest
+        minibatch, the critic's on a tie, since it went first.
         """
-        shared = self._shared
-        inputs = shared.inputs
-        inputs[:, : -self.m] = batch.states
-        inputs[:, -self.m :] = self.w
-        shared.value_targets[...] = batch.value_targets
-        for perm in shared.perms:  # nothing else draws from shuffle_rng
-            perm[...] = self.shuffle_rng.permutation(self.cfg.horizon)
-        worker = self._critic_worker()
+        perms = [self.shuffle_rng.permutation(self.cfg.horizon) for _ in range(self.cfg.epochs)]
+        critic_epochs = functools.partial(
+            self._critic_epochs, batch.inputs, batch.value_targets, perms, eta_critic
+        )
         kappas: list[float] = []
         clip_loss_acc = np.zeros(self.m)
         entropy_acc = 0.0
-        actor_failure = None
+        actor_failure = child = None
         try:
-            if worker is not None:
-                worker.submit(eta_critic)
-            else:
-                critic = self._critic_epochs(eta_critic)
-            for k, mb in enumerate(self._minibatches()):
+            if _worker_wanted():
+                with suppress(OSError):  # no process to spare: the critic runs inline
+                    child = _forked(critic_epochs)
+            if child is None:
+                critic = critic_epochs()
+            for k, mb in enumerate(self._minibatches(perms)):
                 try:
                     kappa_b, clip_losses = self._actor_update(
-                        inputs[mb], batch, mb, eta, j_worst, r_bar
+                        batch.inputs[mb], batch, mb, eta, j_worst, r_bar
                     )
                 except Exception as e:
                     actor_failure = (k, e)
@@ -341,25 +328,24 @@ class Trainer:
                 kappas.append(kappa_b)
                 clip_loss_acc += clip_losses
                 entropy_acc += self.actor.entropy()
-            if worker is not None:
-                critic = worker.receive()
         except BaseException:
-            self.close()  # the worker may be mid-reply; it is not reused
+            if child is not None:
+                _kill(*child)
             raise
+        if child is not None:
+            critic = _result(*child)
         self.critic_opt.step_count = critic.step_count
         failures = [f for f in (critic.failure, actor_failure) if f is not None]
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
         return critic.losses, kappas, clip_loss_acc, entropy_acc
 
-    def _critic_epochs(self, eta) -> CriticOutcome:
-        """Every minibatch's critic update in order, on the shared buffers,
-        up to the first that fails."""
-        shared = self._shared
+    def _critic_epochs(self, inputs, targets, perms, eta) -> CriticOutcome:
+        """Every minibatch's critic update in order, up to the first that fails."""
         losses = []
-        for k, mb in enumerate(self._minibatches()):
+        for k, mb in enumerate(self._minibatches(perms)):
             try:
-                losses.append(self._critic_update(shared.inputs[mb], shared.value_targets[mb], eta))
+                losses.append(self._critic_update(inputs[mb], targets[mb], eta))
             except Exception as e:
                 return CriticOutcome(losses, self.critic_opt.step_count, (k, e))
         return CriticOutcome(losses, self.critic_opt.step_count, None)
@@ -433,36 +419,6 @@ class Trainer:
         self.actor.clamp_log_std()
         return kappa_b, clip_losses
 
-    # -- the critic's worker ----------------------------------------------
-
-    def _critic_worker(self) -> _CriticWorker | None:
-        """The worker for the critic's epochs, forked at the first call when
-        ``_worker_wanted()``; None runs them inline."""
-        if not self._placed:
-            self._placed = True
-            if _worker_wanted():
-                try:
-                    self._worker = _CriticWorker(self)
-                except OSError:  # no process to spare: the critic runs inline
-                    return None
-                # Holds the worker, not the trainer: reaps a dropped trainer's.
-                self._reap_worker = weakref.finalize(self, self._worker.close)
-        return self._worker
-
-    def close(self) -> None:
-        """Stop and reap the critic's worker, if one was started.  The trainer
-        stays usable; its critic then runs inline."""
-        self._placed = True
-        if self._worker is not None:
-            self._reap_worker()
-            self._worker = None
-
-    def __enter__(self) -> "Trainer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, iteration: int) -> EvalRecord:
@@ -489,24 +445,11 @@ class Trainer:
         return metrics.hypervolume(normed)
 
 
-# -- shared memory and the critic's worker process -----------------------------
-
-
-def _shared_arrays(**specs) -> SimpleNamespace:
-    """Zeroed arrays, name=(shape, dtype) with 8-byte dtypes, in one anonymous
-    MAP_SHARED mapping: a process forked later writes the same memory that
-    this one reads."""
-    counts = {name: int(np.prod(shape)) for name, (shape, _) in specs.items()}
-    buf = mmap.mmap(-1, 8 * max(1, sum(counts.values())))
-    arrays, offset = {}, 0
-    for name, (shape, dtype) in specs.items():
-        arrays[name] = np.frombuffer(buf, dtype, counts[name], offset).reshape(shape)
-        offset += 8 * counts[name]
-    return SimpleNamespace(**arrays)
+# -- the critic's child process ---------------------------------------------------
 
 
 def _worker_wanted() -> bool:
-    """Whether the critic's epochs get a forked worker: only where os.fork
+    """Whether the critic's epochs get a forked child: only where os.fork
     exists, this process may run on two or more CPUs, and it is not itself a
     multiprocessing child (``sweep --workers N`` already fills the CPUs)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
@@ -517,88 +460,54 @@ def _worker_wanted() -> bool:
     return mp is None or mp.parent_process() is None
 
 
-def _read_exactly(fd: int, n: int) -> bytes | None:
-    """n bytes from fd, or None at end-of-file."""
-    data = b""
-    while len(data) < n:
-        chunk = os.read(fd, n - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view) :]
-
-
-class _CriticWorker:
-    """A forked process that runs ``Trainer._critic_epochs`` on request.
-
-    The critic's vector and Adam moments, the inputs, value targets and
-    permutations are in the trainer's shared mapping, so a request is the
-    critic's m value-loss weights and the reply a pickled ``CriticOutcome``.
-    The worker ignores SIGINT, exits at end-of-file on its request pipe, and
-    holds no state that outlives a reply, so ``close`` kills it outright.
-    """
-
-    def __init__(self, trainer: Trainer):
-        requests_r, requests_w = os.pipe()
-        replies_r, replies_w = os.pipe()
+def _forked(fn) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a forked child that runs fn, writes the
+    pickled result into the pipe and exits.  The child ignores SIGINT: this
+    process handles Ctrl-C and kills it."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:  # the child; it never returns from here
+        status = 1
         try:
-            pid = os.fork()
-        except OSError:
-            for fd in (requests_r, requests_w, replies_r, replies_w):
-                os.close(fd)
-            raise
-        if pid == 0:  # the worker; it never returns from here
-            status = 1
-            try:
-                # Holding no write end of its own request pipe, the worker
-                # reads end-of-file once the parent is gone.  A worker forked
-                # later holds this one's and goes first, as it reads its own.
-                os.close(requests_w)
-                os.close(replies_r)
-                signal.signal(signal.SIGINT, signal.SIG_IGN)
-                _serve(trainer, requests_r, replies_w)
-                status = 0
-            except BaseException:
-                traceback.print_exc()
-            finally:
-                os._exit(status)
-        os.close(requests_r)
-        os.close(replies_w)
-        self.pid, self._owner = pid, os.getpid()
-        self._requests, self._replies = requests_w, replies_r
-
-    def submit(self, eta) -> None:
-        _write_all(self._requests, np.ascontiguousarray(eta, dtype=np.float64).tobytes())
-
-    def receive(self) -> CriticOutcome:
-        header = _read_exactly(self._replies, 8)
-        reply = header and _read_exactly(self._replies, int.from_bytes(header, "little"))
-        if not reply:
-            raise ChildProcessError(f"critic worker {self.pid} exited")
-        return pickle.loads(reply)
-
-    def close(self) -> None:
-        """Kill and reap the worker; only the process that forked it acts."""
-        if self.pid is None or os.getpid() != self._owner:
-            return
-        os.close(self._requests)
-        os.close(self._replies)
-        with suppress(ProcessLookupError, ChildProcessError):
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-        self.pid = None
+            os.close(read_end)
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            reply = pickle.dumps(fn())  # all or nothing: the parent unpickles what it reads
+            with open(write_end, "wb") as pipe:
+                pipe.write(reply)
+            status = 0
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
 
 
-def _serve(trainer: Trainer, requests: int, replies: int) -> None:
-    """The worker's loop: one run of the critic's epochs per request."""
-    size = 8 * trainer.m
-    while (request := _read_exactly(requests, size)) is not None:
-        outcome = trainer._critic_epochs(np.frombuffer(request))
-        reply = pickle.dumps(outcome)
-        _write_all(replies, len(reply).to_bytes(8, "little") + reply)
+def _result(pid: int, read_end: int):
+    """The result that the child (pid, read_end) of ``_forked`` sends, read to
+    end-of-file; the child is reaped and the pipe closed either way."""
+    try:
+        with open(read_end, "rb") as pipe:
+            reply = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    except BaseException:  # interrupted: the child is not waited for
+        _kill(pid, None)
+        raise
+    if not reply:
+        raise ChildProcessError(
+            f"the critic's process {pid} exited without a result (exit code {os.waitstatus_to_exitcode(status)})"
+        )
+    return pickle.loads(reply)
+
+
+def _kill(pid: int, read_end: int | None) -> None:
+    """SIGKILL and reap the child of ``_forked``, closing its pipe if open."""
+    if read_end is not None:
+        os.close(read_end)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)

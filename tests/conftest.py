@@ -1,4 +1,3 @@
-import gc
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +50,8 @@ def child_pids():
 
 
 def pytest_sessionfinish(session):
-    """Fail the run if a test left a child process behind, such as a
-    trainer's critic worker."""
-    gc.collect()  # a dropped trainer reaps its worker when collected
+    """Fail the run if a test left a child process behind, such as the
+    child a trainer forks for the critic's epochs."""
     left = sorted(live_child_pids())
     if left:
         reporter = session.config.pluginmanager.get_plugin("terminalreporter")

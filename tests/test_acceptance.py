@@ -142,7 +142,7 @@ def test_04_gae_matches_direct_weighted_sum():
         values = rng.normal(size=(T + 1, m))
         dones = rng.random(T) < 0.25
         batch = RolloutBatch(
-            states=np.zeros((T, 2)),
+            inputs=np.zeros((T, 2)),
             actions=np.zeros((T, 1)),
             pre_clamp=np.zeros((T, 1)),
             log_probs=np.zeros(T),

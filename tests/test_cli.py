@@ -539,6 +539,77 @@ class TestCompare:
         assert rc == 2
 
 
+def replace_cell(path: Path, row: int, col: int, value: str) -> None:
+    rows = read_csv(path)
+    rows[row][col] = value
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+
+
+class TestUnreadableInput:
+    """An input file that cannot be read exits 2 with a message naming it:
+    never a traceback, and never a run of the default config."""
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_config_that_is_a_directory(self, tmp_path, capsys, command):
+        (tmp_path / "configs").mkdir()
+        argv = [command, "--config", str(tmp_path / "configs"), "--out", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--axis", "seed=0,1"]
+        assert main(argv) == 2
+        assert str(tmp_path / "configs") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        ini = tmp_path / "latin1.ini"
+        ini.write_bytes(("# caf\u00e9\n" + TINY_INI).encode("latin-1"))
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "out")]) == 2
+        assert str(ini) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda doc: json.dumps(doc)[:-10],
+            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}),
+            lambda doc: json.dumps({**doc, "config": {**doc["config"], "algorithm": {
+                **doc["config"]["algorithm"], "preference": 0.5}}}),
+        ],
+        ids=["truncated_json", "no_config", "scalar_preference"],
+    )
+    def test_manifest_to_train_from(self, tmp_path, capsys, mangle):
+        manifest = configlib.write_manifest(tmp_path, configlib.default_config())
+        path = tmp_path / "manifest.json"
+        path.write_text(mangle(manifest))
+        assert main(["train", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, mangle",
+        [
+            ("eval.csv", lambda path: path.write_text("")),
+            ("eval.csv", lambda path: replace_cell(path, 1, 1, "abc")),
+            ("manifest.json", lambda path: path.write_text("{")),
+        ],
+        ids=["empty_eval_csv", "non_numeric_eval_cell", "truncated_manifest"],
+    )
+    def test_run_directory_to_compare(self, tiny_ini, tmp_path, capsys, name, mangle):
+        run = train(tiny_ini, tmp_path / "run")
+        mangle(run / name)
+        capsys.readouterr()
+        assert main(["compare", str(run), "--out", str(tmp_path / "cmp")]) == 2
+        assert str(run / name) in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    def test_checkpoint_that_is_a_directory(self, tiny_ini, tmp_path, capsys):
+        run = train(tiny_ini, tmp_path / "run")
+        (run / "checkpoints").mkdir()
+        capsys.readouterr()
+        assert main(["evaluate", "--run", str(run), "--checkpoint", "checkpoints"]) == 2
+        captured = capsys.readouterr()
+        assert str(run / "checkpoints") in captured.err and captured.out == ""
+
+
 class TestToybench:
     def test_writes_csv_and_reports_hits(self, tmp_path, capsys):
         out = tmp_path / "toy"

@@ -9,7 +9,7 @@ def make_batch(rewards, dones, values):
     rewards = np.asarray(rewards, dtype=np.float64)
     T, m = rewards.shape
     return RolloutBatch(
-        states=np.zeros((T, 1)),
+        inputs=np.zeros((T, 1)),
         actions=np.zeros((T, 1)),
         pre_clamp=np.zeros((T, 1)),
         log_probs=np.zeros(T),
@@ -167,7 +167,7 @@ class TestRolloutBatchShapes:
     def test_rejects_wrong_done_length(self):
         with pytest.raises(ContractViolationError):
             RolloutBatch(
-                states=np.zeros((2, 1)),
+                inputs=np.zeros((2, 1)),
                 actions=np.zeros((2, 1)),
                 pre_clamp=np.zeros((2, 1)),
                 log_probs=np.zeros(2),

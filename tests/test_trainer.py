@@ -1,7 +1,5 @@
 import csv
-import faulthandler
 import functools
-import gc
 import operator
 import os
 import signal
@@ -145,7 +143,7 @@ class TestRollout:
     def test_shapes_and_episode_accounting(self):
         t = Trainer(stub_cfg(horizon=20, env_params={"episode_cap": 8}))
         batch = t.collect_rollout()
-        assert batch.states.shape == (20, 3)
+        assert batch.inputs.shape == (20, 3 + 2)
         assert batch.values.shape == (21, 2)
         # cap 8 inside horizon 20: episodes end at steps 7 and 15.
         np.testing.assert_array_equal(np.flatnonzero(batch.dones), [7, 15])
@@ -156,8 +154,8 @@ class TestRollout:
     def test_values_come_from_critic_on_state_preference_input(self):
         t = Trainer(stub_cfg(horizon=12))
         batch = t.collect_rollout()
-        x = np.hstack([batch.states, np.tile(t.w, (12, 1))])
-        np.testing.assert_array_equal(batch.values[:12], np.atleast_2d(t.critic.values(x)))
+        np.testing.assert_array_equal(batch.inputs[:, 3:], np.tile(t.w, (12, 1)))
+        np.testing.assert_array_equal(batch.values[:12], np.atleast_2d(t.critic.values(batch.inputs)))
 
     def test_partial_episode_rolls_into_next_batch(self):
         t = Trainer(stub_cfg(horizon=12, env_params={"episode_cap": 8}))
@@ -181,7 +179,7 @@ def step_by_step_rollout(t: Trainer, T: int) -> dict:
     streams, continuing the episode in progress as collect_rollout does."""
     if t._obs is None:
         t._obs = t.env.reset(t.env_rng)
-    out = {k: [] for k in ("states", "actions", "pre_clamp", "log_probs", "rewards", "dones")}
+    out = {k: [] for k in ("inputs", "actions", "pre_clamp", "log_probs", "rewards", "dones")}
     for _ in range(T):
         sample = act(t.actor, t._obs, t.w, t.action_rng)
         obs, r, done, _ = t.env.step(sample.action)
@@ -189,8 +187,9 @@ def step_by_step_rollout(t: Trainer, T: int) -> dict:
             out[key].append(value)
         t._obs = t.env.reset(t.env_rng) if done else obs
     out = {k: np.array(v) for k, v in out.items()}
-    states = np.vstack([out["states"], t._obs[None, :]])
-    out["values"] = np.atleast_2d(t.critic.values(np.hstack([states, np.tile(t.w, (T + 1, 1))])))
+    inputs = np.hstack([np.vstack([out["inputs"], t._obs[None, :]]), np.tile(t.w, (T + 1, 1))])
+    out["inputs"] = inputs[:T]
+    out["values"] = np.atleast_2d(t.critic.values(inputs))
     return out
 
 
@@ -307,8 +306,7 @@ def interleaved_epochs(t, batch, eta, eta_critic, j_worst, r_bar):
     critic's epochs and the actor's were split, drawing each epoch's
     permutation as the epoch starts and updating the critic, then the
     actor, in every minibatch."""
-    cfg, T = t.cfg, t.cfg.horizon
-    inputs = np.hstack([batch.states, np.tile(t.w, (T, 1))])
+    cfg, T, inputs = t.cfg, t.cfg.horizon, batch.inputs
     value_losses, kappas, clip_loss_acc, entropy_acc = [], [], np.zeros(t.m), 0.0
     for _ in range(cfg.epochs):
         perm = t.shuffle_rng.permutation(T)
@@ -329,11 +327,37 @@ def reference_trainer(cfg) -> Trainer:
     return t
 
 
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """Forks a child for the critic's epochs in every iteration, whatever the
+    host's CPUs, and lists the pids forked."""
+    pids = []
+    fork = trainer_mod._forked
+
+    def recording(fn):
+        child = fork(fn)
+        pids.append(child[0])
+        return child
+
+    monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: True)
+    monkeypatch.setattr(trainer_mod, "_forked", recording)
+    return pids
+
+
 @pytest.fixture(params=["inline", "worker"])
-def placement(request, monkeypatch):
-    """Runs the critic's epochs inline or in a worker, whatever the host's CPUs."""
+def placement(request, monkeypatch, worker_pids):
+    """Runs the critic's epochs inline or in a forked child."""
     monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: request.param == "worker")
     return request.param
+
+
+@pytest.fixture
+def open_fds():
+    """The function that lists this process's open file descriptors."""
+    fd_dir = Path("/proc/self/fd")
+    if not fd_dir.is_dir():
+        pytest.skip("listing file descriptors needs /proc/self/fd")
+    return lambda: sorted(int(fd) for fd in os.listdir(fd_dir))
 
 
 ORIGINAL_UPDATES = {name: getattr(Trainer, name) for name in ("_critic_update", "_actor_update")}
@@ -356,55 +380,43 @@ def failing_update(name, k):
 class TestSplitEpochs:
     @pytest.mark.parametrize("critic", ["branched_weighted", "shared_unweighted"])
     @pytest.mark.parametrize("algorithm", ["pasta", "linear", "tch"])
-    def test_matches_the_interleaved_loop_bit_for_bit(self, algorithm, critic, placement):
+    def test_matches_the_interleaved_loop_bit_for_bit(self, algorithm, critic, placement, worker_pids):
         # minibatch 24 leaves a short last minibatch in each epoch.
         cfg = stub_cfg(algorithm=algorithm, critic=critic, minibatch=24, seed=5)
         ref = reference_trainer(cfg)
-        with Trainer(cfg) as t:
-            for _ in range(3):
-                assert t.run_iteration() == ref.run_iteration()
-            assert (t._worker is not None) == (placement == "worker")
-            for name in ("actor.params", "critic.params", "critic_opt.m", "critic_opt.v", "actor_opt.m"):
-                get = operator.attrgetter(name)
-                assert get(t).tobytes() == get(ref).tobytes(), name
-            assert t.critic_opt.step_count == ref.critic_opt.step_count == 3 * 2 * 3
-            for rng in ("shuffle_rng", "projection_rng"):
-                assert getattr(t, rng).bit_generator.state == getattr(ref, rng).bit_generator.state
-            assert t.evaluate(3) == ref.evaluate(3)
+        t = Trainer(cfg)
+        for _ in range(3):
+            assert t.run_iteration() == ref.run_iteration()
+        assert len(worker_pids) == (3 if placement == "worker" else 0)
+        for name in ("actor.params", "critic.params", "critic_opt.m", "critic_opt.v", "actor_opt.m"):
+            get = operator.attrgetter(name)
+            assert get(t).tobytes() == get(ref).tobytes(), name
+        assert t.critic_opt.step_count == ref.critic_opt.step_count == 3 * 2 * 3
+        for rng in ("shuffle_rng", "projection_rng"):
+            assert getattr(t, rng).bit_generator.state == getattr(ref, rng).bit_generator.state
+        assert t.evaluate(3) == ref.evaluate(3)
 
     @pytest.mark.parametrize(
         "critic_at, actor_at, winner",
         [(2, None, "_critic"), (None, 2, "_actor"), (2, 2, "_critic"), (2, 1, "_actor"), (1, 3, "_critic")],
     )
     def test_raises_the_error_of_the_interleaved_loop(
-        self, monkeypatch, placement, critic_at, actor_at, winner
+        self, monkeypatch, placement, critic_at, actor_at, winner, child_pids, open_fds
     ):
         def first_error(make) -> str:
             for name, k in (("_critic_update", critic_at), ("_actor_update", actor_at)):
                 if k is not None:
                     monkeypatch.setattr(Trainer, name, failing_update(name, k))
-            with make(stub_cfg()) as t, pytest.raises(DivergenceError) as info:
+            t = make(stub_cfg())
+            fds = open_fds()
+            with pytest.raises(DivergenceError) as info:
                 t.run_iteration()
+            assert not child_pids() and open_fds() == fds
             return str(info.value)
 
         expected = first_error(reference_trainer)
         assert expected.startswith(winner)
         assert first_error(Trainer) == expected
-
-
-@pytest.fixture
-def worker_pids(monkeypatch):
-    """Forces a critic worker on every trainer and lists the pids started."""
-    pids = []
-    start = trainer_mod._CriticWorker.__init__
-
-    def recording(self, trainer):
-        start(self, trainer)
-        pids.append(self.pid)
-
-    monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: True)
-    monkeypatch.setattr(trainer_mod._CriticWorker, "__init__", recording)
-    return pids
 
 
 class TestCriticWorker:
@@ -420,7 +432,7 @@ class TestCriticWorker:
     def test_train_leaves_no_child_process(self, tmp_path, worker_pids, child_pids):
         ini = self.tiny_train_config(tmp_path)
         assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 0
-        assert len(worker_pids) == 1
+        assert len(worker_pids) == 2  # one per iteration
         assert not child_pids()
 
     def test_divergence_exits_3_with_the_inline_message_and_no_child(
@@ -436,71 +448,92 @@ class TestCriticWorker:
             assert not child_pids()
         assert messages[0] == messages[1] == "divergence: _critic_update failed at minibatch 3\n"
 
-    def test_dropped_trainer_reaps_its_worker(self, worker_pids, child_pids):
+    def test_no_child_or_descriptor_outlives_an_iteration(self, worker_pids, child_pids, open_fds):
         t = Trainer(stub_cfg())
-        t.run_iteration()
-        assert worker_pids and set(worker_pids) <= child_pids()
-        del t
-        gc.collect()
-        assert not set(worker_pids) & child_pids()
+        fds = open_fds()
+        for _ in range(5):
+            t.run_iteration()
+            assert not child_pids()
+        assert len(set(worker_pids)) == 5
+        assert open_fds() == fds
 
-    def test_closed_trainer_runs_on_inline_and_bit_for_bit(self, worker_pids, child_pids):
-        ref = reference_trainer(stub_cfg())
+    def test_child_that_exits_without_a_result_raises(self, monkeypatch, worker_pids, child_pids, open_fds):
+        monkeypatch.setattr(Trainer, "_critic_epochs", lambda self, *args: os._exit(0))
         t = Trainer(stub_cfg())
-        assert t.run_iteration() == ref.run_iteration()
-        t.close()
-        assert not child_pids()
-        for _ in range(2):
-            assert t.run_iteration() == ref.run_iteration()
+        fds = open_fds()
+        with pytest.raises(ChildProcessError, match="without a result"):
+            t.run_iteration()
         assert len(worker_pids) == 1
-        assert t.critic.params.tobytes() == ref.critic.params.tobytes()
+        assert not child_pids() and open_fds() == fds
+
+    def test_interrupt_in_the_actor_loop_kills_the_child(self, monkeypatch, worker_pids, child_pids, open_fds):
+        def interrupted(self, *args):
+            raise KeyboardInterrupt
+
+        # The child would sleep for a minute: only SIGKILL ends it this soon.
+        monkeypatch.setattr(Trainer, "_critic_epochs", lambda self, *args: time.sleep(60))
+        monkeypatch.setattr(Trainer, "_actor_update", interrupted)
+        t = Trainer(stub_cfg())
+        fds = open_fds()
+        started = time.monotonic()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                t.run_iteration()
+            assert time.monotonic() - started < 30
+            assert len(worker_pids) == 1
+            assert not child_pids() and open_fds() == fds
+        finally:
+            for pid in child_pids():  # a failing run leaves nothing behind either
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
     def test_more_workers_than_cores_keep_their_own_state(self, worker_pids, child_pids):
-        """Several trainers, each with a worker, step in turn; each matches its
-        own inline reference bit for bit, and closing them in any order reaps
-        every worker."""
-        faulthandler.dump_traceback_later(60, exit=True)  # a hung pipe ends the run
-        try:
-            n = len(os.sched_getaffinity(0)) + 2
-            cfgs = [stub_cfg(seed=20 + i, algorithm=("pasta", "linear")[i % 2]) for i in range(n)]
-            trainers = [Trainer(cfg) for cfg in cfgs]
-            refs = [reference_trainer(cfg) for cfg in cfgs]
-            for _ in range(3):
-                for t, ref in zip(trainers, refs):
-                    assert t.run_iteration() == ref.run_iteration()
-            assert len(worker_pids) == n and set(worker_pids) <= child_pids()
+        """More trainers than cores step in turn, each forking a child per
+        iteration over its own shared mapping; each matches its own inline
+        reference bit for bit."""
+        n = len(os.sched_getaffinity(0)) + 2
+        cfgs = [stub_cfg(seed=20 + i, algorithm=("pasta", "linear")[i % 2]) for i in range(n)]
+        trainers = [Trainer(cfg) for cfg in cfgs]
+        refs = [reference_trainer(cfg) for cfg in cfgs]
+        for _ in range(3):
             for t, ref in zip(trainers, refs):
-                assert t.critic.params.tobytes() == ref.critic.params.tobytes()
-            for t in trainers[1::2] + trainers[::2]:
-                t.close()
-            assert not child_pids()
-        finally:
-            faulthandler.cancel_dump_traceback_later()
+                assert t.run_iteration() == ref.run_iteration()
+                assert not child_pids()
+        assert len(worker_pids) == 3 * n
+        for t, ref in zip(trainers, refs):
+            assert t.critic.params.tobytes() == ref.critic.params.tobytes()
 
     def test_worker_exits_when_its_parent_dies(self, child_pids):
-        """A process that dies holding an unclosed trainer leaves no worker
-        running: the worker reads end-of-file and exits."""
+        """A parent SIGKILLed in the middle of an iteration leaves a child
+        that ends by itself once its epochs are done."""
         pid_r, pid_w = os.pipe()
         parent = os.fork()
-        if parent == 0:  # a parent that dies without closing its trainers
+        if parent == 0:  # a parent killed in its actor loop, the child running
             try:
+                fork = trainer_mod._forked
+
+                def reporting(fn):
+                    child = fork(fn)
+                    os.write(pid_w, child[0].to_bytes(8, "little"))
+                    return child
+
                 trainer_mod._worker_wanted = lambda: True
-                trainers = [Trainer(stub_cfg(seed=s)) for s in (1, 2)]
-                for t in trainers:
-                    t.run_iteration()
-                os.write(pid_w, b"".join(t._worker.pid.to_bytes(8, "little") for t in trainers))
+                trainer_mod._forked = reporting
+                Trainer._actor_update = lambda self, *args: os.kill(os.getpid(), signal.SIGKILL)
+                Trainer(stub_cfg()).run_iteration()
             finally:
                 os._exit(0)
         os.close(pid_w)
-        data = b""  # read no further: the workers hold the pipe open too
-        while len(data) < 16 and (chunk := os.read(pid_r, 16 - len(data))):
+        data = b""  # read no further: the child holds the pipe open too
+        while len(data) < 8 and (chunk := os.read(pid_r, 8 - len(data))):
             data += chunk
         os.close(pid_r)
-        os.waitpid(parent, 0)
-        assert len(data) == 16
-        workers = [int.from_bytes(data[i : i + 8], "little") for i in (0, 8)]
+        _, status = os.waitpid(parent, 0)
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert len(data) == 8
+        child = int.from_bytes(data, "little")
 
-        def running(pid) -> bool:  # exited workers may stay zombies of init
+        def running(pid) -> bool:  # an exited child may stay a zombie of init
             try:
                 stat = Path(f"/proc/{pid}/stat").read_text()
             except FileNotFoundError:
@@ -508,11 +541,11 @@ class TestCriticWorker:
             return stat[stat.rindex(")") + 2] != "Z"
 
         deadline = time.monotonic() + 30
-        while any(map(running, workers)) and time.monotonic() < deadline:
+        while running(child) and time.monotonic() < deadline:
             time.sleep(0.02)
-        left = [pid for pid in workers if running(pid)]
-        for pid in left:  # a failing run leaves nothing behind either
-            os.kill(pid, signal.SIGKILL)
+        left = running(child)
+        if left:  # a failing run leaves nothing behind either
+            os.kill(child, signal.SIGKILL)
         assert not left
 
     def test_worker_is_not_wanted_in_a_pool_process(self):
@@ -552,7 +585,7 @@ def make_flat_batch(trainer, T, adv):
     x = np.hstack([states, np.tile(trainer.w, (T, 1))])
     means, _ = trainer.actor.mean_forward(x)
     batch = RolloutBatch(
-        states=states,
+        inputs=x,
         actions=np.clip(pre, 0, 1),
         pre_clamp=pre,
         log_probs=trainer.actor.log_probs(means, pre),
