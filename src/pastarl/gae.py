@@ -22,7 +22,6 @@ class RolloutBatch:
     """One iteration's worth of experience (T steps, m objectives)."""
 
     inputs: np.ndarray            # (T, obs_dim + m) the networks' [state, w] rows
-    actions: np.ndarray           # (T, act_dim) post-clamp, as executed
     pre_clamp: np.ndarray         # (T, act_dim) raw Gaussian samples
     log_probs: np.ndarray         # (T,) behavior log-probs of pre_clamp
     rewards: np.ndarray           # (T, m)

@@ -7,11 +7,15 @@ layer-major: for each layer in order, weights in row-major order followed by
 that layer's biases; a model made of several networks concatenates theirs in
 a fixed order (the actor puts its log-std vector last).
 
-Adam updates a model's vector in place, so the optimizer and the layers never
-need copying between them.  Backward passes accept a leading objective axis
-on the output gradient: k per-objective gradients come out of one pass as
-the (k, P) matrix that gradient surgery consumes.  Checkpoints store each
-network's spec and flat vector; the format is unchanged at version 1.
+Every network runs on a 2-D (B, in) batch of row vectors; one input row is
+a (1, in) batch.  A forward pass returns its output and its activation
+record [x, h_1, ..., output], which stores each activation once, and the
+backward pass takes that record.  Backward passes accept a leading
+objective axis on the output gradient: k per-objective gradients come out
+of one pass as the (k, P) matrix that gradient surgery consumes.  Adam
+updates a model's vector in place, so the optimizer and the layers never
+need copying between them.  Checkpoints store each network's spec and flat
+vector; the format is unchanged at version 1.
 """
 
 from __future__ import annotations
@@ -54,17 +58,6 @@ class DenseLayer(NamedTuple):
     activation: str
 
 
-@dataclass
-class Tape:
-    """Forward-pass record used by backward(): per-layer inputs and outputs."""
-
-    net: "Network"
-    inputs: list[np.ndarray]
-    outputs: list[np.ndarray]
-    single: bool
-    out_shape: tuple
-
-
 def _layout_size(dims: list[int]) -> int:
     """Number of parameters of a dense stack with layer widths dims."""
     return sum(dims[i + 1] * (dims[i] + 1) for i in range(len(dims) - 1))
@@ -100,6 +93,7 @@ class Network:
                 raise ContractViolationError(f"unknown activation {name!r}")
         self.dims = [int(d) for d in dims]
         self.activations = list(activations)
+        self.stack = stack
         lead = () if stack is None else (stack,)
         self._table_shape = lead + (_layout_size(self.dims),)
         size = int(np.prod(self._table_shape))
@@ -146,65 +140,60 @@ class Network:
             l.weights[...] = rng.uniform(-bound, bound, size=l.weights.shape)
         return net
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, Tape]:
-        """Run the stack on one vector or a batch of row vectors.
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Run the stack on a (B, in) batch of row vectors.
 
-        Returns (output, tape); the tape feeds backward() and is only valid
-        for the parameter values used here.
+        Returns (output, record): the record is [x, h_1, ..., output], the
+        input and each layer's output, which backward() takes; it is only
+        valid for the parameter values used here.
         """
         if not (isinstance(x, np.ndarray) and x.dtype == np.float64):
             x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        h = x[None, :] if single else x
-        if h.shape[-1] != self.in_dim:
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ContractViolationError(
-                f"input dim {h.shape[-1]} != network in_dim {self.in_dim}"
+                f"input shape {x.shape} != (B, {self.in_dim}) for this network"
             )
-        inputs, outputs = [], []
+        record = [x]
         for weights_t, biases, activation in self._affine:
-            inputs.append(h)
-            h = _apply_activation(activation, h @ weights_t + biases)
-            outputs.append(h)
-        out = h[..., 0, :] if single else h
-        return out, Tape(self, inputs, outputs, single, out.shape)
+            x = _apply_activation(activation, x @ weights_t + biases)
+            record.append(x)
+        return x, record
 
     def backward(
-        self, tape: Tape, output_grad: np.ndarray, input_grad: bool = True
+        self, record: list[np.ndarray], output_grad: np.ndarray, input_grad: bool = True
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Backpropagate d(sum_b output_grad[b] . output[b]) onto parameters.
 
-        output_grad has the shape of the forward output, optionally with one
-        leading objective axis of length k; the k gradients then come from
-        one pass.  Returns (flat_grad, input_grad): flat_grad follows the
-        flat layout, (n_params,) or (k, n_params), and input_grad has the
-        shape of the forward input, with the same leading axes as the output.
-        With input_grad=False the first layer's input-gradient matmul is
-        skipped and None comes back in its place.
+        record is what forward() returned with the output.  output_grad has
+        the shape of that output, optionally with one leading objective
+        axis of length k; the k gradients then come from one pass.  Returns
+        (flat_grad, input_grad): flat_grad follows the flat layout,
+        (n_params,) or (k, n_params), and input_grad has the shape of the
+        forward input, with the same leading axes as the output.  With
+        input_grad=False the first layer's input-gradient matmul is skipped
+        and None comes back in its place.
         """
-        if tape.net is not self:
-            raise ContractViolationError("tape does not match this network")
+        if [h.shape[-1] for h in record] != self.dims:
+            raise ContractViolationError("activation record does not fit this network's layers")
+        out_shape = record[-1].shape
         g = np.asarray(output_grad, dtype=np.float64)
-        objectives = g.shape[: g.ndim - len(tape.out_shape)]
-        if len(objectives) > 1 or g.shape[len(objectives) :] != tape.out_shape:
+        objectives = g.shape[: g.ndim - len(out_shape)]
+        if len(objectives) > 1 or g.shape[len(objectives) :] != out_shape:
             raise ContractViolationError(
-                f"output_grad shape {g.shape} != output shape {tape.out_shape}"
+                f"output_grad shape {g.shape} != output shape {out_shape}"
             )
-        if tape.single:
-            g = g[..., None, :]
         grads = np.empty(objectives + self._table_shape)
         for idx in range(len(self.layers) - 1, -1, -1):
             l = self.layers[idx]
             w, b = self._slices[idx]
-            dz = g * _activation_grad_from_output(l.activation, tape.outputs[idx])
-            gw = np.swapaxes(dz, -1, -2) @ tape.inputs[idx]
+            dz = g * _activation_grad_from_output(l.activation, record[idx + 1])
+            gw = np.swapaxes(dz, -1, -2) @ record[idx]
             grads[..., w] = gw.reshape(gw.shape[:-2] + (-1,))
             grads[..., b] = dz.sum(axis=-2)
             if idx or input_grad:
                 g = dz @ l.weights
         flat = grads.reshape(objectives + (self.n_params,))
-        if not input_grad:
-            return flat, None
-        return flat, g[..., 0, :] if tape.single else g
+        return flat, g if input_grad else None
 
 
 @dataclass

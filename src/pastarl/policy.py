@@ -13,25 +13,16 @@ critic is a single network with an m-dimensional output layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from pastarl.errors import ContractViolationError
-from pastarl.nn import Network, network_spec
+from pastarl.nn import Network
 
 LOG_STD_INIT = float(np.log(0.5))
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
 HALF_LOG_2PI = 0.5 * float(np.log(2.0 * np.pi))
 ENTROPY_CONST = 0.5 * float(np.log(2.0 * np.pi * np.e))
-
-
-@dataclass
-class ActorTape:
-    backbone: object
-    head: object
-    means: np.ndarray
 
 
 class GaussianActor:
@@ -77,10 +68,13 @@ class GaussianActor:
         # Projection step after optimizer updates keeps std in a sane range.
         np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
 
-    def mean_forward(self, x: np.ndarray) -> tuple[np.ndarray, ActorTape]:
-        feats, tape_b = self.backbone.forward(x)
-        means, tape_h = self.mean_head.forward(feats)
-        return means, ActorTape(tape_b, tape_h, means)
+    def mean_forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(B, act_dim) means of a (B, obs_dim + m) batch of [state, w] rows,
+        and the backbone's and head's activation records for
+        backward_weighted_logp."""
+        feats, backbone_record = self.backbone.forward(x)
+        means, head_record = self.mean_head.forward(feats)
+        return means, (backbone_record, head_record)
 
     def log_probs(self, means: np.ndarray, pre_clamp: np.ndarray) -> np.ndarray:
         """Diagonal-Gaussian log density of raw samples over the last axis;
@@ -98,25 +92,25 @@ class GaussianActor:
         grad[-self.action_dim :] += scale
 
     def backward_weighted_logp(
-        self, tape: ActorTape, pre_clamp: np.ndarray, coeffs: np.ndarray
+        self, records: tuple, pre_clamp: np.ndarray, coeffs: np.ndarray
     ) -> np.ndarray:
         """Gradients of sum_t coeffs[i, t] * log pi(pre_clamp[t] | state[t]), one per row i.
 
-        coeffs is (k, B); returns the (k, n_params) gradient matrix from a
-        single backward pass through the head and backbone.
+        records is what mean_forward returned with the (B, act_dim) means;
+        coeffs is (k, B).  Returns the (k, n_params) gradient matrix
+        from a single backward pass through the head and backbone.
         """
-        means = np.atleast_2d(tape.means)
-        pre = np.atleast_2d(pre_clamp)
+        backbone_record, head_record = records
+        means = head_record[-1]
         c = np.ascontiguousarray(coeffs, dtype=np.float64)
         if c.ndim != 2 or c.shape[1] != means.shape[0]:
             raise ContractViolationError(f"coeffs shape {c.shape} != (k, {means.shape[0]})")
         var = np.exp(2.0 * self.log_std)
-        diff = pre - means
+        diff = pre_clamp - means
         g_mean = c[:, :, None] * diff / var
         g_log_std = (c[:, :, None] * (diff * diff / var - 1.0)).sum(axis=1)
-        head_grad_input = g_mean[:, 0] if tape.head.single else g_mean
-        head_flat, feat_grad = self.mean_head.backward(tape.head, head_grad_input)
-        backbone_flat, _ = self.backbone.backward(tape.backbone, feat_grad, input_grad=False)
+        head_flat, feat_grad = self.mean_head.backward(head_record, g_mean)
+        backbone_flat, _ = self.backbone.backward(backbone_record, feat_grad, input_grad=False)
         return np.concatenate([backbone_flat, head_flat, g_log_std], axis=1)
 
 
@@ -124,63 +118,67 @@ class BranchedCritic:
     """Shared trunk with one independent value head per objective.
 
     ``params`` holds the trunk's flat vector, then each head's in objective
-    order.  The heads share one shape, so they also run as a single stacked
-    network over an (m, head size) view of that vector; ``heads`` keeps one
-    view Network per head for checkpoints.  The constructor copies the given
-    parts into ``params``, a new vector or the buffer passed in.
+    order.  The heads share one shape and run as one network of ``stack=m``
+    over the (m, head size) rows of that vector.  The constructor copies the
+    given trunk and stacked heads into ``params``, a new vector or the
+    buffer passed in.
     """
 
-    def __init__(self, trunk: Network, heads: list[Network], params: np.ndarray | None = None):
-        for h in heads:
-            if h.in_dim != trunk.out_dim or h.out_dim != 1:
-                raise ContractViolationError("head shape does not fit trunk")
-            if network_spec(h) != network_spec(heads[0]):
-                raise ContractViolationError("value heads must share one shape")
-        self.m = len(heads)
-        self.params = np.concatenate([trunk.params] + [h.params for h in heads], out=params)
+    def __init__(self, trunk: Network, stacked_heads: Network, params: np.ndarray | None = None):
+        if stacked_heads.stack is None:
+            raise ContractViolationError("value heads must be one stacked network")
+        if stacked_heads.in_dim != trunk.out_dim or stacked_heads.out_dim != 1:
+            raise ContractViolationError("head shape does not fit trunk")
+        self.m = stacked_heads.stack
+        self.params = np.concatenate([trunk.params, stacked_heads.params], out=params)
         nt = trunk.n_params
         self.trunk = Network(trunk.dims, trunk.activations, self.params[:nt])
-        dims, acts = heads[0].dims, heads[0].activations
-        self.stacked_heads = Network(dims, acts, self.params[nt:], stack=self.m)
-        nh = heads[0].n_params
-        self.heads = [
-            Network(dims, acts, self.params[nt + i * nh : nt + (i + 1) * nh]) for i in range(self.m)
-        ]
+        self.stacked_heads = Network(
+            stacked_heads.dims, stacked_heads.activations, self.params[nt:], stack=self.m
+        )
 
     @classmethod
     def create(
         cls, obs_dim: int, m: int, rng: np.random.Generator, hidden: int = 64
     ) -> "BranchedCritic":
         trunk = Network.random([obs_dim + m, hidden, hidden], ["tanh", "tanh"], rng)
-        heads = [Network.random([hidden, hidden, 1], ["tanh", "identity"], rng) for _ in range(m)]
-        return cls(trunk, heads)
+        dims, acts = [hidden, hidden, 1], ["tanh", "identity"]
+        heads = [Network.random(dims, acts, rng) for _ in range(m)]
+        return cls(trunk, Network(dims, acts, np.concatenate([h.params for h in heads]), stack=m))
 
     @property
     def n_params(self) -> int:
         return self.params.size
 
     def checkpoint_networks(self) -> dict:
-        """The networks a checkpoint stores, by name."""
-        heads = {f"critic_head_{i}": head for i, head in enumerate(self.heads)}
+        """The networks a checkpoint stores, by name: the trunk, and one head
+        per objective on its row of the stacked heads' vector."""
+        s = self.stacked_heads
+        heads = {
+            f"critic_head_{i}": Network(s.dims, s.activations, row)
+            for i, row in enumerate(s.params.reshape(self.m, -1))
+        }
         return {"critic_trunk": self.trunk, **heads}
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        feats, tape_t = self.trunk.forward(x)
-        outs, tape_h = self.stacked_heads.forward(feats)  # (m, B, 1), or (m, 1) for one state
+        """(B, m) values of a (B, obs_dim + m) batch, and the activation
+        records for backward."""
+        feats, trunk_record = self.trunk.forward(x)
+        outs, heads_record = self.stacked_heads.forward(feats)  # (m, B, 1)
         vals = np.ascontiguousarray(outs[..., 0].T)
-        return vals, (tape_t, tape_h)
+        return vals, (trunk_record, heads_record)
 
     def values(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
     def backward(self, cache: tuple, dvals: np.ndarray) -> np.ndarray:
-        """Gradient over flat params given d(loss)/d(values), shape (B, m) or (m,)."""
-        tape_t, tape_h = cache
+        """Gradient over flat params given d(loss)/d(values), shape (B, m)."""
+        trunk_record, heads_record = cache
         # Objective-major and contiguous, so each head reduces over its batch
         # exactly as a lone head network would.
         dv = np.ascontiguousarray(np.asarray(dvals, dtype=np.float64).T)[..., None]
-        head_flat, feat_grads = self.stacked_heads.backward(tape_h, dv)
-        trunk_flat, _ = self.trunk.backward(tape_t, feat_grads.sum(axis=0), input_grad=False)
+        head_flat, feat_grads = self.stacked_heads.backward(heads_record, dv)
+        trunk_flat, _ = self.trunk.backward(trunk_record, feat_grads.sum(axis=0), input_grad=False)
         return np.concatenate([trunk_flat, head_flat])
 
 

@@ -67,9 +67,7 @@ class ReturnNormalizer:
         returns: (n_episodes, m) with n_episodes >= 1.
         """
         batch = np.asarray(returns, dtype=np.float64)
-        if batch.ndim == 1:
-            batch = batch[None, :]
-        if batch.shape[0] == 0 or batch.shape[1] != self.m:
+        if batch.ndim != 2 or batch.shape[0] == 0 or batch.shape[1] != self.m:
             raise ContractViolationError(
                 f"returns batch must be (n>=1, {self.m}), got {batch.shape}"
             )

@@ -91,27 +91,24 @@ class CriticOutcome(NamedTuple):
 
 
 def weighted_value_loss(values, targets, eta) -> float:
-    """(1/N) sum_t sum_i eta_i (V_i(s_t) - y_i(s_t))^2."""
-    v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    eta = np.asarray(eta, dtype=np.float64)
-    return float(np.mean(np.sum(eta * (v - y) ** 2, axis=1)))
+    """(1/N) sum_t sum_i eta_i (V_i(s_t) - y_i(s_t))^2 over (N, m) values and targets."""
+    return float(np.mean(np.sum(eta * (values - targets) ** 2, axis=1)))
 
 
 def deterministic_returns(actor, env, w, rng, episodes: int) -> np.ndarray:
     """(episodes, m) raw returns of the actor's mean action, resetting env from rng."""
     totals = np.zeros((episodes, env.m))
     obs_dim = env.observation_dim
-    x = np.empty(obs_dim + len(w))  # the actor's input [obs, w]
-    x[obs_dim:] = w
+    x = np.empty((1, obs_dim + len(w)))  # the actor's input, one [obs, w] row
+    x[0, obs_dim:] = w
     for ep in range(episodes):
-        x[:obs_dim] = env.reset(rng)
+        x[0, :obs_dim] = env.reset(rng)
         done = False
         while not done:
             means, _ = actor.mean_forward(x)
             # np.clip's values without its Python-level dispatch.
-            obs, r, done, _ = env.step(np.minimum(np.maximum(means, 0.0), 1.0))
-            x[:obs_dim] = obs
+            obs, r, done, _ = env.step(np.minimum(np.maximum(means[0], 0.0), 1.0))
+            x[0, :obs_dim] = obs
             totals[ep] += r
     return totals
 
@@ -148,7 +145,7 @@ class Trainer:
         n = critic.n_params
         params, adam_m, adam_v = np.frombuffer(mmap.mmap(-1, 3 * 8 * n)).reshape(3, n)
         self.critic = (
-            BranchedCritic(critic.trunk, critic.heads, params=params)
+            BranchedCritic(critic.trunk, critic.stacked_heads, params=params)
             if branched
             else SharedCritic(critic.net, params=params)
         )
@@ -172,10 +169,12 @@ class Trainer:
         The actor's parameters hold still for the whole horizon, so its std
         and the horizon's noise come first: one (T, act_dim) draw, the values
         T single-step draws give, in order.  Each step then runs only the
-        actor's mean on its [obs, w] row, and the log-probs of all T samples
-        come from one batched pass after the loop.  The same (T + 1)-row
-        input buffer, the bootstrap state last, feeds the critic's values,
-        and its first T rows are the batch's inputs to both updates.
+        actor's mean on its [obs, w] row, a (1, obs_dim + m) view, and clips
+        mean plus noise into the one action buffer that ``env.step`` reads;
+        the log-probs of all T samples come from one batched pass after the
+        loop.  The same (T + 1)-row input buffer, the bootstrap state last,
+        feeds the critic's values, and its first T rows are the batch's
+        inputs to both updates.
         """
         T = self.cfg.horizon
         env, actor = self.env, self.actor
@@ -189,15 +188,15 @@ class Trainer:
         noise = self.action_rng.standard_normal((T, act_dim)) * std
         means = np.empty((T, act_dim))
         pre_clamp = np.empty((T, act_dim))
-        actions = np.empty((T, act_dim))
+        action = np.empty(act_dim)
         rewards = np.empty((T, self.m))
         dones = np.zeros(T, dtype=bool)
         completed: list[np.ndarray] = []
         obs = self._obs
         inputs[0, :obs_dim] = obs
         for t in range(T):
-            mean = means[t] = actor.mean_forward(inputs[t])[0]
-            pre, action = pre_clamp[t], actions[t]
+            mean = means[t] = actor.mean_forward(inputs[t : t + 1])[0][0]
+            pre = pre_clamp[t]
             np.add(mean, noise[t], out=pre)
             # np.clip's values without its Python-level dispatch.
             np.maximum(pre, 0.0, out=action)
@@ -214,12 +213,11 @@ class Trainer:
         self._obs = obs
         return RolloutBatch(
             inputs=inputs[:T],
-            actions=actions,
             pre_clamp=pre_clamp,
             log_probs=actor.log_probs(means, pre_clamp),
             rewards=rewards,
             dones=dones,
-            values=np.atleast_2d(self.critic.values(inputs)),
+            values=self.critic.values(inputs),
             episodic_returns=completed,
         )
 
@@ -435,14 +433,9 @@ class Trainer:
             eu=float(self.w @ mean_returns),
         )
         self.eval_history.append(record)
-        record.hv_so_far = self._hv_so_far()
+        normed = metrics.normalize_points({"eval": [rec.returns for rec in self.eval_history]})
+        record.hv_so_far = metrics.hypervolume(normed["eval"])
         return record
-
-    def _hv_so_far(self) -> float:
-        pts = np.array([rec.returns for rec in self.eval_history])
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        normed = np.clip((pts - lo) / (hi - lo + 1e-8), 0.0, 1.0)
-        return metrics.hypervolume(normed)
 
 
 # -- the critic's child process ---------------------------------------------------
@@ -462,8 +455,10 @@ def _worker_wanted() -> bool:
 
 def _forked(fn) -> tuple[int, int]:
     """(pid, read end of its pipe) of a forked child that runs fn, writes the
-    pickled result into the pipe and exits.  The child ignores SIGINT: this
-    process handles Ctrl-C and kills it."""
+    pickled result into the pipe and exits 0.  It exits 1 when fn raises,
+    printing the traceback, and quietly when the pipe is broken because this
+    process is gone.  The child ignores SIGINT: this process handles Ctrl-C
+    and kills it."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -477,9 +472,10 @@ def _forked(fn) -> tuple[int, int]:
             os.close(read_end)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             reply = pickle.dumps(fn())  # all or nothing: the parent unpickles what it reads
-            with open(write_end, "wb") as pipe:
-                pipe.write(reply)
-            status = 0
+            with suppress(BrokenPipeError):  # the parent is gone: exit 1, with no one to tell
+                with open(write_end, "wb") as pipe:
+                    pipe.write(reply)
+                status = 0
         except BaseException:
             traceback.print_exc()
         finally:

@@ -61,7 +61,7 @@ def act(actor, state, w, rng) -> ActSample:
     """One draw from the actor's diagonal Gaussian at [state, w]: the mean
     plus std times act_dim fresh standard normals, clamped into the box, with
     the log density of the raw, pre-clamp sample."""
-    means, _ = actor.mean_forward(np.concatenate((state, w)))
+    means = actor.mean_forward(np.concatenate((state, w))[None, :])[0][0]
     std = np.exp(actor.log_std)
     pre = means + std * rng.standard_normal(actor.action_dim)
     z = (pre - means) / std
@@ -72,5 +72,5 @@ def act(actor, state, w, rng) -> ActSample:
 
 def act_deterministic(actor, state, w) -> np.ndarray:
     """The actor's mean action at [state, w], clamped into the box."""
-    means, _ = actor.mean_forward(np.concatenate((state, w)))
+    means = actor.mean_forward(np.concatenate((state, w))[None, :])[0][0]
     return np.minimum(np.maximum(means, 0.0), 1.0)

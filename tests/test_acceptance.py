@@ -143,7 +143,6 @@ def test_04_gae_matches_direct_weighted_sum():
         dones = rng.random(T) < 0.25
         batch = RolloutBatch(
             inputs=np.zeros((T, 2)),
-            actions=np.zeros((T, 1)),
             pre_clamp=np.zeros((T, 1)),
             log_probs=np.zeros(T),
             rewards=rewards,

@@ -10,7 +10,6 @@ def make_batch(rewards, dones, values):
     T, m = rewards.shape
     return RolloutBatch(
         inputs=np.zeros((T, 1)),
-        actions=np.zeros((T, 1)),
         pre_clamp=np.zeros((T, 1)),
         log_probs=np.zeros(T),
         rewards=rewards,
@@ -168,7 +167,6 @@ class TestRolloutBatchShapes:
         with pytest.raises(ContractViolationError):
             RolloutBatch(
                 inputs=np.zeros((2, 1)),
-                actions=np.zeros((2, 1)),
                 pre_clamp=np.zeros((2, 1)),
                 log_probs=np.zeros(2),
                 rewards=np.zeros((2, 1)),

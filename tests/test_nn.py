@@ -35,11 +35,11 @@ def _act(name, z):
 
 
 def manual_forward(net, x):
-    """Independent re-evaluation of the stack, layer by layer."""
-    h = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """Independent re-evaluation of the stack on a (B, in) batch, layer by layer."""
+    h = np.asarray(x, dtype=np.float64)
     for layer in net.layers:
         h = _act(layer.activation, h @ layer.weights.T + layer.biases)
-    return h[0] if np.asarray(x).ndim == 1 else h
+    return h
 
 
 class TestForward:
@@ -50,18 +50,20 @@ class TestForward:
             out, _ = net.forward(x)
             np.testing.assert_array_equal(out, manual_forward(net, x))
 
-    def test_single_vector_equals_batch_row(self, rng):
-        net = Network.random([3, 4, 2], ["tanh", "identity"], rng)
-        x = rng.normal(size=3)
-        single, _ = net.forward(x)
-        batch, _ = net.forward(x[None, :])
-        assert single.shape == (2,)
-        np.testing.assert_array_equal(single, batch[0])
+    def test_rejects_one_dimensional_input(self, rng):
+        """One input row is a (1, in) batch; a bare vector is refused, stacked or not."""
+        for stack in (None, 2):
+            net = Network([3, 4, 2], ["tanh", "identity"], stack=stack)
+            assert net.forward(np.zeros((1, 3)))[0].shape[-2:] == (1, 2)
+            with pytest.raises(ContractViolationError, match="input shape"):
+                net.forward(np.zeros(3))
+            with pytest.raises(ContractViolationError, match="input shape"):
+                net.forward(np.zeros((2, 1, 3)))
 
     def test_rejects_wrong_input_dim(self, rng):
         net = Network.random([3, 2], ["tanh"], rng)
         with pytest.raises(ContractViolationError):
-            net.forward(np.zeros(4))
+            net.forward(np.zeros((1, 4)))
 
     def test_identity_single_layer_is_affine(self, rng):
         net = Network([3, 2], ["identity"], rng.normal(size=8))
@@ -137,8 +139,8 @@ class TestBackward:
                 # one output gradient, and k = 3 of them along an objective axis
                 for v in (rng.normal(size=(3, dims[-1])), rng.normal(size=(3, 3, dims[-1]))):
                     theta0 = net.params.copy()
-                    _, tape = net.forward(x)
-                    analytic, _ = net.backward(tape, v)
+                    _, record = net.forward(x)
+                    analytic, _ = net.backward(record, v)
                     for row, v_row in zip(np.atleast_2d(analytic), v.reshape(-1, 3, dims[-1])):
 
                         def loss(theta):
@@ -153,26 +155,26 @@ class TestBackward:
     def test_input_grad_matches_finite_differences(self, rng):
         net = Network.random([4, 5, 2], ["tanh", "sigmoid"], rng)
         x = rng.normal(size=4)
-        v = rng.normal(size=2)
+        v = rng.normal(size=(1, 2))
 
         def loss_of_x(xt):
-            out, _ = net.forward(xt)
-            return float(out @ v)
+            out, _ = net.forward(xt[None, :])
+            return float(np.sum(out * v))
 
-        _, tape = net.forward(x)
-        _, input_grad = net.backward(tape, v)
-        np.testing.assert_allclose(input_grad, finite_difference(loss_of_x, x), rtol=1e-6, atol=1e-9)
+        _, record = net.forward(x[None, :])
+        _, input_grad = net.backward(record, v)
+        np.testing.assert_allclose(input_grad[0], finite_difference(loss_of_x, x), rtol=1e-6, atol=1e-9)
 
     def test_batch_grad_is_sum_of_singles(self, rng):
         net = Network.random([3, 4, 2], ["tanh", "identity"], rng)
         x = rng.normal(size=(5, 3))
         v = rng.normal(size=(5, 2))
-        _, tape = net.forward(x)
-        batch_flat, _ = net.backward(tape, v)
+        _, record = net.forward(x)
+        batch_flat, _ = net.backward(record, v)
         total = np.zeros(net.n_params)
         for b in range(5):
-            _, tape_b = net.forward(x[b])
-            flat_b, _ = net.backward(tape_b, v[b])
+            _, record_b = net.forward(x[b : b + 1])
+            flat_b, _ = net.backward(record_b, v[b : b + 1])
             total += flat_b
         np.testing.assert_allclose(batch_flat, total, rtol=1e-12, atol=1e-12)
 
@@ -181,14 +183,14 @@ class TestBackward:
             net = Network.random(dims, acts, rng)
             for x, v in (
                 (rng.normal(size=(6, dims[0])), rng.normal(size=(4, 6, dims[-1]))),
-                (rng.normal(size=dims[0]), rng.normal(size=(4, dims[-1]))),
+                (rng.normal(size=(1, dims[0])), rng.normal(size=(4, 1, dims[-1]))),
             ):
-                _, tape = net.forward(x)
-                flat, input_grad = net.backward(tape, v)
+                _, record = net.forward(x)
+                flat, input_grad = net.backward(record, v)
                 assert flat.shape == (4, net.n_params)
                 assert input_grad.shape == (4,) + x.shape
                 for i in range(4):
-                    flat_i, input_grad_i = net.backward(tape, v[i])
+                    flat_i, input_grad_i = net.backward(record, v[i])
                     np.testing.assert_array_equal(flat[i], flat_i)
                     np.testing.assert_array_equal(input_grad[i], input_grad_i)
 
@@ -197,12 +199,12 @@ class TestBackward:
         parts = [Network.random(dims, acts, rng) for _ in range(3)]
         stacked = Network(dims, acts, np.concatenate([p.params for p in parts]), stack=3)
         x = rng.normal(size=(6, 4))
-        out, tape = stacked.forward(x)
+        out, record = stacked.forward(x)
         v = rng.normal(size=(3, 6, 1))
-        flat, input_grad = stacked.backward(tape, v)
+        flat, input_grad = stacked.backward(record, v)
         for i, part in enumerate(parts):
-            out_i, tape_i = part.forward(x)
-            flat_i, input_grad_i = part.backward(tape_i, v[i])
+            out_i, record_i = part.forward(x)
+            flat_i, input_grad_i = part.backward(record_i, v[i])
             np.testing.assert_array_equal(out[i], out_i)
             np.testing.assert_array_equal(flat[i * part.n_params : (i + 1) * part.n_params], flat_i)
             np.testing.assert_array_equal(input_grad[i], input_grad_i)
@@ -213,26 +215,33 @@ class TestBackward:
             for stack in (None, 3):
                 net = Network(dims, acts, stack=stack)
                 net.params[:] = rng.normal(size=net.n_params)
-                for x in (rng.normal(size=(6, dims[0])), rng.normal(size=dims[0])):
-                    out, tape = net.forward(x)
+                for x in (rng.normal(size=(6, dims[0])), rng.normal(size=(1, dims[0]))):
+                    out, record = net.forward(x)
                     for v in (rng.normal(size=out.shape), rng.normal(size=(4,) + out.shape)):
-                        flat, _ = net.backward(tape, v)
-                        trimmed, input_grad = net.backward(tape, v, input_grad=False)
+                        flat, _ = net.backward(record, v)
+                        trimmed, input_grad = net.backward(record, v, input_grad=False)
                         assert input_grad is None
                         assert trimmed.tobytes() == flat.tobytes()
 
     def test_tape_from_other_network_rejected(self, rng):
+        """An activation record whose layer widths or count do not fit is refused."""
         a = Network.random([3, 2], ["tanh"], rng)
         b = Network.random([3, 3], ["tanh"], rng)
-        _, tape = a.forward(np.zeros(3))
-        with pytest.raises(ContractViolationError):
-            b.backward(tape, np.zeros(3))
+        deeper = Network.random([3, 2, 2], ["tanh", "tanh"], rng)
+        _, record = a.forward(np.zeros((1, 3)))
+        with pytest.raises(ContractViolationError, match="activation record"):
+            b.backward(record, np.zeros((1, 3)))
+        with pytest.raises(ContractViolationError, match="activation record"):
+            deeper.backward(record, np.zeros((1, 2)))
+        _, record = deeper.forward(np.zeros((1, 3)))
+        with pytest.raises(ContractViolationError, match="activation record"):
+            a.backward(record, np.zeros((1, 2)))
 
     def test_wrong_grad_shape_rejected(self, rng):
         net = Network.random([3, 2], ["tanh"], rng)
-        _, tape = net.forward(np.zeros((4, 3)))
+        _, record = net.forward(np.zeros((4, 3)))
         with pytest.raises(ContractViolationError):
-            net.backward(tape, np.zeros((5, 2)))
+            net.backward(record, np.zeros((5, 2)))
 
 
 class TestAdam:

@@ -44,8 +44,8 @@ class TestActorSampling:
         s = rng.normal(size=OBS)
         w = np.full(M, 0.5)
         sample = act(actor, s, w, rng)
-        x = np.concatenate([s, w])
-        means, _ = actor.mean_forward(x)
+        x = np.concatenate([s, w])[None, :]
+        means = actor.mean_forward(x)[0][0]
         expected = gaussian_logpdf(sample.pre_clamp, means, np.exp(actor.log_std))
         assert sample.log_prob == pytest.approx(expected, rel=1e-12)
         assert actor.log_probs(means, sample.pre_clamp) == pytest.approx(expected, rel=1e-12)
@@ -55,21 +55,21 @@ class TestActorSampling:
         s = rng.normal(size=OBS)
         w = np.full(M, 0.5)
         sample = act(actor, s, w, rng)
-        means, _ = actor.mean_forward(np.concatenate([s, w]))
-        np.testing.assert_allclose(sample.pre_clamp, means, atol=1e-8)
+        means, _ = actor.mean_forward(np.concatenate([s, w])[None, :])
+        np.testing.assert_allclose(sample.pre_clamp, means[0], atol=1e-8)
 
     def test_deterministic_action_is_clipped_mean(self, actor, rng):
         s = rng.normal(size=OBS)
         w = np.full(M, 0.5)
-        means, _ = actor.mean_forward(np.concatenate([s, w]))
-        np.testing.assert_array_equal(act_deterministic(actor, s, w), np.clip(means, 0, 1))
+        means, _ = actor.mean_forward(np.concatenate([s, w])[None, :])
+        np.testing.assert_array_equal(act_deterministic(actor, s, w), np.clip(means[0], 0, 1))
 
     def test_zero_weights_network_means_half(self, rng):
         actor = GaussianActor.create(OBS, M, ACT, rng, hidden=HIDDEN)
         actor.params[:] = 0.0
-        means, _ = actor.mean_forward(np.zeros(OBS + M))
+        means, _ = actor.mean_forward(np.zeros((1, OBS + M)))
         # sigmoid(0) = 0.5 for every action dimension.
-        np.testing.assert_allclose(means, np.full(ACT, 0.5), rtol=1e-15)
+        np.testing.assert_allclose(means, np.full((1, ACT), 0.5), rtol=1e-15)
 
     def test_same_rng_same_sample(self, actor):
         s = np.arange(OBS, dtype=np.float64)
@@ -133,8 +133,8 @@ class TestActorBackward:
             # one coefficient row, and k = 3 rows (one per objective)
             for coeffs in (rng.normal(size=(1, B)), rng.normal(size=(3, B))):
                 theta0 = actor.params.copy()
-                means, tape = actor.mean_forward(x)
-                analytic = actor.backward_weighted_logp(tape, pre, coeffs)
+                means, records = actor.mean_forward(x)
+                analytic = actor.backward_weighted_logp(records, pre, coeffs)
                 assert analytic.shape == (coeffs.shape[0], actor.n_params)
                 for row, c in zip(analytic, coeffs):
 
@@ -147,44 +147,26 @@ class TestActorBackward:
                     actor.params[:] = theta0
                     np.testing.assert_allclose(row, numeric, rtol=2e-5, atol=1e-7)
 
-    def test_single_row_tape_supported(self, rng):
-        actor = GaussianActor.create(3, 2, 2, rng, hidden=5)
-        x = rng.normal(size=5)
-        pre = rng.normal(size=(1, 2))
-
-        def loss(theta):
-            actor.params[:] = theta
-            means, _ = actor.mean_forward(x)
-            return float(actor.log_probs(means, pre)[0] * 2.5)
-
-        theta0 = actor.params.copy()
-        _, tape = actor.mean_forward(x)
-        analytic = actor.backward_weighted_logp(tape, pre, np.array([[2.5], [-1.0]]))
-        numeric = finite_difference(loss, theta0)
-        actor.params[:] = theta0
-        np.testing.assert_allclose(analytic[0], numeric, rtol=2e-5, atol=1e-7)
-        np.testing.assert_allclose(analytic[1], numeric / -2.5, rtol=2e-5, atol=1e-7)
-
     def test_batched_rows_match_separate_calls(self, rng):
         """(k, B) coefficients give the same bits as k one-row calls."""
         for k in (2, 3, 4):
             actor = GaussianActor.create(OBS, k, ACT, rng, hidden=HIDDEN)
             x = rng.normal(size=(16, OBS + k))
-            _, tape = actor.mean_forward(x)
+            _, records = actor.mean_forward(x)
             pre = rng.normal(loc=0.5, scale=0.4, size=(16, ACT))
             coeffs = rng.normal(size=(16, k)).T  # not contiguous, as in the trainer
-            batched = actor.backward_weighted_logp(tape, pre, coeffs)
+            batched = actor.backward_weighted_logp(records, pre, coeffs)
             for i in range(k):
-                single = actor.backward_weighted_logp(tape, pre, coeffs[i : i + 1])
-                np.testing.assert_array_equal(batched[i], single[0])
+                one = actor.backward_weighted_logp(records, pre, coeffs[i : i + 1])
+                np.testing.assert_array_equal(batched[i], one[0])
 
     def test_coeff_shape_mismatch_rejected(self, actor, rng):
         x = rng.normal(size=(4, OBS + M))
-        _, tape = actor.mean_forward(x)
+        _, records = actor.mean_forward(x)
         with pytest.raises(ContractViolationError):
-            actor.backward_weighted_logp(tape, np.zeros((4, ACT)), np.zeros((1, 3)))
+            actor.backward_weighted_logp(records, np.zeros((4, ACT)), np.zeros((1, 3)))
         with pytest.raises(ContractViolationError):
-            actor.backward_weighted_logp(tape, np.zeros((4, ACT)), np.zeros(4))
+            actor.backward_weighted_logp(records, np.zeros((4, ACT)), np.zeros(4))
 
     def test_flat_round_trip(self, actor, rng):
         clone = GaussianActor.create(OBS, M, ACT, rng, hidden=HIDDEN)
@@ -204,7 +186,7 @@ class TestBranchedCritic:
         dv[:, 1] = 1.0
         flat = critic.backward(cache, dv)
         k = critic.trunk.n_params
-        h = critic.heads[0].n_params
+        h = critic.stacked_heads.n_params // 3
         assert flat.shape == (critic.n_params,) == (k + 3 * h,)
         head_grads = [flat[k + i * h : k + (i + 1) * h] for i in range(3)]
         np.testing.assert_array_equal(head_grads[0], np.zeros(h))
@@ -229,30 +211,36 @@ class TestBranchedCritic:
         np.testing.assert_allclose(analytic, numeric, rtol=2e-5, atol=1e-7)
 
     def test_stacked_heads_match_per_head_networks(self, rng):
-        """The batched heads give the bits of m separate head passes."""
+        """The batched heads give the bits of m separate head passes, each a
+        network built on its own copy of the head's row of critic.params."""
         critic = BranchedCritic.create(3, 3, rng, hidden=6)
         x = rng.normal(size=(9, 6))
         vals, cache = critic.forward(x)
         dv = rng.normal(size=(9, 3))
         flat = critic.backward(cache, dv)
-        feats, tape_t = critic.trunk.forward(x)
+        feats, trunk_record = critic.trunk.forward(x)
+        nt = critic.trunk.n_params
+        rows = critic.params[nt:].reshape(3, -1)
         feat_grad = 0.0
-        for i, head in enumerate(critic.heads):
-            v_i, tape_i = head.forward(feats)
+        for i, row in enumerate(rows):
+            head = Network([6, 6, 1], ["tanh", "identity"], row.copy())
+            v_i, record_i = head.forward(feats)
             np.testing.assert_array_equal(vals[:, i], v_i[:, 0])
-            head_flat, f_grad = head.backward(tape_i, dv[:, i : i + 1])
-            start = critic.trunk.n_params + i * head.n_params
+            head_flat, f_grad = head.backward(record_i, dv[:, i : i + 1])
+            start = nt + i * head.n_params
             np.testing.assert_array_equal(flat[start : start + head.n_params], head_flat)
             feat_grad = feat_grad + f_grad
-        trunk_flat, _ = critic.trunk.backward(tape_t, feat_grad)
+        trunk_flat, _ = critic.trunk.backward(trunk_record, feat_grad)
         np.testing.assert_array_equal(flat[: critic.trunk.n_params], trunk_flat)
 
-    def test_single_state_values_match_batch_row(self, rng):
+    def test_checkpoint_heads_are_the_rows_of_the_stacked_vector(self, rng):
         critic = BranchedCritic.create(3, 2, rng, hidden=4)
-        x = np.concatenate([np.zeros(3), np.full(2, 0.5)])
-        v = critic.values(x)
-        assert v.shape == (2,)
-        np.testing.assert_allclose(v, critic.values(x[None, :])[0], rtol=1e-15)
+        nets = critic.checkpoint_networks()
+        assert list(nets) == ["critic_trunk", "critic_head_0", "critic_head_1"]
+        flat = np.concatenate([net.params for net in nets.values()])
+        assert flat.tobytes() == critic.params.tobytes()
+        for i in range(2):
+            assert nets[f"critic_head_{i}"].dims == [4, 4, 1]
 
     def test_flat_round_trip(self, rng):
         critic = BranchedCritic.create(2, 3, rng, hidden=4)
@@ -305,6 +293,28 @@ class TestActorCriticShapes:
 
     def test_branched_head_shape_rejected(self, rng):
         trunk = Network.random([4, 6], ["tanh"], rng)
-        bad = Network.random([6, 2], ["identity"], rng)  # out_dim must be 1
+        bad = Network([6, 2], ["identity"], stack=1)  # out_dim must be 1
+        with pytest.raises(ContractViolationError, match="does not fit"):
+            BranchedCritic(trunk, bad)
+        with pytest.raises(ContractViolationError, match="stacked"):
+            BranchedCritic(trunk, Network([6, 1], ["identity"]))
+
+
+class TestOneInputShape:
+    """Every model runs on a (B, in) batch; one row is a (1, in) batch, and a
+    bare vector is refused rather than broadcast or indexed past its end."""
+
+    def test_actor_rejects_one_dimensional_input(self, actor):
+        assert actor.mean_forward(np.zeros((1, OBS + M)))[0].shape == (1, ACT)
         with pytest.raises(ContractViolationError):
-            BranchedCritic(trunk, [bad])
+            actor.mean_forward(np.zeros(OBS + M))
+
+    @pytest.mark.parametrize("critic_cls", [BranchedCritic, SharedCritic])
+    def test_critics_reject_one_dimensional_input(self, critic_cls, rng):
+        critic = critic_cls.create(OBS, M, rng, hidden=HIDDEN)
+        assert critic.values(np.zeros((1, OBS + M))).shape == (1, M)
+        with pytest.raises(ContractViolationError):
+            critic.values(np.zeros(OBS + M))
+        _, cache = critic.forward(np.zeros((3, OBS + M)))
+        with pytest.raises(ContractViolationError):
+            critic.backward(cache, np.zeros(M))

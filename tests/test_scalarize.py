@@ -77,6 +77,14 @@ class TestReturnNormalizer:
         with pytest.raises(ContractViolationError):
             norm.update_and_normalize(np.zeros((3, 3)))
 
+    def test_rejects_one_dimensional_returns(self):
+        """One episode is a (1, m) batch; a bare (m,) vector or a scalar is refused."""
+        norm = ReturnNormalizer(2)
+        for returns in (np.array([3.0, -1.0]), np.float64(3.0)):
+            with pytest.raises(ContractViolationError):
+                norm.update_and_normalize(returns)
+        assert np.all(np.isinf(norm.low)) and np.all(np.isinf(norm.high))
+
     def test_single_objective_works(self):
         norm = ReturnNormalizer(1)
         r = norm.update_and_normalize(np.array([[1.0], [2.0]]))

@@ -155,7 +155,7 @@ class TestRollout:
         t = Trainer(stub_cfg(horizon=12))
         batch = t.collect_rollout()
         np.testing.assert_array_equal(batch.inputs[:, 3:], np.tile(t.w, (12, 1)))
-        np.testing.assert_array_equal(batch.values[:12], np.atleast_2d(t.critic.values(batch.inputs)))
+        np.testing.assert_array_equal(batch.values[:12], t.critic.values(batch.inputs))
 
     def test_partial_episode_rolls_into_next_batch(self):
         t = Trainer(stub_cfg(horizon=12, env_params={"episode_cap": 8}))
@@ -179,17 +179,17 @@ def step_by_step_rollout(t: Trainer, T: int) -> dict:
     streams, continuing the episode in progress as collect_rollout does."""
     if t._obs is None:
         t._obs = t.env.reset(t.env_rng)
-    out = {k: [] for k in ("inputs", "actions", "pre_clamp", "log_probs", "rewards", "dones")}
+    out = {k: [] for k in ("inputs", "pre_clamp", "log_probs", "rewards", "dones")}
     for _ in range(T):
         sample = act(t.actor, t._obs, t.w, t.action_rng)
         obs, r, done, _ = t.env.step(sample.action)
-        for key, value in zip(out, (t._obs, sample.action, sample.pre_clamp, sample.log_prob, r, done)):
+        for key, value in zip(out, (t._obs, sample.pre_clamp, sample.log_prob, r, done)):
             out[key].append(value)
         t._obs = t.env.reset(t.env_rng) if done else obs
     out = {k: np.array(v) for k, v in out.items()}
     inputs = np.hstack([np.vstack([out["inputs"], t._obs[None, :]]), np.tile(t.w, (T + 1, 1))])
     out["inputs"] = inputs[:T]
-    out["values"] = np.atleast_2d(t.critic.values(inputs))
+    out["values"] = t.critic.values(inputs)
     return out
 
 
@@ -503,9 +503,10 @@ class TestCriticWorker:
         for t, ref in zip(trainers, refs):
             assert t.critic.params.tobytes() == ref.critic.params.tobytes()
 
-    def test_worker_exits_when_its_parent_dies(self, child_pids):
+    def test_worker_exits_when_its_parent_dies(self, child_pids, capfd):
         """A parent SIGKILLed in the middle of an iteration leaves a child
-        that ends by itself once its epochs are done."""
+        that ends by itself once its epochs are done, and quietly: with no
+        one left to read its result, it prints no traceback."""
         pid_r, pid_w = os.pipe()
         parent = os.fork()
         if parent == 0:  # a parent killed in its actor loop, the child running
@@ -547,6 +548,17 @@ class TestCriticWorker:
         if left:  # a failing run leaves nothing behind either
             os.kill(child, signal.SIGKILL)
         assert not left
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_worker_with_no_reader_exits_1_quietly(self, capfd):
+        """The child's result outgrows the pipe's buffer, so its write waits
+        for a reader; with the read end closed, as when this process is gone,
+        the child exits 1 and prints nothing."""
+        pid, read_end = trainer_mod._forked(lambda: b"x" * (1 << 20))
+        os.close(read_end)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 1
+        assert capfd.readouterr().err == ""
 
     def test_worker_is_not_wanted_in_a_pool_process(self):
         from concurrent.futures import ProcessPoolExecutor
@@ -586,7 +598,6 @@ def make_flat_batch(trainer, T, adv):
     means, _ = trainer.actor.mean_forward(x)
     batch = RolloutBatch(
         inputs=x,
-        actions=np.clip(pre, 0, 1),
         pre_clamp=pre,
         log_probs=trainer.actor.log_probs(means, pre),
         rewards=np.zeros((T, m)),
