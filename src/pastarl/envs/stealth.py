@@ -9,6 +9,8 @@ r_expl rewards movement.  The agent senses through a 2x3 vision grid over a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from pastarl.envs.base import MomdpEnv, _clip, _dot, _norms, checked_episode_cap, register_reward_fn
@@ -75,32 +77,39 @@ class StealthWorld(MomdpEnv):
     #
     # circles, rects and targets are (n, 2) arrays of centers; everything is
     # derived per call from the current arrays, which callers may assign
-    # directly.  The scalar parts (the move, the arena test, d_risk, the vision
-    # grid and the scan) run on Python floats, which round exactly as numpy's
-    # elementwise ops do; every 2-vector norm still goes through _norms (one
-    # stacked pass per query, since a0*a0 + a1*a1 differs in the last bit), and
-    # cos, sin and arctan2 stay numpy ufuncs (libm's differ from numpy's SIMD
-    # kernels on AVX-512 hosts).  The lidar runs over all rays and the objects
-    # within its reach at once with the elementwise formulas of a per-object
-    # loop.  Reach alone is tested on floats, dx*dx + dy*dy against a limit
-    # 1e-9 beyond lidar_range: that sum may differ from _dot in the last bit,
-    # but it only decides which objects are skipped, never a reading.  So every
-    # result is bit-identical to per-object numpy code; tests/test_envs.py
+    # directly.  The geometry runs on Python floats, which round exactly as
+    # numpy's elementwise ops do, with two exceptions.  Every 2-vector dot
+    # product and norm goes through _dot or _norms (one stacked pass per
+    # query, since a0*b0 + a1*b1 differs in the last bit), and cos, sin and
+    # arctan2 stay numpy ufuncs (libm's differ from numpy's SIMD kernels on
+    # AVX-512 hosts).  Before those passes a reach test on floats, dx*dx + dy*dy
+    # against a limit 1e-9 beyond the distance that matters, drops the walls,
+    # obstacles and targets too far away to change a result: that sum may
+    # differ from _dot in the last bit, but it only decides what is skipped,
+    # never a value, and when nothing is in reach the pass is not run.  So
+    # every result is bit-identical to per-object numpy code; tests/test_envs.py
     # keeps it as the reference.
 
     def _overlaps(self, p, radius: float) -> bool:
         """Whether a disc of ``radius`` at p = (x, y) overlaps an obstacle circle or rect."""
         x, y = p
         hx, hy = self.rect_half.tolist()
-        rows = []
-        for cx, cy in self.circles.tolist():
-            rows += (x - cx, y - cy)
-        for rx, ry in self.rects.tolist():  # to the rect's nearest point
-            rows += (x - _clip(x, rx - hx, rx + hx), y - _clip(y, ry - hy, ry + hy))
-        dists = _norms(np.array(rows).reshape(-1, 2)).tolist()
-        n = len(self.circles)
+        rows, limits = [], []
         reach = radius + self.circle_radius
-        return any(d < reach for d in dists[:n]) or any(d < radius for d in dists[n:])
+        for cx, cy in self.circles.tolist():
+            dx, dy = x - cx, y - cy
+            if dx * dx + dy * dy < (reach + 1e-9) * (reach + 1e-9):
+                rows += (dx, dy)
+                limits.append(reach)
+        for rx, ry in self.rects.tolist():  # to the rect's nearest point
+            dx, dy = x - _clip(x, rx - hx, rx + hx), y - _clip(y, ry - hy, ry + hy)
+            if dx * dx + dy * dy < (radius + 1e-9) * (radius + 1e-9):
+                rows += (dx, dy)
+                limits.append(radius)
+        if not limits:
+            return False
+        dists = _norms(np.array(rows).reshape(-1, 2)).tolist()
+        return any(d < limit for d, limit in zip(dists, limits))
 
     def _collides(self, p) -> bool:
         x, y = p
@@ -173,10 +182,27 @@ class StealthWorld(MomdpEnv):
         return max(0.0, min(lx - abs(x), ly - abs(y)))
 
     def _target_bearings(self) -> tuple[list[float], list[float]]:
-        """Distance to each target and its bearing off the heading, in [-pi, pi)."""
-        rel = self.targets - self.pos
-        bearing = self._wrap(np.arctan2(rel[:, 1], rel[:, 0]) - self.theta)
-        return _norms(rel).tolist(), bearing.tolist()
+        """Distance to each target and its bearing off the heading, in [-pi, pi).
+
+        Only unscanned targets within sight (sensor_range or scan_range,
+        whichever is larger) are measured; the others read distance inf and
+        bearing nan, which fail every test the grid and the scan make.
+        """
+        x, y = self.pos.tolist()
+        sight = max(self.sensor_range, self.scan_range) + 1e-9
+        dist, bearing = [np.inf] * len(self.targets), [np.nan] * len(self.targets)
+        near, rows = [], []
+        for k, ((tx, ty), done) in enumerate(zip(self.targets.tolist(), self.scanned.tolist())):
+            dx, dy = tx - x, ty - y
+            if not done and dx * dx + dy * dy < sight * sight:
+                near.append(k)
+                rows.append((dx, dy))
+        if near:
+            rel = np.array(rows)
+            angles = np.arctan2(rel[:, 1], rel[:, 0]).tolist()
+            for k, d, a in zip(near, _norms(rel).tolist(), angles):
+                dist[k], bearing[k] = d, self._wrap(a - self.theta)
+        return dist, bearing
 
     def _scan_targets(self, view: tuple[list[float], list[float]] | None = None) -> int:
         """Unscanned targets inside the FOV wedge within scan_range become scanned.
@@ -193,7 +219,8 @@ class StealthWorld(MomdpEnv):
         return n_new
 
     @staticmethod
-    def _wrap(a: np.ndarray) -> np.ndarray:
+    def _wrap(a: float) -> float:
+        """a shifted into [-pi, pi); Python's float % rounds as numpy's remainder."""
         return (a + np.pi) % (2.0 * np.pi) - np.pi
 
     def sensors(self, view: tuple[list[float], list[float]] | None = None) -> tuple[list[float], np.ndarray]:
@@ -218,29 +245,42 @@ class StealthWorld(MomdpEnv):
         """Range along each ray to the nearest wall, circle, unscanned target or
         rect, divided by lidar_range; 1 where nothing lies within it.
 
-        A ray meets an object no nearer than the object's nearest point, so an
-        object whose nearest point lies beyond lidar_range (plus a margin far
-        above rounding error) cannot set a reading; the disc and rect blocks
-        run only on the objects within reach, and not at all when none is.
+        A ray meets an object no nearer than the object's nearest point, so a
+        wall, disc or rect whose nearest point lies beyond lidar_range (plus a
+        margin far above rounding error) cannot set a reading and is skipped.
+        A ray parallel to an axis (|u| < 1e-12 there) never crosses that
+        axis' walls, and misses a rect unless the agent lies inside its slab.
         """
-        reach = self.lidar_range + 1e-9
+        lidar_range = self.lidar_range
+        reach = lidar_range + 1e-9
         angles = self.theta + self._ray_offsets
-        u = np.empty((self.n_lidar, 2))  # (rays, 2)
-        u[:, 0], u[:, 1] = np.cos(angles), np.sin(angles)
-        # A ray parallel to an axis never crosses that axis' walls or slabs;
-        # dividing by inf there keeps the masked quotients finite, and makes
-        # the wall quotients +-0, which the t > 0 test drops.
-        par = np.abs(u) < 1e-12
-        den = np.where(par, np.inf, u)[:, None, :]
-        pos = self.pos
-        x, y = pos.tolist()
+        cos_u, sin_u = np.cos(angles), np.sin(angles)
+        rays = list(zip(cos_u.tolist(), sin_u.tolist()))
+        x, y = self.pos.tolist()
         hx, hy = self.half_dims.tolist()
 
-        # Walls: t[ray, side, axis] to the line x_axis = -+half_dims[axis].
-        # _collides keeps the agent strictly inside the arena, so the smallest
-        # positive t is where the ray leaves it, a point on a wall segment.
-        t = np.array([[-hx - x, -hy - y], [hx - x, hy - y]]) / den
-        best = np.where(t > 0, t, np.inf).min(axis=(1, 2))
+        # Walls: _collides keeps the agent strictly inside the arena, so the
+        # one positive crossing along each axis is the wall the ray's sign
+        # points at, and it is where the ray leaves the arena.  A wall at
+        # distance d is met at t = d / |u| >= d, so one not within reach is
+        # skipped.
+        walls = [d if d < reach else None for d in (hx - x, hx + x, hy - y, hy + y)]
+        east, west, north, south = walls
+        best = [math.inf] * self.n_lidar
+        if walls != [None] * 4:
+            for i, (ux, uy) in enumerate(rays):
+                t = math.inf
+                if ux >= 1e-12:
+                    if east is not None:
+                        t = east / ux
+                elif ux <= -1e-12 and west is not None:
+                    t = west / -ux
+                if uy >= 1e-12:
+                    if north is not None and north / uy < t:
+                        t = north / uy
+                elif uy <= -1e-12 and south is not None and south / -uy < t:
+                    t = south / -uy
+                best[i] = t
 
         # Which discs (obstacle circles, then unscanned targets) and rects lie
         # within reach, tested on floats (see the geometry note above).
@@ -254,34 +294,58 @@ class StealthWorld(MomdpEnv):
         rx, ry = self.rect_half.tolist()
         boxes = []
         for cx, cy in self.rects.tolist():
-            lx, ly, ux, uy = cx - rx, cy - ry, cx + rx, cy + ry
-            gx, gy = max(max(lx - x, x - ux), 0.0), max(max(ly - y, y - uy), 0.0)
+            lx, ly, hx, hy = cx - rx, cy - ry, cx + rx, cy + ry
+            gx, gy = max(max(lx - x, x - hx), 0.0), max(max(ly - y, y - hy), 0.0)
             if gx * gx + gy * gy < reach * reach:  # the gap to the nearest point
-                boxes.append((lx, ly, ux, uy))
+                # The faces' offsets from the agent, and whether it lies inside each slab.
+                boxes.append((lx - x, ly - y, hx - x, hy - y, lx <= x <= hx, ly <= y <= hy))
 
-        # Discs: t[ray, disc] is the first crossing b - sqrt(b^2 - |rel|^2 + r^2)
-        # in front of the agent.
+        # Discs: the first crossing b - sqrt(b^2 - |rel|^2 + r^2) in front of
+        # the agent, where b = rel . u.  One stacked _dot pass gives every b
+        # and |rel|^2; a ray with b <= 0 cannot meet the disc at t > 0.
         if discs:
+            n = self.n_lidar
             rel = np.array([(dx, dy) for dx, dy, _ in discs])
-            radii = np.array([r for _, _, r in discs])
-            b = _dot(rel[None, :, :], u[:, None, :])
-            disc = b * b - _dot(rel, rel) + radii * radii
-            t = b - np.sqrt(np.maximum(disc, 0.0))
-            best = np.minimum(best, np.where((disc >= 0) & (t > 0), t, np.inf).min(axis=1))
+            other = np.empty((len(discs), n + 1, 2))
+            other[:, :n, 0], other[:, :n, 1], other[:, n] = cos_u, sin_u, rel
+            for (*dots, c), (_, _, r) in zip(_dot(rel[:, None, :], other).tolist(), discs):
+                rr = r * r
+                for i, b in enumerate(dots):
+                    if b > 0:
+                        disc = b * b - c + rr
+                        if disc >= 0:
+                            t = b - math.sqrt(disc)
+                            if 0 < t < best[i]:
+                                best[i] = t
 
-        # Rects: slab test, t[ray, rect, axis] to the near and far faces.
-        if boxes:
-            box = np.array(boxes)
-            lo, hi = box[:, :2], box[:, 2:]
-            t1, t2 = (lo - pos) / den, (hi - pos) / den
-            near = np.where(par[:, None, :], -np.inf, np.minimum(t1, t2)).max(axis=2)
-            far = np.where(par[:, None, :], np.inf, np.maximum(t1, t2)).min(axis=2)
-            # Parallel to an axis, the ray misses unless the agent is inside that slab.
-            outside = (par[:, None, :] & ~((lo <= pos) & (pos <= hi))).any(axis=2)
-            hit = ~outside & (near <= far) & (far >= 0) & (near > 0)
-            best = np.minimum(best, np.where(hit, near, np.inf).min(axis=1))
+        # Rects: slab test; the sign of u picks each axis' near and far face.
+        for x0, y0, x1, y1, in_x, in_y in boxes:
+            for i, (ux, uy) in enumerate(rays):
+                if ux >= 1e-12:
+                    near, far = x0 / ux, x1 / ux
+                elif ux <= -1e-12:
+                    near, far = x1 / ux, x0 / ux
+                elif in_x:
+                    near, far = -math.inf, math.inf
+                else:
+                    continue
+                if uy >= 1e-12:
+                    t1, t2 = y0 / uy, y1 / uy
+                elif uy <= -1e-12:
+                    t1, t2 = y1 / uy, y0 / uy
+                elif in_y:
+                    t1, t2 = -math.inf, math.inf
+                else:
+                    continue
+                # max(near, t1) and min(far, t2), without the calls.
+                if t1 > near:
+                    near = t1
+                if t2 < far:
+                    far = t2
+                if 0 < near <= far and near < best[i]:
+                    best[i] = near
 
-        return np.where(best <= self.lidar_range, best / self.lidar_range, 1.0)
+        return np.array([t / lidar_range if t <= lidar_range else 1.0 for t in best])
 
     def _observation(self, heading, grid: list[float], lidar: np.ndarray) -> np.ndarray:
         """[x, y] ++ heading ++ grid ++ lidar; heading is (cos theta, sin theta)."""

@@ -299,7 +299,9 @@ class Trainer:
         runs the actor's, and is reaped before this returns or raises;
         otherwise the critic's epochs run first, here.  An error is the one
         the interleaved loop would raise: the failure at the earliest
-        minibatch, the critic's on a tie, since it went first.
+        minibatch, the critic's on a tie, since it went first.  A
+        DivergenceError is raised again naming the update, the iteration,
+        epoch and minibatch (each counted from 1) and the original message.
         """
         perms = [self.shuffle_rng.permutation(self.cfg.horizon) for _ in range(self.cfg.epochs)]
         critic_epochs = functools.partial(
@@ -333,9 +335,18 @@ class Trainer:
         if child is not None:
             critic = _result(*child)
         self.critic_opt.step_count = critic.step_count
-        failures = [f for f in (critic.failure, actor_failure) if f is not None]
+        failures = [
+            (*f, name) for f, name in ((critic.failure, "critic"), (actor_failure, "actor")) if f is not None
+        ]
         if failures:
-            raise min(failures, key=lambda f: f[0])[1]
+            k, error, name = min(failures, key=lambda f: f[0])
+            if isinstance(error, DivergenceError):
+                per_epoch = len(range(0, self.cfg.horizon, self.cfg.minibatch))  # as _minibatches cuts
+                raise DivergenceError(
+                    f"{name} update at iteration {self.iteration + 1}, epoch {k // per_epoch + 1}, "
+                    f"minibatch {k % per_epoch + 1}: {error}"
+                ) from error
+            raise error
         return critic.losses, kappas, clip_loss_acc, entropy_acc
 
     def _critic_epochs(self, inputs, targets, perms, eta) -> CriticOutcome:

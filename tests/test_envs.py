@@ -17,6 +17,7 @@ from pastarl.envs import (
     opponent_step,
     replay_rewards,
 )
+from pastarl.envs import stealth as stealth_mod
 from pastarl.envs.crazyflie import formation_rewards, frogger_rewards
 from pastarl.envs.stealth import stealth_rewards
 from pastarl.errors import ConfigError
@@ -414,11 +415,13 @@ def assert_matches_reference(env, probe):
 
 
 # World parameter mixes, each with a seed: the defaults, a crowded world with
-# a wider scan, and a sparse one with no circles.
+# a wider scan, a sparse one with no circles, and one whose scan reaches past
+# sensor_range, so targets are scanned that the grid never counts.
 STEALTH_MIXES = [
     ({}, 0),
     ({"n_targets": 8, "n_circles": 5, "n_rects": 4, "scan_range": 0.5}, 1),
     ({"n_targets": 2, "n_circles": 0, "n_rects": 1}, 2),
+    ({"n_targets": 3, "n_circles": 1, "n_rects": 0, "scan_range": 0.9}, 3),
 ]
 
 
@@ -556,6 +559,57 @@ class TestStealthReference:
         np.testing.assert_array_equal(env.sensors()[1], np.ones(env.n_lidar))
         assert_matches_reference(env, np.zeros(2))
 
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    def test_walls_at_the_reach_margin(self, side):
+        """The agent at the center of an arena whose walls all lie at
+        lidar_range + 1e-9, or one ulp to either side: the lidar's reach test
+        keeps them only one ulp inside.  A ray meets a wall no nearer than
+        the wall itself, so every reading is 1 whichever way it goes."""
+        env = blank_stealth(n_targets=0)
+        reach = env.lidar_range + 1e-9
+        gap = np.nextafter(reach, side * np.inf) if side else reach
+        assert (gap < reach) == (side < 0)
+        env.half_dims = np.array([gap, gap])
+        np.testing.assert_array_equal(env.sensors()[1], np.ones(env.n_lidar))
+        assert_matches_reference(env, np.zeros(2))
+
+    def test_agent_in_a_corner(self):
+        """Two walls within reach: the rays between them see the nearer wall,
+        and the diagonal ray the corner."""
+        env = blank_stealth(n_targets=0)
+        env.pos = np.array([0.8, 0.85])
+        env.theta = np.pi / 4.0
+        lidar = env.sensors()[1]
+        assert lidar[0] < 1.0 and np.count_nonzero(lidar < 1.0) >= 5
+        assert_matches_reference(env, env.pos)
+        for theta in np.linspace(-np.pi, np.pi, 17):
+            env.theta = theta
+            assert_matches_reference(env, env.pos + np.array([0.1, 0.0]))
+
+    @pytest.mark.parametrize("at", ["overlap", "margin"])
+    @pytest.mark.parametrize("side", [-1, 0, 1])
+    @pytest.mark.parametrize("kind", ["circle", "rect"])
+    def test_probe_at_the_overlap_distance(self, kind, side, at):
+        """A probe left of a circle centered at the origin, or of a rect whose
+        left face is x = 0.  Its distance is exactly the overlap distance
+        (agent_radius, plus circle_radius for a circle), or that plus 1e-9
+        where _overlaps' float test stops keeping it, or one ulp to either
+        side of each: only the one inside the overlap distance collides."""
+        env = blank_stealth(n_targets=0)
+        env.pos = np.array([0.0, -0.5])
+        limit = env.agent_radius + (env.circle_radius if kind == "circle" else 0.0)
+        edge = limit if at == "overlap" else limit + 1e-9
+        gap = np.nextafter(edge, side * np.inf) if side else edge
+        probe = np.array([-gap, 0.0])
+        if kind == "circle":
+            env.circles = np.array([[0.0, 0.0]])
+        else:
+            env.rects = np.array([[env.rect_half[0], 0.0]])
+            assert env.rects[0, 0] - env.rect_half[0] == 0.0
+        assert np.linalg.norm(probe) == gap
+        assert env._collides(probe) is (at == "overlap" and side < 0)
+        assert_matches_reference(env, probe)
+
     def test_disc_only_one_ray_reaches(self):
         """A circle 0.4 ahead: ray 0 meets it at 0.28, and the rays 18
         degrees to either side pass it at 0.4 sin 18deg = 0.1236 > 0.12."""
@@ -631,6 +685,62 @@ class TestStealthReference:
             assert_matches_reference(env, env.pos + rng.normal(scale=0.1, size=2))
             if done:
                 env.reset(rng)
+
+
+def call_counter(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper that counts its calls; returns the
+    list of counts, one entry per call."""
+    original, calls = getattr(owner, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestStealthFastPaths:
+    """The reach tests skip the numpy passes outright when nothing is near:
+    these count the calls, on worlds with one object out of reach and then
+    in reach."""
+
+    def test_lidar_dots_only_discs_in_reach(self, monkeypatch):
+        env = blank_stealth(n_targets=0)
+        dots = call_counter(monkeypatch, stealth_mod, "_dot")
+        env.circles = np.array([[0.6, 0.0]])
+        env._lidar()
+        assert not dots
+        env.circles = np.array([[0.4, 0.0]])
+        env._lidar()
+        assert len(dots) == 1
+
+    def test_overlaps_norms_only_obstacles_near(self, monkeypatch):
+        env = blank_stealth(n_targets=0)
+        norms = call_counter(monkeypatch, stealth_mod, "_norms")
+        env.circles = np.array([[0.5, 0.0]])
+        env.rects = np.array([[0.0, 0.5]])
+        assert not env._overlaps((0.0, 0.0), env.agent_radius)
+        assert not norms
+        assert env._overlaps((0.35, 0.0), env.agent_radius)
+        assert len(norms) == 1
+        assert env._overlaps((0.0, 0.37), env.agent_radius)
+        assert len(norms) == 2
+
+    def test_target_bearings_measure_only_targets_in_sight(self, monkeypatch):
+        env = blank_stealth(n_targets=2)
+        env.scan_range = 0.9
+        arctan2 = call_counter(monkeypatch, np, "arctan2")
+        # One target beyond scan_range, one within sight but scanned.
+        env.targets = np.array([[0.95, 0.0], [0.2, 0.0]])
+        env.scanned = np.array([False, True])
+        dist, bearing = env._target_bearings()
+        assert dist == [np.inf, np.inf] and np.isnan(bearing).all()
+        assert not arctan2
+        # Beyond sensor_range but within scan_range: it is scanned.
+        env.targets[0] = [0.8, 0.0]
+        assert env._scan_targets() == 1
+        assert len(arctan2) == 1
 
 
 class TestPatrolOpponent:

@@ -305,15 +305,23 @@ def interleaved_epochs(t, batch, eta, eta_critic, j_worst, r_bar):
     """Reference for Trainer._epochs: the epoch loop as it was before the
     critic's epochs and the actor's were split, drawing each epoch's
     permutation as the epoch starts and updating the critic, then the
-    actor, in every minibatch."""
+    actor, in every minibatch.  A DivergenceError is raised again naming
+    the update and where it failed, counted from 1."""
     cfg, T, inputs = t.cfg, t.cfg.horizon, batch.inputs
     value_losses, kappas, clip_loss_acc, entropy_acc = [], [], np.zeros(t.m), 0.0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         perm = t.shuffle_rng.permutation(T)
-        for start in range(0, T, cfg.minibatch):
+        for j, start in enumerate(range(0, T, cfg.minibatch)):
             mb = perm[start : start + cfg.minibatch]
-            value_loss = t._critic_update(inputs[mb], batch.value_targets[mb], eta_critic)
-            kappa_b, clip_losses = t._actor_update(inputs[mb], batch, mb, eta, j_worst, r_bar)
+            where = f"at iteration {t.iteration + 1}, epoch {epoch + 1}, minibatch {j + 1}"
+            try:
+                value_loss = t._critic_update(inputs[mb], batch.value_targets[mb], eta_critic)
+            except DivergenceError as e:
+                raise DivergenceError(f"critic update {where}: {e}") from e
+            try:
+                kappa_b, clip_losses = t._actor_update(inputs[mb], batch, mb, eta, j_worst, r_bar)
+            except DivergenceError as e:
+                raise DivergenceError(f"actor update {where}: {e}") from e
             kappas.append(kappa_b)
             clip_loss_acc += clip_losses
             value_losses.append(value_loss)
@@ -415,8 +423,24 @@ class TestSplitEpochs:
             return str(info.value)
 
         expected = first_error(reference_trainer)
-        assert expected.startswith(winner)
+        # Two minibatches of 32 per epoch of the 64-step horizon.
+        k = critic_at if winner == "_critic" else actor_at
+        assert expected == (
+            f"{winner[1:]} update at iteration 1, epoch {k // 2 + 1}, minibatch {k % 2 + 1}: "
+            f"{winner}_update failed at minibatch {k}"
+        )
         assert first_error(Trainer) == expected
+
+    def test_divergence_names_the_iteration(self, monkeypatch, placement):
+        t = Trainer(stub_cfg())
+        t.run_iteration()
+        monkeypatch.setattr(Trainer, "_actor_update", failing_update("_actor_update", 1))
+        with pytest.raises(DivergenceError) as info:
+            t.run_iteration()
+        assert str(info.value) == (
+            "actor update at iteration 2, epoch 1, minibatch 2: _actor_update failed at minibatch 1"
+        )
+        assert isinstance(info.value.__cause__, DivergenceError)
 
 
 class TestCriticWorker:
@@ -446,7 +470,10 @@ class TestCriticWorker:
             assert main(["train", "--config", str(ini), "--out", str(tmp_path / f"run{wanted}")]) == 3
             messages.append(capsys.readouterr().err)
             assert not child_pids()
-        assert messages[0] == messages[1] == "divergence: _critic_update failed at minibatch 3\n"
+        assert messages[0] == messages[1] == (
+            "divergence: critic update at iteration 1, epoch 2, minibatch 2: "
+            "_critic_update failed at minibatch 3\n"
+        )
 
     def test_no_child_or_descriptor_outlives_an_iteration(self, worker_pids, child_pids, open_fds):
         t = Trainer(stub_cfg())
