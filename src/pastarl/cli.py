@@ -210,9 +210,13 @@ def _read_eval_csv(path: Path) -> np.ndarray:
     if not ret_cols:
         raise ConfigError(f"{path} has no return_ columns")
     try:
-        return np.array([[float(r[j]) for j in ret_cols] for r in rows[1:]])
+        returns = np.array([[float(r[j]) for j in ret_cols] for r in rows[1:]])
     except (IndexError, ValueError) as e:
         raise ConfigError(f"malformed {path}: {e}") from e
+    bad = np.argwhere(~np.isfinite(returns))
+    if bad.size:  # line numbers count the header as line 1
+        raise ConfigError(f"malformed {path}: line {bad[0, 0] + 2} has a non-finite return")
+    return returns
 
 
 def _format_value(value) -> str:
@@ -517,51 +521,43 @@ def cmd_toybench(args) -> int:
         args, ("spread", "lr", "mu", "tol"), lambda v: math.isfinite(v) and v > 0, "finite and > 0"
     )
     _require(args, ("seed",), lambda v: v >= 0, ">= 0")
-    if args.problem == "concave":
-        mop = toybench.concave_mop(spread=args.spread)
-    elif args.problem == "convex":
-        mop = toybench.convex_mop()
-    else:
-        raise ConfigError(f"unknown toy problem {args.problem!r}")
+    mop = toybench.concave_mop(spread=args.spread) if args.problem == "concave" else toybench.convex_mop()
     front, _ = toybench.pareto_grid_oracle(mop, resolution=args.resolution)
-    rng = np.random.default_rng(args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     ts = np.linspace(0.02, 0.98, args.n_prefs)
-    rows = []
-    hits = {name: 0 for name in toybench.SCALARIZERS}
-    for t in ts:
-        w = np.array([t, 1.0 - t])
-        x0 = mop.lo + rng.random(mop.n) * (mop.hi - mop.lo)
-        for method in toybench.SCALARIZERS:
-            _, f = toybench.solve_scalarized(
-                mop, method, w, x0, steps=args.steps, lr=args.lr, mu=args.mu
-            )
-            if method == "linear":
-                # Endpoint attraction: on a concave front, linear scalarization
-                # only ever reaches an extreme point, whichever basin wins.
-                ends = toybench.front_endpoints(front)
-                oracle = ends[np.argmin(np.linalg.norm(ends - f, axis=1))]
-            elif method == "tch":
-                oracle = toybench.tch_oracle_point(front, w)
-            else:
-                oracle = toybench.stch_oracle_point(front, w, mu=args.mu)
-            dist = float(np.linalg.norm(f - oracle))
-            hits[method] += dist <= args.tol
-            rows.append(
-                [_fmt(w[0]), _fmt(w[1]), method]
-                + [_fmt(v) for v in f]
-                + [_fmt(v) for v in oracle]
-                + [_fmt(dist)]
-            )
+    W = np.stack([ts, 1.0 - ts], axis=-1)
+    X0 = mop.lo + np.random.default_rng(args.seed).random((len(ts), mop.n)) * (mop.hi - mop.lo)
+    results = {}
+    for method in toybench.SCALARIZERS:
+        _, F = toybench.solve_scalarized(
+            mop, method, W, X0, steps=args.steps, lr=args.lr, mu=args.mu
+        )
+        if method == "linear" and mop.name == "concave":
+            # Endpoint attraction: on a concave front, linear scalarization
+            # only ever reaches an extreme point, whichever basin wins.
+            oracle = toybench.nearest_endpoint(front, F)
+        elif method == "linear":
+            oracle = toybench.linear_oracle_point(front, W)
+        elif method == "tch":
+            oracle = toybench.tch_oracle_point(front, W)
+        else:
+            oracle = toybench.stch_oracle_point(front, W, mu=args.mu)
+        results[method] = (F, oracle, np.linalg.norm(F - oracle, axis=-1))
+    # Preference-major rows: every method at one preference, then the next.
+    rows = [
+        [_fmt(W[p, 0]), _fmt(W[p, 1]), method] + [_fmt(v) for v in (*F[p], *oracle[p], dist[p])]
+        for p in range(len(ts))
+        for method, (F, oracle, dist) in results.items()
+    ]
 
     with open(out_dir / "toybench.csv", "w") as f:
         w = _writer(f)
         w.writerow(["w_0", "w_1", "method", "f_0", "f_1", "oracle_f_0", "oracle_f_1", "distance"])
         w.writerows(rows)
-    for method in toybench.SCALARIZERS:
-        print(f"{method}: {hits[method]}/{len(ts)} within {args.tol:g} of oracle")
+    for method, (_, _, dist) in results.items():
+        print(f"{method}: {int(np.sum(dist <= args.tol))}/{len(ts)} within {args.tol:g} of oracle")
     print(f"wrote {out_dir / 'toybench.csv'}")
     return 0
 

@@ -123,10 +123,6 @@ class TrainConfig:
         ("branched_weighted", "branched_unweighted", "shared_weighted", "shared_unweighted"),
         "one value head per objective or one shared trunk, eta-weighted value loss or not",
     )
-    tch_per_minibatch: bool = knob(
-        "algorithm", "tch_per_minibatch", _parse_bool, False, BOOL,
-        "`tch`: recompute the worst objective per minibatch",
-    )
     controller_mode: str = knob(
         "controller", "mode", str, "full",
         ("full", "no_conflict", "no_decay", "no_conflict_no_decay"),

@@ -304,8 +304,10 @@ def load_checkpoint(path) -> tuple[dict, dict, dict]:
     version = payload.get("format_version") if isinstance(payload, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ContractViolationError(f"unsupported checkpoint format_version {version!r}")
-    networks = {}
-    for name, entry in payload["networks"].items():
-        networks[name] = network_from_spec(entry, np.array(entry["flat"], dtype=np.float64))
+    flats = {name: np.array(entry["flat"], dtype=np.float64) for name, entry in payload["networks"].items()}
     vectors = {name: np.array(v, dtype=np.float64) for name, v in payload["vectors"].items()}
+    bad = [name for name, values in {**flats, **vectors}.items() if not np.all(np.isfinite(values))]
+    if bad:
+        raise ContractViolationError(f"non-finite parameters in {', '.join(bad)}")
+    networks = {name: network_from_spec(entry, flats[name]) for name, entry in payload["networks"].items()}
     return networks, vectors, payload["metadata"]

@@ -79,33 +79,33 @@ class ReturnNormalizer:
 
 
 def _deviations(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray) -> np.ndarray:
-    r_bar = np.asarray(r_bar, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    z_star = np.asarray(z_star, dtype=np.float64)
-    if not (r_bar.shape == w.shape == z_star.shape):
-        raise ContractViolationError(
-            f"shape mismatch: r_bar {r_bar.shape}, w {w.shape}, z* {z_star.shape}"
-        )
-    return w * (z_star - r_bar)
+    """w * (z* - r_bar), broadcast over leading axes; the last axes must agree."""
+    r_bar, w, z_star = (np.asarray(a, dtype=np.float64) for a in (r_bar, w, z_star))
+    if r_bar.shape[-1:] == w.shape[-1:] == z_star.shape[-1:] != ():
+        try:
+            return w * (z_star - r_bar)
+        except ValueError:  # leading axes that do not broadcast
+            pass
+    raise ContractViolationError(f"shape mismatch: r_bar {r_bar.shape}, w {w.shape}, z* {z_star.shape}")
 
 
-def tch_worst_index(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray) -> tuple[int, np.ndarray]:
-    """Hard Tchebycheff: index of the largest weighted deviation (ties -> lowest)."""
+def tch_worst_index(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hard Tchebycheff, row-wise: index of the largest weighted deviation (ties -> lowest)."""
     y = _deviations(r_bar, w, z_star)
-    return int(np.argmax(y)), y
+    return np.argmax(y, axis=-1), y
 
 
 def stch_attention(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray, mu: float) -> np.ndarray:
-    """Objective attention delta_i = softmax_i(y_i / mu).
+    """Objective attention delta_i = softmax_i(y_i / mu), row-wise over the last axis.
 
     The softmax of weighted deviations; equals dS/dr_bar_i up to the chain
-    factor w_i, and sums to 1.
+    factor w_i, and each row sums to 1.
     """
     if mu <= 0:
         raise ConfigError(f"smoothing mu must be positive, got {mu}")
     y = _deviations(r_bar, w, z_star) / mu
-    e = np.exp(y - np.max(y))
-    return e / e.sum()
+    e = np.exp(y - np.max(y, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def maintenance_mix(delta: np.ndarray, rho: float) -> np.ndarray:

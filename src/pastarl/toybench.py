@@ -5,6 +5,9 @@ scalarization cannot land inside concave front regions while small-mu smooth
 Tchebycheff can.  The scalarizers reuse the maximization-form machinery by
 negating objectives: minimizing f against a lower utopia z is identical to
 maximizing -f against the ceiling -z.
+
+Preferences, starts and objective values carry any leading batch axes, so one
+call solves every preference; a single preference has no leading axes.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from pastarl.errors import ConfigError, DivergenceError
-from pastarl.scalarize import stch_attention
+from pastarl.errors import ConfigError, ContractViolationError, DivergenceError
+from pastarl.scalarize import stch_attention, tch_worst_index
 
 SCALARIZERS = ("linear", "tch", "stch")
 
@@ -26,7 +29,7 @@ class SyntheticMop:
     n: int
     m: int
     f: Callable[[np.ndarray], np.ndarray]      # (..., n) -> (..., m), batched
-    grad: Callable[[np.ndarray], np.ndarray]   # (n,) -> (m, n)
+    grad: Callable[[np.ndarray], np.ndarray]   # (..., n) -> (..., m, n), batched
     lo: np.ndarray
     hi: np.ndarray
 
@@ -40,8 +43,8 @@ def convex_mop() -> SyntheticMop:
         return np.stack([x0**2, (x0 - 1.0) ** 2], axis=-1)
 
     def grad(x):
-        x0 = float(np.asarray(x).reshape(-1)[0])
-        return np.array([[2.0 * x0], [2.0 * (x0 - 1.0)]])
+        x0 = np.asarray(x, dtype=np.float64)[..., :1]
+        return np.stack([2.0 * x0, 2.0 * (x0 - 1.0)], axis=-2)
 
     return SyntheticMop("convex", 1, 2, f, grad, np.array([-1.0]), np.array([2.0]))
 
@@ -62,10 +65,9 @@ def concave_mop(spread: float = 1.7, alpha: float = 1.0) -> SyntheticMop:
         return 1.0 - np.exp(-alpha * d2)
 
     def grad(x):
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
-        diff = x[None, :] - anchors  # (2, n)
-        d2 = (diff**2).sum(axis=1)
-        return 2.0 * alpha * np.exp(-alpha * d2)[:, None] * diff
+        diff = np.asarray(x, dtype=np.float64)[..., None, :] - anchors  # (..., 2, n)
+        d2 = (diff**2).sum(axis=-1, keepdims=True)
+        return 2.0 * alpha * np.exp(-alpha * d2) * diff
 
     margin = 0.25
     lo = anchors.min(axis=0) - margin
@@ -76,37 +78,38 @@ def concave_mop(spread: float = 1.7, alpha: float = 1.0) -> SyntheticMop:
 def solve_scalarized(
     mop: SyntheticMop,
     scalarizer: str,
-    w: np.ndarray,
-    x0: np.ndarray,
+    W: np.ndarray,
+    X0: np.ndarray,
     steps: int = 2000,
     lr: float = 0.05,
     mu: float = 0.05,
-    z: np.ndarray | None = None,
+    z: np.ndarray | float = -0.05,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient descent on the scalarized loss; returns (x, f(x)).
 
-    z is the minimization-form utopia (strictly below the ideal point);
-    defaults to -0.05 per objective.  The hard-Tchebycheff rule follows the
-    subgradient recipe: find the worst weighted deviation, step along that
-    single objective's weighted gradient.
+    W (..., m) and X0 (..., n) share their leading axes, one independent
+    problem per preference row; x (..., n) and f(x) (..., m) keep those axes.
+    z is the minimization-form utopia (strictly below the ideal point), -0.05
+    per objective by default.  The hard-Tchebycheff rule follows the
+    subgradient recipe: find each row's worst weighted deviation, step along
+    that single objective's weighted gradient.
     """
     if scalarizer not in SCALARIZERS:
         raise ConfigError(f"scalarizer must be one of {SCALARIZERS}, got {scalarizer!r}")
-    w = np.asarray(w, dtype=np.float64)
-    z = np.full(mop.m, -0.05) if z is None else np.asarray(z, dtype=np.float64)
-    x = np.asarray(x0, dtype=np.float64).copy()
+    W, x = np.asarray(W, dtype=np.float64), np.array(X0, dtype=np.float64)
+    if W.shape[:-1] != x.shape[:-1]:
+        raise ContractViolationError(f"preferences {W.shape} and starts {x.shape} differ in leading axes")
+    z = np.full(mop.m, z, dtype=np.float64)
     for k in range(steps):
-        fx = mop.f(x)
-        gx = mop.grad(x)  # (m, n)
-        if scalarizer == "linear":
-            g = w @ gx
-        elif scalarizer == "tch":
-            j = int(np.argmax(w * (fx - z)))
-            g = w[j] * gx[j]
+        gx = mop.grad(x)  # (..., m, n)
+        if scalarizer == "tch":
+            j = tch_worst_index(-mop.f(x), W, -z)[0][..., None, None]  # (..., 1, 1)
+            g = (np.take_along_axis(W[..., None], j, axis=-2) * np.take_along_axis(gx, j, axis=-2))[..., 0, :]
         else:
-            # softmax(w_i (f_i - z_i) / mu) via the maximization-form helper
-            delta = stch_attention(-fx, w, -z, mu)
-            g = (delta * w) @ gx
+            # linear steps along w; stch along w * softmax(w_i (f_i - z_i) / mu),
+            # the attention taken through the maximization-form helper
+            coef = W if scalarizer == "linear" else stch_attention(-mop.f(x), W, -z, mu) * W
+            g = (coef[..., None, :] @ gx)[..., 0, :]
         x = np.clip(x - lr * g, mop.lo, mop.hi)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"toy solver diverged at step {k}")
@@ -127,46 +130,50 @@ def pareto_grid_oracle(
     mesh = np.meshgrid(*axes, indexing="ij")
     xs = np.stack([g.ravel() for g in mesh], axis=1)
     objs = mop.f(xs)
-    keep = _nondominated_2d_min(objs)
+    # Sorted by f0, then f1, a point is non-dominated iff its f1 is below
+    # every earlier point's (an exact duplicate is not: only its first copy).
+    order = np.lexsort((objs[:, 1], objs[:, 0]))
+    f1 = objs[order, 1]
+    keep = order[f1 < np.minimum.accumulate(np.concatenate(([np.inf], f1[:-1])))]
     front_objs, idx = np.unique(objs[keep], axis=0, return_index=True)
     return front_objs, xs[keep][idx]
 
 
-def _nondominated_2d_min(objs: np.ndarray) -> np.ndarray:
-    order = np.lexsort((objs[:, 1], objs[:, 0]))
-    keep = np.zeros(objs.shape[0], dtype=bool)
-    best_f1 = np.inf
-    for i in order:
-        if objs[i, 1] < best_f1:
-            keep[i] = True
-            best_f1 = objs[i, 1]
-    return keep
+def linear_oracle_point(front_objs: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Front point minimizing the weighted sum f . w, per preference row of W (..., m)."""
+    vals = np.asarray(W, dtype=np.float64) @ front_objs.T
+    return front_objs[np.argmin(vals, axis=-1)]
 
 
-def tch_oracle_point(front_objs: np.ndarray, w: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-    """Front point minimizing the hard Tchebycheff value max_i w_i (f_i - z_i)."""
-    w = np.asarray(w, dtype=np.float64)
-    z = np.full(front_objs.shape[1], -0.05) if z is None else np.asarray(z, dtype=np.float64)
-    vals = np.max(w * (front_objs - z), axis=1)
-    return front_objs[int(np.argmin(vals))]
+def tch_oracle_point(front_objs: np.ndarray, W: np.ndarray, z: np.ndarray | float = -0.05) -> np.ndarray:
+    """Front point minimizing max_i w_i (f_i - z_i), per preference row of W (..., m)."""
+    W = np.asarray(W, dtype=np.float64)[..., None, :]
+    vals = np.max(W * (front_objs - z), axis=-1)
+    return front_objs[np.argmin(vals, axis=-1)]
 
 
 def stch_oracle_point(
-    front_objs: np.ndarray, w: np.ndarray, mu: float = 0.05, z: np.ndarray | None = None
+    front_objs: np.ndarray, W: np.ndarray, mu: float = 0.05, z: np.ndarray | float = -0.05
 ) -> np.ndarray:
-    """Front point minimizing the smooth Tchebycheff value at the same mu.
+    """Front point minimizing the smooth Tchebycheff value at mu, per row of W (..., m).
 
     Grid search over the oracle front; the independent check for what
     gradient descent on the identical objective should reach.
     """
-    w = np.asarray(w, dtype=np.float64)
-    z = np.full(front_objs.shape[1], -0.05) if z is None else np.asarray(z, dtype=np.float64)
-    y = w * (front_objs - z) / mu
-    y_max = y.max(axis=1, keepdims=True)
-    vals = mu * (y_max[:, 0] + np.log(np.exp(y - y_max).sum(axis=1)))
-    return front_objs[int(np.argmin(vals))]
+    W = np.asarray(W, dtype=np.float64)[..., None, :]
+    y = W * (front_objs - z) / mu
+    y_max = y.max(axis=-1, keepdims=True)
+    vals = mu * (y_max[..., 0] + np.log(np.exp(y - y_max).sum(axis=-1)))
+    return front_objs[np.argmin(vals, axis=-1)]
 
 
 def front_endpoints(front_objs: np.ndarray) -> np.ndarray:
     """Extreme front points: the best achiever of each single objective."""
-    return np.stack([front_objs[int(np.argmin(front_objs[:, i]))] for i in range(front_objs.shape[1])])
+    return front_objs[np.argmin(front_objs, axis=0)]
+
+
+def nearest_endpoint(front_objs: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The front endpoint closest to each objective row of F (..., m)."""
+    ends = front_endpoints(front_objs)
+    dist = np.linalg.norm(ends - np.asarray(F)[..., None, :], axis=-1)
+    return ends[np.argmin(dist, axis=-1)]

@@ -254,9 +254,7 @@ class Trainer:
 
         j_worst = tch_worst_index(r_bar, self.w, self.z_star)[0] if cfg.algorithm == "tch" else 0
 
-        value_losses, kappas, clip_loss_acc, entropy_acc = self._epochs(
-            batch, eta, eta_critic, j_worst, r_bar
-        )
+        value_losses, kappas, clip_loss_acc, entropy_acc = self._epochs(batch, eta, eta_critic, j_worst)
         n_updates = len(kappas)
         value_loss_acc = 0.0
         for loss in value_losses:  # in minibatch order; sum() compensates on 3.12+
@@ -290,7 +288,7 @@ class Trainer:
             for start in range(0, len(perm), size):
                 yield perm[start : start + size]
 
-    def _epochs(self, batch, eta, eta_critic, j_worst, r_bar):
+    def _epochs(self, batch, eta, eta_critic, j_worst):
         """The critic's epochs and the actor's over the same minibatches.
 
         Returns (value losses, kappas, summed clip losses, summed entropy),
@@ -319,9 +317,7 @@ class Trainer:
                 critic = critic_epochs()
             for k, mb in enumerate(self._minibatches(perms)):
                 try:
-                    kappa_b, clip_losses = self._actor_update(
-                        batch.inputs[mb], batch, mb, eta, j_worst, r_bar
-                    )
+                    kappa_b, clip_losses = self._actor_update(batch.inputs[mb], batch, mb, eta, j_worst)
                 except Exception as e:
                     actor_failure = (k, e)
                     break
@@ -372,7 +368,7 @@ class Trainer:
         adam_update(self.critic.params, grad, self.critic_opt, ascent=False, name="critic")
         return cfg.c1 * loss
 
-    def _actor_update(self, x, batch, mb, eta, j_worst, r_bar):
+    def _actor_update(self, x, batch, mb, eta, j_worst):
         cfg = self.cfg
         means, tape = self.actor.mean_forward(x)
         pre = batch.pre_clamp[mb]
@@ -402,8 +398,6 @@ class Trainer:
             unc = ratio * a_lin
             coeffs, scale = np.where(unc <= clipped_ratio * a_lin, unc, 0.0)[None, :], 1.0
         elif cfg.algorithm == "tch":
-            if cfg.tch_per_minibatch:
-                j_worst = tch_worst_index(r_bar, self.w, self.z_star)[0]
             coeffs, scale = coeff[None, :, j_worst], self.w[j_worst]
         else:
             coeffs = coeff.T

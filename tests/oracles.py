@@ -51,6 +51,29 @@ def pareto_filter(points) -> np.ndarray:
     return pts[keep]
 
 
+def solve_one_preference(mop, scalarizer, w, x0, steps, lr=0.05, mu=0.05, z=-0.05):
+    """Projected gradient descent on one preference's scalarized loss, one
+    2-vector at a time: the loop ``toybench.solve_scalarized`` replaced.  The
+    step is w @ grad (linear), w_j grad_j at the worst weighted deviation j
+    (tch), or (softmax(w (f - z) / mu) * w) @ grad (stch); returns (x, f(x))."""
+    w = np.asarray(w, dtype=np.float64)
+    z = np.full(mop.m, z, dtype=np.float64)
+    x = np.array(x0, dtype=np.float64)
+    for _ in range(steps):
+        fx, gx = mop.f(x), mop.grad(x)
+        if scalarizer == "linear":
+            g = w @ gx
+        elif scalarizer == "tch":
+            j = int(np.argmax(w * (fx - z)))
+            g = w[j] * gx[j]
+        else:
+            y = w * (fx - z) / mu
+            e = np.exp(y - np.max(y))
+            g = (e / e.sum() * w) @ gx
+        x = np.clip(x - lr * g, mop.lo, mop.hi)
+    return x, mop.f(x)
+
+
 class ActSample(NamedTuple):
     action: np.ndarray     # clamped into [0, 1]^d
     log_prob: float        # density of the pre-clamp sample

@@ -90,6 +90,13 @@ class TestTrain:
         rc = main(["train", "--manifest", str(a / "manifest.json"), "--out", str(tmp_path / "c")])
         assert rc == 0
         assert (a / "metrics.csv").read_bytes() == (tmp_path / "c" / "metrics.csv").read_bytes()
+        # A manifest written before algorithm.tch_per_minibatch was removed still reruns.
+        old = json.loads((a / "manifest.json").read_text())
+        old["config"]["algorithm"]["tch_per_minibatch"] = False
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        rc = main(["train", "--manifest", str(tmp_path / "old.json"), "--out", str(tmp_path / "d")])
+        assert rc == 0
+        assert (a / "metrics.csv").read_bytes() == (tmp_path / "d" / "metrics.csv").read_bytes()
 
     def test_seed_flag_changes_results(self, tiny_ini, tmp_path):
         a = train(tiny_ini, tmp_path / "a")
@@ -236,6 +243,16 @@ class TestEvaluate:
                     k: v for k, v in p["networks"].items() if k != "actor_backbone"
                 }},
                 id="missing_network",
+            ),
+            pytest.param(
+                lambda p: {**p, "networks": {
+                    **p["networks"],
+                    "actor_backbone": {
+                        **p["networks"]["actor_backbone"],
+                        "flat": [float("nan"), *p["networks"]["actor_backbone"]["flat"][1:]],
+                    },
+                }},
+                id="non_finite_flat",
             ),
             pytest.param(None, id="truncated_json"),
         ],
@@ -483,9 +500,9 @@ class TestCompare:
                 ["--axis", "rho=0.1,0.5"], ["pasta[rho=0.1]", "pasta[rho=0.5]"], id="rho"
             ),
             pytest.param(
-                ["--override", "algorithm.name=tch", "--axis", "tch_per_minibatch=false,true"],
-                ["tch", "tch[tch_per_minibatch=true]"],
-                id="tch_per_minibatch",
+                ["--override", "algorithm.name=tch", "--axis", "critic=branched_weighted,shared_weighted"],
+                ["tch", "tch[critic=shared_weighted]"],
+                id="tch_critic",
             ),
             pytest.param(
                 ["--override", "algorithm.name=stch_fixed", "--axis", "fixed_mu=0.1,1"],
@@ -585,20 +602,22 @@ class TestUnreadableInput:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "name, mangle",
+        "name, mangle, detail",
         [
-            ("eval.csv", lambda path: path.write_text("")),
-            ("eval.csv", lambda path: replace_cell(path, 1, 1, "abc")),
-            ("manifest.json", lambda path: path.write_text("{")),
+            ("eval.csv", lambda path: path.write_text(""), ""),
+            ("eval.csv", lambda path: replace_cell(path, 1, 1, "abc"), ""),
+            ("eval.csv", lambda path: replace_cell(path, 2, 1, "nan"), "line 3"),
+            ("manifest.json", lambda path: path.write_text("{"), ""),
         ],
-        ids=["empty_eval_csv", "non_numeric_eval_cell", "truncated_manifest"],
+        ids=["empty_eval_csv", "non_numeric_eval_cell", "non_finite_eval_cell", "truncated_manifest"],
     )
-    def test_run_directory_to_compare(self, tiny_ini, tmp_path, capsys, name, mangle):
+    def test_run_directory_to_compare(self, tiny_ini, tmp_path, capsys, name, mangle, detail):
         run = train(tiny_ini, tmp_path / "run")
         mangle(run / name)
         capsys.readouterr()
         assert main(["compare", str(run), "--out", str(tmp_path / "cmp")]) == 2
-        assert str(run / name) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(run / name) in err and detail in err
         assert not (tmp_path / "cmp").exists()
 
     def test_checkpoint_that_is_a_directory(self, tiny_ini, tmp_path, capsys):
@@ -626,6 +645,25 @@ class TestToybench:
         text = capsys.readouterr().out
         for method in ("linear", "tch", "stch"):
             assert method in text
+
+    @pytest.mark.parametrize("problem", ["concave", "convex"])
+    def test_defaults_recover_the_oracle(self, tmp_path, capsys, problem):
+        """At its defaults both linear (against the nearest endpoint on the
+        concave front, the weighted-sum optimum on the convex one) and stch
+        land within tol of their oracle on >= 45 of the 50 preferences."""
+        out = tmp_path / "toy"
+        assert main(["toybench", "--out", str(out), "--problem", problem]) == 0
+        counts = {}
+        for line in capsys.readouterr().out.splitlines():
+            if " within " in line:
+                method, hits = line.split(" ")[:2]
+                counts[method.rstrip(":")] = tuple(int(v) for v in hits.split("/"))
+        assert counts["linear"][0] >= 45 and counts["stch"][0] >= 45
+        assert counts["linear"][1] == counts["stch"][1] == 50
+        rows = read_csv(out / "toybench.csv")[1:]
+        assert [row[2] for row in rows] == ["linear", "tch", "stch"] * 50
+        w0 = [float(row[0]) for row in rows]
+        assert w0[::3] == w0[1::3] == w0[2::3] == sorted(w0[::3])
 
     @pytest.mark.parametrize(
         "flag",

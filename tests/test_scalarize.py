@@ -159,6 +159,25 @@ class TestAttention:
         d = stch_attention(np.array([0.0, 1.0]), np.full(2, 0.5), utopia_point(2), 0.005)
         assert d[0] > 0.999999
 
+    def test_rows_match_one_row_at_a_time(self):
+        rng = np.random.default_rng(11)
+        R = rng.uniform(0.0, 1.0, size=(4, 5, 3))
+        W = rng.dirichlet(np.ones(3), size=(4, 5))
+        z = utopia_point(3)
+        D = stch_attention(R, W, z, 0.05)
+        assert D.shape == (4, 5, 3)
+        for idx in np.ndindex(4, 5):
+            np.testing.assert_array_equal(D[idx], stch_attention(R[idx], W[idx], z, 0.05))
+        np.testing.assert_allclose(D.sum(axis=-1), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "r_shape, w_shape",
+        [((4, 3), (4, 2)), ((4, 2), (3, 2)), ((), (2,))],
+    )
+    def test_row_shape_mismatch_rejected(self, r_shape, w_shape):
+        with pytest.raises(ContractViolationError):
+            stch_attention(np.ones(r_shape), np.full(w_shape, 0.5), utopia_point(2), 0.1)
+
     def test_gradient_matches_finite_difference_of_value(self):
         w = np.array([0.6, 0.4])
         z = utopia_point(2)
@@ -180,6 +199,12 @@ class TestHardTch:
         j, y = tch_worst_index(r, w, utopia_point(2))
         assert j == 0
         np.testing.assert_allclose(y, [0.21, 0.12], rtol=1e-12)
+
+    def test_picks_per_row(self):
+        r = np.array([[0.0, 0.9], [0.9, 0.0], [0.5, 0.5]])
+        j, y = tch_worst_index(r, np.array([0.2, 0.8]), utopia_point(2))
+        np.testing.assert_array_equal(j, [0, 1, 1])
+        assert y.shape == (3, 2)
 
     def test_tie_goes_to_lowest_index(self):
         j, _ = tch_worst_index(np.array([0.5, 0.5]), np.full(2, 0.5), utopia_point(2))

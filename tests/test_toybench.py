@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from pastarl.errors import ConfigError
+from pastarl.errors import ConfigError, ContractViolationError
 from pastarl.toybench import (
     SCALARIZERS,
     concave_mop,
     convex_mop,
     front_endpoints,
+    linear_oracle_point,
+    nearest_endpoint,
     pareto_grid_oracle,
     solve_scalarized,
     stch_oracle_point,
     tch_oracle_point,
 )
+from tests.oracles import solve_one_preference
 
 
 def assert_grad_matches_fd(mop, x, rtol=1e-6):
@@ -146,6 +149,11 @@ class TestOraclePoints:
             stch_oracle_point(front, w, mu=0.05), tch_oracle_point(front, w)
         )
 
+    def test_linear_oracle_minimizes_weighted_sum(self):
+        front = np.array([[0.0, 1.0], [0.4, 0.4], [1.0, 0.0]])
+        np.testing.assert_array_equal(linear_oracle_point(front, np.array([0.5, 0.5])), [0.4, 0.4])
+        np.testing.assert_array_equal(linear_oracle_point(front, np.array([0.9, 0.1])), [0.0, 1.0])
+
     def test_endpoints_pick_extremes(self):
         front = np.array([[0.0, 1.0], [0.4, 0.4], [1.0, 0.0]])
         ends = front_endpoints(front)
@@ -160,19 +168,15 @@ class TestEndpointAttraction:
         near the weight-matched interior oracle point."""
         mop = concave_mop(spread=1.7)
         front, _ = pareto_grid_oracle(mop, resolution=600)
-        ends = front_endpoints(front)
-        rng = np.random.default_rng(3)
-        interior_hits = 0
-        for t in np.linspace(0.25, 0.75, 9):
-            w = np.array([t, 1.0 - t])
-            x0 = rng.uniform(mop.lo, mop.hi)
-            _, f_lin = solve_scalarized(mop, "linear", w, x0)
-            _, f_stch = solve_scalarized(mop, "stch", w, x0, mu=0.05)
-            d_end = min(np.linalg.norm(f_lin - e) for e in ends)
-            assert d_end < 1e-2
-            oracle = stch_oracle_point(front, w, mu=0.05)
-            if np.linalg.norm(f_stch - oracle) < 1e-2:
-                interior_hits += 1
+        ts = np.linspace(0.25, 0.75, 9)
+        W = np.stack([ts, 1.0 - ts], axis=-1)
+        X0 = np.random.default_rng(3).uniform(mop.lo, mop.hi, size=(len(ts), 2))
+        _, f_lin = solve_scalarized(mop, "linear", W, X0)
+        _, f_stch = solve_scalarized(mop, "stch", W, X0, mu=0.05)
+        d_end = np.linalg.norm(f_lin - nearest_endpoint(front, f_lin), axis=-1)
+        assert np.all(d_end < 1e-2)
+        oracle = stch_oracle_point(front, W, mu=0.05)
+        interior_hits = int(np.sum(np.linalg.norm(f_stch - oracle, axis=-1) < 1e-2))
         assert interior_hits >= 8
 
     def test_stch_balanced_weight_hits_front_middle(self):
@@ -185,6 +189,67 @@ class TestEndpointAttraction:
         # The balanced interior point is far from both endpoints.
         for e in front_endpoints(front):
             assert np.linalg.norm(f - e) > 0.3
+
+
+class TestPreferenceAxis:
+    """One call solves a whole batch of preferences, bit for bit the same as
+    solving each preference on its own."""
+
+    @pytest.mark.parametrize("make", [convex_mop, concave_mop])
+    def test_grad_keeps_leading_axes(self, make):
+        mop = make()
+        X = np.random.default_rng(5).uniform(mop.lo, mop.hi, size=(2, 3, mop.n))
+        G = mop.grad(X)
+        assert G.shape == (2, 3, mop.m, mop.n)
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(G[idx], mop.grad(X[idx]))
+
+    @pytest.mark.parametrize("make", [convex_mop, concave_mop])
+    @pytest.mark.parametrize("scalarizer", SCALARIZERS)
+    def test_batch_equals_the_per_preference_loop(self, make, scalarizer):
+        mop = make()
+        ts = np.linspace(0.1, 0.9, 5)
+        W = np.stack([ts, 1.0 - ts], axis=-1)
+        X0 = np.random.default_rng(6).uniform(mop.lo, mop.hi, size=(5, mop.n))
+        x, f = solve_scalarized(mop, scalarizer, W, X0, steps=300)
+        assert x.shape == (5, mop.n) and f.shape == (5, mop.m)
+        for p in range(5):
+            x_ref, f_ref = solve_one_preference(mop, scalarizer, W[p], X0[p], steps=300)
+            np.testing.assert_array_equal(x[p], x_ref)
+            np.testing.assert_array_equal(f[p], f_ref)
+            x_p, f_p = solve_scalarized(mop, scalarizer, W[p], X0[p], steps=300)
+            assert x_p.shape == (mop.n,) and f_p.shape == (mop.m,)
+            np.testing.assert_array_equal(x_p, x_ref)
+
+    def test_two_leading_axes(self):
+        mop = concave_mop()
+        W = np.random.default_rng(7).dirichlet(np.ones(2), size=(2, 3))
+        X0 = np.random.default_rng(8).uniform(mop.lo, mop.hi, size=(2, 3, 2))
+        x, f = solve_scalarized(mop, "tch", W, X0, steps=100)
+        assert x.shape == (2, 3, 2) and f.shape == (2, 3, 2)
+        np.testing.assert_array_equal(x[1, 2], solve_scalarized(mop, "tch", W[1, 2], X0[1, 2], steps=100)[0])
+
+    def test_leading_axes_must_match(self):
+        mop = concave_mop()
+        with pytest.raises(ContractViolationError):
+            solve_scalarized(mop, "linear", np.array([0.5, 0.5]), np.zeros((3, 2)))
+
+    def test_oracles_take_a_batch_of_preferences(self):
+        front, _ = pareto_grid_oracle(concave_mop(), resolution=80)
+        ts = np.linspace(0.1, 0.9, 4)
+        W = np.stack([ts, 1.0 - ts], axis=-1)
+        for oracle in (linear_oracle_point, tch_oracle_point, stch_oracle_point):
+            batch = oracle(front, W)
+            assert batch.shape == (4, 2)
+            for p in range(4):
+                np.testing.assert_array_equal(batch[p], oracle(front, W[p]))
+
+    def test_nearest_endpoint_per_row(self):
+        front = np.array([[0.0, 1.0], [0.4, 0.4], [1.0, 0.0]])
+        F = np.array([[0.1, 0.9], [0.9, 0.2], [0.2, 1.0]])
+        np.testing.assert_array_equal(
+            nearest_endpoint(front, F), [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        )
 
 
 class TestSolverContract:

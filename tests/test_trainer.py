@@ -301,7 +301,7 @@ class TestIterationMechanics:
             t._critic_update(x, bad, np.array([0.5, 0.5]))
 
 
-def interleaved_epochs(t, batch, eta, eta_critic, j_worst, r_bar):
+def interleaved_epochs(t, batch, eta, eta_critic, j_worst):
     """Reference for Trainer._epochs: the epoch loop as it was before the
     critic's epochs and the actor's were split, drawing each epoch's
     permutation as the epoch starts and updating the critic, then the
@@ -319,7 +319,7 @@ def interleaved_epochs(t, batch, eta, eta_critic, j_worst, r_bar):
             except DivergenceError as e:
                 raise DivergenceError(f"critic update {where}: {e}") from e
             try:
-                kappa_b, clip_losses = t._actor_update(inputs[mb], batch, mb, eta, j_worst, r_bar)
+                kappa_b, clip_losses = t._actor_update(inputs[mb], batch, mb, eta, j_worst)
             except DivergenceError as e:
                 raise DivergenceError(f"actor update {where}: {e}") from e
             kappas.append(kappa_b)
@@ -645,8 +645,7 @@ class TestScalarizationRouting:
         T = 16
         batch, x = make_flat_batch(t, T, adv)
         eta = np.array([0.5, 0.5])
-        r_bar = np.array([0.5, 0.5])
-        t._actor_update(x, batch, np.arange(T), eta, j_worst, r_bar)
+        t._actor_update(x, batch, np.arange(T), eta, j_worst)
         return t.actor.params
 
     @pytest.mark.parametrize("algorithm", ["pasta", "linear"])
@@ -662,7 +661,7 @@ class TestScalarizationRouting:
         means, _ = t.actor.mean_forward(x)
         ratio = np.exp(t.actor.log_probs(means, batch.pre_clamp) - batch.log_probs)
         assert (ratio < 1.0 - t.cfg.clip_eps).any() and (ratio > 1.0 + t.cfg.clip_eps).any()
-        _, clip_losses = t._actor_update(x, batch, np.arange(T), np.array([0.5, 0.5]), 0, np.array([0.5, 0.5]))
+        _, clip_losses = t._actor_update(x, batch, np.arange(T), np.array([0.5, 0.5]), 0)
         expected = clipped_objective_loss(ratio[:, None], batch.norm_advantages, t.cfg.clip_eps).mean(axis=0)
         np.testing.assert_array_equal(clip_losses, expected)
 
