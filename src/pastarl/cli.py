@@ -13,6 +13,8 @@ import itertools
 import json
 import math
 import sys
+import typing
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from pastarl.errors import ConfigError, DivergenceError
 from pastarl.nn import load_checkpoint, save_checkpoint
 from pastarl.policy import GaussianActor
 from pastarl.scalarize import preference_vector
-from pastarl.trainer import Trainer, deterministic_returns
+from pastarl.trainer import EvalRecord, IterationReport, Trainer, deterministic_returns
 
 
 def _fmt(x) -> str:
@@ -46,47 +48,30 @@ def _require(args, names, ok, rule: str) -> None:
 # -- train ------------------------------------------------------------------
 
 
-def _metrics_header(m: int) -> list:
-    return (
-        ["iteration", "kappa", "mu", "mu_base", "beta", "mu_star"]
-        + [f"return_{i}" for i in range(m)]
-        + [f"clip_loss_{i}" for i in range(m)]
-        + ["value_loss", "entropy", "n_episodes"]
-        + [f"eval_return_{i}" for i in range(m)]
-        + ["eval_hv", "eval_eu"]
-    )
+def _layout(record_type) -> list:
+    """(field name, column stem, declared type) of each field of a record."""
+    types = typing.get_type_hints(record_type)
+    return [(f.name, f.metadata.get("column", f.name), types[f.name]) for f in fields(record_type)]
 
 
-def _metrics_row(report, m: int) -> list:
-    row = [
-        str(report.iteration),
-        _fmt(report.kappa),
-        _fmt(report.mu),
-        _fmt(report.mu_base),
-        _fmt(report.beta),
-        _fmt(report.mu_star),
+def _csv_header(record_type, m: int) -> list:
+    """The CSV columns a record type declares: its fields in order, a tuple
+    field as m columns stem_0 ... stem_{m-1}."""
+    return [
+        col
+        for _, stem, kind in _layout(record_type)
+        for col in ([f"{stem}_{i}" for i in range(m)] if kind is tuple else [stem])
     ]
-    row += [_fmt(v) for v in report.return_means]
-    row += [_fmt(v) for v in report.clip_losses]
-    row += [_fmt(report.value_loss), _fmt(report.entropy), str(report.n_episodes)]
-    if report.eval is not None:
-        row += [_fmt(v) for v in report.eval.returns]
-        row += [_fmt(report.eval.hv_so_far), _fmt(report.eval.eu)]
-    else:
-        row += [""] * (m + 2)
+
+
+def _csv_row(record) -> list:
+    """A record's cells, in the order of ``_csv_header``: ints as they are,
+    floats in the fixed format."""
+    row = []
+    for name, _, kind in _layout(type(record)):
+        value = getattr(record, name)
+        row += [str(v) if kind is int else _fmt(v) for v in (value if kind is tuple else (value,))]
     return row
-
-
-def _eval_header(m: int) -> list:
-    return ["iteration"] + [f"return_{i}" for i in range(m)] + ["hv_so_far", "eu"]
-
-
-def _eval_row(rec) -> list:
-    return (
-        [str(rec.iteration)]
-        + [_fmt(v) for v in rec.returns]
-        + [_fmt(rec.hv_so_far), _fmt(rec.eu)]
-    )
 
 
 def save_trainer_checkpoint(trainer: Trainer, path) -> None:
@@ -119,18 +104,15 @@ def run_training(cfg: dict, out_dir) -> Path:
     trainer = Trainer(tc)
     out_dir.mkdir(parents=True, exist_ok=True)
     configlib.write_manifest(out_dir, cfg)
-    m = trainer.m
     with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
         mw, ew = _writer(mf), _writer(ef)
-        mw.writerow(_metrics_header(m))
-        ew.writerow(_eval_header(m))
-        ew.writerow(_eval_row(trainer.evaluate(0)))
+        mw.writerow(_csv_header(IterationReport, trainer.m))
+        ew.writerow(_csv_header(EvalRecord, trainer.m))
+        ew.writerow(_csv_row(trainer.evaluate(0)))
         for k in range(tc.total_iterations):
-            report = trainer.run_iteration()
+            mw.writerow(_csv_row(trainer.run_iteration()))
             if (k + 1) % tc.eval_every == 0 or k == tc.total_iterations - 1:
-                report.eval = trainer.evaluate(k + 1)
-                ew.writerow(_eval_row(report.eval))
-            mw.writerow(_metrics_row(report, m))
+                ew.writerow(_csv_row(trainer.evaluate(k + 1)))
             if (
                 tc.checkpoint_every
                 and (k + 1) % tc.checkpoint_every == 0

@@ -11,10 +11,10 @@ checked there.  A knob is named ``section.key``, or by a bare key that only
 one section declares.
 
 Config files are INI-style with five sections: environment, algorithm,
-controller, ppo, output.  Unknown sections or keys are hard errors so
-programmatic sweeps cannot silently misspell a knob.  A RunManifest snapshots
-the fully resolved config plus seed and build id; re-running from a manifest
-reproduces the metrics CSV byte for byte.
+controller, ppo, output.  Unknown sections or keys, in a config file or a
+manifest, are hard errors so programmatic sweeps cannot silently misspell a
+knob.  A RunManifest snapshots the fully resolved config plus seed and build
+id; re-running from a manifest reproduces the metrics CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ from pastarl.errors import ConfigError
 from pastarl.scalarize import preference_vector
 
 MANIFEST_FORMAT_VERSION = 1
+
+# (section, key) of knobs that were removed; a manifest written before their
+# removal still loads, without them.
+RETIRED_KEYS = (("algorithm", "tch_per_minibatch"),)
 
 # The eight-preference evaluation set used throughout the experiments (m=3).
 DEFAULT_PREFERENCES_M3 = (
@@ -348,7 +352,8 @@ def write_manifest(out_dir: Path, cfg: dict) -> dict:
 
 def load_manifest(path) -> dict:
     """A manifest that ``write_manifest`` wrote; ConfigError naming the file
-    if it cannot be read or its config lacks a declared knob."""
+    if it cannot be read, or its config lacks a declared knob or holds an
+    entry that no knob declares.  RETIRED_KEYS are dropped."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as f:
@@ -363,6 +368,18 @@ def load_manifest(path) -> dict:
     cfg = manifest.get("config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"manifest {path} has no config")
+    for section, key in RETIRED_KEYS:
+        if isinstance(cfg.get(section), dict):
+            cfg[section].pop(key, None)
+    undeclared = []
+    for section, entries in cfg.items():
+        if isinstance(entries, dict):
+            declared = CONFIG_SCHEMA.get(section, ())
+            undeclared += [f"{section}.{key}" for key in entries if key not in declared]
+        elif section not in CONFIG_SCHEMA:
+            undeclared.append(section)
+    if undeclared:
+        raise ConfigError(f"manifest {path} has config entries no knob declares: {', '.join(undeclared)}")
     missing = [
         f"{section}.{key}"
         for section, keys in CONFIG_SCHEMA.items()

@@ -58,7 +58,11 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 class MomdpEnv:
-    """Interface: reset(rng) -> obs; step(action) -> (obs, reward, done, info)."""
+    """Interface: reset(rng) -> obs; step(action) -> (obs, reward, done, info).
+
+    info holds one entry, info["reward_snapshot"]: the flat snapshot that the
+    reward is a pure function of.  What happened in the step (a collision, a
+    goal reached, targets scanned) is read from its entries."""
 
     name: str = "base"
     observation_dim: int

@@ -141,15 +141,7 @@ class FroggerEnv(MomdpEnv):
         reward = frogger_rewards(snap)
         self.steps += 1
         done = reached_goal or collided or out_of_bounds or self.steps >= self.episode_cap
-        info = {
-            "reward_snapshot": snap,
-            "events": {
-                "goal": reached_goal,
-                "collision": collided,
-                "out_of_bounds": out_of_bounds,
-            },
-        }
-        return self._observation(), reward, done, info
+        return self._observation(), reward, done, {"reward_snapshot": snap}
 
     def _observation(self) -> np.ndarray:
         x, y = self.pos.tolist()
@@ -267,15 +259,7 @@ class FormationEnv(MomdpEnv):
         reward = formation_rewards(snap)
         self.steps += 1
         done = converged or self.steps >= self.episode_cap
-        info = {
-            "reward_snapshot": snap,
-            "events": {
-                "converged": converged,
-                "agent_collision": agent_collision,
-                "obstacle_hit": obstacle_hit,
-            },
-        }
-        return self._observation(xy, (cx, cy), pair_dists), reward, done, info
+        return self._observation(xy, (cx, cy), pair_dists), reward, done, {"reward_snapshot": snap}
 
     def _observation(
         self, xy: list[float], centroid: tuple[float, float], pair_dists: list[float]

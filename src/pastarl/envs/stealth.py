@@ -173,8 +173,7 @@ class StealthWorld(MomdpEnv):
         self.steps += 1
         done = self.steps >= self.episode_cap
         obs = self._observation((cos_th, sin_th), grid, lidar)
-        info = {"reward_snapshot": snap, "events": {"collision": collided, "n_new": n_new}}
-        return obs, reward, done, info
+        return obs, reward, done, {"reward_snapshot": snap}
 
     def _d_risk(self, p) -> float:
         x, y = p

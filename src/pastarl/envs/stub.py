@@ -39,7 +39,7 @@ class StubEnv(MomdpEnv):
         reward = stub_rewards(snap)
         self.steps += 1
         done = self.steps >= self.episode_cap
-        return self._observation(), reward, done, {"reward_snapshot": snap, "events": {}}
+        return self._observation(), reward, done, {"reward_snapshot": snap}
 
     def _observation(self) -> np.ndarray:
         k = self.steps

@@ -34,12 +34,11 @@ import signal
 import sys
 import traceback
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from pastarl import metrics
 from pastarl.config import TrainConfig
 from pastarl.controller import ControllerTrace, SmoothnessController
 from pastarl.envs import make_env
@@ -58,28 +57,40 @@ from pastarl.scalarize import (
 from pastarl.surgery import conflict_ratio, project_conflicts, summed_update_direction
 
 
+def column(stem: str):
+    """Declare a record field whose CSV column stem is not its field name.
+
+    The records below are the only declaration of the run's CSV columns: each
+    field is one column, named by the field or its ``column`` stem, and a
+    per-objective tuple field is the m columns stem_0 ... stem_{m-1}.
+    """
+    return field(metadata={"column": stem})
+
+
 @dataclass
 class EvalRecord:
+    """One row of eval.csv."""
+
     iteration: int
-    returns: tuple          # per-objective mean raw episodic returns
-    hv_so_far: float        # hypervolume of all eval points so far (self-normalized)
-    eu: float               # w . returns
+    returns: tuple = column("return")  # per-objective mean raw episodic returns
+    eu: float                          # w . returns
 
 
 @dataclass
 class IterationReport:
+    """One row of metrics.csv."""
+
     iteration: int
     kappa: float
     mu: float
     mu_base: float
     beta: float
     mu_star: float
-    return_means: tuple     # per-objective mean completed-episode returns
-    clip_losses: tuple
+    return_means: tuple = column("return")  # per-objective mean completed-episode returns
+    clip_losses: tuple = column("clip_loss")
     value_loss: float
     entropy: float
     n_episodes: int
-    eval: EvalRecord | None = None
 
 
 class CriticOutcome(NamedTuple):
@@ -157,7 +168,6 @@ class Trainer:
         self.controller = SmoothnessController(cfg)
         self.last_kappa = 0.0
         self.iteration = 0
-        self.eval_history: list[EvalRecord] = []
         self._obs = None
         self._partial_return = np.zeros(self.m)
 
@@ -425,22 +435,17 @@ class Trainer:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, iteration: int) -> EvalRecord:
-        """Deterministic (mean-action) episodes on a fresh rng; appends to history."""
+        """Deterministic (mean-action) episodes on a fresh rng."""
         rng = np.random.default_rng(self._eval_seeds.spawn(1)[0])
         totals = deterministic_returns(
             self.actor, self.eval_env, self.w, rng, self.cfg.eval_episodes
         )
         mean_returns = totals.mean(axis=0)
-        record = EvalRecord(
+        return EvalRecord(
             iteration=iteration,
             returns=tuple(mean_returns.tolist()),
-            hv_so_far=0.0,
             eu=float(self.w @ mean_returns),
         )
-        self.eval_history.append(record)
-        normed = metrics.normalize_points({"eval": [rec.returns for rec in self.eval_history]})
-        record.hv_so_far = metrics.hypervolume(normed["eval"])
-        return record
 
 
 # -- the critic's child process ---------------------------------------------------

@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import inspect
 import json
 import shutil
+import typing
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from pastarl import config as configlib
 from pastarl.cli import _parse_axis, main
 from pastarl.envs import ENV_CLASSES
+from pastarl.trainer import EvalRecord, IterationReport
 
 
 TINY_INI = """
@@ -40,6 +43,17 @@ def tiny_ini(tmp_path):
     return p
 
 
+def declared_columns(record_type, m: int) -> list:
+    """Each field of a record is a column named by its field or its metadata's
+    ``column`` stem; a tuple field is one column per objective."""
+    types = typing.get_type_hints(record_type)
+    columns = []
+    for f in dataclasses.fields(record_type):
+        stem = f.metadata.get("column", f.name)
+        columns += [f"{stem}_{i}" for i in range(m)] if types[f.name] is tuple else [stem]
+    return columns
+
+
 def train(tiny_ini, out, extra=()):
     rc = main(["train", "--config", str(tiny_ini), "--out", str(out), *extra])
     assert rc == 0
@@ -63,15 +77,26 @@ class TestTrain:
         header, body = rows[0], rows[1:]
         assert header[:6] == ["iteration", "kappa", "mu", "mu_base", "beta", "mu_star"]
         assert "return_0" in header and "return_1" in header
-        assert "eval_hv" in header and "eval_eu" in header
         assert len(body) == 3
         assert [r[0] for r in body] == ["1", "2", "3"]
-        # iterations 2 and 3 carry eval numbers, iteration 1 leaves them blank
-        hv_col = header.index("eval_hv")
-        assert body[0][hv_col] == ""
-        assert body[1][hv_col] != "" and body[2][hv_col] != ""
         # fixed-width float formatting
         assert "." in body[0][2] and len(body[0][2].split(".")[1]) == 10
+
+    @pytest.mark.parametrize(
+        "env, preference",
+        [("stub", "0.5, 0.5"), ("frogger", "0.2, 0.3, 0.5"), ("formation", "0.25, 0.25, 0.25, 0.25")],
+        ids=["stub", "frogger", "formation"],
+    )
+    def test_csv_columns_are_the_record_fields(self, tiny_ini, tmp_path, env, preference):
+        ini = tmp_path / f"{env}.ini"
+        ini.write_text(tiny_ini.read_text().replace("name = stub", f"name = {env}").replace(
+            "[algorithm]", f"[algorithm]\npreference = {preference}"))
+        out = train(ini, tmp_path / env)
+        m = len(preference.split(","))
+        for name, record_type in (("metrics.csv", IterationReport), ("eval.csv", EvalRecord)):
+            rows = read_csv(out / name)
+            assert rows[0] == declared_columns(record_type, m), name
+            assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), name
 
     def test_eval_csv_has_initial_row(self, tiny_ini, tmp_path):
         out = train(tiny_ini, tmp_path / "run")
@@ -97,6 +122,8 @@ class TestTrain:
         rc = main(["train", "--manifest", str(tmp_path / "old.json"), "--out", str(tmp_path / "d")])
         assert rc == 0
         assert (a / "metrics.csv").read_bytes() == (tmp_path / "d" / "metrics.csv").read_bytes()
+        rerun = json.loads((tmp_path / "d" / "manifest.json").read_text())
+        assert "tch_per_minibatch" not in rerun["config"]["algorithm"]
 
     def test_seed_flag_changes_results(self, tiny_ini, tmp_path):
         a = train(tiny_ini, tmp_path / "a")
@@ -584,21 +611,24 @@ class TestUnreadableInput:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "mangle",
+        "mangle, detail",
         [
-            lambda doc: json.dumps(doc)[:-10],
-            lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}),
-            lambda doc: json.dumps({**doc, "config": {**doc["config"], "algorithm": {
-                **doc["config"]["algorithm"], "preference": 0.5}}}),
+            (lambda doc: json.dumps(doc)[:-10], ""),
+            (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}), ""),
+            (lambda doc: json.dumps({**doc, "config": {**doc["config"], "algorithm": {
+                **doc["config"]["algorithm"], "preference": 0.5}}}), ""),
+            (lambda doc: json.dumps({**doc, "config": {**doc["config"], "ppo": {
+                **doc["config"]["ppo"], "learning_rat": 0.1}}}), "ppo.learning_rat"),
         ],
-        ids=["truncated_json", "no_config", "scalar_preference"],
+        ids=["truncated_json", "no_config", "scalar_preference", "undeclared_key"],
     )
-    def test_manifest_to_train_from(self, tmp_path, capsys, mangle):
+    def test_manifest_to_train_from(self, tmp_path, capsys, mangle, detail):
         manifest = configlib.write_manifest(tmp_path, configlib.default_config())
         path = tmp_path / "manifest.json"
         path.write_text(mangle(manifest))
         assert main(["train", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert str(path) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(path) in err and detail in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

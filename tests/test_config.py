@@ -302,6 +302,19 @@ class TestManifest:
         with pytest.raises(ConfigError, match="format_version"):
             cfgmod.load_manifest(path)
 
+    def test_undeclared_entries_rejected_by_name(self, tmp_path):
+        cfgmod.write_manifest(tmp_path, cfgmod.default_config())
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["ppo"]["learning_rat"] = 0.1
+        doc["config"]["algorithm"]["tch_per_minibatch"] = True  # retired, so dropped
+        doc["config"]["extra"] = {"key": 1}
+        doc["config"]["note"] = "x"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as e:
+            cfgmod.load_manifest(path)
+        assert str(e.value).endswith("no knob declares: ppo.learning_rat, extra.key, note")
+
     def test_manifest_records_identity_fields(self, tmp_path):
         manifest = cfgmod.write_manifest(tmp_path, cfgmod.default_config())
         assert manifest["environment"] == "stub"

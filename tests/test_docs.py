@@ -1,4 +1,5 @@
-"""The README and the example configs agree with the config declarations."""
+"""The README and the example configs agree with the config and output-column
+declarations."""
 
 import re
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from pastarl import config as cfgmod
-from pastarl.cli import _parse_axis
+from pastarl.cli import _layout, _parse_axis
+from pastarl.trainer import EvalRecord, IterationReport
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -87,3 +89,18 @@ def documented_axes() -> list:
 @pytest.mark.parametrize("where, spec", documented_axes())
 def test_documented_sweep_axis_resolves(where, spec):
     _parse_axis(spec)
+
+
+def render_columns(record_type) -> str:
+    """A record's CSV columns as the README lists them, ``name_i...`` for a
+    per-objective field."""
+    return ", ".join(stem + ("_i..." if kind is tuple else "") for _, stem, kind in _layout(record_type))
+
+
+@pytest.mark.parametrize("file_name, record_type", [("metrics.csv", IterationReport), ("eval.csv", EvalRecord)])
+def test_readme_output_columns_match_the_declarations(file_name, record_type):
+    text = README.read_text()
+    section = text[text.index("Writes to the output directory"):]
+    listed = re.search(rf"^- `{re.escape(file_name)}` - [^:]*: `([^`]*)`", section, flags=re.M)
+    assert listed, f"README lists no columns for {file_name}"
+    assert " ".join(listed[1].split()) == render_columns(record_type)

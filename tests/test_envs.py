@@ -223,7 +223,7 @@ class TestStealthDynamics:
         env.circles = np.array([[0.1, 0.0]])
         before = env.pos.copy()
         _, reward, _, info = env.step(np.array([1.0, 0.5]))  # straight ahead
-        assert info["events"]["collision"]
+        assert info["reward_snapshot"]["collided"] == 1
         np.testing.assert_array_equal(env.pos, before)
         assert info["reward_snapshot"]["displacement"] == 0.0
         assert reward[2] == 0.0  # no displacement, no exploration reward
@@ -232,18 +232,18 @@ class TestStealthDynamics:
         env = blank_stealth()
         env.targets = np.array([[0.2, 0.0]])
         _, r1, _, info1 = env.step(np.array([0.0, 0.5]))  # no motion, just scan
-        assert info1["events"]["n_new"] == 1
+        assert info1["reward_snapshot"]["n_new"] == 1
         assert env.scanned[0]
         assert r1[0] == pytest.approx(10.0)
         _, r2, _, info2 = env.step(np.array([0.0, 0.5]))
-        assert info2["events"]["n_new"] == 0
+        assert info2["reward_snapshot"]["n_new"] == 0
         assert r2[0] == 0.0  # scanned target no longer tracked either
 
     def test_target_beyond_scan_range_only_tracked(self):
         env = blank_stealth()
         env.targets = np.array([[0.4, 0.0]])  # inside sensor range, outside scan range
         _, r, _, info = env.step(np.array([0.0, 0.5]))
-        assert info["events"]["n_new"] == 0
+        assert info["reward_snapshot"]["n_new"] == 0
         assert r[0] == pytest.approx(0.05 * 0.5)  # grid tracking only
 
     def test_episode_cap_terminates(self):
@@ -828,7 +828,7 @@ class TestFroggerEnv:
         for o in env.opponents:
             o.x = -0.9  # keep opponents away
         _, r, done, info = env.step(np.array([0.5, 1.0]))
-        assert info["events"]["goal"] and done
+        assert info["reward_snapshot"]["reached_goal"] == 1 and done
         assert r[0] > 9.0
 
     def test_collision_terminates(self):
@@ -838,7 +838,7 @@ class TestFroggerEnv:
         env.opponents[0].x = 0.5
         env.opponents[0].speed = 0.0
         _, r, done, info = env.step(np.array([0.5, 0.5]))
-        assert info["events"]["collision"] and done
+        assert info["reward_snapshot"]["collided"] == 1 and done
         assert r[2] < -24.0
 
     def test_bounds_violation_terminates(self):
@@ -848,7 +848,7 @@ class TestFroggerEnv:
         for o in env.opponents:
             o.x = -0.9
         _, r, done, info = env.step(np.array([0.5, 1.0]))
-        assert info["events"]["out_of_bounds"] and done
+        assert info["reward_snapshot"]["out_of_bounds"] == 1 and done
         assert r[1] == pytest.approx(-25.0)
 
     def test_goal_not_awarded_through_collision(self):
@@ -859,8 +859,8 @@ class TestFroggerEnv:
         env.opponents[1].x = 0.0
         env.opponents[1].speed = 0.0
         _, _, done, info = env.step(np.array([0.5, 1.0]))
-        assert info["events"]["collision"]
-        assert not info["events"]["goal"]
+        assert info["reward_snapshot"]["collided"] == 1
+        assert info["reward_snapshot"]["reached_goal"] == 0
 
     def test_episode_cap(self):
         env = FroggerEnv(episode_cap=2)
@@ -940,7 +940,7 @@ class TestFormationEnv:
         env.opponent.x = -0.9
         env.opponent.speed = 0.0
         _, r, done, info = env.step(np.full(6, 0.5))
-        assert info["events"]["converged"] and done
+        assert info["reward_snapshot"]["converged"] == 1 and done
         assert r[0] > 9.0
 
     def test_obstacle_hit_detected(self):
@@ -950,7 +950,7 @@ class TestFormationEnv:
         env.opponent.y = float(env.positions[0, 1])
         env.opponent.speed = 0.0
         _, r, _, info = env.step(np.full(6, 0.5))
-        assert info["events"]["obstacle_hit"]
+        assert info["reward_snapshot"]["obstacle_hit"] == 1
         assert r[2] < -9.0
 
     def test_same_seed_identical_episode(self):
@@ -1018,8 +1018,7 @@ def ref_frogger_step(env, action):
     }
     env.steps += 1
     done = reached_goal or collided or out_of_bounds or env.steps >= env.episode_cap
-    events = {"goal": reached_goal, "collision": collided, "out_of_bounds": out_of_bounds}
-    return ref_frogger_observation(env), ref_frogger_rewards(snap), bool(done), snap, events
+    return ref_frogger_observation(env), ref_frogger_rewards(snap), bool(done), snap
 
 
 def ref_formation_rewards(snap):
@@ -1084,8 +1083,7 @@ def ref_formation_step(env, joint_action):
     }
     env.steps += 1
     done = converged or env.steps >= env.episode_cap
-    events = {"converged": converged, "agent_collision": agent_collision, "obstacle_hit": obstacle_hit}
-    return ref_formation_observation(env), ref_formation_rewards(snap), bool(done), snap, events
+    return ref_formation_observation(env), ref_formation_rewards(snap), bool(done), snap
 
 
 def ref_stealth_observation(env):
@@ -1123,8 +1121,7 @@ def ref_stealth_step(env, action):
     }
     env.steps += 1
     done = env.steps >= env.episode_cap
-    events = {"collision": collided, "n_new": n_new}
-    return ref_stealth_observation(env), TestStealthRewards.clip_rewards(snap), bool(done), snap, events
+    return ref_stealth_observation(env), TestStealthRewards.clip_rewards(snap), bool(done), snap
 
 
 REF_STEPS = {
@@ -1176,7 +1173,7 @@ def assert_step_matches(env, ref, action):
     """One step of each; outputs and snapshot values agree bit for bit.
     Returns (done, info) of the env's step."""
     obs, reward, done, info = env.step(action)
-    ref_obs, ref_reward, ref_done, ref_snap, ref_events = REF_STEPS[type(env)](ref, action)
+    ref_obs, ref_reward, ref_done, ref_snap = REF_STEPS[type(env)](ref, action)
     np.testing.assert_array_equal(bits(obs), bits(ref_obs))
     np.testing.assert_array_equal(bits(reward), bits(ref_reward))
     assert done is ref_done
@@ -1185,9 +1182,7 @@ def assert_step_matches(env, ref, action):
     for key, value in snap.items():
         assert type(value) is type(ref_snap[key]), key
         assert bits(value) == bits(ref_snap[key]), (key, value, ref_snap[key])
-    assert info["events"] == ref_events
-    for key, value in info["events"].items():
-        assert type(value) is type(ref_events[key]), key
+    assert list(info) == ["reward_snapshot"]
     return done, info
 
 
@@ -1233,13 +1228,13 @@ class TestCrazyflieReference:
                                     ([0.95, -0.95], [1.0, 0.0], False)):
             place(envs, pos=pos)
             _, info = assert_step_matches(*envs, np.array(action))
-            assert info["events"]["out_of_bounds"] is leaves
+            assert info["reward_snapshot"]["out_of_bounds"] == int(leaves)
 
     def test_frogger_goal_reached_in_a_collision(self):
         envs = twin_envs(FroggerEnv, 5)
         place(envs, pos=[0.0, 0.68], opponents=[{}, {"x": 0.0, "y": 0.72, "speed": 0.0}])
         done, info = assert_step_matches(*envs, np.array([STILL, 1.0]))
-        assert done and info["events"]["collision"] and not info["events"]["goal"]
+        assert done and info["reward_snapshot"]["collided"] == 1 and info["reward_snapshot"]["reached_goal"] == 0
         assert info["reward_snapshot"]["goal_dist"] < envs[0].goal_radius
 
     @pytest.mark.parametrize("gap, collides", [(AT_LIMIT, False), (INSIDE_LIMIT, True)])
@@ -1248,7 +1243,7 @@ class TestCrazyflieReference:
         place(envs, pos=[0.0, -0.3], opponents=[{"x": gap, "speed": 0.0}, {"x": -0.9}])
         _, info = assert_step_matches(*envs, np.full(2, STILL))
         assert info["reward_snapshot"]["d_opp"] == gap
-        assert info["events"]["collision"] is collides
+        assert info["reward_snapshot"]["collided"] == int(collides)
 
     def test_formation_agents_clamped_at_the_walls(self):
         envs = twin_envs(FormationEnv, 7)
@@ -1271,7 +1266,7 @@ class TestCrazyflieReference:
         envs = twin_envs(FormationEnv, 8)
         place(envs, positions=positions, opponent=opponent)
         done, info = assert_step_matches(*envs, np.full(6, STILL))
-        assert done and info["events"]["converged"]
+        assert done and info["reward_snapshot"]["converged"] == 1
         assert info["reward_snapshot"]["collided"] == 1
 
     @pytest.mark.parametrize("gap", [AT_LIMIT, INSIDE_LIMIT])
@@ -1281,9 +1276,17 @@ class TestCrazyflieReference:
         place(envs, positions=[[0.0, 0.0], [gap, 0.0], [0.6, gap]],
               opponent={"x": 0.6, "y": 0.0, "speed": 0.0})
         _, info = assert_step_matches(*envs, np.full(6, STILL))
-        snap, events = info["reward_snapshot"], info["events"]
+        snap = info["reward_snapshot"]
         assert snap["min_opp_dist"] == gap and min(ref_pair_dists(envs[1])) == gap
-        assert events["agent_collision"] is events["obstacle_hit"] is (gap < 0.1)
+        assert snap["obstacle_hit"] == snap["collided"] == int(gap < 0.1)
+        # The same agents with the opponent out of reach: only the agents can collide.
+        envs = twin_envs(FormationEnv, 9)
+        place(envs, positions=[[0.0, 0.0], [gap, 0.0], [0.6, gap]],
+              opponent={"x": -0.9, "y": 0.0, "speed": 0.0})
+        _, info = assert_step_matches(*envs, np.full(6, STILL))
+        snap = info["reward_snapshot"]
+        assert min(ref_pair_dists(envs[1])) == gap and snap["obstacle_hit"] == 0
+        assert snap["collided"] == int(gap < 0.1)
 
 
 STAY = np.array([0.0, STILL])  # no move and no turn: the step only senses
@@ -1325,13 +1328,13 @@ class TestStealthStepReference:
         the wall at 1, which is allowed; from one ulp further it hits."""
         envs = blank_stealth_twins(pos=[x, 0.0], targets=[[0.0, -0.9]])
         _, info = assert_step_matches(*envs, np.array([1.0, STILL]))
-        assert info["events"]["collision"] is collides
+        assert info["reward_snapshot"]["collided"] == int(collides)
 
     @pytest.mark.parametrize("obstacle", ["circles", "rects"])
     def test_move_into_an_obstacle(self, obstacle):
         envs = blank_stealth_twins(**{obstacle: [[0.2, 0.0]]}, targets=[[0.0, -0.9]])
         _, info = assert_step_matches(*envs, np.array([1.0, STILL]))
-        assert info["events"]["collision"] and info["reward_snapshot"]["displacement"] == 0.0
+        assert info["reward_snapshot"]["collided"] == 1 and info["reward_snapshot"]["displacement"] == 0.0
         np.testing.assert_array_equal(envs[0].pos, np.zeros(2))
 
     def test_all_targets_scanned(self):
@@ -1339,7 +1342,7 @@ class TestStealthStepReference:
         for env in envs:
             env.scanned[:] = True
         _, info = assert_step_matches(*envs, STAY)
-        assert info["reward_snapshot"]["vision_sum"] == 0.0 and info["events"]["n_new"] == 0
+        assert info["reward_snapshot"]["vision_sum"] == 0.0 and info["reward_snapshot"]["n_new"] == 0
 
     @pytest.mark.parametrize("gap, scanned", [(0.3, True), (float(np.nextafter(0.3, 1.0)), False)])
     def test_target_at_the_scan_range(self, gap, scanned):
@@ -1347,7 +1350,7 @@ class TestStealthStepReference:
         target is scanned; one ulp further it is only tracked by the grid."""
         envs = blank_stealth_twins(targets=[[gap, 0.0]])
         _, info = assert_step_matches(*envs, STAY)
-        assert info["events"]["n_new"] == int(scanned)
+        assert info["reward_snapshot"]["n_new"] == int(scanned)
         assert info["reward_snapshot"]["vision_sum"] == (0.0 if scanned else 0.5)
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
