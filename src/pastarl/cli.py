@@ -25,7 +25,7 @@ from pastarl.envs import make_env
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.nn import load_checkpoint, save_checkpoint
 from pastarl.policy import GaussianActor
-from pastarl.scalarize import preference_vector
+from pastarl.scalarize import SCALARIZERS, preference_vector
 from pastarl.trainer import EvalRecord, IterationReport, Trainer, deterministic_returns
 
 
@@ -512,7 +512,7 @@ def cmd_toybench(args) -> int:
     W = np.stack([ts, 1.0 - ts], axis=-1)
     X0 = mop.lo + np.random.default_rng(args.seed).random((len(ts), mop.n)) * (mop.hi - mop.lo)
     results = {}
-    for method in toybench.SCALARIZERS:
+    for method in SCALARIZERS:
         _, F = toybench.solve_scalarized(
             mop, method, W, X0, steps=args.steps, lr=args.lr, mu=args.mu
         )

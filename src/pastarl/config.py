@@ -29,7 +29,7 @@ from pathlib import Path
 from pastarl import __version__
 from pastarl.envs import ENV_CLASSES
 from pastarl.errors import ConfigError
-from pastarl.scalarize import preference_vector
+from pastarl.scalarize import ALGORITHMS, preference_vector
 
 MANIFEST_FORMAT_VERSION = 1
 
@@ -104,7 +104,7 @@ class TrainConfig:
     env_name: str = knob("environment", "name", str, "stub", tuple(ENV_CLASSES), "simulated task")
     env_params: dict = field(default_factory=dict)  # the ENV_PARAM_KEYS that are set
     algorithm: str = knob(
-        "algorithm", "name", str, "pasta", ("pasta", "linear", "tch", "stch_fixed"),
+        "algorithm", "name", str, "pasta", tuple(ALGORITHMS),
         "method: adaptive smooth Tchebycheff or a baseline",
     )
     preference: tuple = knob(
@@ -177,8 +177,8 @@ class TrainConfig:
         and ``mu_min <= mu_start <= mu_max``."""
         for f in KNOBS:
             valid = f.metadata["valid"]
-            # Only stch_fixed reads fixed_mu.
-            if valid is None or (f.name == "fixed_mu" and self.algorithm != "stch_fixed"):
+            # Only an algorithm whose mu is the fixed_mu knob reads it.
+            if valid is None or (f.name == "fixed_mu" and ALGORITHMS[self.algorithm].mu != "fixed_mu"):
                 continue
             value = getattr(self, f.name)
             if not _within(value, valid):

@@ -15,12 +15,34 @@ attention must match.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from pastarl.errors import ConfigError, ContractViolationError
 
 SIMPLEX_TOL = 1e-9
 NORM_EPS = 1e-8
+
+# The coefficient rules of ``actor_coefficients``.
+SCALARIZERS = ("linear", "tch", "stch")
+
+
+class Algorithm(NamedTuple):
+    """One training algorithm, a row of the README's algorithm table."""
+
+    mu: str | None   # the smoothing's source: "controller", the "fixed_mu" knob, or none
+    rule: str        # the actor_coefficients rule that weights the objectives
+    clip: str        # PPO's clip: per "objective", or on the "scalarized" advantage A . c
+    projects: bool   # project conflicting per-objective gradients (unless no_pcgrad)
+
+
+ALGORITHMS = {
+    "pasta": Algorithm("controller", "stch", "objective", True),
+    "linear": Algorithm(None, "linear", "scalarized", False),
+    "tch": Algorithm(None, "tch", "objective", False),
+    "stch_fixed": Algorithm("fixed_mu", "stch", "objective", True),
+}
 
 
 def preference_vector(values, m: int | None = None) -> np.ndarray:
@@ -116,4 +138,24 @@ def maintenance_mix(delta: np.ndarray, rho: float) -> np.ndarray:
     if not 0.0 < rho < 1.0:
         raise ConfigError(f"maintenance rho must lie in (0, 1), got {rho}")
     delta = np.asarray(delta, dtype=np.float64)
-    return (1.0 - rho) * delta + rho / delta.size
+    return (1.0 - rho) * delta + rho / delta.shape[-1]
+
+
+def actor_coefficients(rule: str, r_bar, w, z_star, mu: float, combine) -> np.ndarray:
+    """Per-objective actor coefficients c (..., m), row-wise over leading axes.
+
+    linear: w.  tch: w_j * e_j at the worst objective j of ``tch_worst_index``.
+    stch: combine(delta, w) of the attention delta at mu, the only rule that
+    reads mu and combine; with np.multiply it is w * delta = dS/dr_bar, which
+    tends to w / m as mu -> infinity and to tch's c as mu -> 0 (Lin et al.,
+    ICML 2024).
+    """
+    if rule == "stch":
+        return combine(stch_attention(r_bar, w, z_star, mu), np.asarray(w, dtype=np.float64))
+    j, y = tch_worst_index(r_bar, w, z_star)
+    w = np.broadcast_to(np.asarray(w, dtype=np.float64), y.shape)
+    if rule == "linear":
+        return w.copy()
+    if rule == "tch":
+        return np.where(np.arange(y.shape[-1]) == j[..., None], w, 0.0)
+    raise ConfigError(f"coefficient rule must be one of {SCALARIZERS}, got {rule!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pastarl.errors import ConfigError, ContractViolationError
+from pastarl.errors import ContractViolationError
 
 ZERO_NORM_EPS = 1e-12
 
@@ -38,9 +38,8 @@ def conflict_ratio(grads: np.ndarray) -> float:
     m = g.shape[0]
     if m < 2:
         return 0.0
-    dots = g @ g.T
-    conflicts = int(np.sum(dots < 0.0)) - int(np.sum(np.diag(dots) < 0.0))
-    return conflicts / (m * (m - 1))
+    # The diagonal holds squared norms, never negative.
+    return int(np.sum(g @ g.T < 0.0)) / (m * (m - 1))
 
 
 def project_conflicts(grads: np.ndarray, rng: np.random.Generator) -> ProjectionResult:
@@ -72,23 +71,3 @@ def project_conflicts(grads: np.ndarray, rng: np.random.Generator) -> Projection
                 row -= (dot / sq_norms[j]) * original[j]
     return ProjectionResult(projected, m * (m - 1), conflicts)
 
-
-def summed_update_direction(
-    grads: np.ndarray, mode: str = "sum", eta: np.ndarray | None = None
-) -> np.ndarray:
-    """Combine the (projected) per-objective gradients into one ascent direction.
-
-    mode="sum" adds them; mode="weighted" uses m * eta_i scaling so a uniform
-    eta reproduces the plain sum.
-    """
-    g = np.asarray(grads, dtype=np.float64)
-    if mode == "sum":
-        return g.sum(axis=0)
-    if mode == "weighted":
-        if eta is None:
-            raise ConfigError("weighted mode needs eta")
-        eta = np.asarray(eta, dtype=np.float64)
-        if eta.shape != (g.shape[0],):
-            raise ContractViolationError(f"eta shape {eta.shape} != ({g.shape[0]},)")
-        return (g.shape[0] * eta[:, None] * g).sum(axis=0)
-    raise ConfigError(f"unknown combination mode {mode!r}")

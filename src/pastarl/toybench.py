@@ -17,10 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from pastarl.errors import ConfigError, ContractViolationError, DivergenceError
-from pastarl.scalarize import stch_attention, tch_worst_index
-
-SCALARIZERS = ("linear", "tch", "stch")
+from pastarl.errors import ContractViolationError, DivergenceError
+from pastarl.scalarize import actor_coefficients
 
 
 @dataclass
@@ -90,26 +88,17 @@ def solve_scalarized(
     W (..., m) and X0 (..., n) share their leading axes, one independent
     problem per preference row; x (..., n) and f(x) (..., m) keep those axes.
     z is the minimization-form utopia (strictly below the ideal point), -0.05
-    per objective by default.  The hard-Tchebycheff rule follows the
-    subgradient recipe: find each row's worst weighted deviation, step along
-    that single objective's weighted gradient.
+    per objective by default.  Each step goes along c @ grad f, with the
+    trainer's ``actor_coefficients`` c at -f(x) against the ceiling -z, w * delta
+    for stch (tch's c is the subgradient recipe).
     """
-    if scalarizer not in SCALARIZERS:
-        raise ConfigError(f"scalarizer must be one of {SCALARIZERS}, got {scalarizer!r}")
     W, x = np.asarray(W, dtype=np.float64), np.array(X0, dtype=np.float64)
     if W.shape[:-1] != x.shape[:-1]:
         raise ContractViolationError(f"preferences {W.shape} and starts {x.shape} differ in leading axes")
     z = np.full(mop.m, z, dtype=np.float64)
     for k in range(steps):
-        gx = mop.grad(x)  # (..., m, n)
-        if scalarizer == "tch":
-            j = tch_worst_index(-mop.f(x), W, -z)[0][..., None, None]  # (..., 1, 1)
-            g = (np.take_along_axis(W[..., None], j, axis=-2) * np.take_along_axis(gx, j, axis=-2))[..., 0, :]
-        else:
-            # linear steps along w; stch along w * softmax(w_i (f_i - z_i) / mu),
-            # the attention taken through the maximization-form helper
-            coef = W if scalarizer == "linear" else stch_attention(-mop.f(x), W, -z, mu) * W
-            g = (coef[..., None, :] @ gx)[..., 0, :]
+        c = actor_coefficients(scalarizer, -mop.f(x), W, -z, mu, np.multiply)
+        g = (c[..., None, :] @ mop.grad(x))[..., 0, :]
         x = np.clip(x - lr * g, mop.lo, mop.hi)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(f"toy solver diverged at step {k}")

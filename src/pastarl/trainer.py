@@ -5,9 +5,9 @@ GAE and advantage normalization; fold the iteration's completed-episode
 returns into the running normalizer to get r_bar; step the smoothness
 controller with the PREVIOUS iteration's conflict ratio; compute attention
 and the maintenance mix at the new mu; then run clipped-PPO epochs over
-shuffled minibatches.  The actor update gets the (m, P) per-objective
-gradient matrix from one backward pass, projects conflicts away, sums
-(optionally attention-weighted), adds the unprojected entropy term, and
+shuffled minibatches.  The actor update gets its per-objective gradient
+rows from one backward pass, projects conflicts away, combines the rows
+with the actor coefficients c, adds the unprojected entropy term, and
 ascends in place on the actor's vector.
 
 The actor and the critic have separate vectors and Adam states, so within
@@ -19,9 +19,8 @@ the critic's run first, inline.  Either way every value is the one the
 interleaved loop (critic, then actor, per minibatch) gives, and no child
 outlives the iteration that forked it.
 
-Algorithms: "pasta" (full pipeline), "stch_fixed" (same pipeline, constant
-mu), "linear" (scalarized advantages, single clipped loss), "tch" (worst
-objective only, scaled by its weight).
+Every algorithm is one row of ``scalarize.ALGORITHMS``; this module reads
+its mu source, coefficient rule, clip and projection from there.
 """
 
 from __future__ import annotations
@@ -47,14 +46,15 @@ from pastarl.gae import RolloutBatch, compute_gae, normalize_advantages
 from pastarl.nn import AdamState, adam_update
 from pastarl.policy import BranchedCritic, GaussianActor, SharedCritic
 from pastarl.scalarize import (
+    ALGORITHMS,
     ReturnNormalizer,
+    actor_coefficients,
     maintenance_mix,
     preference_vector,
     stch_attention,
-    tch_worst_index,
     utopia_point,
 )
-from pastarl.surgery import conflict_ratio, project_conflicts, summed_update_direction
+from pastarl.surgery import conflict_ratio, project_conflicts
 
 
 def column(stem: str):
@@ -129,6 +129,7 @@ class Trainer:
 
     def __init__(self, cfg: TrainConfig, env=None, eval_env=None):
         self.cfg = cfg.validate()
+        self.algorithm = ALGORITHMS[cfg.algorithm]
         self.env = env if env is not None else make_env(cfg.env_name, **cfg.env_params)
         self.eval_env = eval_env if eval_env is not None else make_env(cfg.env_name, **cfg.env_params)
         self.m = self.env.m
@@ -244,27 +245,18 @@ class Trainer:
         rows = batch.episodic_returns if batch.episodic_returns else [self._partial_return.copy()]
         r_bar = self.normalizer.update_and_normalize(np.array(rows))
 
-        if cfg.algorithm == "pasta":
+        algorithm = self.algorithm
+        if algorithm.mu == "controller":
             trace = self.controller.step(self.last_kappa)
-            mu = trace.mu
-        elif cfg.algorithm == "stch_fixed":
-            mu = cfg.fixed_mu
+        else:  # a constant mu: the fixed_mu knob, or 0 where there is none
+            mu = cfg.fixed_mu if algorithm.mu == "fixed_mu" else 0.0
             trace = ControllerTrace(self.iteration, self.last_kappa, mu, 0.0, mu, mu)
-        else:
-            mu = 0.0
-            trace = ControllerTrace(self.iteration, 0.0, 0.0, 0.0, 0.0, 0.0)
+        eta_critic = np.full(self.m, 1.0 / self.m)
+        if self.critic_weighted and algorithm.rule == "stch":
+            eta_critic = maintenance_mix(stch_attention(r_bar, self.w, self.z_star, trace.mu), cfg.rho)
+        c = actor_coefficients(algorithm.rule, r_bar, self.w, self.z_star, trace.mu, self._combine)
 
-        uniform = np.full(self.m, 1.0 / self.m)
-        if cfg.algorithm in ("pasta", "stch_fixed"):
-            delta = stch_attention(r_bar, self.w, self.z_star, mu)
-            eta = maintenance_mix(delta, cfg.rho)
-        else:
-            eta = uniform
-        eta_critic = eta if self.critic_weighted else uniform
-
-        j_worst = tch_worst_index(r_bar, self.w, self.z_star)[0] if cfg.algorithm == "tch" else 0
-
-        value_losses, kappas, clip_loss_acc, entropy_acc = self._epochs(batch, eta, eta_critic, j_worst)
+        value_losses, kappas, clip_loss_acc, entropy_acc = self._epochs(batch, c, eta_critic)
         n_updates = len(kappas)
         value_loss_acc = 0.0
         for loss in value_losses:  # in minibatch order; sum() compensates on 3.12+
@@ -298,7 +290,13 @@ class Trainer:
             for start in range(0, len(perm), size):
                 yield perm[start : start + size]
 
-    def _epochs(self, batch, eta, eta_critic, j_worst):
+    def _combine(self, delta, w):
+        """The actor's coefficients of attention delta: m * eta with weighted_pcgrad, else ones."""
+        if self.cfg.weighted_pcgrad:
+            return self.m * maintenance_mix(delta, self.cfg.rho)
+        return np.ones_like(delta)
+
+    def _epochs(self, batch, c, eta_critic):
         """The critic's epochs and the actor's over the same minibatches.
 
         Returns (value losses, kappas, summed clip losses, summed entropy),
@@ -327,7 +325,7 @@ class Trainer:
                 critic = critic_epochs()
             for k, mb in enumerate(self._minibatches(perms)):
                 try:
-                    kappa_b, clip_losses = self._actor_update(batch.inputs[mb], batch, mb, eta, j_worst)
+                    kappa_b, clip_losses = self._actor_update(batch.inputs[mb], batch, mb, c)
                 except Exception as e:
                     actor_failure = (k, e)
                     break
@@ -378,8 +376,8 @@ class Trainer:
         adam_update(self.critic.params, grad, self.critic_opt, ascent=False, name="critic")
         return cfg.c1 * loss
 
-    def _actor_update(self, x, batch, mb, eta, j_worst):
-        cfg = self.cfg
+    def _actor_update(self, x, batch, mb, c):
+        cfg, algorithm = self.cfg, self.algorithm
         means, tape = self.actor.mean_forward(x)
         pre = batch.pre_clamp[mb]
         logp = self.actor.log_probs(means, pre)
@@ -397,35 +395,26 @@ class Trainer:
         for i in range(self.m):
             if not np.isfinite(clip_losses[i]):
                 raise DivergenceError(f"non-finite clip_loss[{i}] in actor update")
-        # d(min)/d(logp): the unclipped branch carries ratio * A; a strictly
-        # smaller clipped branch means the gradient is dead for that sample.
-        coeff = np.where(unclipped <= clipped, unclipped, 0.0)  # (B, m)
 
-        # One backward pass per minibatch: a single coefficient row for the
-        # scalarized baselines, one row per objective otherwise.
-        if cfg.algorithm == "linear":
-            a_lin = adv @ self.w
-            unc = ratio * a_lin
-            coeffs, scale = np.where(unc <= clipped_ratio * a_lin, unc, 0.0)[None, :], 1.0
-        elif cfg.algorithm == "tch":
-            coeffs, scale = coeff[None, :, j_worst], self.w[j_worst]
+        # One backward pass over rows of d(min)/d(logp): ratio * A, or 0 where
+        # the clipped branch is strictly smaller.  A scalarized clip has one row,
+        # of A . c and weight 1; otherwise each objective that c weights has a
+        # row of weight c_i, and every objective has one where rows are projected.
+        if algorithm.clip == "scalarized":
+            a = adv @ c
+            unc = ratio * a
+            coeffs, c = np.where(unc <= clipped_ratio * a, unc, 0.0)[None, :], np.ones(1)
         else:
-            coeffs = coeff.T
+            rows = np.arange(self.m) if algorithm.projects else np.flatnonzero(c)
+            coeffs, c = np.where(unclipped <= clipped, unclipped, 0.0).T[rows], c[rows]
         grads = self.actor.backward_weighted_logp(tape, pre, coeffs / B)
 
-        if cfg.algorithm in ("linear", "tch"):
-            direction = scale * grads[0]
-            kappa_b = 0.0
+        if algorithm.projects and not cfg.no_pcgrad:
+            res = project_conflicts(grads, self.projection_rng)
+            kappa_b, grads = res.kappa, res.grads
         else:
-            if cfg.no_pcgrad:
-                kappa_b = conflict_ratio(grads)
-                projected = grads
-            else:
-                res = project_conflicts(grads, self.projection_rng)
-                kappa_b = res.kappa
-                projected = res.grads
-            mode = "weighted" if cfg.weighted_pcgrad else "sum"
-            direction = summed_update_direction(projected, mode, eta)
+            kappa_b = conflict_ratio(grads)
+        direction = (c[:, None] * grads).sum(axis=0)
 
         self.actor.add_entropy_grad(direction, cfg.c2)  # not projected
         adam_update(self.actor.params, direction, self.actor_opt, ascent=True, name="actor")

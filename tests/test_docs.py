@@ -8,6 +8,7 @@ import pytest
 
 from pastarl import config as cfgmod
 from pastarl.cli import _layout, _parse_axis
+from pastarl.scalarize import ALGORITHMS
 from pastarl.trainer import EvalRecord, IterationReport
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +63,23 @@ def test_readme_config_table_matches_the_declarations():
     assert readme_config_table() == rendered, (
         "README configuration table is out of date; regenerated:\n\n" + rendered
     )
+
+
+def render_algorithm_table() -> str:
+    """The README algorithm table, one row per entry of ALGORITHMS."""
+    lines = ["| Algorithm | mu | Coefficients c | Clip | Projects |", "|---|---|---|---|---|"]
+    for name, row in ALGORITHMS.items():
+        mu = f"`{row.mu}`" if row.mu else "-"
+        projects = "yes" if row.projects else "no"
+        lines.append(f"| {name} | {mu} | `{row.rule}` | `{row.clip}` | {projects} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_algorithm_table_matches_the_declarations():
+    text = README.read_text()
+    table = re.search(r"^\|.*?\n(?!\|)", text[text.index("## Algorithms"):], flags=re.M | re.S)
+    rendered = render_algorithm_table()
+    assert table and table[0] == rendered, "README algorithm table is out of date; regenerated:\n\n" + rendered
 
 
 def readme_minimal_config() -> str:

@@ -3,15 +3,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pastarl.config import KNOBS, TrainConfig
 from pastarl.errors import ConfigError, ContractViolationError
 from pastarl.scalarize import (
+    ALGORITHMS,
+    SCALARIZERS,
     ReturnNormalizer,
+    actor_coefficients,
     maintenance_mix,
     preference_vector,
     stch_attention,
     tch_worst_index,
     utopia_point,
 )
+from pastarl.trainer import Trainer
 from tests.oracles import stch_scalarize
 
 
@@ -235,3 +240,113 @@ class TestMaintenanceMix:
         eta = maintenance_mix(d, rho)
         assert np.all(eta >= rho / d.size - 1e-12)
         assert eta.sum() == pytest.approx(1.0, rel=1e-9)
+
+    def test_batch_rows_match_one_row_at_a_time(self):
+        np.testing.assert_allclose(maintenance_mix(np.full((2, 3), 1 / 3), 0.15).sum(axis=-1), 1.0, rtol=1e-12)
+        D = np.random.default_rng(4).dirichlet(np.ones(3), size=(5, 2))
+        E = maintenance_mix(D, 0.3)
+        for idx in np.ndindex(5, 2):
+            np.testing.assert_array_equal(E[idx], maintenance_mix(D[idx], 0.3))
+        np.testing.assert_allclose(E.sum(axis=-1), 1.0, rtol=1e-12)
+
+
+def trainer_combine(m: int, weighted_pcgrad: bool):
+    """The combine that a Trainer with m objectives passes to actor_coefficients."""
+    env = {2: "stub", 3: "frogger", 4: "formation"}[m]
+    w = np.full(m, 1.0 / m)
+    w[-1] = 1.0 - w[:-1].sum()
+    cfg = TrainConfig(env_name=env, preference=tuple(w), hidden=4, weighted_pcgrad=weighted_pcgrad)
+    return Trainer(cfg)._combine
+
+
+class TestActorCoefficients:
+    def test_linear_is_w(self):
+        w = np.array([0.2, 0.8])
+        c = actor_coefficients("linear", np.array([0.0, 0.9]), w, utopia_point(2), 0.0, None)
+        np.testing.assert_array_equal(c, w)
+
+    def test_tch_is_the_weight_of_the_worst_objective(self):
+        # Deviations 0.21 vs 0.12: objective 0 is the worst.
+        c = actor_coefficients("tch", np.array([0.0, 0.9]), np.array([0.2, 0.8]), utopia_point(2), 0.0, None)
+        np.testing.assert_array_equal(c, [0.2, 0.0])
+
+    def test_tch_tie_goes_to_lowest_index(self):
+        c = actor_coefficients("tch", np.array([0.5, 0.5]), np.full(2, 0.5), utopia_point(2), 0.0, None)
+        np.testing.assert_array_equal(c, [0.5, 0.0])
+
+    def test_stch_combines_the_attention(self):
+        r, w, z = np.array([0.1, 0.9, 0.5]), np.array([0.2, 0.3, 0.5]), utopia_point(3)
+        c = actor_coefficients("stch", r, w, z, 0.2, np.multiply)
+        np.testing.assert_array_equal(c, w * stch_attention(r, w, z, 0.2))
+
+    @pytest.mark.parametrize("w", [(0.2, 0.8), (0.5, 0.5), (0.1, 0.6, 0.3), (0.4, 0.1, 0.2, 0.3)])
+    def test_large_mu_normalized_gradient_tends_to_linear(self, w):
+        w = np.array(w)
+        r = np.linspace(0.0, 1.0, w.size)
+        z = utopia_point(w.size)
+        c = actor_coefficients("stch", r, w, z, 1e6, np.multiply)
+        np.testing.assert_allclose(c / c.sum(), actor_coefficients("linear", r, w, z, 0.0, None), atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "r, w",
+        [((0.0, 0.9), (0.2, 0.8)), ((0.9, 0.0), (0.2, 0.8)), ((0.3, 0.2, 0.8), (0.1, 0.6, 0.3))],
+    )
+    def test_small_mu_gradient_tends_to_tch(self, r, w):
+        r, w = np.array(r), np.array(w)
+        z = utopia_point(w.size)
+        c = actor_coefficients("stch", r, w, z, 1e-4, np.multiply)
+        np.testing.assert_allclose(c, actor_coefficients("tch", r, w, z, 0.0, None), atol=1e-12)
+
+    @pytest.mark.parametrize("rule", SCALARIZERS)
+    def test_rows_match_one_row_at_a_time(self, rule):
+        rng = np.random.default_rng(12)
+        R = rng.uniform(0.0, 1.0, size=(4, 5, 3))
+        W = rng.dirichlet(np.ones(3), size=(4, 5))
+        z = utopia_point(3)
+        C = actor_coefficients(rule, R, W, z, 0.05, np.multiply)
+        assert C.shape == (4, 5, 3)
+        for idx in np.ndindex(4, 5):
+            np.testing.assert_array_equal(C[idx], actor_coefficients(rule, R[idx], W[idx], z, 0.05, np.multiply))
+
+    def test_unknown_rule_rejected(self):
+        with pytest.raises(ConfigError):
+            actor_coefficients("mean", np.ones(2), np.full(2, 0.5), utopia_point(2), 0.1, np.multiply)
+
+    def test_every_algorithm_name_has_exactly_one_table_row(self):
+        names = next(f for f in KNOBS if f.name == "algorithm").metadata["valid"]
+        assert len(set(names)) == len(names)
+        assert sorted(names) == sorted(ALGORITHMS)
+        for row in ALGORITHMS.values():
+            assert row.mu in ("controller", "fixed_mu", None)
+            assert row.rule in SCALARIZERS
+            assert row.clip in ("objective", "scalarized")
+            assert row.projects in (False, True)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_all_ones_combine_is_the_plain_sum(self, m):
+        rng = np.random.default_rng(m)
+        r, w = rng.uniform(size=m), rng.dirichlet(np.ones(m))
+        c = actor_coefficients("stch", r, w, utopia_point(m), 0.3, trainer_combine(m, False))
+        np.testing.assert_array_equal(c, np.ones(m))
+        g = rng.normal(size=(m, 500))
+        np.testing.assert_array_equal((c[:, None] * g).sum(axis=0), g.sum(axis=0))
+
+    def test_weighted_combine_scales_by_m_eta(self):
+        # delta = (1, 0) at rho = 0.15 mixes to eta = (0.925, 0.075).
+        c = trainer_combine(2, True)(np.array([1.0, 0.0]), np.full(2, 0.5))
+        np.testing.assert_allclose(c, [1.85, 0.15], rtol=1e-14)
+        np.testing.assert_allclose((c[:, None] * np.eye(2)).sum(axis=0), [1.85, 0.15], rtol=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_weighted_combine_is_the_m_eta_sum_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        r, w, z = rng.uniform(size=m), rng.dirichlet(np.ones(m)), utopia_point(m)
+        c = actor_coefficients("stch", r, w, z, 0.3, trainer_combine(m, True))
+        eta = maintenance_mix(stch_attention(r, w, z, 0.3), 0.15)
+        g = rng.normal(size=(m, 500))
+        np.testing.assert_array_equal((c[:, None] * g).sum(axis=0), (m * eta[:, None] * g).sum(axis=0))
+
+    def test_uniform_eta_reproduces_the_sum(self):
+        g = np.random.default_rng(1).normal(size=(3, 7))
+        c = trainer_combine(3, True)(np.full(3, 1 / 3), np.full(3, 1 / 3))
+        np.testing.assert_allclose((c[:, None] * g).sum(axis=0), g.sum(axis=0), rtol=1e-12)

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from pastarl.errors import ConfigError, ContractViolationError
-from pastarl.surgery import (
-    ProjectionResult,
-    conflict_ratio,
-    project_conflicts,
-    summed_update_direction,
-)
+from pastarl.errors import ContractViolationError
+from pastarl.surgery import ProjectionResult, conflict_ratio, project_conflicts
 
 
 class TestProjectConflicts:
@@ -130,39 +125,6 @@ class TestConflictRatio:
             g = rng.normal(size=(2, 8))
             res = project_conflicts(g, rng)
             assert res.kappa == pytest.approx(conflict_ratio(g))
-
-
-class TestSummedUpdateDirection:
-    def test_sum_mode(self):
-        g = np.array([[1.0, 2.0], [3.0, -1.0]])
-        np.testing.assert_array_equal(summed_update_direction(g, "sum"), [4.0, 1.0])
-
-    def test_weighted_mode_scales_by_m_eta(self):
-        g = np.array([[1.0, 0.0], [0.0, 1.0]])
-        eta = np.array([0.75, 0.25])
-        np.testing.assert_allclose(
-            summed_update_direction(g, "weighted", eta), [1.5, 0.5], rtol=1e-14
-        )
-
-    def test_uniform_eta_reproduces_sum(self):
-        g = np.random.default_rng(1).normal(size=(3, 7))
-        np.testing.assert_allclose(
-            summed_update_direction(g, "weighted", np.full(3, 1 / 3)),
-            summed_update_direction(g, "sum"),
-            rtol=1e-12,
-        )
-
-    def test_weighted_without_eta_rejected(self):
-        with pytest.raises(ConfigError):
-            summed_update_direction(np.ones((2, 2)), "weighted")
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            summed_update_direction(np.ones((2, 2)), "mean")
-
-    def test_bad_eta_shape_rejected(self):
-        with pytest.raises(ContractViolationError):
-            summed_update_direction(np.ones((2, 2)), "weighted", np.ones(3))
 
 
 class TestProjectionResult:

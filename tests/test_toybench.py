@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pastarl.errors import ConfigError, ContractViolationError
+from pastarl.scalarize import SCALARIZERS
 from pastarl.toybench import (
-    SCALARIZERS,
     concave_mop,
     convex_mop,
     front_endpoints,

@@ -301,7 +301,7 @@ class TestIterationMechanics:
             t._critic_update(x, bad, np.array([0.5, 0.5]))
 
 
-def interleaved_epochs(t, batch, eta, eta_critic, j_worst):
+def interleaved_epochs(t, batch, c, eta_critic):
     """Reference for Trainer._epochs: the epoch loop as it was before the
     critic's epochs and the actor's were split, drawing each epoch's
     permutation as the epoch starts and updating the critic, then the
@@ -319,7 +319,7 @@ def interleaved_epochs(t, batch, eta, eta_critic, j_worst):
             except DivergenceError as e:
                 raise DivergenceError(f"critic update {where}: {e}") from e
             try:
-                kappa_b, clip_losses = t._actor_update(inputs[mb], batch, mb, eta, j_worst)
+                kappa_b, clip_losses = t._actor_update(inputs[mb], batch, mb, c)
             except DivergenceError as e:
                 raise DivergenceError(f"actor update {where}: {e}") from e
             kappas.append(kappa_b)
@@ -639,13 +639,13 @@ class TestScalarizationRouting:
     """Directly drive the actor update with crafted advantages to pin down
     which objectives each algorithm's update can depend on."""
 
-    def run_actor_update(self, algorithm, adv, j_worst=0, seed=11):
+    def run_actor_update(self, algorithm, adv, seed=11):
+        # w = (1, 0): linear's c is w, and tch's is w_0 e_0 = w.
         cfg = stub_cfg(algorithm=algorithm, preference=(1.0, 0.0), seed=seed)
         t = Trainer(cfg)
         T = 16
         batch, x = make_flat_batch(t, T, adv)
-        eta = np.array([0.5, 0.5])
-        t._actor_update(x, batch, np.arange(T), eta, j_worst)
+        t._actor_update(x, batch, np.arange(T), np.array([1.0, 0.0]))
         return t.actor.params
 
     @pytest.mark.parametrize("algorithm", ["pasta", "linear"])
@@ -661,7 +661,7 @@ class TestScalarizationRouting:
         means, _ = t.actor.mean_forward(x)
         ratio = np.exp(t.actor.log_probs(means, batch.pre_clamp) - batch.log_probs)
         assert (ratio < 1.0 - t.cfg.clip_eps).any() and (ratio > 1.0 + t.cfg.clip_eps).any()
-        _, clip_losses = t._actor_update(x, batch, np.arange(T), np.array([0.5, 0.5]), 0)
+        _, clip_losses = t._actor_update(x, batch, np.arange(T), np.array([1.0, 0.0]))
         expected = clipped_objective_loss(ratio[:, None], batch.norm_advantages, t.cfg.clip_eps).mean(axis=0)
         np.testing.assert_array_equal(clip_losses, expected)
 
@@ -689,7 +689,7 @@ class TestScalarizationRouting:
         a = np.column_stack([col0, rng.normal(size=16)])
         b = np.column_stack([col0, rng.normal(size=16) - 2.0])
         np.testing.assert_array_equal(
-            self.run_actor_update("tch", a, j_worst=0), self.run_actor_update("tch", b, j_worst=0)
+            self.run_actor_update("tch", a), self.run_actor_update("tch", b)
         )
 
 
