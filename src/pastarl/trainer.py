@@ -405,7 +405,7 @@ class Trainer:
             unc = ratio * a
             coeffs, c = np.where(unc <= clipped_ratio * a, unc, 0.0)[None, :], np.ones(1)
         else:
-            rows = np.arange(self.m) if algorithm.projects else np.flatnonzero(c)
+            rows = slice(None) if algorithm.projects else np.flatnonzero(c)
             coeffs, c = np.where(unclipped <= clipped, unclipped, 0.0).T[rows], c[rows]
         grads = self.actor.backward_weighted_logp(tape, pre, coeffs / B)
 
