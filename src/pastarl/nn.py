@@ -8,11 +8,14 @@ that layer's biases; a model made of several networks concatenates theirs in
 a fixed order (the actor puts its log-std vector last).
 
 Every network runs on a 2-D (B, in) batch of row vectors; one input row is
-a (1, in) batch.  A forward pass returns its output and its activation
+a (1, in) batch.  Each layer is computed in place on its matmul's result,
+one array per layer.  A forward pass returns its output and its activation
 record [x, h_1, ..., output], which stores each activation once, and the
-backward pass takes that record.  Backward passes accept a leading
-objective axis on the output gradient: k per-objective gradients come out
-of one pass as the (k, P) matrix that gradient surgery consumes.  Adam
+backward pass takes that record; ``output`` gives the same output bits and
+keeps no record, for passes that need no backward.  Backward passes accept
+a leading objective axis on the output gradient: k per-objective gradients
+come out of one pass as the (k, P) matrix that gradient surgery consumes,
+written layer by layer into the caller's slice of one gradient.  Adam
 updates a model's vector in place, so the optimizer and the layers never
 need copying between them.  Checkpoints store each network's spec and flat
 vector; the format is unchanged at version 1.
@@ -33,21 +36,14 @@ ACTIVATIONS = ("tanh", "sigmoid", "identity")
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-def _apply_activation(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    return z
-
-
-def _activation_grad_from_output(name: str, out: np.ndarray) -> np.ndarray:
-    # Both tanh' and sigmoid' are recoverable from the post-activation value.
-    if name == "tanh":
-        return 1.0 - out * out
-    if name == "sigmoid":
-        return out * (1.0 - out)
-    return np.ones_like(out)
+def _pre_activation_grad(activation: str, out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g times the activation's derivative, recovered from its output; g
+    itself for identity."""
+    if activation == "tanh":
+        return g * (1.0 - out * out)
+    if activation == "sigmoid":
+        return g * (out * (1.0 - out))
+    return g
 
 
 class DenseLayer(NamedTuple):
@@ -113,7 +109,7 @@ class Network:
             self.layers.append(DenseLayer(table[..., w].reshape(lead + (n_out, n_in)), table[..., b], act))
             self._slices.append((w, b))
             k = b.stop
-        # What forward() multiplies by and adds, per layer: views into params
+        # What the layer loop multiplies by and adds, per layer: views into params
         # too, so they follow in-place updates.
         self._affine = [
             (np.swapaxes(l.weights, -1, -2), l.biases[..., None, :], l.activation) for l in self.layers
@@ -147,20 +143,49 @@ class Network:
         input and each layer's output, which backward() takes; it is only
         valid for the parameter values used here.
         """
+        record = []
+        return self._run(x, record), record
+
+    def output(self, x: np.ndarray) -> np.ndarray:
+        """forward()'s output, bit for bit, without the activation record: a
+        layer's input is dropped once the next layer is computed.  For
+        passes that need no backward."""
+        return self._run(x, None)
+
+    def _run(self, x, record: list | None) -> np.ndarray:
+        """The layer loop: each layer act(x @ W^T + b) is computed in place on
+        its matmul's result, with the ufuncs of the out-of-place expressions
+        tanh(z) and 1 / (1 + exp(-z)), so every value, NaN and inf included,
+        is theirs.  Appends the input and each layer's output to record
+        unless it is None."""
         if not (isinstance(x, np.ndarray) and x.dtype == np.float64):
             x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ContractViolationError(
                 f"input shape {x.shape} != (B, {self.in_dim}) for this network"
             )
-        record = [x]
-        for weights_t, biases, activation in self._affine:
-            x = _apply_activation(activation, x @ weights_t + biases)
+        if record is not None:
             record.append(x)
-        return x, record
+        for weights_t, biases, activation in self._affine:
+            x = x @ weights_t
+            x += biases
+            if activation == "tanh":
+                np.tanh(x, out=x)
+            elif activation == "sigmoid":
+                np.negative(x, out=x)
+                np.exp(x, out=x)
+                x += 1.0
+                np.divide(1.0, x, out=x)
+            if record is not None:
+                record.append(x)
+        return x
 
     def backward(
-        self, record: list[np.ndarray], output_grad: np.ndarray, input_grad: bool = True
+        self,
+        record: list[np.ndarray],
+        output_grad: np.ndarray,
+        input_grad: bool = True,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Backpropagate d(sum_b output_grad[b] . output[b]) onto parameters.
 
@@ -171,29 +196,39 @@ class Network:
         (n_params,) or (k, n_params), and input_grad has the shape of the
         forward input, with the same leading axes as the output.  With
         input_grad=False the first layer's input-gradient matmul is skipped
-        and None comes back in its place.
+        and None comes back in its place.  Each layer's weight and bias
+        gradients are written straight into ``out``, a slice of a larger
+        model gradient say, which then comes back as flat_grad; by default
+        a new array.
         """
         if [h.shape[-1] for h in record] != self.dims:
             raise ContractViolationError("activation record does not fit this network's layers")
         out_shape = record[-1].shape
-        g = np.asarray(output_grad, dtype=np.float64)
+        # Contiguous, so every matmul and bias sum below sees the operand
+        # layout it always has; a contiguous output_grad is not copied.
+        g = np.ascontiguousarray(output_grad, dtype=np.float64)
         objectives = g.shape[: g.ndim - len(out_shape)]
         if len(objectives) > 1 or g.shape[len(objectives) :] != out_shape:
             raise ContractViolationError(
                 f"output_grad shape {g.shape} != output shape {out_shape}"
             )
-        grads = np.empty(objectives + self._table_shape)
+        flat_shape = objectives + (self.n_params,)
+        if out is None:
+            out = np.empty(flat_shape)
+        elif out.shape != flat_shape:
+            raise ContractViolationError(f"out shape {out.shape} != gradient shape {flat_shape}")
+        # Splitting an axis never copies, so these are views into out.
+        grads = out.reshape(objectives + self._table_shape)
         for idx in range(len(self.layers) - 1, -1, -1):
             l = self.layers[idx]
             w, b = self._slices[idx]
-            dz = g * _activation_grad_from_output(l.activation, record[idx + 1])
-            gw = np.swapaxes(dz, -1, -2) @ record[idx]
-            grads[..., w] = gw.reshape(gw.shape[:-2] + (-1,))
-            grads[..., b] = dz.sum(axis=-2)
+            dz = _pre_activation_grad(l.activation, record[idx + 1], g)
+            gw = grads[..., w].reshape(objectives + l.weights.shape)
+            np.matmul(np.swapaxes(dz, -1, -2), record[idx], out=gw)
+            np.sum(dz, axis=-2, out=grads[..., b])
             if idx or input_grad:
                 g = dz @ l.weights
-        flat = grads.reshape(objectives + (self.n_params,))
-        return flat, g if input_grad else None
+        return out, g if input_grad else None
 
 
 @dataclass

@@ -65,8 +65,10 @@ class GaussianActor:
         return {"actor_backbone": self.backbone, "actor_mean_head": self.mean_head}
 
     def clamp_log_std(self) -> None:
-        # Projection step after optimizer updates keeps std in a sane range.
-        np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
+        # Projection step after optimizer updates keeps std in a sane range;
+        # np.clip's values, NaN included, without its Python-level dispatch.
+        np.maximum(self.log_std, LOG_STD_MIN, out=self.log_std)
+        np.minimum(self.log_std, LOG_STD_MAX, out=self.log_std)
 
     def mean_forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(B, act_dim) means of a (B, obs_dim + m) batch of [state, w] rows,
@@ -75,6 +77,11 @@ class GaussianActor:
         feats, backbone_record = self.backbone.forward(x)
         means, head_record = self.mean_head.forward(feats)
         return means, (backbone_record, head_record)
+
+    def means(self, x: np.ndarray) -> np.ndarray:
+        """mean_forward's means, bit for bit, without the activation records:
+        the rollouts' per-step pass."""
+        return self.mean_head.output(self.backbone.output(x))
 
     def log_probs(self, means: np.ndarray, pre_clamp: np.ndarray) -> np.ndarray:
         """Diagonal-Gaussian log density of raw samples over the last axis;
@@ -98,7 +105,8 @@ class GaussianActor:
 
         records is what mean_forward returned with the (B, act_dim) means;
         coeffs is (k, B).  Returns the (k, n_params) gradient matrix
-        from a single backward pass through the head and backbone.
+        from a single backward pass through the head and backbone, each
+        writing into its own columns of it.
         """
         backbone_record, head_record = records
         means = head_record[-1]
@@ -108,10 +116,13 @@ class GaussianActor:
         var = np.exp(2.0 * self.log_std)
         diff = pre_clamp - means
         g_mean = c[:, :, None] * diff / var
-        g_log_std = (c[:, :, None] * (diff * diff / var - 1.0)).sum(axis=1)
-        head_flat, feat_grad = self.mean_head.backward(head_record, g_mean)
-        backbone_flat, _ = self.backbone.backward(backbone_record, feat_grad, input_grad=False)
-        return np.concatenate([backbone_flat, head_flat, g_log_std], axis=1)
+        grads = np.empty((c.shape[0], self.n_params))
+        nb = self.backbone.n_params
+        nh = nb + self.mean_head.n_params
+        _, feat_grad = self.mean_head.backward(head_record, g_mean, out=grads[:, nb:nh])
+        self.backbone.backward(backbone_record, feat_grad, input_grad=False, out=grads[:, :nb])
+        np.sum(c[:, :, None] * (diff * diff / var - 1.0), axis=1, out=grads[:, nh:])
+        return grads
 
 
 class BranchedCritic:
@@ -119,9 +130,10 @@ class BranchedCritic:
 
     ``params`` holds the trunk's flat vector, then each head's in objective
     order.  The heads share one shape and run as one network of ``stack=m``
-    over the (m, head size) rows of that vector.  The constructor copies the
-    given trunk and stacked heads into ``params``, a new vector or the
-    buffer passed in.
+    over the (m, head size) rows of that vector for training; ``heads``
+    holds one network per head on its row, for checkpoints and ``values``.
+    The constructor copies the given trunk and stacked heads into
+    ``params``, a new vector or the buffer passed in.
     """
 
     def __init__(self, trunk: Network, stacked_heads: Network, params: np.ndarray | None = None):
@@ -136,6 +148,8 @@ class BranchedCritic:
         self.stacked_heads = Network(
             stacked_heads.dims, stacked_heads.activations, self.params[nt:], stack=self.m
         )
+        s = self.stacked_heads
+        self.heads = [Network(s.dims, s.activations, row) for row in s.params.reshape(self.m, -1)]
 
     @classmethod
     def create(
@@ -153,11 +167,7 @@ class BranchedCritic:
     def checkpoint_networks(self) -> dict:
         """The networks a checkpoint stores, by name: the trunk, and one head
         per objective on its row of the stacked heads' vector."""
-        s = self.stacked_heads
-        heads = {
-            f"critic_head_{i}": Network(s.dims, s.activations, row)
-            for i, row in enumerate(s.params.reshape(self.m, -1))
-        }
+        heads = {f"critic_head_{i}": head for i, head in enumerate(self.heads)}
         return {"critic_trunk": self.trunk, **heads}
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -169,7 +179,14 @@ class BranchedCritic:
         return vals, (trunk_record, heads_record)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)[0]
+        """forward()'s (B, m) values, bit for bit, with no activation record:
+        the heads run one at a time on the trunk's features, so no (m, B,
+        hidden) block is ever held whole."""
+        feats = self.trunk.output(x)
+        vals = np.empty((feats.shape[0], self.m))
+        for i, head in enumerate(self.heads):
+            vals[:, i] = head.output(feats)[:, 0]
+        return vals
 
     def backward(self, cache: tuple, dvals: np.ndarray) -> np.ndarray:
         """Gradient over flat params given d(loss)/d(values), shape (B, m)."""
@@ -177,9 +194,11 @@ class BranchedCritic:
         # Objective-major and contiguous, so each head reduces over its batch
         # exactly as a lone head network would.
         dv = np.ascontiguousarray(np.asarray(dvals, dtype=np.float64).T)[..., None]
-        head_flat, feat_grads = self.stacked_heads.backward(heads_record, dv)
-        trunk_flat, _ = self.trunk.backward(trunk_record, feat_grads.sum(axis=0), input_grad=False)
-        return np.concatenate([trunk_flat, head_flat])
+        grad = np.empty(self.n_params)
+        nt = self.trunk.n_params
+        _, feat_grads = self.stacked_heads.backward(heads_record, dv, out=grad[nt:])
+        self.trunk.backward(trunk_record, feat_grads.sum(axis=0), input_grad=False, out=grad[:nt])
+        return grad
 
 
 class SharedCritic:
@@ -218,7 +237,8 @@ class SharedCritic:
         return self.net.forward(x)
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        return self.net.forward(x)[0]
+        """forward()'s (B, m) values, with no activation record."""
+        return self.net.output(x)
 
     def backward(self, cache, dvals: np.ndarray) -> np.ndarray:
         flat, _ = self.net.backward(cache, dvals, input_grad=False)

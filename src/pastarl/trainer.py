@@ -116,7 +116,7 @@ def deterministic_returns(actor, env, w, rng, episodes: int) -> np.ndarray:
         x[0, :obs_dim] = env.reset(rng)
         done = False
         while not done:
-            means, _ = actor.mean_forward(x)
+            means = actor.means(x)
             # np.clip's values without its Python-level dispatch.
             obs, r, done, _ = env.step(np.minimum(np.maximum(means[0], 0.0), 1.0))
             x[0, :obs_dim] = obs
@@ -180,12 +180,12 @@ class Trainer:
         The actor's parameters hold still for the whole horizon, so its std
         and the horizon's noise come first: one (T, act_dim) draw, the values
         T single-step draws give, in order.  Each step then runs only the
-        actor's mean on its [obs, w] row, a (1, obs_dim + m) view, and clips
-        mean plus noise into the one action buffer that ``env.step`` reads;
-        the log-probs of all T samples come from one batched pass after the
-        loop.  The same (T + 1)-row input buffer, the bootstrap state last,
-        feeds the critic's values, and its first T rows are the batch's
-        inputs to both updates.
+        actor's mean, with no activation record, on its [obs, w] row, a
+        (1, obs_dim + m) view, and clips mean plus noise into the one action
+        buffer that ``env.step`` reads; the log-probs of all T samples come
+        from one batched pass after the loop.  The same (T + 1)-row input
+        buffer, the bootstrap state last, feeds the critic's record-free
+        values, and its first T rows are the batch's inputs to both updates.
         """
         T = self.cfg.horizon
         env, actor = self.env, self.actor
@@ -206,7 +206,7 @@ class Trainer:
         obs = self._obs
         inputs[0, :obs_dim] = obs
         for t in range(T):
-            mean = means[t] = actor.mean_forward(inputs[t : t + 1])[0][0]
+            mean = means[t] = actor.means(inputs[t : t + 1])[0]
             pre = pre_clamp[t]
             np.add(mean, noise[t], out=pre)
             # np.clip's values without its Python-level dispatch.

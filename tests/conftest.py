@@ -30,6 +30,12 @@ def finite_difference(fn, theta, h=1e-5):
     return g
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes: NaN payloads and the sign of zero count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 PROC_TASKS = Path("/proc/self/task")
 
 

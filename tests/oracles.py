@@ -97,3 +97,70 @@ def act_deterministic(actor, state, w) -> np.ndarray:
     """The actor's mean action at [state, w], clamped into the box."""
     means = actor.mean_forward(np.concatenate((state, w))[None, :])[0][0]
     return np.minimum(np.maximum(means, 0.0), 1.0)
+
+
+def forward(net, x):
+    """The layer loop written out of place: each layer is act(x @ W^T + b),
+    with tanh(z) and 1 / (1 + exp(-z)) as whole expressions, on the network's
+    weights and biases.  Returns (output, record [x, h_1, ..., output]);
+    stacked networks give (s, B, out) outputs."""
+    x = np.asarray(x, dtype=np.float64)
+    record = [x]
+    for layer in net.layers:
+        z = x @ np.swapaxes(layer.weights, -1, -2) + layer.biases[..., None, :]
+        if layer.activation == "tanh":
+            x = np.tanh(z)
+        elif layer.activation == "sigmoid":
+            x = 1.0 / (1.0 + np.exp(-z))
+        else:
+            x = z
+        record.append(x)
+    return x, record
+
+
+def backward(net, record, output_grad, input_grad=True):
+    """Backpropagation that allocates every layer's gradients and
+    concatenates them into the flat layout: (flat_grad, input_grad), as
+    ``Network.backward`` returns them, an optional leading objective axis
+    included."""
+    g = np.asarray(output_grad, dtype=np.float64)
+    objectives = g.shape[: g.ndim - record[-1].ndim]
+    parts = []
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer, h = net.layers[idx], record[idx + 1]
+        if layer.activation == "tanh":
+            d = 1.0 - h * h
+        elif layer.activation == "sigmoid":
+            d = h * (1.0 - h)
+        else:
+            d = np.ones_like(h)
+        dz = g * d
+        gw = np.swapaxes(dz, -1, -2) @ record[idx]
+        parts = [gw.reshape(gw.shape[:-2] + (-1,)), dz.sum(axis=-2)] + parts
+        if idx or input_grad:
+            g = dz @ layer.weights
+    flat = np.concatenate(parts, axis=-1).reshape(objectives + (net.n_params,))
+    return flat, g if input_grad else None
+
+
+def actor_backward(actor, records, pre_clamp, coeffs):
+    """The actor's (k, P) weighted log-prob gradients as backbone, head and
+    log-std blocks computed apart and concatenated."""
+    backbone_record, head_record = records
+    c = np.ascontiguousarray(coeffs, dtype=np.float64)
+    var = np.exp(2.0 * actor.log_std)
+    diff = pre_clamp - head_record[-1]
+    g_log_std = (c[:, :, None] * (diff * diff / var - 1.0)).sum(axis=1)
+    head_flat, feat_grad = backward(actor.mean_head, head_record, c[:, :, None] * diff / var)
+    backbone_flat, _ = backward(actor.backbone, backbone_record, feat_grad, input_grad=False)
+    return np.concatenate([backbone_flat, head_flat, g_log_std], axis=1)
+
+
+def branched_critic_backward(critic, cache, dvals):
+    """The branched critic's flat gradient as trunk and stacked-head blocks
+    computed apart and concatenated."""
+    trunk_record, heads_record = cache
+    dv = np.ascontiguousarray(np.asarray(dvals, dtype=np.float64).T)[..., None]
+    head_flat, feat_grads = backward(critic.stacked_heads, heads_record, dv)
+    trunk_flat, _ = backward(critic.trunk, trunk_record, feat_grads.sum(axis=0), input_grad=False)
+    return np.concatenate([trunk_flat, head_flat])

@@ -16,7 +16,8 @@ from pastarl.nn import (
     network_spec,
     save_checkpoint,
 )
-from tests.conftest import finite_difference
+from tests import oracles
+from tests.conftest import finite_difference, same_bits
 
 ARCHS = [
     ([3, 5, 2], ["tanh", "sigmoid"]),
@@ -26,29 +27,13 @@ ARCHS = [
 ]
 
 
-def _act(name, z):
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    return z
-
-
-def manual_forward(net, x):
-    """Independent re-evaluation of the stack on a (B, in) batch, layer by layer."""
-    h = np.asarray(x, dtype=np.float64)
-    for layer in net.layers:
-        h = _act(layer.activation, h @ layer.weights.T + layer.biases)
-    return h
-
-
 class TestForward:
     def test_matches_manual_composition(self, rng):
         for dims, acts in ARCHS:
             net = Network.random(dims, acts, rng)
             x = rng.normal(size=(7, dims[0]))
             out, _ = net.forward(x)
-            np.testing.assert_array_equal(out, manual_forward(net, x))
+            np.testing.assert_array_equal(out, oracles.forward(net, x)[0])
 
     def test_rejects_one_dimensional_input(self, rng):
         """One input row is a (1, in) batch; a bare vector is refused, stacked or not."""
@@ -242,6 +227,91 @@ class TestBackward:
         _, record = net.forward(np.zeros((4, 3)))
         with pytest.raises(ContractViolationError):
             net.backward(record, np.zeros((5, 2)))
+
+
+class TestInPlacePasses:
+    """The in-place layers, the record-free output and the backward that
+    writes into its caller's buffer give the bits of the out-of-place
+    references in tests/oracles.py, and leave their inputs untouched."""
+
+    @pytest.mark.parametrize("stack", [None, 3])
+    @pytest.mark.parametrize("B", [1, 64, 2049])
+    def test_forward_and_output_match_the_out_of_place_reference(self, rng, stack, B):
+        for dims, acts in ARCHS:
+            net = Network(dims, acts, stack=stack)
+            net.params[:] = rng.normal(size=net.n_params)
+            x = rng.normal(scale=3.0, size=(B, dims[0]))
+            x_before = x.copy()
+            out, record = net.forward(x)
+            want, want_record = oracles.forward(net, x)
+            assert len(record) == len(want_record)
+            assert all(same_bits(h, h_want) for h, h_want in zip(record, want_record))
+            assert record[0] is x
+            assert same_bits(net.output(x), out)
+            assert same_bits(x, x_before)
+
+    @pytest.mark.parametrize("stack", [None, 2])
+    def test_extreme_pre_activations(self, stack):
+        """Inputs of +-800 (exp overflows), +-inf, NaN and +-0.0 through a
+        one-wide layer of weight 1 and bias -0.0, with every activation."""
+        x = np.array([[800.0, -800.0, 40.0, -40.0, np.inf, -np.inf, np.nan, 0.0, -0.0, 1e-300]]).T
+        for act in ACTIVATIONS:
+            net = Network([1, 1], [act], stack=stack)
+            net.layers[0].weights[...] = 1.0
+            net.layers[0].biases[...] = -0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                out, record = net.forward(x)
+                want, _ = oracles.forward(net, x)
+                assert same_bits(net.output(x), want)
+            assert same_bits(out, want)
+            assert same_bits(record[0], x)
+
+    @pytest.mark.parametrize("stack", [None, 3])
+    @pytest.mark.parametrize("k", [None, 1, 4])
+    def test_backward_matches_allocate_and_concatenate(self, rng, stack, k):
+        for dims, acts in ARCHS:
+            net = Network(dims, acts, stack=stack)
+            net.params[:] = rng.normal(size=net.n_params)
+            for B in (1, 64):
+                _, record = net.forward(rng.normal(size=(B, dims[0])))
+                record_before = [h.copy() for h in record]
+                lead = () if k is None else (k,)
+                v = rng.normal(size=lead + record[-1].shape)
+                v_before = v.copy()
+                for input_grad in (True, False):
+                    flat, in_grad = net.backward(record, v, input_grad=input_grad)
+                    want, want_in = oracles.backward(net, record, v, input_grad=input_grad)
+                    assert same_bits(flat, want)
+                    assert (in_grad is None) == (want_in is None)
+                    if in_grad is not None:
+                        assert same_bits(in_grad, want_in)
+                assert same_bits(v, v_before)
+                assert all(same_bits(h, h0) for h, h0 in zip(record, record_before))
+
+    def test_non_contiguous_output_grad(self, rng):
+        """An output gradient in any memory layout gives the bits its
+        contiguous copy gives, as the reference's product did."""
+        for dims, acts in ARCHS:
+            net = Network.random(dims, acts, rng)
+            _, record = net.forward(rng.normal(size=(8, dims[0])))
+            v = rng.normal(size=(dims[-1], 8)).T
+            flat, in_grad = net.backward(record, v)
+            want, want_in = oracles.backward(net, record, v)
+            assert same_bits(flat, want) and same_bits(in_grad, want_in)
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_backward_writes_only_its_slice_of_the_callers_buffer(self, rng, k):
+        net = Network.random([5, 6, 2], ["tanh", "sigmoid"], rng)
+        _, record = net.forward(rng.normal(size=(7, 5)))
+        lead = () if k is None else (k,)
+        v = rng.normal(size=lead + (7, 2))
+        buffer = np.full(lead + (net.n_params + 9,), np.nan)
+        flat, _ = net.backward(record, v, out=buffer[..., 4 : 4 + net.n_params])
+        assert np.shares_memory(flat, buffer)
+        assert same_bits(flat, oracles.backward(net, record, v)[0])
+        assert np.all(np.isnan(buffer[..., :4])) and np.all(np.isnan(buffer[..., 4 + net.n_params :]))
+        with pytest.raises(ContractViolationError, match="out shape"):
+            net.backward(record, v, out=np.empty(lead + (net.n_params + 1,)))
 
 
 class TestAdam:

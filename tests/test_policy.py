@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from pastarl.policy import (
     SharedCritic,
 )
 from pastarl.nn import Network
-from tests.conftest import finite_difference
+from tests import oracles
+from tests.conftest import finite_difference, same_bits
 from tests.oracles import act, act_deterministic
 
 OBS, M, ACT, HIDDEN = 4, 2, 3, 8
@@ -120,6 +123,15 @@ class TestActorEntropy:
         actor.log_std[:] = np.array([-50.0, 5.0, 0.0])
         actor.clamp_log_std()
         np.testing.assert_array_equal(actor.log_std, [LOG_STD_MIN, LOG_STD_MAX, 0.0])
+
+    def test_clamp_gives_np_clip_bits(self, rng):
+        """NaN, +-inf, +-0.0, the bounds themselves and values either side."""
+        values = [np.nan, np.inf, -np.inf, 0.0, -0.0, LOG_STD_MIN, LOG_STD_MAX, -20.5, 2.5, -3.0, 1e-300]
+        actor = GaussianActor.create(OBS, M, len(values), rng, hidden=HIDDEN)
+        actor.log_std[:] = values
+        want = np.clip(np.array(values), LOG_STD_MIN, LOG_STD_MAX)
+        actor.clamp_log_std()
+        assert actor.log_std.tobytes() == want.tobytes()
 
 
 class TestActorBackward:
@@ -241,6 +253,8 @@ class TestBranchedCritic:
         assert flat.tobytes() == critic.params.tobytes()
         for i in range(2):
             assert nets[f"critic_head_{i}"].dims == [4, 4, 1]
+            assert nets[f"critic_head_{i}"] is critic.heads[i]  # the networks values() runs
+            assert np.shares_memory(critic.heads[i].params, critic.params)
 
     def test_flat_round_trip(self, rng):
         critic = BranchedCritic.create(2, 3, rng, hidden=4)
@@ -248,6 +262,86 @@ class TestBranchedCritic:
         clone.params[:] = critic.params
         x = rng.normal(size=(4, 5))
         np.testing.assert_array_equal(clone.values(x), critic.values(x))
+
+
+class TestLeanPasses:
+    """The record-free passes give forward()'s bits; the backward passes that
+    write into one gradient give the bits of the allocate-and-concatenate
+    references in tests/oracles.py and leave their inputs untouched."""
+
+    @pytest.mark.parametrize("B", [1, 64, 2049])
+    def test_actor_means_equal_mean_forward(self, actor, rng, B):
+        x = rng.normal(size=(B, OBS + M))
+        assert same_bits(actor.means(x), actor.mean_forward(x)[0])
+
+    @pytest.mark.parametrize("critic_cls", [BranchedCritic, SharedCritic])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_critic_values_equal_forward_over_a_horizon(self, critic_cls, m):
+        rng = np.random.default_rng(m)
+        critic = critic_cls.create(14, m, rng, hidden=64)
+        x = rng.normal(size=(2049, 14 + m))
+        x_before = x.copy()
+        vals = critic.values(x)
+        assert same_bits(vals, critic.forward(x)[0])
+        assert vals.flags.c_contiguous
+        assert same_bits(x, x_before)
+
+    def test_values_hold_one_head_at_a_time(self):
+        """The traced peak of the branched critic's values on a (2049, 18)
+        batch at m = 4, hidden 64 stays below the bytes of the input, the
+        trunk's two layers, one head's hidden layer and the (2049, m)
+        output: (18 + 2 * 64 + 64 + 4) float64 columns of 2049 rows.
+        forward(), which keeps every layer of all m heads, peaks at nearly
+        twice that."""
+        rows, obs, m, hidden = 2049, 14, 4, 64
+        critic = BranchedCritic.create(obs, m, np.random.default_rng(0), hidden=hidden)
+        x = np.random.default_rng(1).normal(size=(rows, obs + m))
+        bound = 8 * rows * ((obs + m) + 2 * hidden + hidden + m)
+        tracemalloc.start()
+        try:
+            critic.values(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_actor_backward_rows_match_concatenated_blocks(self, m):
+        """Every row set the trainer backpropagates: the first k objectives'
+        rows for k = 1..m, as the non-contiguous transpose it passes, and
+        the single row of a scalarized clip."""
+        rng = np.random.default_rng(m)
+        actor = GaussianActor.create(OBS, m, 6, rng, hidden=16)
+        B = 64
+        x = rng.normal(size=(B, OBS + m))
+        pre = rng.normal(loc=0.5, scale=0.4, size=(B, 6))
+        _, records = actor.mean_forward(x)
+        kept = [h.copy() for record in records for h in record]
+        unclipped = rng.normal(size=(B, m))
+        rows = [unclipped.T[:k] for k in range(1, m + 1)]
+        rows.append(np.where(unclipped[:, 0] < 0.5, unclipped @ np.full(m, 1.0 / m), 0.0)[None, :])
+        for coeffs in rows:
+            coeffs = coeffs / B
+            coeffs_before = coeffs.copy()
+            got = actor.backward_weighted_logp(records, pre, coeffs)
+            assert same_bits(got, oracles.actor_backward(actor, records, pre, coeffs))
+            assert same_bits(coeffs, coeffs_before)
+        assert all(same_bits(h, h0) for h, h0 in zip([h for r in records for h in r], kept))
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_critic_backward_matches_concatenated_blocks(self, m):
+        rng = np.random.default_rng(m)
+        x = rng.normal(size=(64, OBS + m))
+        dv = rng.normal(size=(64, m))
+        dv_before = dv.copy()
+        branched = BranchedCritic.create(OBS, m, rng, hidden=16)
+        _, cache = branched.forward(x)
+        assert same_bits(branched.backward(cache, dv), oracles.branched_critic_backward(branched, cache, dv))
+        shared = SharedCritic.create(OBS, m, rng, hidden=16)
+        _, record = shared.forward(x)
+        want, _ = oracles.backward(shared.net, record, dv, input_grad=False)
+        assert same_bits(shared.backward(record, dv), want)
+        assert same_bits(dv, dv_before)
 
 
 class TestSharedCritic:
