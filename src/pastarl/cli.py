@@ -14,7 +14,8 @@ import json
 import math
 import sys
 import typing
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from pastarl.errors import ConfigError, DivergenceError
 from pastarl.nn import load_checkpoint, save_checkpoint
 from pastarl.policy import GaussianActor
 from pastarl.scalarize import SCALARIZERS, preference_vector
-from pastarl.trainer import EvalRecord, IterationReport, Trainer, deterministic_returns
+from pastarl.trainer import EvalRecord, IterationReport, Trainer, column, deterministic_returns
 
 
 def _fmt(x) -> str:
@@ -48,10 +49,11 @@ def _require(args, names, ok, rule: str) -> None:
 # -- train ------------------------------------------------------------------
 
 
-def _layout(record_type) -> list:
+@cache
+def _layout(record_type) -> tuple:
     """(field name, column stem, declared type) of each field of a record."""
     types = typing.get_type_hints(record_type)
-    return [(f.name, f.metadata.get("column", f.name), types[f.name]) for f in fields(record_type)]
+    return tuple((f.name, f.metadata.get("column", f.name), types[f.name]) for f in fields(record_type))
 
 
 def _csv_header(record_type, m: int) -> list:
@@ -65,13 +67,41 @@ def _csv_header(record_type, m: int) -> list:
 
 
 def _csv_row(record) -> list:
-    """A record's cells, in the order of ``_csv_header``: ints as they are,
-    floats in the fixed format."""
+    """A record's cells, in the order of ``_csv_header``: ints and strings as
+    they are, floats in the fixed format."""
     row = []
     for name, _, kind in _layout(type(record)):
         value = getattr(record, name)
-        row += [str(v) if kind is int else _fmt(v) for v in (value if kind is tuple else (value,))]
+        row += [str(v) if kind in (int, str) else _fmt(v) for v in (value if kind is tuple else (value,))]
     return row
+
+
+def _csv_record(record_type, m: int, row: list):
+    """The record that ``_csv_row`` wrote as this row; ValueError if it cannot be."""
+    if len(row) != len(_csv_header(record_type, m)):
+        raise ValueError(f"{len(row)} cells, expected {len(_csv_header(record_type, m))}")
+    cells = iter(row)
+    return record_type(**{
+        name: tuple(float(next(cells)) for _ in range(m)) if kind is tuple else kind(next(cells))
+        for name, _, kind in _layout(record_type)
+    })
+
+
+def _write_table(path: Path, record_type, m: int, records) -> None:
+    with open(path, "w") as f:
+        w = _writer(f)
+        w.writerow(_csv_header(record_type, m))
+        w.writerows(_csv_row(r) for r in records)
+
+
+def _out_dir(path) -> Path:
+    """Create an output directory; ConfigError if a file is in the way, say."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e}") from e
+    return path
 
 
 def save_trainer_checkpoint(trainer: Trainer, path) -> None:
@@ -99,10 +129,9 @@ def load_actor(path) -> tuple:
 def run_training(cfg: dict, out_dir) -> Path:
     """Train one run and write manifest, metrics.csv, eval.csv, checkpoints."""
     tc = configlib.build_train_config(cfg)
-    out_dir = Path(out_dir)
     # Bad input fails in Trainer(), before any file is written.
     trainer = Trainer(tc)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(out_dir)
     configlib.write_manifest(out_dir, cfg)
     with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
         mw, ew = _writer(mf), _writer(ef)
@@ -179,8 +208,6 @@ def cmd_evaluate(args) -> int:
 
 def _read_eval_csv(path: Path) -> np.ndarray:
     """Eval returns as an (n_checkpoints, m) array of raw per-objective means."""
-    if not path.exists():
-        raise ConfigError(f"no eval.csv in {path.parent}")
     try:
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
@@ -188,17 +215,18 @@ def _read_eval_csv(path: Path) -> np.ndarray:
         raise ConfigError(f"could not read {path}: {e}") from e
     if len(rows) < 2:
         raise ConfigError(f"{path} has no checkpoints")
-    ret_cols = [j for j, name in enumerate(rows[0]) if name.startswith("return_")]
-    if not ret_cols:
-        raise ConfigError(f"{path} has no return_ columns")
-    try:
-        returns = np.array([[float(r[j]) for j in ret_cols] for r in rows[1:]])
-    except (IndexError, ValueError) as e:
-        raise ConfigError(f"malformed {path}: {e}") from e
-    bad = np.argwhere(~np.isfinite(returns))
-    if bad.size:  # line numbers count the header as line 1
-        raise ConfigError(f"malformed {path}: line {bad[0, 0] + 2} has a non-finite return")
-    return returns
+    m = next((k for k in range(1, len(rows[0])) if _csv_header(EvalRecord, k) == rows[0]), None)
+    if m is None:
+        raise ConfigError(f"{path} does not have the columns of an eval.csv: {','.join(rows[0])}")
+    returns = []
+    for line, row in enumerate(rows[1:], start=2):  # the header is line 1
+        try:
+            returns.append(_csv_record(EvalRecord, m, row).returns)
+        except ValueError as e:
+            raise ConfigError(f"malformed {path}: line {line}: {e}") from e
+        if not all(map(math.isfinite, returns[-1])):
+            raise ConfigError(f"malformed {path}: line {line} has a non-finite return")
+    return np.array(returns)
 
 
 def _format_value(value) -> str:
@@ -283,134 +311,100 @@ def _load_runs(run_dirs: list) -> list[dict]:
     return runs
 
 
-def compare_runs(run_dirs: list, out_dir) -> dict:
-    """Cross-method comparison table over (method, preference, seed) runs.
+def _mean_std(runs: list, score: str) -> tuple:
+    values = np.array([r[score] for r in runs])
+    return values.mean(), values.std()
+
+
+@dataclass
+class MethodSummary:
+    """One row of summary.csv: one method over all its runs."""
+
+    method: str
+    hypervolume_mean: float
+    hypervolume_std: float
+    win_rate: float
+    objective_dominance_rate: float
+    dmp_auc: float
+    expected_utility_mean: float
+    expected_utility_std: float
+
+
+@dataclass
+class PreferenceSummary:
+    """One row of per_preference.csv: one method's runs at one preference."""
+
+    method: str
+    pref: tuple
+    hv_mean: float
+    hv_std: float
+    eu_mean: float
+    eu_std: float
+    returns: tuple = column("return")  # per-objective mean of the runs' best raw returns
+
+
+def compare_runs(run_dirs: list, out_dir) -> list:
+    """Cross-method comparison over (method, preference, seed) runs: writes
+    summary.csv and per_preference.csv and returns the summary's rows.
 
     Normalization bounds are shared across every eval checkpoint of every
     run being compared.  Each run contributes its best checkpoint, the one
-    maximizing single-point hypervolume under those shared bounds.
+    maximizing single-point hypervolume under those shared bounds; that
+    checkpoint's hypervolume, raw returns and expected utility score the run
+    in both tables.
     """
     runs = _load_runs(run_dirs)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     m = runs[0]["points"].shape[1]
-
     normed_groups = metrics.normalize_points({i: r["points"] for i, r in enumerate(runs)})
     for i, r in enumerate(runs):
         hv_per_ckpt = np.prod(normed_groups[i], axis=1)
         best = int(np.argmax(hv_per_ckpt))
-        r["best_hv"] = float(hv_per_ckpt[best])
-        r["best_raw"] = r["points"][best]
+        r["hv"] = float(hv_per_ckpt[best])
+        r["raw"] = r["points"][best]
+        r["eu"] = r["raw"] @ np.asarray(r["preference"])
 
     methods = sorted({r["method"] for r in runs})
     prefs = sorted({r["preference"] for r in runs})
-    by_cell: dict = {}
-    for r in runs:
-        by_cell.setdefault((r["method"], r["preference"]), []).append(r)
-
-    hv_matrix = np.full((len(methods), len(prefs)), np.nan)
-    ret_tensor = np.full((len(methods), len(prefs), m), np.nan)
-    per_pref_rows = []
-    for a, meth in enumerate(methods):
-        for p, pref in enumerate(prefs):
-            cell = by_cell.get((meth, pref))
+    by_method = {meth: [r for r in runs if r["method"] == meth] for meth in methods}
+    cells = []
+    for meth in methods:
+        for pref in prefs:
+            cell = [r for r in by_method[meth] if r["preference"] == pref]
             if not cell:
                 raise ConfigError(
                     f"method {meth!r} has no run for preference {pref}; "
                     "compare needs a full method x preference grid"
                 )
-            hvs = np.array([r["best_hv"] for r in cell])
-            raws = np.array([r["best_raw"] for r in cell])
-            eus = raws @ np.asarray(pref)
-            hv_matrix[a, p] = hvs.mean()
-            ret_tensor[a, p] = raws.mean(axis=0)
-            per_pref_rows.append(
-                [meth]
-                + [_fmt(v) for v in pref]
-                + [_fmt(hvs.mean()), _fmt(hvs.std()), _fmt(eus.mean()), _fmt(eus.std())]
-                + [_fmt(v) for v in raws.mean(axis=0)]
-            )
+            raw = tuple(np.mean([r["raw"] for r in cell], axis=0))
+            cells.append(PreferenceSummary(meth, pref, *_mean_std(cell, "hv"), *_mean_std(cell, "eu"), raw))
 
-    win = metrics.win_rate(hv_matrix)
-    dom = metrics.objective_dominance_rate(ret_tensor)
-
+    shape = (len(methods), len(prefs))
+    win = metrics.win_rate(np.reshape([c.hv_mean for c in cells], shape))
+    dom = metrics.objective_dominance_rate(np.reshape([c.returns for c in cells], (*shape, m)))
     # Performance-profile instances: one per (preference, seed) pair that
     # every method has a run for.
-    seeds_by_method = {
-        meth: {(r["preference"], r["seed"]) for r in runs if r["method"] == meth}
-        for meth in methods
-    }
-    instances = sorted(set.intersection(*seeds_by_method.values()))
+    hv = {(r["method"], r["preference"], r["seed"]): r["hv"] for r in runs}
+    instances = sorted({(p, s) for _, p, s in hv if all((meth, p, s) in hv for meth in methods)})
     auc = np.full(len(methods), np.nan)
     if instances:
-        inst_hv = np.empty((len(instances), len(methods)))
-        lookup = {(r["method"], r["preference"], r["seed"]): r["best_hv"] for r in runs}
-        for b, (pref, seed) in enumerate(instances):
-            for a, meth in enumerate(methods):
-                inst_hv[b, a] = lookup[(meth, pref, seed)]
-        auc = metrics.dolan_more_auc(inst_hv)
-
-    summary_header = [
-        "method",
-        "hypervolume_mean",
-        "hypervolume_std",
-        "win_rate",
-        "objective_dominance_rate",
-        "dmp_auc",
-        "expected_utility_mean",
-        "expected_utility_std",
+        auc = metrics.dolan_more_auc(np.array([[hv[(meth, *i)] for meth in methods] for i in instances]))
+    summary = [
+        MethodSummary(meth, *_mean_std(rs, "hv"), win[a], dom[a], auc[a], *_mean_std(rs, "eu"))
+        for a, (meth, rs) in enumerate(by_method.items())
     ]
-    summary_rows = []
-    for a, meth in enumerate(methods):
-        cell_hvs = np.array([r["best_hv"] for r in runs if r["method"] == meth])
-        cell_eus = np.array(
-            [r["best_raw"] @ np.asarray(r["preference"]) for r in runs if r["method"] == meth]
-        )
-        summary_rows.append(
-            [
-                meth,
-                _fmt(cell_hvs.mean()),
-                _fmt(cell_hvs.std()),
-                _fmt(win[a]),
-                _fmt(dom[a]),
-                _fmt(auc[a]),
-                _fmt(cell_eus.mean()),
-                _fmt(cell_eus.std()),
-            ]
-        )
-
-    with open(out_dir / "summary.csv", "w") as f:
-        w = _writer(f)
-        w.writerow(summary_header)
-        w.writerows(summary_rows)
-    pref_header = (
-        ["method"]
-        + [f"pref_{i}" for i in range(m)]
-        + ["hv_mean", "hv_std", "eu_mean", "eu_std"]
-        + [f"return_{i}" for i in range(m)]
-    )
-    with open(out_dir / "per_preference.csv", "w") as f:
-        w = _writer(f)
-        w.writerow(pref_header)
-        w.writerows(per_pref_rows)
-
-    return {
-        "methods": methods,
-        "preferences": prefs,
-        "hv_matrix": hv_matrix,
-        "win_rate": win,
-        "dominance": dom,
-        "dmp_auc": auc,
-        "summary": summary_rows,
-    }
+    out_dir = _out_dir(out_dir)
+    _write_table(out_dir / "summary.csv", MethodSummary, m, summary)
+    _write_table(out_dir / "per_preference.csv", PreferenceSummary, m, cells)
+    return summary
 
 
 def cmd_compare(args) -> int:
-    result = compare_runs(args.runs, args.out)
-    widths = [max(len(str(r[0])) for r in result["summary"] + [["method"]]), 12]
-    print(f"{'method':<{widths[0]}}  {'hv_mean':>12}  {'win_rate':>12}  {'obj_dom':>12}  {'dmp_auc':>12}")
-    for row in result["summary"]:
-        print(f"{row[0]:<{widths[0]}}  {row[1]:>12}  {row[3]:>12}  {row[4]:>12}  {row[5]:>12}")
+    summary = compare_runs(args.runs, args.out)
+    width = max(len("method"), *(len(row.method) for row in summary))
+    print(f"{'method':<{width}}  {'hv_mean':>12}  {'win_rate':>12}  {'obj_dom':>12}  {'dmp_auc':>12}")
+    for row in summary:
+        scores = (row.hypervolume_mean, row.win_rate, row.objective_dominance_rate, row.dmp_auc)
+        print(f"{row.method:<{width}}" + "".join(f"  {_fmt(v):>12}" for v in scores))
     print(f"wrote {Path(args.out) / 'summary.csv'} and per_preference.csv")
     return 0
 
@@ -474,7 +468,7 @@ def cmd_sweep(args) -> int:
         preference_vector(tc.preference, env.m)
         jobs.append((cfg, run_dir))
 
-    out_root.mkdir(parents=True, exist_ok=True)
+    _out_dir(out_root)
     if args.workers > 1:
         # Imported here: it loads multiprocessing, which only this path needs.
         from concurrent.futures import ProcessPoolExecutor
@@ -497,6 +491,17 @@ def cmd_sweep(args) -> int:
 # -- toybench -------------------------------------------------------------------
 
 
+@dataclass
+class ToybenchRecord:
+    """One row of toybench.csv: one method's solution at one preference."""
+
+    w: tuple
+    method: str
+    f: tuple                            # the objectives the solver reached
+    oracle: tuple = column("oracle_f")  # the objectives of its oracle point
+    distance: float                     # |f - oracle|
+
+
 def cmd_toybench(args) -> int:
     _require(args, ("resolution", "n_prefs", "steps"), lambda v: v >= 1, ">= 1")
     _require(
@@ -505,8 +510,7 @@ def cmd_toybench(args) -> int:
     _require(args, ("seed",), lambda v: v >= 0, ">= 0")
     mop = toybench.concave_mop(spread=args.spread) if args.problem == "concave" else toybench.convex_mop()
     front, _ = toybench.pareto_grid_oracle(mop, resolution=args.resolution)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     ts = np.linspace(0.02, 0.98, args.n_prefs)
     W = np.stack([ts, 1.0 - ts], axis=-1)
@@ -529,15 +533,11 @@ def cmd_toybench(args) -> int:
         results[method] = (F, oracle, np.linalg.norm(F - oracle, axis=-1))
     # Preference-major rows: every method at one preference, then the next.
     rows = [
-        [_fmt(W[p, 0]), _fmt(W[p, 1]), method] + [_fmt(v) for v in (*F[p], *oracle[p], dist[p])]
+        ToybenchRecord(tuple(W[p]), method, tuple(F[p]), tuple(oracle[p]), dist[p])
         for p in range(len(ts))
         for method, (F, oracle, dist) in results.items()
     ]
-
-    with open(out_dir / "toybench.csv", "w") as f:
-        w = _writer(f)
-        w.writerow(["w_0", "w_1", "method", "f_0", "f_1", "oracle_f_0", "oracle_f_1", "distance"])
-        w.writerows(rows)
+    _write_table(out_dir / "toybench.csv", ToybenchRecord, mop.m, rows)
     for method, (_, _, dist) in results.items():
         print(f"{method}: {int(np.sum(dist <= args.tol))}/{len(ts)} within {args.tol:g} of oracle")
     print(f"wrote {out_dir / 'toybench.csv'}")

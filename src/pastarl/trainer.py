@@ -60,9 +60,9 @@ from pastarl.surgery import conflict_ratio, project_conflicts
 def column(stem: str):
     """Declare a record field whose CSV column stem is not its field name.
 
-    The records below are the only declaration of the run's CSV columns: each
-    field is one column, named by the field or its ``column`` stem, and a
-    per-objective tuple field is the m columns stem_0 ... stem_{m-1}.
+    Records (the two below, and cli's tables) are the only declaration of
+    the CSV columns: each field is one column, named by the field or its
+    ``column`` stem, and a tuple field is the m columns stem_0 ... stem_{m-1}.
     """
     return field(metadata={"column": stem})
 

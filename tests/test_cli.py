@@ -634,12 +634,16 @@ class TestUnreadableInput:
     @pytest.mark.parametrize(
         "name, mangle, detail",
         [
+            ("eval.csv", lambda path: path.unlink(), ""),
             ("eval.csv", lambda path: path.write_text(""), ""),
             ("eval.csv", lambda path: replace_cell(path, 1, 1, "abc"), ""),
             ("eval.csv", lambda path: replace_cell(path, 2, 1, "nan"), "line 3"),
+            ("eval.csv", lambda path: path.write_text(path.read_text().rsplit(",", 1)[0] + "\n"), "line 4"),
+            ("eval.csv", lambda path: replace_cell(path, 0, 1, "ret_0"), "columns of an eval.csv"),
             ("manifest.json", lambda path: path.write_text("{"), ""),
         ],
-        ids=["empty_eval_csv", "non_numeric_eval_cell", "non_finite_eval_cell", "truncated_manifest"],
+        ids=["missing_eval_csv", "empty_eval_csv", "non_numeric_eval_cell", "non_finite_eval_cell", "short_eval_row",
+             "foreign_eval_header", "truncated_manifest"],
     )
     def test_run_directory_to_compare(self, tiny_ini, tmp_path, capsys, name, mangle, detail):
         run = train(tiny_ini, tmp_path / "run")
@@ -657,6 +661,26 @@ class TestUnreadableInput:
         assert main(["evaluate", "--run", str(run), "--checkpoint", "checkpoints"]) == 2
         captured = capsys.readouterr()
         assert str(run / "checkpoints") in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "compare", "toybench"])
+def test_out_that_is_a_file_is_usage_error(tiny_ini, tmp_path, capsys, command):
+    """--out naming an existing file, or a path under one, exits 2 with a
+    message naming it, and writes nothing."""
+    argv = {
+        "train": lambda: ["train", "--config", str(tiny_ini)],
+        "sweep": lambda: ["sweep", "--config", str(tiny_ini), "--axis", "seed=0,1"],
+        "compare": lambda: ["compare", str(train(tiny_ini, tmp_path / "run"))],
+        "toybench": lambda: ["toybench", "--n-prefs", "2", "--steps", "1", "--resolution", "10"],
+    }[command]()
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    for out in (afile, afile / "sub"):
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == ""
 
 
 class TestToybench:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pastarl import config as cfgmod
-from pastarl.cli import _layout, _parse_axis
+from pastarl.cli import MethodSummary, PreferenceSummary, ToybenchRecord, _layout, _parse_axis
 from pastarl.scalarize import ALGORITHMS
 from pastarl.trainer import EvalRecord, IterationReport
 
@@ -115,7 +115,16 @@ def render_columns(record_type) -> str:
     return ", ".join(stem + ("_i..." if kind is tuple else "") for _, stem, kind in _layout(record_type))
 
 
-@pytest.mark.parametrize("file_name, record_type", [("metrics.csv", IterationReport), ("eval.csv", EvalRecord)])
+@pytest.mark.parametrize(
+    "file_name, record_type",
+    [
+        ("metrics.csv", IterationReport),
+        ("eval.csv", EvalRecord),
+        ("summary.csv", MethodSummary),
+        ("per_preference.csv", PreferenceSummary),
+        ("toybench.csv", ToybenchRecord),
+    ],
+)
 def test_readme_output_columns_match_the_declarations(file_name, record_type):
     text = README.read_text()
     section = text[text.index("Writes to the output directory"):]
