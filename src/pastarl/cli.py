@@ -188,7 +188,12 @@ def cmd_evaluate(args) -> int:
     try:
         actor, meta = load_actor(ckpt)
         env = make_env(meta["environment"], **meta.get("env_params", {}))
-        w = np.asarray(meta["preference"], dtype=np.float64)
+        w = preference_vector(meta["preference"], env.m)
+        if actor.backbone.in_dim != env.observation_dim + env.m:
+            raise ConfigError(
+                f"its actor reads {actor.backbone.in_dim} inputs, not the {env.observation_dim} "
+                f"observations and {env.m} preference weights of {meta['environment']}"
+            )
     except KeyError as e:
         raise ConfigError(f"malformed checkpoint {ckpt}: missing entry {e}") from e
     except OSError as e:  # a directory, say
@@ -282,19 +287,15 @@ def _load_runs(run_dirs: list) -> list[dict]:
         man_path = d / "manifest.json"
         if not man_path.exists():
             raise ConfigError(f"no manifest.json in {d}; is it a run directory?")
-        man = configlib.load_manifest(man_path)
-        try:
-            run = {
-                "dir": d,
-                "env": man["environment"],
-                "config": man["config"],
-                "preference": tuple(float(v) for v in man["preference"]),
-                "seed": int(man["seed"]),
-            }
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"malformed manifest {man_path}: {e!r}") from e
-        run["points"] = _read_eval_csv(d / "eval.csv")
-        runs.append(run)
+        cfg = configlib.load_manifest(man_path)["config"]
+        try:  # as train would: a knob its algorithm does not read, say, is refused
+            tc = configlib.build_train_config(cfg)
+        except ConfigError as e:
+            raise ConfigError(f"manifest {man_path}: {e}") from None
+        runs.append({
+            "dir": d, "env": tc.env_name, "config": cfg, "preference": tc.preference, "seed": tc.seed,
+            "points": _read_eval_csv(d / "eval.csv"),
+        })
     envs = sorted({r["env"] for r in runs})
     if len(envs) > 1:
         raise ConfigError(f"refusing to compare runs from different environments: {envs}")

@@ -74,11 +74,12 @@ def _parse_floats(s: str) -> tuple:
         raise ConfigError(f"expected comma-separated floats, got {s!r}") from e
 
 
-def knob(section: str, key: str, conv, default, valid=None, doc: str = ""):
-    """Declare a TrainConfig field as the config knob ``section.key``."""
+def knob(section: str, key: str, conv, default, valid=None, doc: str = "", read_by=None):
+    """Declare a TrainConfig field as the config knob ``section.key``, read by
+    the algorithms whose ALGORITHMS row satisfies ``read_by`` (None: all)."""
     return field(
         default=default,
-        metadata={"section": section, "key": key, "conv": conv, "valid": valid, "doc": doc},
+        metadata=dict(section=section, key=key, conv=conv, valid=valid, doc=doc, read_by=read_by),
     )
 
 
@@ -97,6 +98,9 @@ def _within(value, valid) -> bool:
 BOOL = (False, True)
 POSITIVE = "(0, inf)"
 AT_LEAST_1 = "[1, inf)"
+# read_by predicates on an ALGORITHMS row
+CONTROLLED = lambda a: a.mu == "controller"
+STCH = lambda a: a.rule == "stch"
 
 
 @dataclass
@@ -112,15 +116,15 @@ class TrainConfig:
         doc="non-negative weights summing to 1, one per objective",
     )
     fixed_mu: float = knob(
-        "algorithm", "fixed_mu", float, 1.0, POSITIVE,
-        "smoothing constant for `stch_fixed` (checked only there)",
+        "algorithm", "fixed_mu", float, 1.0, POSITIVE, "constant smoothing", lambda a: a.mu == "fixed_mu"
     )
     no_pcgrad: bool = knob(
-        "algorithm", "no_pcgrad", _parse_bool, False, BOOL, "ablation: skip the gradient projection"
+        "algorithm", "no_pcgrad", _parse_bool, False, BOOL, "ablation: skip the gradient projection",
+        lambda a: a.projects,
     )
     weighted_pcgrad: bool = knob(
         "algorithm", "weighted_pcgrad", _parse_bool, False, BOOL,
-        "ablation: eta-weighted sum of the projected gradients",
+        "ablation: eta-weighted sum of the projected gradients", STCH,
     )
     critic: str = knob(
         "algorithm", "critic", str, "branched_weighted",
@@ -130,21 +134,24 @@ class TrainConfig:
     controller_mode: str = knob(
         "controller", "mode", str, "full",
         ("full", "no_conflict", "no_decay", "no_conflict_no_decay"),
-        "ablations: drop the conflict braking, the decay, or both",
+        "ablations: drop the conflict braking, the decay, or both", CONTROLLED,
     )
     mu_start: float = knob(
         "controller", "mu_start", float, 10.0, POSITIVE,
-        "initial smoothing; `mu_min <= mu_start <= mu_max`",
+        "initial smoothing; `mu_min <= mu_start <= mu_max`", CONTROLLED,
     )
-    mu_min: float = knob("controller", "mu_min", float, 0.05, POSITIVE, "end of the anneal")
-    mu_max: float = knob("controller", "mu_max", float, 10.0, POSITIVE, "braking ceiling")
-    tau: float = knob("controller", "tau", float, 0.4, "[0, 1)", "conflict threshold for braking")
+    mu_min: float = knob("controller", "mu_min", float, 0.05, POSITIVE, "end of the anneal", CONTROLLED)
+    mu_max: float = knob("controller", "mu_max", float, 10.0, POSITIVE, "braking ceiling", CONTROLLED)
+    tau: float = knob(
+        "controller", "tau", float, 0.4, "[0, 1)", "conflict threshold for braking", CONTROLLED
+    )
     lambda_ema: float = knob(
-        "controller", "lambda_ema", float, 0.05, "(0, 1]", "smoothing-parameter EMA rate"
+        "controller", "lambda_ema", float, 0.05, "(0, 1]", "smoothing-parameter EMA rate", CONTROLLED
     )
-    rho: float = knob("controller", "rho", float, 0.15, "(0, 1)", "uniform maintenance mass in eta")
+    rho: float = knob("controller", "rho", float, 0.15, "(0, 1)", "uniform maintenance mass in eta", STCH)
     zeta: float = knob(
-        "controller", "zeta", float, 1.05, "(1, inf)", "utopia point in normalized return space"
+        "controller", "zeta", float, 1.05, "(1, inf)", "utopia point in normalized return space",
+        lambda a: a.rule != "linear",
     )
     horizon: int = knob("ppo", "horizon", int, 2048, AT_LEAST_1, "rollout steps per iteration")
     epochs: int = knob("ppo", "epochs", int, 10, AT_LEAST_1, "passes over each rollout")
@@ -173,15 +180,17 @@ class TrainConfig:
     )
 
     def validate(self) -> "TrainConfig":
-        """ConfigError naming ``section.key`` unless every declared range holds
-        and ``mu_min <= mu_start <= mu_max``."""
+        """ConfigError naming ``section.key`` unless every knob the algorithm
+        reads lies in its declared range, every knob it does not read keeps its
+        default, and ``mu_min <= mu_start <= mu_max``."""
         for f in KNOBS:
-            valid = f.metadata["valid"]
-            # Only an algorithm whose mu is the fixed_mu knob reads it.
-            if valid is None or (f.name == "fixed_mu" and ALGORITHMS[self.algorithm].mu != "fixed_mu"):
-                continue
-            value = getattr(self, f.name)
-            if not _within(value, valid):
+            value, valid, read_by = getattr(self, f.name), f.metadata["valid"], f.metadata["read_by"]
+            if read_by and not read_by(ALGORITHMS[self.algorithm]):  # algorithm.name is checked first
+                if value != f.default:
+                    raise ConfigError(
+                        f"{self.algorithm} does not read {_knob_name(f)}: keep its default {f.default!r}"
+                    )
+            elif valid is not None and not _within(value, valid):
                 must = "be one of" if isinstance(valid, tuple) else "lie in"
                 raise ConfigError(f"{_knob_name(f)} must {must} {valid}, got {value!r}")
         # After the ranges, so that an out-of-range value gets its own message.

@@ -8,8 +8,6 @@ across every method entering a comparison; normalize_points handles that.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from pastarl.errors import ContractViolationError
@@ -125,13 +123,10 @@ def dolan_more_auc(hv: np.ndarray) -> np.ndarray:
 
     theta_max is the largest finite ratio observed.  If every ratio is 1 the
     interval degenerates and AUC is the profile value at 1.  An all-zero HV
-    column yields AUC 0 and a warning.
+    column yields AUC 0.
     """
     ratios, grid = dolan_more_profile(hv)
-    n_inst, n_methods = ratios.shape
-    for b in range(n_methods):
-        if np.all(np.isinf(ratios[:, b])):
-            warnings.warn(f"method column {b} has zero hypervolume on every instance")
+    n_methods = ratios.shape[1]
     theta_max = grid[-1]
     aucs = np.zeros(n_methods)
     for b in range(n_methods):

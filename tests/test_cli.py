@@ -282,6 +282,20 @@ class TestEvaluate:
                 id="non_finite_flat",
             ),
             pytest.param(None, id="truncated_json"),
+            pytest.param(
+                lambda p: {**p, "metadata": {**p["metadata"], "preference": [0.2, 0.3, 0.5]}},
+                id="preference_of_three",
+            ),
+            pytest.param(
+                lambda p: {**p, "metadata": {**p["metadata"], "environment": "frogger"}},
+                id="other_environment",
+            ),
+            pytest.param(  # the preference fits frogger; the actor's inputs do not
+                lambda p: {**p, "metadata": {
+                    **p["metadata"], "environment": "frogger", "preference": [0.4, 0.3, 0.3],
+                }},
+                id="other_environment_and_preference",
+            ),
         ],
     )
     def test_malformed_checkpoint_is_usage_error(self, corrupt, tiny_ini, tmp_path, capsys):
@@ -413,6 +427,13 @@ class TestSweep:
         out = tmp_path / "sw"
         assert main(["sweep", "--config", str(tiny_ini), "--out", str(out), *argv]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_knob_an_algorithm_does_not_read_is_refused_first(self, tiny_ini, tmp_path, capsys):
+        out = tmp_path / "sw"
+        argv = ["--axis", "algorithm.name=pasta,linear", "--axis", "algorithm.no_pcgrad=false,true"]
+        assert main(["sweep", "--config", str(tiny_ini), "--out", str(out), *argv]) == 2
+        assert "linear does not read algorithm.no_pcgrad" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -549,20 +570,25 @@ class TestCompare:
         assert main(["compare", *map(str, runs), "--out", str(tmp_path / "cmp")]) == 0
         assert [r[0] for r in read_csv(tmp_path / "cmp" / "summary.csv")[1:]] == labels
 
-    def test_one_sweep_compares_algorithms_and_ablations(self, tiny_ini, tmp_path):
-        runs = sweep(
-            tiny_ini, tmp_path / "sw",
-            "--axis", "algorithm.name=pasta,linear", "--axis", "algorithm.no_pcgrad=false,true",
-            "--axis", "seed=0,1",
-        )
-        assert [p.name for p in runs] == [
-            f"name_{name}_no_pcgrad_{flag}_seed_{seed}"
-            for name in ("linear", "pasta") for flag in ("false", "true") for seed in (0, 1)
-        ]
-        assert main(["compare", *map(str, runs), "--out", str(tmp_path / "cmp")]) == 0
+    def test_ablations_and_baselines_are_two_sweeps(self, tiny_ini, tmp_path):
+        """pasta's ablations cross no knob that linear does not read."""
+        seeds = ("--axis", "seed=0,1")
+        ablations = sweep(tiny_ini, tmp_path / "ablations", "--axis", "no_pcgrad=false,true", *seeds)
+        baselines = sweep(tiny_ini, tmp_path / "baselines", "--axis", "algorithm.name=linear", *seeds)
+        assert main(["compare", *map(str, ablations + baselines), "--out", str(tmp_path / "cmp")]) == 0
         assert [r[0] for r in read_csv(tmp_path / "cmp" / "summary.csv")[1:]] == [
-            "linear", "linear[no_pcgrad=true]", "pasta", "pasta[no_pcgrad=true]",
+            "linear", "pasta", "pasta[no_pcgrad=true]",
         ]
+
+    def test_rejects_a_knob_the_runs_algorithm_does_not_read(self, tiny_ini, tmp_path, capsys):
+        run = train(tiny_ini, tmp_path / "run", extra=["--override", "algorithm.name=linear"])
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["config"]["algorithm"]["no_pcgrad"] = True  # as code that did not check it wrote
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["compare", str(run), "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert str(run / "manifest.json") in err and "linear does not read algorithm.no_pcgrad" in err
+        assert not (tmp_path / "cmp").exists()
 
     def test_rejects_directory_without_manifest(self, tmp_path):
         (tmp_path / "junk").mkdir()

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 import re
@@ -8,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pastarl import config as cfgmod
+from pastarl import trainer as trainer_mod
+from pastarl.cli import _csv_row
 from pastarl.envs import ENV_CLASSES
 from pastarl.errors import ConfigError
+from pastarl.scalarize import ALGORITHMS
 
 
 INI = """
@@ -181,12 +185,9 @@ class TestBuildTrainConfig:
     )
     def test_out_of_range_ppo_values_raise(self, key, value):
         section, key = split_key(key)
-        cfg = cfgmod.default_config()
-        if key == "fixed_mu":
-            cfg["algorithm"]["name"] = "stch_fixed"  # the only algorithm that reads it
-        cfg[section][key] = value
+        f = next(f for f in cfgmod.KNOBS if (f.metadata["section"], f.metadata["key"]) == (section, key))
         with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
-            cfgmod.build_train_config(cfg)
+            cfgmod.build_train_config(config_with(f, value))
 
     @pytest.mark.parametrize(
         "key, value",
@@ -200,10 +201,11 @@ class TestBuildTrainConfig:
         cfg[section][key] = value
         assert getattr(cfgmod.build_train_config(cfg), key) == value
 
-    def test_fixed_mu_is_checked_only_under_stch_fixed(self):
+    def test_fixed_mu_must_keep_its_default_where_unread(self):
         cfg = cfgmod.default_config()
         cfg["algorithm"]["fixed_mu"] = -1.0
-        assert cfgmod.build_train_config(cfg).fixed_mu == -1.0
+        with pytest.raises(ConfigError, match="pasta does not read algorithm.fixed_mu"):
+            cfgmod.build_train_config(cfg)
 
 
 def interval(text):
@@ -221,10 +223,17 @@ def knob_id(f):
     return f"{f.metadata['section']}.{f.metadata['key']}"
 
 
+def reader(f) -> str:
+    """The first algorithm that reads knob f."""
+    read_by = f.metadata["read_by"]
+    return next(name for name, row in ALGORITHMS.items() if read_by is None or read_by(row))
+
+
 def config_with(f, value):
+    """The default config under an algorithm that reads f, with f set to value."""
     cfg = cfgmod.default_config()
-    if f.name == "fixed_mu":
-        cfg["algorithm"]["name"] = "stch_fixed"  # the only algorithm that reads it
+    if f.name != "algorithm":
+        cfg["algorithm"]["name"] = reader(f)
     cfg[f.metadata["section"]][f.metadata["key"]] = value
     return cfg
 
@@ -279,6 +288,65 @@ class TestDeclaredRanges:
     def test_every_choice_is_accepted(self, f):
         for value in f.metadata["valid"]:
             assert getattr(cfgmod.build_train_config(config_with(f, value)), f.name) == value
+
+
+# A non-default, in-range value of every knob that some algorithm does not read.
+UNREAD_VALUES = {
+    "fixed_mu": 0.5, "no_pcgrad": True, "weighted_pcgrad": True, "controller_mode": "no_decay",
+    "mu_start": 5.0, "mu_min": 0.1, "mu_max": 20.0, "tau": 0.2, "lambda_ema": 0.5, "rho": 0.3,
+    "zeta": 1.5,
+}
+# Each (algorithm, knob) pair whose read_by is false.
+UNREAD = [
+    (name, f)
+    for name, row in ALGORITHMS.items()
+    for f in cfgmod.KNOBS
+    if f.metadata["read_by"] is not None and not f.metadata["read_by"](row)
+]
+UNREAD_IDS = [f"{name}-{knob_id(f)}" for name, f in UNREAD]
+
+
+@functools.cache
+def tiny_run(algorithm: str, knob: str | None = None) -> tuple:
+    """The CSV rows of 3 iterations and 1 evaluation of a tiny stub run, then
+    its actor's and critic's parameters, with knob set to its UNREAD_VALUES
+    entry unchecked."""
+    # Near-even weights and 64 steps: tch's worst objective then turns on zeta,
+    # and the projection and the braking both act within 3 iterations.
+    cfg = cfgmod.TrainConfig(
+        env_params={"episode_cap": 8}, algorithm=algorithm, preference=(0.45, 0.55), horizon=64,
+        epochs=1, minibatch=16, total_iterations=3, hidden=8, eval_episodes=1,
+        **({knob: UNREAD_VALUES[knob]} if knob else {}),
+    )
+    trainer = trainer_mod.Trainer(cfg)
+    rows = [_csv_row(trainer.run_iteration()) for _ in range(3)] + [_csv_row(trainer.evaluate(3))]
+    return rows, trainer.actor.params.tobytes(), trainer.critic.params.tobytes()
+
+
+class TestReadBy:
+    """A knob's read_by declares which algorithms read it; validate refuses a
+    non-default value of a knob that the run's algorithm does not read."""
+
+    def test_every_unread_knob_has_an_in_range_probe_value(self):
+        assert {f.name for _, f in UNREAD} == set(UNREAD_VALUES)
+        for _, f in UNREAD:
+            value = UNREAD_VALUES[f.name]
+            assert value != f.default and cfgmod._within(value, f.metadata["valid"])
+
+    @pytest.mark.parametrize("algorithm, f", UNREAD, ids=UNREAD_IDS)
+    def test_an_unread_knob_changes_no_bit(self, monkeypatch, algorithm, f):
+        monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: False)
+        monkeypatch.setattr(cfgmod.TrainConfig, "validate", lambda self: self)
+        assert tiny_run(algorithm, f.name) == tiny_run(algorithm)
+
+    @pytest.mark.parametrize("algorithm, f", UNREAD, ids=UNREAD_IDS)
+    def test_an_unread_knob_must_keep_its_default(self, algorithm, f):
+        cfg = cfgmod.default_config()
+        cfg["algorithm"]["name"] = algorithm
+        assert cfgmod.build_train_config(cfg)
+        cfg[f.metadata["section"]][f.metadata["key"]] = UNREAD_VALUES[f.name]
+        with pytest.raises(ConfigError, match=f"^{algorithm} does not read {re.escape(knob_id(f))}"):
+            cfgmod.build_train_config(cfg)
 
 
 class TestManifest:

@@ -33,19 +33,26 @@ def _range_cell(valid) -> str:
     return f"`{valid}`"
 
 
+def _read_by_cell(read_by) -> str:
+    """``all``, or the algorithms whose ALGORITHMS row read_by accepts."""
+    if read_by is None:
+        return "all"
+    return ", ".join(name for name, row in ALGORITHMS.items() if read_by(row))
+
+
 def render_config_table() -> str:
     """The README configuration table, one row per declared knob."""
-    lines = ["| Section | Key | Default | Range | Meaning |", "|---|---|---|---|---|"]
+    lines = ["| Section | Key | Default | Range | Read by | Meaning |", "|---|---|---|---|---|---|"]
     for f in cfgmod.KNOBS:
         meta = f.metadata
         lines.append(
             f"| {meta['section']} | {meta['key']} | {_ini(f.default)} "
-            f"| {_range_cell(meta['valid'])} | {meta['doc']} |"
+            f"| {_range_cell(meta['valid'])} | {_read_by_cell(meta['read_by'])} | {meta['doc']} |"
         )
         if f.name == "env_name":
             keys = ", ".join(cfgmod.ENV_PARAM_KEYS)
             lines.append(
-                f"| environment | {keys} | env-specific | checked by the environment "
+                f"| environment | {keys} | env-specific | checked by the environment | all "
                 "| the environment constructors' keyword parameters, forwarded only when set |"
             )
     return "\n".join(lines) + "\n"

@@ -212,9 +212,8 @@ class TestDolanMore:
         auc = dolan_more_auc(np.array([[0.7, 0.7], [0.5, 0.5]]))
         np.testing.assert_array_equal(auc, [1.0, 1.0])
 
-    def test_all_zero_column_warns_and_scores_zero(self):
-        with pytest.warns(UserWarning):
-            auc = dolan_more_auc(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    def test_all_zero_column_scores_zero(self):
+        auc = dolan_more_auc(np.array([[1.0, 0.0], [1.0, 0.0]]))
         assert auc[1] == 0.0
         assert auc[0] == 1.0
 
