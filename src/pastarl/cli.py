@@ -211,7 +211,7 @@ def cmd_evaluate(args) -> int:
 # -- compare ------------------------------------------------------------------
 
 
-def _read_eval_csv(path: Path) -> np.ndarray:
+def _read_eval_csv(path: Path, m: int) -> np.ndarray:
     """Eval returns as an (n_checkpoints, m) array of raw per-objective means."""
     try:
         with open(path, newline="") as f:
@@ -220,8 +220,7 @@ def _read_eval_csv(path: Path) -> np.ndarray:
         raise ConfigError(f"could not read {path}: {e}") from e
     if len(rows) < 2:
         raise ConfigError(f"{path} has no checkpoints")
-    m = next((k for k in range(1, len(rows[0])) if _csv_header(EvalRecord, k) == rows[0]), None)
-    if m is None:
+    if rows[0] != _csv_header(EvalRecord, m):
         raise ConfigError(f"{path} does not have the columns of an eval.csv: {','.join(rows[0])}")
     returns = []
     for line, row in enumerate(rows[1:], start=2):  # the header is line 1
@@ -288,13 +287,11 @@ def _load_runs(run_dirs: list) -> list[dict]:
         if not man_path.exists():
             raise ConfigError(f"no manifest.json in {d}; is it a run directory?")
         cfg = configlib.load_manifest(man_path)["config"]
-        try:  # as train would: a knob its algorithm does not read, say, is refused
-            tc = configlib.build_train_config(cfg)
-        except ConfigError as e:
-            raise ConfigError(f"manifest {man_path}: {e}") from None
+        tc = configlib.build_train_config(cfg)
         runs.append({
             "dir": d, "env": tc.env_name, "config": cfg, "preference": tc.preference, "seed": tc.seed,
-            "points": _read_eval_csv(d / "eval.csv"),
+            # load_manifest checked one weight per objective of the run's environment.
+            "points": _read_eval_csv(d / "eval.csv", len(tc.preference)),
         })
     envs = sorted({r["env"] for r in runs})
     if len(envs) > 1:
@@ -465,8 +462,7 @@ def cmd_sweep(args) -> int:
         cfg["algorithm"]["preference"] = tuple(cfg["algorithm"]["preference"])
         # Every combination is checked before the first run, its environment too.
         tc = configlib.build_train_config(cfg)
-        env = make_env(tc.env_name, **tc.env_params)
-        preference_vector(tc.preference, env.m)
+        preference_vector(tc.preference, make_env(tc.env_name, **tc.env_params).m)
         jobs.append((cfg, run_dir))
 
     _out_dir(out_root)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from pastarl import __version__
-from pastarl.envs import ENV_CLASSES
+from pastarl.envs import ENV_CLASSES, make_env
 from pastarl.errors import ConfigError
 from pastarl.scalarize import ALGORITHMS, preference_vector
 
@@ -84,15 +84,25 @@ def knob(section: str, key: str, conv, default, valid=None, doc: str = "", read_
 
 
 def _within(value, valid) -> bool:
-    """Whether value is one of the choices, or lies in an interval like "(0, 1]"."""
+    """Whether value is one of the choices, or a number in an interval like "(0, 1]"."""
     if isinstance(valid, tuple):
         return value in valid
     lo, hi = (float(end) for end in valid[1:-1].split(","))
-    try:
-        above = lo < value if valid[0] == "(" else lo <= value
-        return above and (value < hi if valid[-1] == ")" else value <= hi)
-    except TypeError:  # not a number
-        return False
+    above = lo < value if valid[0] == "(" else lo <= value
+    return above and (value < hi if valid[-1] == ")" else value <= hi)
+
+
+# What a knob of each declared type accepts, and how its message says so: a
+# bool is no number here, an int is a float too, and a tuple holds numbers.
+TYPES = {"str": (str, "a string"), "bool": (bool, "a boolean"), "int": (int, "an integer"),
+         "float": ((int, float), "a number"), "tuple": (tuple, "a list of numbers")}
+
+
+def _typed(value, declared: str) -> bool:
+    """Whether value is of the declared type, as TYPES reads it."""
+    if declared == "tuple":
+        return isinstance(value, tuple) and all(_typed(v, "float") for v in value)
+    return isinstance(value, TYPES[declared][0]) and (declared == "bool" or not isinstance(value, bool))
 
 
 BOOL = (False, True)
@@ -180,11 +190,14 @@ class TrainConfig:
     )
 
     def validate(self) -> "TrainConfig":
-        """ConfigError naming ``section.key`` unless every knob the algorithm
-        reads lies in its declared range, every knob it does not read keeps its
-        default, and ``mu_min <= mu_start <= mu_max``."""
+        """ConfigError naming ``section.key`` unless every knob has its declared
+        type, every knob the algorithm reads lies in its declared range, every
+        knob it does not read keeps its default, and ``mu_min <= mu_start <=
+        mu_max``."""
         for f in KNOBS:
             value, valid, read_by = getattr(self, f.name), f.metadata["valid"], f.metadata["read_by"]
+            if not _typed(value, f.type):
+                raise ConfigError(f"{_knob_name(f)} must be {TYPES[f.type][1]}, got {value!r}")
             if read_by and not read_by(ALGORITHMS[self.algorithm]):  # algorithm.name is checked first
                 if value != f.default:
                     raise ConfigError(
@@ -361,8 +374,9 @@ def write_manifest(out_dir: Path, cfg: dict) -> dict:
 
 def load_manifest(path) -> dict:
     """A manifest that ``write_manifest`` wrote; ConfigError naming the file
-    if it cannot be read, or its config lacks a declared knob or holds an
-    entry that no knob declares.  RETIRED_KEYS are dropped."""
+    if it cannot be read, or its config lacks a declared knob, holds an entry
+    that no knob declares, does not validate or has a preference that does
+    not fit its environment.  RETIRED_KEYS are dropped."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as f:
@@ -397,9 +411,12 @@ def load_manifest(path) -> dict:
     ]
     if missing:
         raise ConfigError(f"manifest {path} has no config entry for {', '.join(missing)}")
-    preference = cfg["algorithm"]["preference"]
-    if not isinstance(preference, list):
-        raise ConfigError(f"manifest {path}: algorithm.preference must be a list, got {preference!r}")
-    # JSON round-trips preference tuples as lists; restore tuples for equality.
-    cfg["algorithm"]["preference"] = tuple(preference)
+    # JSON gives a preference tuple back as a list; validation refuses any other value.
+    if isinstance(cfg["algorithm"]["preference"], list):
+        cfg["algorithm"]["preference"] = tuple(cfg["algorithm"]["preference"])
+    try:  # as train would: a knob its algorithm does not read, say, is refused
+        tc = build_train_config(cfg)
+        preference_vector(tc.preference, make_env(tc.env_name, **tc.env_params).m)
+    except ConfigError as e:
+        raise ConfigError(f"manifest {path}: {e}") from None
     return manifest

@@ -24,7 +24,6 @@ vector; the format is unchanged at version 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -231,30 +230,23 @@ class Network:
         return out, g if input_grad else None
 
 
-@dataclass
 class AdamState:
-    """Per-parameter-vector Adam accumulators (bias-corrected).
+    """Bias-corrected Adam accumulators for one parameter vector of ``size``.
 
-    adam_update overwrites m and v in place and works in two scratch vectors
-    of the same size, so a step allocates nothing parameter-sized.
+    adam_update overwrites the moments m and v in place and works in two
+    scratch vectors of the same size, so a step allocates nothing parameter-sized.
     """
 
-    size: int
-    lr: float = 3e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: np.ndarray = field(default=None)
-    v: np.ndarray = field(default=None)
-    scratch: tuple = field(default=None, init=False, repr=False, compare=False)
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    def __post_init__(self):
-        if self.m is None:
-            self.m = np.zeros(self.size)
-        if self.v is None:
-            self.v = np.zeros(self.size)
-        self.scratch = (np.empty(self.size), np.empty(self.size))
+    def __init__(self, size: int, lr: float = 3e-4):
+        self.lr = lr
+        self.step_count = 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.scratch = (np.empty(size), np.empty(size))
 
 
 def adam_update(

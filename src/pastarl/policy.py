@@ -132,17 +132,17 @@ class BranchedCritic:
     order.  The heads share one shape and run as one network of ``stack=m``
     over the (m, head size) rows of that vector for training; ``heads``
     holds one network per head on its row, for checkpoints and ``values``.
-    The constructor copies the given trunk and stacked heads into
-    ``params``, a new vector or the buffer passed in.
+    The constructor copies the given trunk and stacked heads into a new
+    ``params`` vector.
     """
 
-    def __init__(self, trunk: Network, stacked_heads: Network, params: np.ndarray | None = None):
+    def __init__(self, trunk: Network, stacked_heads: Network):
         if stacked_heads.stack is None:
             raise ContractViolationError("value heads must be one stacked network")
         if stacked_heads.in_dim != trunk.out_dim or stacked_heads.out_dim != 1:
             raise ContractViolationError("head shape does not fit trunk")
         self.m = stacked_heads.stack
-        self.params = np.concatenate([trunk.params, stacked_heads.params], out=params)
+        self.params = np.concatenate([trunk.params, stacked_heads.params])
         nt = trunk.n_params
         self.trunk = Network(trunk.dims, trunk.activations, self.params[:nt])
         self.stacked_heads = Network(
@@ -202,16 +202,10 @@ class BranchedCritic:
 
 
 class SharedCritic:
-    """Single network emitting all m values from one output layer.
+    """Single network emitting all m values from one output layer; ``params``
+    is the network's own vector."""
 
-    Given a ``params`` buffer, the network's vector is copied into it and
-    the critic runs on the buffer.
-    """
-
-    def __init__(self, net: Network, params: np.ndarray | None = None):
-        if params is not None:
-            params[...] = net.params
-            net = Network(net.dims, net.activations, params)
+    def __init__(self, net: Network):
         self.net = net
         self.params = net.params
         self.m = net.out_dim

@@ -47,7 +47,10 @@ ALGORITHMS = {
 
 def preference_vector(values, m: int | None = None) -> np.ndarray:
     """Validate a preference vector: finite, non-negative, sums to 1 within 1e-9."""
-    w = np.asarray(values, dtype=np.float64)
+    try:
+        w = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"preference entries must be numbers: {values!r}") from None
     if w.ndim != 1 or w.size == 0:
         raise ConfigError(f"preference must be a non-empty 1-D vector, got shape {w.shape}")
     if m is not None and w.size != m:

@@ -14,10 +14,10 @@ The actor and the critic have separate vectors and Adam states, so within
 an iteration neither update reads what the other writes.  The critic's
 epochs and the actor's therefore run as two loops over the same minibatches:
 on a host with two or more usable CPUs each iteration forks one child process
-that runs the critic's while this process runs the actor's, and otherwise
-the critic's run first, inline.  Either way every value is the one the
-interleaved loop (critic, then actor, per minibatch) gives, and no child
-outlives the iteration that forked it.
+that runs the critic's while this process runs the actor's, and sends the
+critic's state back with its losses; otherwise the critic's run first, inline.
+Either way every value is the one the interleaved loop (critic, then actor,
+per minibatch) gives, and no child outlives the iteration that forked it.
 
 Every algorithm is one row of ``scalarize.ALGORITHMS``; this module reads
 its mu source, coefficient rule, clip and projection from there.
@@ -26,7 +26,6 @@ its mu source, coefficient rule, clip and projection from there.
 from __future__ import annotations
 
 import functools
-import mmap
 import os
 import pickle
 import signal
@@ -94,11 +93,14 @@ class IterationReport:
 
 
 class CriticOutcome(NamedTuple):
-    """What one iteration's critic epochs give back."""
+    """What one iteration's critic epochs give back, and the critic's state after them."""
 
     losses: list            # c1-scaled value loss of each minibatch, in order
-    step_count: int         # the critic's Adam step count afterwards
     failure: tuple | None   # (minibatch index, error) of the first failed update
+    params: np.ndarray      # the critic's vector
+    m: np.ndarray           # its Adam moments
+    v: np.ndarray
+    step_count: int         # its Adam step count
 
 
 def weighted_value_loss(values, targets, eta) -> float:
@@ -147,23 +149,11 @@ class Trainer:
 
         obs_dim, act_dim = self.env.observation_dim, self.env.action_dim
         self.actor = GaussianActor.create(obs_dim, self.m, act_dim, init_rng, cfg.hidden)
-        branched = cfg.critic.startswith("branched")
-        critic = (BranchedCritic if branched else SharedCritic).create(
-            obs_dim, self.m, init_rng, cfg.hidden
-        )
-        # The critic's vector and Adam moments sit in one anonymous MAP_SHARED
-        # mapping: the Adam steps of a child forked for the critic's epochs
-        # land in the memory this process reads.
-        n = critic.n_params
-        params, adam_m, adam_v = np.frombuffer(mmap.mmap(-1, 3 * 8 * n)).reshape(3, n)
-        self.critic = (
-            BranchedCritic(critic.trunk, critic.stacked_heads, params=params)
-            if branched
-            else SharedCritic(critic.net, params=params)
-        )
+        critic_cls = BranchedCritic if cfg.critic.startswith("branched") else SharedCritic
+        self.critic = critic_cls.create(obs_dim, self.m, init_rng, cfg.hidden)
         self.critic_weighted = cfg.critic.endswith("_weighted")
         self.actor_opt = AdamState(self.actor.n_params, lr=cfg.lr)
-        self.critic_opt = AdamState(n, lr=cfg.lr, m=adam_m, v=adam_v)
+        self.critic_opt = AdamState(self.critic.n_params, lr=cfg.lr)
 
         self.normalizer = ReturnNormalizer(self.m)
         self.controller = SmoothnessController(cfg)
@@ -302,8 +292,9 @@ class Trainer:
         Returns (value losses, kappas, summed clip losses, summed entropy),
         each in minibatch order.  Where ``_worker_wanted()``, a child forked
         here runs the critic's epochs on what it inherits while this process
-        runs the actor's, and is reaped before this returns or raises;
-        otherwise the critic's epochs run first, here.  An error is the one
+        runs the actor's; it is reaped, and the critic's state it sends back
+        copied in place, before this returns or raises.  Otherwise the
+        critic's epochs run first, here.  An error is the one
         the interleaved loop would raise: the failure at the earliest
         minibatch, the critic's on a tie, since it went first.  A
         DivergenceError is raised again naming the update, the iteration,
@@ -338,7 +329,9 @@ class Trainer:
             raise
         if child is not None:
             critic = _result(*child)
-        self.critic_opt.step_count = critic.step_count
+            opt = self.critic_opt
+            self.critic.params[...], opt.m[...], opt.v[...] = critic.params, critic.m, critic.v
+            opt.step_count = critic.step_count
         failures = [
             (*f, name) for f, name in ((critic.failure, "critic"), (actor_failure, "actor")) if f is not None
         ]
@@ -355,13 +348,15 @@ class Trainer:
 
     def _critic_epochs(self, inputs, targets, perms, eta) -> CriticOutcome:
         """Every minibatch's critic update in order, up to the first that fails."""
-        losses = []
+        losses, failure = [], None
         for k, mb in enumerate(self._minibatches(perms)):
             try:
                 losses.append(self._critic_update(inputs[mb], targets[mb], eta))
             except Exception as e:
-                return CriticOutcome(losses, self.critic_opt.step_count, (k, e))
-        return CriticOutcome(losses, self.critic_opt.step_count, None)
+                failure = (k, e)
+                break
+        opt = self.critic_opt
+        return CriticOutcome(losses, failure, self.critic.params, opt.m, opt.v, opt.step_count)
 
     def _critic_update(self, x, targets, eta) -> float:
         """One Adam step on the critic's eta-weighted value loss; returns the
@@ -453,11 +448,10 @@ def _worker_wanted() -> bool:
 
 
 def _forked(fn) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a forked child that runs fn, writes the
-    pickled result into the pipe and exits 0.  It exits 1 when fn raises,
-    printing the traceback, and quietly when the pipe is broken because this
-    process is gone.  The child ignores SIGINT: this process handles Ctrl-C
-    and kills it."""
+    """(pid, read end of its pipe) of a forked child that runs fn, pickles the
+    result into the pipe and exits 0.  It exits 1 when fn raises, printing the
+    traceback, and quietly when the pipe is broken because this process is
+    gone.  The child ignores SIGINT: this process handles Ctrl-C and kills it."""
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -470,10 +464,10 @@ def _forked(fn) -> tuple[int, int]:
         try:
             os.close(read_end)
             signal.signal(signal.SIGINT, signal.SIG_IGN)
-            reply = pickle.dumps(fn())  # all or nothing: the parent unpickles what it reads
+            result = fn()
             with suppress(BrokenPipeError):  # the parent is gone: exit 1, with no one to tell
                 with open(write_end, "wb") as pipe:
-                    pipe.write(reply)
+                    pickle.dump(result, pipe, protocol=5)  # 5: arrays go into the pipe uncopied
                 status = 0
         except BaseException:
             traceback.print_exc()
@@ -484,20 +478,21 @@ def _forked(fn) -> tuple[int, int]:
 
 
 def _result(pid: int, read_end: int):
-    """The result that the child (pid, read_end) of ``_forked`` sends, read to
-    end-of-file; the child is reaped and the pipe closed either way."""
+    """The result the child (pid, read_end) of ``_forked`` sends, unpickled as
+    it arrives; the child is reaped and the pipe closed either way."""
     try:
         with open(read_end, "rb") as pipe:
-            reply = pipe.read()
+            result = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):  # the pipe closed before a whole result came
         _, status = os.waitpid(pid, 0)
+        raise ChildProcessError(
+            f"the critic's process {pid} exited without a result (exit code {os.waitstatus_to_exitcode(status)})"
+        ) from None
     except BaseException:  # interrupted: the child is not waited for
         _kill(pid, None)
         raise
-    if not reply:
-        raise ChildProcessError(
-            f"the critic's process {pid} exited without a result (exit code {os.waitstatus_to_exitcode(status)})"
-        )
-    return pickle.loads(reply)
+    os.waitpid(pid, 0)
+    return result
 
 
 def _kill(pid: int, read_end: int | None) -> None:

@@ -615,6 +615,23 @@ def replace_cell(path: Path, row: int, col: int, value: str) -> None:
     path.write_text("".join(",".join(r) + "\n" for r in rows))
 
 
+def with_knob(doc: dict, section: str, key: str, value) -> str:
+    """The JSON of manifest doc with config[section][key] set to value."""
+    return json.dumps({**doc, "config": {**doc["config"], section: {**doc["config"][section], key: value}}})
+
+
+def edit_knob(path: Path, section: str, key: str, value) -> None:
+    """Set config[section][key] of the manifest at path to value."""
+    path.write_text(with_knob(json.loads(path.read_text()), section, key, value))
+
+
+def add_return_column(path: Path) -> None:
+    """Give every row of an m = 2 eval.csv a third return column."""
+    rows = read_csv(path)
+    rows = [[*r[:3], "return_2" if i == 0 else r[2], *r[3:]] for i, r in enumerate(rows)]
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+
+
 class TestUnreadableInput:
     """An input file that cannot be read exits 2 with a message naming it:
     never a traceback, and never a run of the default config."""
@@ -641,12 +658,17 @@ class TestUnreadableInput:
         [
             (lambda doc: json.dumps(doc)[:-10], ""),
             (lambda doc: json.dumps({k: v for k, v in doc.items() if k != "config"}), ""),
-            (lambda doc: json.dumps({**doc, "config": {**doc["config"], "algorithm": {
-                **doc["config"]["algorithm"], "preference": 0.5}}}), ""),
-            (lambda doc: json.dumps({**doc, "config": {**doc["config"], "ppo": {
-                **doc["config"]["ppo"], "learning_rat": 0.1}}}), "ppo.learning_rat"),
+            (lambda doc: with_knob(doc, "algorithm", "preference", 0.5), ""),
+            (lambda doc: with_knob(doc, "ppo", "learning_rat", 0.1), "ppo.learning_rat"),
+            (lambda doc: with_knob(doc, "ppo", "horizon", 32.5), "ppo.horizon"),
+            (lambda doc: with_knob(doc, "ppo", "horizon", True), "ppo.horizon"),
+            (lambda doc: with_knob(doc, "ppo", "epochs", 1.0), "ppo.epochs"),
+            (lambda doc: with_knob(doc, "ppo", "seed", 1.5), "ppo.seed"),
+            (lambda doc: with_knob(doc, "algorithm", "preference", ["a", "b"]), "algorithm.preference"),
+            (lambda doc: with_knob(doc, "algorithm", "preference", [0.5, "0.5"]), "algorithm.preference"),
         ],
-        ids=["truncated_json", "no_config", "scalar_preference", "undeclared_key"],
+        ids=["truncated_json", "no_config", "scalar_preference", "undeclared_key", "float_horizon",
+             "bool_horizon", "float_epochs", "float_seed", "string_preference", "mixed_preference"],
     )
     def test_manifest_to_train_from(self, tmp_path, capsys, mangle, detail):
         manifest = configlib.write_manifest(tmp_path, configlib.default_config())
@@ -666,10 +688,15 @@ class TestUnreadableInput:
             ("eval.csv", lambda path: replace_cell(path, 2, 1, "nan"), "line 3"),
             ("eval.csv", lambda path: path.write_text(path.read_text().rsplit(",", 1)[0] + "\n"), "line 4"),
             ("eval.csv", lambda path: replace_cell(path, 0, 1, "ret_0"), "columns of an eval.csv"),
+            ("eval.csv", add_return_column, "columns of an eval.csv"),
             ("manifest.json", lambda path: path.write_text("{"), ""),
+            ("manifest.json", lambda path: edit_knob(path, "algorithm", "preference", [0.4, 0.3, 0.3]), "3 entries"),
+            ("manifest.json", lambda path: edit_knob(path, "algorithm", "preference", ["a", "b"]),
+             "algorithm.preference"),
         ],
         ids=["missing_eval_csv", "empty_eval_csv", "non_numeric_eval_cell", "non_finite_eval_cell", "short_eval_row",
-             "foreign_eval_header", "truncated_manifest"],
+             "foreign_eval_header", "three_return_columns", "truncated_manifest", "three_weight_preference",
+             "string_preference"],
     )
     def test_run_directory_to_compare(self, tiny_ini, tmp_path, capsys, name, mangle, detail):
         run = train(tiny_ini, tmp_path / "run")

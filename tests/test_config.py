@@ -193,7 +193,7 @@ class TestBuildTrainConfig:
         "key, value",
         [("gamma", 1.0), ("lambda_gae", 0.0), ("lambda_gae", 1.0), ("hidden", 1), ("c1", 1e-12),
          ("c2", 0.0), ("seed", 0), ("controller.tau", 0.0), ("controller.lambda_ema", 1.0),
-         ("output.checkpoint_every", 0)],
+         ("output.checkpoint_every", 0), ("gamma", 1), ("lr", 1), ("algorithm.preference", (1, 0))],
     )
     def test_ppo_range_ends_accepted(self, key, value):
         section, key = split_key(key)
@@ -251,7 +251,23 @@ def outside(f):
     return st.one_of(below, above, st.just(float("nan")))
 
 
+# Values of the wrong type for each declared knob type.
+WRONG_TYPES = {
+    "int": [1.5, 2.0, True, "2"],
+    "float": [True, "0.5", None],
+    "bool": [1, "true"],
+    "str": [5, None],
+    "tuple": [("a", "b"), (0.5, "0.5"), (True, False), "0.5,0.5"],
+}
+
+
 class TestDeclaredRanges:
+    @pytest.mark.parametrize("f", cfgmod.KNOBS, ids=knob_id)
+    def test_values_of_the_wrong_type_are_rejected_before_the_range(self, f):
+        for value in WRONG_TYPES[f.type]:
+            with pytest.raises(ConfigError, match=f"^{re.escape(knob_id(f))}.* must be .*, got "):
+                cfgmod.build_train_config(config_with(f, value))
+
     def test_every_knob_declares_a_range_or_is_free_text(self):
         free = [knob_id(f) for f in cfgmod.KNOBS if f.metadata["valid"] is None]
         assert free == ["algorithm.preference", "output.dir"]

@@ -41,6 +41,11 @@ class TestPreferenceVector:
         w = preference_vector([1.0, 0.0])
         assert w[1] == 0.0
 
+    @pytest.mark.parametrize("values", [["a", "b"], [[0.5], [0.25, 0.25]], [{"w": 0.5}, 0.5]])
+    def test_rejects_entries_that_are_not_numbers(self, values):
+        with pytest.raises(ConfigError, match="must be numbers"):
+            preference_vector(values)
+
 
 class TestUtopia:
     def test_default_offset(self):

@@ -411,7 +411,8 @@ class TestSplitEpochs:
     def test_raises_the_error_of_the_interleaved_loop(
         self, monkeypatch, placement, critic_at, actor_at, winner, child_pids, open_fds
     ):
-        def first_error(make) -> str:
+        def first_error(make) -> tuple:
+            """The error's message, and the critic's state it leaves."""
             for name, k in (("_critic_update", critic_at), ("_actor_update", actor_at)):
                 if k is not None:
                     monkeypatch.setattr(Trainer, name, failing_update(name, k))
@@ -420,16 +421,23 @@ class TestSplitEpochs:
             with pytest.raises(DivergenceError) as info:
                 t.run_iteration()
             assert not child_pids() and open_fds() == fds
-            return str(info.value)
+            opt = t.critic_opt
+            return str(info.value), (t.critic.params.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step_count)
 
-        expected = first_error(reference_trainer)
+        expected, _ = first_error(reference_trainer)
         # Two minibatches of 32 per epoch of the 64-step horizon.
         k = critic_at if winner == "_critic" else actor_at
         assert expected == (
             f"{winner[1:]} update at iteration 1, epoch {k // 2 + 1}, minibatch {k % 2 + 1}: "
             f"{winner}_update failed at minibatch {k}"
         )
-        assert first_error(Trainer) == expected
+        message, critic_state = first_error(Trainer)
+        assert message == expected
+        # The critic's loop does not stop at the actor's failure, so the state
+        # to match is the inline placement's: the child's is copied back
+        # before the error is raised.
+        monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: False)
+        assert first_error(Trainer) == (expected, critic_state)
 
     def test_divergence_names_the_iteration(self, monkeypatch, placement):
         t = Trainer(stub_cfg())
@@ -485,13 +493,28 @@ class TestCriticWorker:
         assert open_fds() == fds
 
     def test_child_that_exits_without_a_result_raises(self, monkeypatch, worker_pids, child_pids, open_fds):
-        monkeypatch.setattr(Trainer, "_critic_epochs", lambda self, *args: os._exit(0))
+        """A child that dies after 2 critic updates leaves this process's
+        critic vector and Adam state as they were before the iteration."""
+
+        def dying(self, inputs, targets, perms, eta):
+            mb = perms[0][: self.cfg.minibatch]
+            for _ in range(2):
+                self._critic_update(inputs[mb], targets[mb], eta)
+            os._exit(0)
+
         t = Trainer(stub_cfg())
+        t.run_iteration()
+        opt = t.critic_opt
+        before = (t.critic.params.copy(), opt.m.copy(), opt.v.copy(), opt.step_count)
+        monkeypatch.setattr(Trainer, "_critic_epochs", dying)
         fds = open_fds()
         with pytest.raises(ChildProcessError, match="without a result"):
             t.run_iteration()
-        assert len(worker_pids) == 1
+        assert len(worker_pids) == 2
         assert not child_pids() and open_fds() == fds
+        for name, want, got in zip(("params", "m", "v"), before, (t.critic.params, opt.m, opt.v)):
+            assert got.tobytes() == want.tobytes(), name
+        assert opt.step_count == before[3] == 2 * 2
 
     def test_interrupt_in_the_actor_loop_kills_the_child(self, monkeypatch, worker_pids, child_pids, open_fds):
         def interrupted(self, *args):
@@ -516,8 +539,8 @@ class TestCriticWorker:
 
     def test_more_workers_than_cores_keep_their_own_state(self, worker_pids, child_pids):
         """More trainers than cores step in turn, each forking a child per
-        iteration over its own shared mapping; each matches its own inline
-        reference bit for bit."""
+        iteration that sends back its own critic's state; each matches its
+        own inline reference bit for bit."""
         n = len(os.sched_getaffinity(0)) + 2
         cfgs = [stub_cfg(seed=20 + i, algorithm=("pasta", "linear")[i % 2]) for i in range(n)]
         trainers = [Trainer(cfg) for cfg in cfgs]
@@ -586,6 +609,20 @@ class TestCriticWorker:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 1
         assert capfd.readouterr().err == ""
+
+    def test_child_that_dies_with_its_result_half_sent_raises(self, child_pids, open_fds):
+        """The array has gone into the pipe, then the child exits while
+        pickling what follows it."""
+
+        class DiesWhenPickled:
+            def __reduce__(self):
+                os._exit(0)
+
+        fds = open_fds()
+        child = trainer_mod._forked(lambda: [np.zeros(1 << 17), DiesWhenPickled()])
+        with pytest.raises(ChildProcessError, match="without a result"):
+            trainer_mod._result(*child)
+        assert not child_pids() and open_fds() == fds
 
     def test_worker_is_not_wanted_in_a_pool_process(self):
         from concurrent.futures import ProcessPoolExecutor
