@@ -127,28 +127,38 @@ def load_actor(path) -> tuple:
 
 
 def run_training(cfg: dict, out_dir) -> Path:
-    """Train one run and write manifest, metrics.csv, eval.csv, checkpoints."""
+    """Train one run and write manifest, metrics.csv, eval.csv, checkpoints.
+
+    Each metrics.csv row is written when its iteration's report completes,
+    which may be during the next iteration (``Trainer.run_iteration``); the
+    trainer settles before every checkpoint, and its critic child, if one is
+    pending when an error or Ctrl-C ends the run, is killed."""
     tc = configlib.build_train_config(cfg)
     # Bad input fails in Trainer(), before any file is written.
     trainer = Trainer(tc)
     out_dir = _out_dir(out_dir)
     configlib.write_manifest(out_dir, cfg)
-    with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
-        mw, ew = _writer(mf), _writer(ef)
-        mw.writerow(_csv_header(IterationReport, trainer.m))
-        ew.writerow(_csv_header(EvalRecord, trainer.m))
-        ew.writerow(_csv_row(trainer.evaluate(0)))
-        for k in range(tc.total_iterations):
-            mw.writerow(_csv_row(trainer.run_iteration()))
-            if (k + 1) % tc.eval_every == 0 or k == tc.total_iterations - 1:
-                ew.writerow(_csv_row(trainer.evaluate(k + 1)))
-            if (
-                tc.checkpoint_every
-                and (k + 1) % tc.checkpoint_every == 0
-                and k != tc.total_iterations - 1
-            ):
-                save_trainer_checkpoint(trainer, out_dir / f"checkpoint_iter{k + 1:05d}.json")
-        save_trainer_checkpoint(trainer, out_dir / "checkpoint_final.json")
+    try:
+        with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
+            mw, ew = _writer(mf), _writer(ef)
+            mw.writerow(_csv_header(IterationReport, trainer.m))
+            ew.writerow(_csv_header(EvalRecord, trainer.m))
+            ew.writerow(_csv_row(trainer.evaluate(0)))
+            for k in range(tc.total_iterations):
+                mw.writerows(map(_csv_row, trainer.run_iteration()))
+                if (k + 1) % tc.eval_every == 0 or k == tc.total_iterations - 1:
+                    ew.writerow(_csv_row(trainer.evaluate(k + 1)))
+                if (
+                    tc.checkpoint_every
+                    and (k + 1) % tc.checkpoint_every == 0
+                    and k != tc.total_iterations - 1
+                ):
+                    mw.writerows(map(_csv_row, trainer.settle()))
+                    save_trainer_checkpoint(trainer, out_dir / f"checkpoint_iter{k + 1:05d}.json")
+            mw.writerows(map(_csv_row, trainer.settle()))
+            save_trainer_checkpoint(trainer, out_dir / "checkpoint_final.json")
+    finally:
+        trainer.close()
     return out_dir
 
 
@@ -459,7 +469,6 @@ def cmd_sweep(args) -> int:
         if any(run_dir == job[1] for job in jobs):
             raise ConfigError(f"an axis repeats a value: two runs would share {run_dir}")
         cfg["output"]["dir"] = str(run_dir)
-        cfg["algorithm"]["preference"] = tuple(cfg["algorithm"]["preference"])
         # Every combination is checked before the first run, its environment too.
         tc = configlib.build_train_config(cfg)
         preference_vector(tc.preference, make_env(tc.env_name, **tc.env_params).m)

@@ -20,6 +20,7 @@ id; re-running from a manifest reproduces the metrics CSV byte for byte.
 from __future__ import annotations
 
 import configparser
+import functools
 import inspect
 import json
 import subprocess
@@ -189,6 +190,10 @@ class TrainConfig:
         "iterations between checkpoints; 0 writes only the final one",
     )
 
+    def __post_init__(self):
+        if isinstance(self.preference, list):  # as JSON, or a Python caller, writes it
+            self.preference = tuple(self.preference)
+
     def validate(self) -> "TrainConfig":
         """ConfigError naming ``section.key`` unless every knob has its declared
         type, every knob the algorithm reads lies in its declared range, every
@@ -336,7 +341,10 @@ def build_train_config(cfg: dict) -> TrainConfig:
     ).validate()
 
 
+@functools.cache
 def build_id() -> str:
+    """``git describe`` of the source tree, or the package version outside
+    git; looked up once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -411,7 +419,7 @@ def load_manifest(path) -> dict:
     ]
     if missing:
         raise ConfigError(f"manifest {path} has no config entry for {', '.join(missing)}")
-    # JSON gives a preference tuple back as a list; validation refuses any other value.
+    # JSON gives a preference tuple back as a list; the loaded config holds the tuple again.
     if isinstance(cfg["algorithm"]["preference"], list):
         cfg["algorithm"]["preference"] = tuple(cfg["algorithm"]["preference"])
     try:  # as train would: a knob its algorithm does not read, say, is refused

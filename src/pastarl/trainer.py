@@ -16,8 +16,15 @@ epochs and the actor's therefore run as two loops over the same minibatches:
 on a host with two or more usable CPUs each iteration forks one child process
 that runs the critic's while this process runs the actor's, and sends the
 critic's state back with its losses; otherwise the critic's run first, inline.
-Either way every value is the one the interleaved loop (critic, then actor,
-per minibatch) gives, and no child outlives the iteration that forked it.
+Nothing else reads the critic until the next rollout's values pass, so the
+child of iteration k is left running under the actor's epochs, any
+evaluation and iteration k + 1's step loop, and joined just before that
+values pass; iteration k's report, whose value loss the child sends, is
+complete only then.  A checkpoint, the last iteration or ``settle()`` joins
+it sooner.  Either way every value is the one the interleaved loop (critic,
+then actor, per minibatch) gives, and no child outlives the trainer that
+forked it: ``close()``, or the trainer's collection, kills one still
+running.
 
 Every algorithm is one row of ``scalarize.ALGORITHMS``; this module reads
 its mu source, coefficient rule, clip and projection from there.
@@ -31,8 +38,9 @@ import pickle
 import signal
 import sys
 import traceback
+import weakref
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -103,6 +111,16 @@ class CriticOutcome(NamedTuple):
     step_count: int         # its Adam step count
 
 
+@dataclass
+class _PendingCritic:
+    """A forked child still running one iteration's critic epochs."""
+
+    pid: int
+    read_end: int                          # of the pipe its reply comes through
+    reaper: weakref.finalize               # SIGKILLs and reaps it if the trainer goes first
+    report: IterationReport | None = None  # its iteration's, but for value_loss
+
+
 def weighted_value_loss(values, targets, eta) -> float:
     """(1/N) sum_t sum_i eta_i (V_i(s_t) - y_i(s_t))^2 over (N, m) values and targets."""
     return float(np.mean(np.sum(eta * (values - targets) ** 2, axis=1)))
@@ -126,8 +144,17 @@ def deterministic_returns(actor, env, w, rng, episodes: int) -> np.ndarray:
     return totals
 
 
+def _mean_in_order(losses) -> float:
+    """The mean of losses, summed in minibatch order (sum() compensates on 3.12+)."""
+    total = 0.0
+    for loss in losses:
+        total += loss
+    return total / len(losses)
+
+
 class Trainer:
-    """Owns networks, optimizers, normalizer, controller, and rng streams."""
+    """Owns networks, optimizers, normalizer, controller, and rng streams,
+    and between iterations the critic's pending child, if any."""
 
     def __init__(self, cfg: TrainConfig, env=None, eval_env=None):
         self.cfg = cfg.validate()
@@ -161,6 +188,8 @@ class Trainer:
         self.iteration = 0
         self._obs = None
         self._partial_return = np.zeros(self.m)
+        self._pending: _PendingCritic | None = None
+        self._completed: list[IterationReport] = []  # reports not yet returned
 
     # -- rollout ------------------------------------------------------------
 
@@ -176,6 +205,8 @@ class Trainer:
         from one batched pass after the loop.  The same (T + 1)-row input
         buffer, the bootstrap state last, feeds the critic's record-free
         values, and its first T rows are the batch's inputs to both updates.
+        A critic child still pending from the previous iteration is joined
+        just before that values pass, the critic's one read.
         """
         T = self.cfg.horizon
         env, actor = self.env, self.actor
@@ -212,6 +243,8 @@ class Trainer:
                 obs = env.reset(self.env_rng)
             inputs[t + 1, :obs_dim] = obs
         self._obs = obs
+        if self._pending is not None:
+            self._join()
         return RolloutBatch(
             inputs=inputs[:T],
             pre_clamp=pre_clamp,
@@ -224,7 +257,16 @@ class Trainer:
 
     # -- one iteration of Alg.-style training --------------------------------
 
-    def run_iteration(self) -> IterationReport:
+    def run_iteration(self) -> list[IterationReport]:
+        """One iteration; returns the reports completed during the call, in order.
+
+        Where a forked child runs the critic's epochs, this iteration's report
+        waits for the child's value losses: the child is left pending, and
+        the next iteration's rollout joins it, so that call returns this
+        report before its own.  The child is joined here instead when this
+        iteration is the last or one the run checkpoints after, so that the
+        wait for it is always part of an iteration, never of what follows.
+        """
         cfg = self.cfg
         batch = self.collect_rollout()
         compute_gae(batch, cfg.gamma, cfg.lambda_gae)
@@ -248,9 +290,6 @@ class Trainer:
 
         value_losses, kappas, clip_loss_acc, entropy_acc = self._epochs(batch, c, eta_critic)
         n_updates = len(kappas)
-        value_loss_acc = 0.0
-        for loss in value_losses:  # in minibatch order; sum() compensates on 3.12+
-            value_loss_acc += loss
 
         self.last_kappa = float(np.mean(kappas))
         self.iteration += 1
@@ -259,7 +298,7 @@ class Trainer:
             if batch.episodic_returns
             else tuple([float("nan")] * self.m)
         )
-        return IterationReport(
+        report = IterationReport(
             iteration=self.iteration,
             kappa=self.last_kappa,
             mu=float(trace.mu),
@@ -268,10 +307,36 @@ class Trainer:
             mu_star=float(trace.mu_star),
             return_means=ret_means,
             clip_losses=tuple((clip_loss_acc / n_updates).tolist()),
-            value_loss=value_loss_acc / n_updates,
+            value_loss=float("nan") if value_losses is None else _mean_in_order(value_losses),
             entropy=entropy_acc / n_updates,
             n_episodes=len(batch.episodic_returns),
         )
+        if value_losses is None:
+            self._pending.report = report
+        else:
+            self._completed.append(report)
+        if self.iteration == cfg.total_iterations or (
+            cfg.checkpoint_every and self.iteration % cfg.checkpoint_every == 0
+        ):
+            return self.settle()
+        done, self._completed = self._completed, []
+        return done
+
+    def settle(self) -> list[IterationReport]:
+        """Join the pending critic child, if any, and return the reports
+        completed since ``run_iteration`` or this last returned, the pending
+        iteration's last; or raise the child's failure, naming its iteration.
+        Call it before reading the critic, as a checkpoint does."""
+        if self._pending is not None:
+            self._join()
+        done, self._completed = self._completed, []
+        return done
+
+    def close(self) -> None:
+        """SIGKILL and reap the pending critic child, if any; its report is lost."""
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            pending.reaper()
 
     def _minibatches(self, perms):
         """Each epoch's permutation of the horizon, cut into minibatches."""
@@ -292,13 +357,14 @@ class Trainer:
         Returns (value losses, kappas, summed clip losses, summed entropy),
         each in minibatch order.  Where ``_worker_wanted()``, a child forked
         here runs the critic's epochs on what it inherits while this process
-        runs the actor's; it is reaped, and the critic's state it sends back
-        copied in place, before this returns or raises.  Otherwise the
-        critic's epochs run first, here.  An error is the one
-        the interleaved loop would raise: the failure at the earliest
-        minibatch, the critic's on a tie, since it went first.  A
-        DivergenceError is raised again naming the update, the iteration,
-        epoch and minibatch (each counted from 1) and the original message.
+        runs the actor's.  Once the actor's epochs succeed the child is left
+        pending and the value losses are None: ``_join`` takes them, and the
+        critic's state, when the next rollout reads the critic or the caller
+        settles.  If they fail, the child is reaped and its state copied in
+        place before this raises; on an interrupt it is killed.  Without a
+        child the critic's epochs run first, here.  An error is the one the
+        interleaved loop would raise: the failure at the earliest minibatch,
+        the critic's on a tie, since it went first.
         """
         perms = [self.shuffle_rng.permutation(self.cfg.horizon) for _ in range(self.cfg.epochs)]
         critic_epochs = functools.partial(
@@ -307,12 +373,16 @@ class Trainer:
         kappas: list[float] = []
         clip_loss_acc = np.zeros(self.m)
         entropy_acc = 0.0
-        actor_failure = child = None
+        actor_failure = None
         try:
             if _worker_wanted():
                 with suppress(OSError):  # no process to spare: the critic runs inline
-                    child = _forked(critic_epochs)
-            if child is None:
+                    # The reply: the critic's vector and two Adam moments, in
+                    # float64, and 64 KiB for its losses and the pickle framing.
+                    pid, read_end = _forked(critic_epochs, 3 * 8 * self.critic.n_params + 65536)
+                    reaper = weakref.finalize(self, _kill, pid, read_end)
+                    self._pending = _PendingCritic(pid, read_end, reaper)
+            if self._pending is None:
                 critic = critic_epochs()
             for k, mb in enumerate(self._minibatches(perms)):
                 try:
@@ -324,27 +394,50 @@ class Trainer:
                 clip_loss_acc += clip_losses
                 entropy_acc += self.actor.entropy()
         except BaseException:
-            if child is not None:
-                _kill(*child)
+            self.close()
             raise
-        if child is not None:
-            critic = _result(*child)
-            opt = self.critic_opt
-            self.critic.params[...], opt.m[...], opt.v[...] = critic.params, critic.m, critic.v
-            opt.step_count = critic.step_count
-        failures = [
-            (*f, name) for f, name in ((critic.failure, "critic"), (actor_failure, "actor")) if f is not None
-        ]
-        if failures:
-            k, error, name = min(failures, key=lambda f: f[0])
-            if isinstance(error, DivergenceError):
-                per_epoch = len(range(0, self.cfg.horizon, self.cfg.minibatch))  # as _minibatches cuts
-                raise DivergenceError(
-                    f"{name} update at iteration {self.iteration + 1}, epoch {k // per_epoch + 1}, "
-                    f"minibatch {k % per_epoch + 1}: {error}"
-                ) from error
-            raise error
+        if self._pending is not None:
+            if actor_failure is None:
+                return None, kappas, clip_loss_acc, entropy_acc
+            critic = self._reply()
+        self._raise_first(self.iteration + 1, (critic.failure, "critic"), (actor_failure, "actor"))
         return critic.losses, kappas, clip_loss_acc, entropy_acc
+
+    def _reply(self) -> CriticOutcome:
+        """The pending child's outcome, with the critic's state it sends
+        copied in place; the child is reaped either way."""
+        pending, self._pending = self._pending, None
+        pending.reaper.detach()
+        critic = _result(pending.pid, pending.read_end)
+        opt = self.critic_opt
+        self.critic.params[...], opt.m[...], opt.v[...] = critic.params, critic.m, critic.v
+        opt.step_count = critic.step_count
+        return critic
+
+    def _join(self) -> None:
+        """Take the pending child's reply and complete its iteration's report,
+        or raise the child's failure naming that iteration."""
+        report = self._pending.report
+        critic = self._reply()
+        self._raise_first(report.iteration, (critic.failure, "critic"))
+        self._completed.append(replace(report, value_loss=_mean_in_order(critic.losses)))
+
+    def _raise_first(self, iteration: int, *named) -> None:
+        """Raise the earliest of the (failure or None, update name) pairs,
+        each failure a (minibatch index, error); the first pair wins a tie.
+        A DivergenceError is raised again naming the update, the iteration,
+        epoch and minibatch (each counted from 1) and the original message."""
+        failures = [(*failure, name) for failure, name in named if failure is not None]
+        if not failures:
+            return
+        k, error, name = min(failures, key=lambda f: f[0])
+        if isinstance(error, DivergenceError):
+            per_epoch = len(range(0, self.cfg.horizon, self.cfg.minibatch))  # as _minibatches cuts
+            raise DivergenceError(
+                f"{name} update at iteration {iteration}, epoch {k // per_epoch + 1}, "
+                f"minibatch {k % per_epoch + 1}: {error}"
+            ) from error
+        raise error
 
     def _critic_epochs(self, inputs, targets, perms, eta) -> CriticOutcome:
         """Every minibatch's critic update in order, up to the first that fails."""
@@ -447,12 +540,19 @@ def _worker_wanted() -> bool:
     return mp is None or mp.parent_process() is None
 
 
-def _forked(fn) -> tuple[int, int]:
+def _forked(fn, reply_bytes: int = 0) -> tuple[int, int]:
     """(pid, read end of its pipe) of a forked child that runs fn, pickles the
     result into the pipe and exits 0.  It exits 1 when fn raises, printing the
     traceback, and quietly when the pipe is broken because this process is
-    gone.  The child ignores SIGINT: this process handles Ctrl-C and kills it."""
+    gone.  The child ignores SIGINT: this process handles Ctrl-C and kills it.
+    The pipe is grown to hold reply_bytes where the host allows it, so that a
+    child can send a reply that size and exit before anyone reads it."""
     read_end, write_end = os.pipe()
+    if reply_bytes:
+        import fcntl  # POSIX only, as os.fork is
+
+        with suppress(AttributeError, OSError):  # no F_SETPIPE_SZ, or above pipe-max-size
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, reply_bytes)
     try:
         pid = os.fork()
     except OSError:

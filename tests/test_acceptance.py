@@ -22,6 +22,7 @@ from pastarl.scalarize import stch_attention, tch_worst_index, utopia_point
 from pastarl.surgery import project_conflicts
 from pastarl.trainer import TrainConfig, Trainer, deterministic_returns
 from tests.oracles import stch_scalarize
+from tests.test_trainer import iterate
 
 
 def report(index: int, name: str, ok: bool, detail: str) -> None:
@@ -400,7 +401,7 @@ def test_10_training_improves_river_crossing():
         tr = Trainer(cfg)
         before = _eval_episode_returns(tr)
         for _ in range(50):
-            rep = tr.run_iteration()
+            rep = iterate(tr)
             bounds_ok = bounds_ok and 0.05 <= rep.mu <= 10.0 and 0.0 <= rep.kappa <= 1.0
         after = _eval_episode_returns(tr)
         normed = metrics.normalize_points({"before": before, "after": after})

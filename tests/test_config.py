@@ -14,6 +14,7 @@ from pastarl.cli import _csv_row
 from pastarl.envs import ENV_CLASSES
 from pastarl.errors import ConfigError
 from pastarl.scalarize import ALGORITHMS
+from tests.test_trainer import iterate
 
 
 INI = """
@@ -149,6 +150,12 @@ class TestBuildTrainConfig:
         assert tc.fixed_mu == 0.5
         assert tc.horizon == 128
         assert tc.seed == 9
+
+    def test_a_preference_list_is_stored_as_a_tuple(self):
+        tc = cfgmod.TrainConfig(preference=[0.5, 0.5]).validate()
+        assert tc.preference == (0.5, 0.5) and isinstance(tc.preference, tuple)
+        with pytest.raises(ConfigError, match="algorithm.preference must be a list of numbers"):
+            cfgmod.TrainConfig(preference=[0.5, "0.5"]).validate()
 
     def test_environment_keys_are_the_constructors_keyword_parameters(self):
         params = [p for cls in ENV_CLASSES.values() for p in inspect.signature(cls).parameters.values()]
@@ -335,7 +342,7 @@ def tiny_run(algorithm: str, knob: str | None = None) -> tuple:
         **({knob: UNREAD_VALUES[knob]} if knob else {}),
     )
     trainer = trainer_mod.Trainer(cfg)
-    rows = [_csv_row(trainer.run_iteration()) for _ in range(3)] + [_csv_row(trainer.evaluate(3))]
+    rows = [_csv_row(iterate(trainer)) for _ in range(3)] + [_csv_row(trainer.evaluate(3))]
     return rows, trainer.actor.params.tobytes(), trainer.critic.params.tobytes()
 
 
@@ -404,3 +411,21 @@ class TestManifest:
         assert manifest["environment"] == "stub"
         assert manifest["algorithm"] == "pasta"
         assert isinstance(manifest["build_id"], str) and manifest["build_id"]
+
+    def test_manifests_of_one_process_share_one_build_id(self, tmp_path, monkeypatch):
+        """git describe runs once per process, however many runs it writes."""
+        calls = []
+        run = cfgmod.subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(cfgmod.subprocess, "run", counted)
+        cfgmod.build_id.cache_clear()
+        ids = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            ids.append(cfgmod.write_manifest(tmp_path / name, cfgmod.default_config())["build_id"])
+        assert ids[0] == ids[1]
+        assert len(calls) == 1 and calls[0][0][0] == "git"

@@ -16,8 +16,14 @@ from pastarl.envs import make_env
 from pastarl.envs.base import MomdpEnv
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.gae import RolloutBatch
-from pastarl.trainer import TrainConfig, Trainer, deterministic_returns, weighted_value_loss
+from pastarl.trainer import IterationReport, TrainConfig, Trainer, deterministic_returns, weighted_value_loss
 from tests.oracles import act, act_deterministic, clipped_objective_loss
+
+
+def iterate(t: Trainer) -> IterationReport:
+    """One iteration of t with its critic child settled: that iteration's report."""
+    (report,) = t.run_iteration() + t.settle()
+    return report
 
 
 def stub_cfg(**overrides) -> TrainConfig:
@@ -235,7 +241,7 @@ class TestIterationMechanics:
     def test_same_seed_runs_are_bit_identical(self):
         t1, t2 = Trainer(stub_cfg()), Trainer(stub_cfg())
         for _ in range(2):
-            r1, r2 = t1.run_iteration(), t2.run_iteration()
+            r1, r2 = iterate(t1), iterate(t2)
         assert r1 == r2
         np.testing.assert_array_equal(t1.actor.params, t2.actor.params)
         np.testing.assert_array_equal(t1.critic.params, t2.critic.params)
@@ -247,7 +253,7 @@ class TestIterationMechanics:
         # behavior policy, so ratio == 1 and the loss is the mean of the
         # normalized advantages, which is zero by construction.
         t = Trainer(stub_cfg(horizon=32, epochs=1, minibatch=32))
-        rep = t.run_iteration()
+        rep = iterate(t)
         np.testing.assert_allclose(rep.clip_losses, [0.0, 0.0], atol=1e-12)
 
     def test_critic_and_actor_loops_see_the_same_minibatches(self, monkeypatch):
@@ -265,7 +271,7 @@ class TestIterationMechanics:
 
         for name in seen:
             monkeypatch.setattr(Trainer, name, recording(name))
-        Trainer(stub_cfg(horizon=64, epochs=2, minibatch=24)).run_iteration()
+        iterate(Trainer(stub_cfg(horizon=64, epochs=2, minibatch=24)))
         critic, actor = seen["_critic_update"], seen["_actor_update"]
         assert [len(x) for x in critic] == [24, 24, 16] * 2
         assert len(actor) == len(critic)
@@ -274,14 +280,14 @@ class TestIterationMechanics:
 
     def test_conflicting_stub_objectives_produce_nonzero_kappa(self):
         t = Trainer(stub_cfg(seed=2))
-        rep = t.run_iteration()
+        rep = iterate(t)
         assert 0.0 < rep.kappa <= 1.0
         assert t.cfg.mu_min <= rep.mu <= t.cfg.mu_max
 
     def test_no_pcgrad_still_reports_conflicts_but_changes_update(self):
         t_proj = Trainer(stub_cfg(seed=2))
         t_raw = Trainer(stub_cfg(seed=2, no_pcgrad=True))
-        r_proj, r_raw = t_proj.run_iteration(), t_raw.run_iteration()
+        r_proj, r_raw = iterate(t_proj), iterate(t_raw)
         assert r_raw.kappa > 0.0
         assert r_proj.kappa == r_raw.kappa  # same batch, same conflict count
         assert not np.array_equal(t_proj.actor.params, t_raw.actor.params)
@@ -289,8 +295,8 @@ class TestIterationMechanics:
     def test_weighted_aggregation_changes_update(self):
         t_sum = Trainer(stub_cfg(seed=2))
         t_wtd = Trainer(stub_cfg(seed=2, weighted_pcgrad=True))
-        t_sum.run_iteration()
-        t_wtd.run_iteration()
+        iterate(t_sum)
+        iterate(t_wtd)
         assert not np.array_equal(t_sum.actor.params, t_wtd.actor.params)
 
     def test_critic_divergence_raises(self):
@@ -342,8 +348,8 @@ def worker_pids(monkeypatch):
     pids = []
     fork = trainer_mod._forked
 
-    def recording(fn):
-        child = fork(fn)
+    def recording(*args):
+        child = fork(*args)
         pids.append(child[0])
         return child
 
@@ -394,7 +400,7 @@ class TestSplitEpochs:
         ref = reference_trainer(cfg)
         t = Trainer(cfg)
         for _ in range(3):
-            assert t.run_iteration() == ref.run_iteration()
+            assert iterate(t) == iterate(ref)
         assert len(worker_pids) == (3 if placement == "worker" else 0)
         for name in ("actor.params", "critic.params", "critic_opt.m", "critic_opt.v", "actor_opt.m"):
             get = operator.attrgetter(name)
@@ -419,7 +425,7 @@ class TestSplitEpochs:
             t = make(stub_cfg())
             fds = open_fds()
             with pytest.raises(DivergenceError) as info:
-                t.run_iteration()
+                iterate(t)
             assert not child_pids() and open_fds() == fds
             opt = t.critic_opt
             return str(info.value), (t.critic.params.tobytes(), opt.m.tobytes(), opt.v.tobytes(), opt.step_count)
@@ -441,10 +447,10 @@ class TestSplitEpochs:
 
     def test_divergence_names_the_iteration(self, monkeypatch, placement):
         t = Trainer(stub_cfg())
-        t.run_iteration()
+        iterate(t)
         monkeypatch.setattr(Trainer, "_actor_update", failing_update("_actor_update", 1))
         with pytest.raises(DivergenceError) as info:
-            t.run_iteration()
+            iterate(t)
         assert str(info.value) == (
             "actor update at iteration 2, epoch 1, minibatch 2: _actor_update failed at minibatch 1"
         )
@@ -487,7 +493,7 @@ class TestCriticWorker:
         t = Trainer(stub_cfg())
         fds = open_fds()
         for _ in range(5):
-            t.run_iteration()
+            iterate(t)
             assert not child_pids()
         assert len(set(worker_pids)) == 5
         assert open_fds() == fds
@@ -503,13 +509,13 @@ class TestCriticWorker:
             os._exit(0)
 
         t = Trainer(stub_cfg())
-        t.run_iteration()
+        iterate(t)
         opt = t.critic_opt
         before = (t.critic.params.copy(), opt.m.copy(), opt.v.copy(), opt.step_count)
         monkeypatch.setattr(Trainer, "_critic_epochs", dying)
         fds = open_fds()
         with pytest.raises(ChildProcessError, match="without a result"):
-            t.run_iteration()
+            iterate(t)
         assert len(worker_pids) == 2
         assert not child_pids() and open_fds() == fds
         for name, want, got in zip(("params", "m", "v"), before, (t.critic.params, opt.m, opt.v)):
@@ -528,7 +534,7 @@ class TestCriticWorker:
         started = time.monotonic()
         try:
             with pytest.raises(KeyboardInterrupt):
-                t.run_iteration()
+                iterate(t)
             assert time.monotonic() - started < 30
             assert len(worker_pids) == 1
             assert not child_pids() and open_fds() == fds
@@ -547,7 +553,7 @@ class TestCriticWorker:
         refs = [reference_trainer(cfg) for cfg in cfgs]
         for _ in range(3):
             for t, ref in zip(trainers, refs):
-                assert t.run_iteration() == ref.run_iteration()
+                assert iterate(t) == iterate(ref)
                 assert not child_pids()
         assert len(worker_pids) == 3 * n
         for t, ref in zip(trainers, refs):
@@ -563,8 +569,8 @@ class TestCriticWorker:
             try:
                 fork = trainer_mod._forked
 
-                def reporting(fn):
-                    child = fork(fn)
+                def reporting(*args):
+                    child = fork(*args)
                     os.write(pid_w, child[0].to_bytes(8, "little"))
                     return child
 
@@ -624,6 +630,119 @@ class TestCriticWorker:
             trainer_mod._result(*child)
         assert not child_pids() and open_fds() == fds
 
+    def test_a_dropped_trainer_takes_its_pending_child_with_it(self, monkeypatch, worker_pids, child_pids, open_fds):
+        """An iteration of a trainer that is then dropped, as a warm-up runs
+        one: the child, still running its critic epochs, is killed and
+        reaped, and its pipe closed."""
+        monkeypatch.setattr(Trainer, "_critic_epochs", lambda self, *args: time.sleep(60))
+        fds = open_fds()
+        started = time.monotonic()
+        try:
+            Trainer(stub_cfg()).run_iteration()
+            assert time.monotonic() - started < 30
+            assert len(worker_pids) == 1
+            assert not child_pids() and open_fds() == fds
+        finally:
+            for pid in child_pids():  # a failing run leaves nothing behind either
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    def test_critic_divergence_surfaces_in_the_next_rollout(self, tmp_path, monkeypatch, capsys, worker_pids, child_pids):
+        """The critic of iteration 1 fails in its child; the next rollout's
+        join raises it, naming iteration 1, and metrics.csv gets no row 1."""
+        rollouts = {"started": 0, "finished": 0}
+        collect = Trainer.collect_rollout
+
+        def counted(self):
+            rollouts["started"] += 1
+            batch = collect(self)
+            rollouts["finished"] += 1
+            return batch
+
+        monkeypatch.setattr(Trainer, "collect_rollout", counted)
+        monkeypatch.setattr(Trainer, "_critic_update", failing_update("_critic_update", 3))
+        ini = self.tiny_train_config(tmp_path)
+        assert main(["train", "--config", str(ini), "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == (
+            "divergence: critic update at iteration 1, epoch 2, minibatch 2: "
+            "_critic_update failed at minibatch 3\n"
+        )
+        assert rollouts == {"started": 2, "finished": 1}
+        assert len(worker_pids) == 1 and not child_pids()
+        with open(tmp_path / "run" / "metrics.csv", newline="") as f:
+            assert [row[0] for row in csv.reader(f)] == ["iteration"]
+
+    def test_child_that_dies_while_pending_raises_at_the_join(self, monkeypatch, worker_pids, child_pids, open_fds):
+        monkeypatch.setattr(Trainer, "_critic_epochs", lambda self, *args: os._exit(0))
+        t = Trainer(stub_cfg())
+        before = t.critic.params.copy()
+        fds = open_fds()
+        assert t.run_iteration() == []  # the child is pending
+        with pytest.raises(ChildProcessError, match="without a result"):
+            t.run_iteration()
+        assert len(worker_pids) == 1
+        assert not child_pids() and open_fds() == fds
+        assert t.critic.params.tobytes() == before.tobytes()
+
+    def test_interrupt_in_the_next_step_loop_kills_the_pending_child(
+        self, tmp_path, monkeypatch, worker_pids, child_pids, open_fds
+    ):
+        """Ctrl-C in iteration 2's step loop, while iteration 1's child still
+        runs: the run ends at once, leaving no child and no open pipe."""
+        from pastarl.envs.stub import StubEnv
+
+        ran = []
+        run, step = Trainer.run_iteration, StubEnv.step
+
+        def running(self):
+            reports = run(self)
+            ran.append(self.iteration)
+            return reports
+
+        def interrupted(self, action):
+            if ran:
+                raise KeyboardInterrupt
+            return step(self, action)
+
+        # The child would sleep for a minute: only SIGKILL ends it this soon.
+        monkeypatch.setattr(Trainer, "_critic_epochs", lambda self, *args: time.sleep(60))
+        monkeypatch.setattr(Trainer, "run_iteration", running)
+        monkeypatch.setattr(StubEnv, "step", interrupted)
+        ini = self.tiny_train_config(tmp_path)
+        fds = open_fds()
+        started = time.monotonic()
+        try:
+            # The traceback, kept here, keeps the trainer alive: the CLI itself
+            # must kill the child, not the trainer's collection.
+            with pytest.raises(KeyboardInterrupt) as interrupt:
+                main(["train", "--config", str(ini), "--out", str(tmp_path / "run")])
+            assert time.monotonic() - started < 30
+            assert ran == [1] and len(worker_pids) == 1
+            assert not child_pids() and open_fds() == fds
+            assert interrupt.traceback
+        finally:
+            for pid in child_pids():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+    def test_mid_run_checkpoints_equal_the_inline_ones(self, tmp_path, monkeypatch, worker_pids):
+        """Checkpoints after iterations 2 and 4 of 5, and every other file,
+        have the bytes a run with the critic inline writes."""
+        ini = self.tiny_train_config(tmp_path)
+        written = {}
+        for wanted in (False, True):
+            monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: wanted)
+            out = tmp_path / f"run{wanted}"
+            main(["train", "--config", str(ini), "--out", str(out), "--override", "ppo.total_iterations=5",
+                  "--override", "output.checkpoint_every=2"])
+            written[wanted] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        assert len(worker_pids) == 5
+        assert sorted(written[True]) == [
+            "checkpoint_final.json", "checkpoint_iter00002.json", "checkpoint_iter00004.json",
+            "eval.csv", "metrics.csv",
+        ]
+        assert written[True] == written[False]
+
     def test_worker_is_not_wanted_in_a_pool_process(self):
         from concurrent.futures import ProcessPoolExecutor
 
@@ -634,7 +753,7 @@ class TestCriticWorker:
 class TestAlgorithmTraces:
     def test_stch_fixed_pins_mu_and_zeroes_braking(self):
         t = Trainer(stub_cfg(algorithm="stch_fixed", fixed_mu=0.7))
-        rep = t.run_iteration()
+        rep = iterate(t)
         assert rep.mu == 0.7
         assert rep.mu_base == 0.7
         assert rep.mu_star == 0.7
@@ -642,12 +761,12 @@ class TestAlgorithmTraces:
 
     def test_linear_and_tch_report_zero_controller_fields(self):
         for algo in ("linear", "tch"):
-            rep = Trainer(stub_cfg(algorithm=algo)).run_iteration()
+            rep = iterate(Trainer(stub_cfg(algorithm=algo)))
             assert rep.mu == 0.0 and rep.kappa == 0.0 and rep.beta == 0.0
 
     def test_pasta_mu_descends_under_low_conflict(self):
         t = Trainer(stub_cfg(seed=2, total_iterations=4))
-        mus = [t.run_iteration().mu for _ in range(4)]
+        mus = [iterate(t).mu for _ in range(4)]
         assert mus[0] == t.cfg.mu_start  # first step happens at t=0
         assert mus[-1] < mus[0]
 
@@ -741,7 +860,7 @@ class TestReductions:
         tb = Trainer(TrainConfig(algorithm="linear", **kw), env=OneObjectiveEnv(),
                      eval_env=OneObjectiveEnv())
         for _ in range(2):
-            ra, rb = ta.run_iteration(), tb.run_iteration()
+            ra, rb = iterate(ta), iterate(tb)
         assert ra.kappa == 0.0
         assert ra.clip_losses == rb.clip_losses
         np.testing.assert_array_equal(ta.actor.params, tb.actor.params)
@@ -752,7 +871,7 @@ class TestReductions:
         t1 = Trainer(stub_cfg(controller_mode="no_conflict_no_decay", mu_start=10.0))
         t2 = Trainer(stub_cfg(algorithm="stch_fixed", fixed_mu=10.0))
         for _ in range(3):
-            r1, r2 = t1.run_iteration(), t2.run_iteration()
+            r1, r2 = iterate(t1), iterate(t2)
         assert r1.clip_losses == r2.clip_losses
         assert r1.mu == r2.mu == 10.0
         np.testing.assert_array_equal(t1.actor.params, t2.actor.params)
@@ -797,6 +916,6 @@ class TestTrainLoop:
         t = Trainer(cfg)
         before = t.evaluate(0).returns[0]
         for _ in range(10):
-            t.run_iteration()
+            iterate(t)
         after = t.evaluate(10).returns[0]
         assert after > before + 2.0
