@@ -77,7 +77,10 @@ def _parse_floats(s: str) -> tuple:
 
 def knob(section: str, key: str, conv, default, valid=None, doc: str = "", read_by=None):
     """Declare a TrainConfig field as the config knob ``section.key``, read by
-    the algorithms whose ALGORITHMS row satisfies ``read_by`` (None: all)."""
+    the configurations that meet every condition of ``read_by`` (None: all).
+    A condition maps choice knobs, by field name, to some of their choices,
+    and a configuration meets it where any of those knobs holds one of them;
+    the first condition names the algorithms that read the knob."""
     return field(
         default=default,
         metadata=dict(section=section, key=key, conv=conv, valid=valid, doc=doc, read_by=read_by),
@@ -109,9 +112,30 @@ def _typed(value, declared: str) -> bool:
 BOOL = (False, True)
 POSITIVE = "(0, inf)"
 AT_LEAST_1 = "[1, inf)"
-# read_by predicates on an ALGORITHMS row
-CONTROLLED = lambda a: a.mu == "controller"
-STCH = lambda a: a.rule == "stch"
+
+
+def _rows(test) -> dict:
+    """The read_by condition that the algorithm's ALGORITHMS row passes test."""
+    return {"algorithm": tuple(name for name, row in ALGORITHMS.items() if test(row))}
+
+
+# read_by conditions
+CONTROLLED = _rows(lambda a: a.mu == "controller")
+STCH = _rows(lambda a: a.rule == "stch")
+BRAKES = {"controller_mode": ("full", "no_decay")}
+DECAYS = {"controller_mode": ("full", "no_conflict")}
+# eta, the maintenance mix of the attention delta, reaches training through an
+# eta-weighted value loss or weighted_pcgrad's actor coefficients.
+ETA = {"critic": ("branched_weighted", "shared_weighted"), "weighted_pcgrad": (True,)}
+
+# Choices that were removed, by field and value, with what to use instead; a
+# hint may name the configuration's fields as {field}.
+RETIRED_CHOICES = {
+    ("controller_mode", "no_conflict_no_decay"): (
+        "it held mu at controller.mu_start, which is "
+        "algorithm.name = stch_fixed with algorithm.fixed_mu = {mu_start!r}"
+    ),
+}
 
 
 @dataclass
@@ -127,15 +151,16 @@ class TrainConfig:
         doc="non-negative weights summing to 1, one per objective",
     )
     fixed_mu: float = knob(
-        "algorithm", "fixed_mu", float, 1.0, POSITIVE, "constant smoothing", lambda a: a.mu == "fixed_mu"
+        "algorithm", "fixed_mu", float, 1.0, POSITIVE, "constant smoothing",
+        (_rows(lambda a: a.mu == "fixed_mu"),),
     )
     no_pcgrad: bool = knob(
         "algorithm", "no_pcgrad", _parse_bool, False, BOOL, "ablation: skip the gradient projection",
-        lambda a: a.projects,
+        (_rows(lambda a: a.projects),),
     )
     weighted_pcgrad: bool = knob(
         "algorithm", "weighted_pcgrad", _parse_bool, False, BOOL,
-        "ablation: eta-weighted sum of the projected gradients", STCH,
+        "ablation: eta-weighted sum of the projected gradients", (STCH,),
     )
     critic: str = knob(
         "algorithm", "critic", str, "branched_weighted",
@@ -144,25 +169,31 @@ class TrainConfig:
     )
     controller_mode: str = knob(
         "controller", "mode", str, "full",
-        ("full", "no_conflict", "no_decay", "no_conflict_no_decay"),
-        "ablations: drop the conflict braking, the decay, or both", CONTROLLED,
+        ("full", "no_conflict", "no_decay"),
+        "ablations: drop the conflict braking or the decay; `stch_fixed` drops both", (CONTROLLED,),
     )
     mu_start: float = knob(
         "controller", "mu_start", float, 10.0, POSITIVE,
-        "initial smoothing; `mu_min <= mu_start <= mu_max`", CONTROLLED,
+        "initial smoothing; `mu_min <= mu_start <= mu_max` where the mode reads them", (CONTROLLED,),
     )
-    mu_min: float = knob("controller", "mu_min", float, 0.05, POSITIVE, "end of the anneal", CONTROLLED)
-    mu_max: float = knob("controller", "mu_max", float, 10.0, POSITIVE, "braking ceiling", CONTROLLED)
+    mu_min: float = knob(
+        "controller", "mu_min", float, 0.05, POSITIVE, "end of the anneal", (CONTROLLED, DECAYS)
+    )
+    mu_max: float = knob(
+        "controller", "mu_max", float, 10.0, POSITIVE, "braking ceiling", (CONTROLLED, BRAKES)
+    )
     tau: float = knob(
-        "controller", "tau", float, 0.4, "[0, 1)", "conflict threshold for braking", CONTROLLED
+        "controller", "tau", float, 0.4, "[0, 1)", "conflict threshold for braking", (CONTROLLED, BRAKES)
     )
     lambda_ema: float = knob(
-        "controller", "lambda_ema", float, 0.05, "(0, 1]", "smoothing-parameter EMA rate", CONTROLLED
+        "controller", "lambda_ema", float, 0.05, "(0, 1]", "smoothing-parameter EMA rate", (CONTROLLED,)
     )
-    rho: float = knob("controller", "rho", float, 0.15, "(0, 1)", "uniform maintenance mass in eta", STCH)
+    rho: float = knob(
+        "controller", "rho", float, 0.15, "(0, 1)", "uniform maintenance mass in eta", (STCH, ETA)
+    )
     zeta: float = knob(
         "controller", "zeta", float, 1.05, "(1, inf)", "utopia point in normalized return space",
-        lambda a: a.rule != "linear",
+        (_rows(lambda a: a.rule != "linear"), {**_rows(lambda a: a.rule == "tch"), **ETA}),
     )
     horizon: int = knob("ppo", "horizon", int, 2048, AT_LEAST_1, "rollout steps per iteration")
     epochs: int = knob("ppo", "epochs", int, 10, AT_LEAST_1, "passes over each rollout")
@@ -196,26 +227,44 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         """ConfigError naming ``section.key`` unless every knob has its declared
-        type, every knob the algorithm reads lies in its declared range, every
-        knob it does not read keeps its default, and ``mu_min <= mu_start <=
-        mu_max``."""
+        type and every choice knob one of its choices; then unless every knob
+        this configuration does not read keeps its default, every knob it
+        reads lies in its declared range, and ``mu_min <= mu_start <= mu_max``
+        holds over the bounds it reads."""
         for f in KNOBS:
-            value, valid, read_by = getattr(self, f.name), f.metadata["valid"], f.metadata["read_by"]
+            value, valid = getattr(self, f.name), f.metadata["valid"]
             if not _typed(value, f.type):
                 raise ConfigError(f"{_knob_name(f)} must be {TYPES[f.type][1]}, got {value!r}")
-            if read_by and not read_by(ALGORITHMS[self.algorithm]):  # algorithm.name is checked first
+            if isinstance(valid, tuple) and value not in valid:
+                hint = RETIRED_CHOICES.get((f.name, value))
+                if hint:
+                    raise ConfigError(f"{_knob_name(f)} = {value} was removed: {hint.format_map(vars(self))}")
+                raise ConfigError(f"{_knob_name(f)} must be one of {valid}, got {value!r}")
+        for key, value in self.env_params.items():
+            declared = ENV_PARAM_KEYS[key].__name__
+            if not _typed(value, declared):
+                raise ConfigError(f"environment.{key} must be {TYPES[declared][1]}, got {value!r}")
+        for f in KNOBS:
+            value, valid = getattr(self, f.name), f.metadata["valid"]
+            off = self.unmet(f)
+            if off is not None:
                 if value != f.default:
-                    raise ConfigError(
-                        f"{self.algorithm} does not read {_knob_name(f)}: keep its default {f.default!r}"
-                    )
-            elif valid is not None and not _within(value, valid):
-                must = "be one of" if isinstance(valid, tuple) else "lie in"
-                raise ConfigError(f"{_knob_name(f)} must {must} {valid}, got {value!r}")
+                    settings = [f"{_knob_id(KNOB_FIELDS[name])} = {_ini(getattr(self, name))}"
+                                for name in off if name != "algorithm"]
+                    who = f"{self.algorithm} with {' and '.join(settings)}" if settings else self.algorithm
+                    raise ConfigError(f"{who} does not read {_knob_name(f)}: keep its default {f.default!r}")
+            elif isinstance(valid, str) and not _within(value, valid):
+                raise ConfigError(f"{_knob_name(f)} must lie in {valid}, got {value!r}")
         # After the ranges, so that an out-of-range value gets its own message.
-        if not self.mu_min <= self.mu_start <= self.mu_max:
+        if self.unmet(KNOB_FIELDS["mu_min"]) is None and not self.mu_min <= self.mu_start:
             raise ConfigError(
-                f"controller.mu_start must lie in [controller.mu_min, controller.mu_max] = "
-                f"[{self.mu_min!r}, {self.mu_max!r}], got {self.mu_start!r}"
+                f"controller.mu_start must be at least controller.mu_min = {self.mu_min!r}, "
+                f"got {self.mu_start!r}"
+            )
+        if self.unmet(KNOB_FIELDS["mu_max"]) is None and not self.mu_start <= self.mu_max:
+            raise ConfigError(
+                f"controller.mu_start must be at most controller.mu_max = {self.mu_max!r}, "
+                f"got {self.mu_start!r}"
             )
         # The Trainer checks its length against the environment it is given.
         try:
@@ -224,8 +273,18 @@ class TrainConfig:
             raise ConfigError(f"algorithm.preference: {e}") from None
         return self
 
+    def unmet(self, f) -> dict | None:
+        """The first condition of knob f's read_by that this configuration
+        does not meet, or None where it reads f."""
+        return next(
+            (cond for cond in f.metadata["read_by"] or ()
+             if not any(getattr(self, name) in values for name, values in cond.items())),
+            None,
+        )
+
 
 KNOBS = tuple(f for f in fields(TrainConfig) if "key" in f.metadata)
+KNOB_FIELDS = {f.name: f for f in KNOBS}
 
 # The environment constructors' keyword parameters, forwarded when set; each
 # converts to the type of its default.
@@ -245,10 +304,19 @@ for _f in KNOBS:
 CONFIG_SCHEMA["environment"].update((key, (conv, None)) for key, conv in ENV_PARAM_KEYS.items())
 
 
+def _knob_id(f) -> str:
+    """``section.key`` of a declared field."""
+    return f"{f.metadata['section']}.{f.metadata['key']}"
+
+
 def _knob_name(f) -> str:
     """``section.key`` of a declared field, plus the field name where it differs."""
-    name = f"{f.metadata['section']}.{f.metadata['key']}"
-    return name if f.name == f.metadata["key"] else f"{name} ({f.name})"
+    return _knob_id(f) if f.name == f.metadata["key"] else f"{_knob_id(f)} ({f.name})"
+
+
+def _ini(choice) -> str:
+    """A choice as a config file writes it."""
+    return str(choice).lower() if isinstance(choice, bool) else str(choice)
 
 
 def default_config() -> dict:

@@ -5,9 +5,11 @@ total_iterations, but brakes (pushes mu back up toward mu_max) whenever
 the observed gradient-conflict ratio kappa exceeds the threshold tau.  The
 braking target is tracked through an exponential moving average, so a short
 conflict spike produces a transient bump that relaxes back to the base
-schedule, while sustained conflict holds mu high.  The knobs are read from
-TrainConfig (the ``[controller]`` fields, and ``ppo.total_iterations`` as the
-anneal horizon), whose validate() checks them.
+schedule, while sustained conflict holds mu high.  The ``no_conflict`` mode
+drops the braking, ``no_decay`` the anneal; ``stch_fixed``, a constant mu,
+drops both.  The knobs are read from TrainConfig (the ``[controller]``
+fields, and ``ppo.total_iterations`` as the anneal horizon), whose validate()
+checks them and refuses those the mode does not read.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ class ControllerTrace:
 
 def base_decay(cfg: TrainConfig, t: int) -> float:
     """Linear anneal mu_start -> mu_min over cfg.total_iterations, then flat."""
-    if cfg.controller_mode not in ("full", "no_conflict"):
+    if cfg.controller_mode == "no_decay":
         return cfg.mu_start
     frac = min(1.0, t / cfg.total_iterations)
     return cfg.mu_start - (cfg.mu_start - cfg.mu_min) * frac
@@ -42,7 +44,7 @@ def braking_boost(cfg: TrainConfig, kappa: float) -> float:
     """beta = (kappa - tau) / (1 - tau) when kappa exceeds tau, else 0."""
     if not 0.0 <= kappa <= 1.0:
         raise ContractViolationError(f"kappa must lie in [0, 1], got {kappa}")
-    if cfg.controller_mode not in ("full", "no_decay") or kappa <= cfg.tau:
+    if cfg.controller_mode == "no_conflict" or kappa <= cfg.tau:
         return 0.0
     return (kappa - cfg.tau) / (1.0 - cfg.tau)
 

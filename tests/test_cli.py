@@ -308,6 +308,34 @@ class TestEvaluate:
         assert str(ckpt) in capsys.readouterr().err
 
 
+def first_difference(a: dict, b: dict) -> str:
+    """The first file, by name, whose bytes differ between two {name: bytes}
+    maps, and its first differing line."""
+    for name in sorted(a.keys() | b.keys()):
+        if a.get(name) == b.get(name):
+            continue
+        if name not in a or name not in b:
+            return f"{name} is written by one side only"
+        first, second = a[name].splitlines(), b[name].splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(first, second)) if x != y), min(len(first), len(second)))
+        x, y = (lines[i] if i < len(lines) else b"(end of file)" for lines in (first, second))
+        return f"{name} first differs at line {i + 1}: {x!r} against {y!r}"
+    return "no file differs"
+
+
+def describe_processes(pids) -> str:
+    """Each process's state letter and command line, from /proc."""
+    lines = []
+    for pid in sorted(pids):
+        try:
+            state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            cmdline = Path(f"/proc/{pid}/cmdline").read_bytes().replace(b"\0", b" ").decode(errors="replace")
+        except OSError as e:
+            state, cmdline = "?", f"unreadable: {e}"
+        lines.append(f"child {pid}: state {state}, command line {cmdline.strip()!r}")
+    return "; ".join(lines)
+
+
 class TestSweep:
     def test_seed_axis_expands_runs(self, tiny_ini, tmp_path):
         out = tmp_path / "sw"
@@ -334,8 +362,9 @@ class TestSweep:
                 if p.is_file() and p.name not in ("manifest.json", "sweep_manifest.json")
             })
         assert len(outputs[0]) == 2 * 3  # metrics.csv, eval.csv, final checkpoint per run
-        assert outputs[0] == outputs[1]
-        assert not child_pids()
+        assert outputs[0] == outputs[1], first_difference(*outputs)
+        left = child_pids()
+        assert not left, describe_processes(left)
 
     def test_cartesian_product_of_axes(self, tiny_ini, tmp_path):
         out = tmp_path / "sw"
@@ -609,6 +638,82 @@ class TestCompare:
         assert rc == 2
 
 
+# Overrides that set a knob off its default where the configuration turns it
+# off, or that set the removed mode, and what the refusal says.
+UNWEIGHTED = "algorithm.weighted_pcgrad = false does not read"
+TURNED_OFF = [
+    pytest.param(["controller.mode=no_conflict", "controller.tau=0.3"],
+                 "pasta with controller.mode = no_conflict does not read controller.tau", id="no_conflict-tau"),
+    pytest.param(["controller.mode=no_conflict", "controller.mu_max=20"],
+                 "pasta with controller.mode = no_conflict does not read controller.mu_max",
+                 id="no_conflict-mu_max"),
+    pytest.param(["controller.mode=no_decay", "controller.mu_min=0.1"],
+                 "pasta with controller.mode = no_decay does not read controller.mu_min", id="no_decay-mu_min"),
+    pytest.param(["algorithm.critic=shared_unweighted", "controller.rho=0.3"],
+                 f"pasta with algorithm.critic = shared_unweighted and {UNWEIGHTED} controller.rho",
+                 id="unweighted-rho"),
+    pytest.param(["algorithm.name=stch_fixed", "algorithm.critic=branched_unweighted", "controller.zeta=1.5"],
+                 f"stch_fixed with algorithm.critic = branched_unweighted and {UNWEIGHTED} controller.zeta",
+                 id="unweighted-zeta"),
+    pytest.param(["controller.mode=no_conflict_no_decay", "controller.mu_start=5"],
+                 "controller.mode (controller_mode) = no_conflict_no_decay was removed: it held mu at "
+                 "controller.mu_start, which is algorithm.name = stch_fixed with algorithm.fixed_mu = 5.0",
+                 id="removed_mode"),
+]
+
+
+def as_overrides(settings) -> list:
+    return [arg for setting in settings for arg in ("--override", setting)]
+
+
+class TestTurnedOffKnobs:
+    """A knob set off its default where the configuration turns it off, and
+    the removed mode, exit 2 naming ``section.key`` from every source, and
+    leave no file behind."""
+
+    @pytest.mark.parametrize("settings, message", TURNED_OFF)
+    def test_train(self, tiny_ini, tmp_path, capsys, settings, message):
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(tiny_ini), "--out", str(out), *as_overrides(settings)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, message", TURNED_OFF)
+    def test_sweep(self, tiny_ini, tmp_path, capsys, settings, message):
+        *fixed, axis = settings
+        out = tmp_path / "sw"
+        argv = ["sweep", "--config", str(tiny_ini), "--out", str(out), "--axis", "seed=0,1", "--axis", axis]
+        assert main([*argv, *as_overrides(fixed)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, message", TURNED_OFF)
+    def test_manifest(self, tmp_path, capsys, settings, message):
+        configlib.write_manifest(tmp_path, configlib.apply_overrides(configlib.default_config(), settings))
+        out = tmp_path / "out"
+        assert main(["train", "--manifest", str(tmp_path / "manifest.json"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "manifest.json") in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, message", TURNED_OFF)
+    def test_compare(self, tiny_ini, tmp_path, capsys, settings, message):
+        run = train(tiny_ini, tmp_path / "run")
+        manifest = json.loads((run / "manifest.json").read_text())
+        configlib.apply_overrides(manifest["config"], settings)
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["compare", str(run), "--out", str(tmp_path / "cmp")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
+    @pytest.mark.parametrize(
+        "settings", [["controller.mode=no_decay", "controller.mu_start=0.01"],
+                     ["controller.mode=no_conflict", "controller.mu_start=20"]],
+    )
+    def test_the_mu_ordering_compares_only_the_bounds_the_mode_reads(self, tiny_ini, tmp_path, settings):
+        train(tiny_ini, tmp_path / "run", extra=as_overrides(settings))
+
+
 def replace_cell(path: Path, row: int, col: int, value: str) -> None:
     rows = read_csv(path)
     rows[row][col] = value
@@ -666,9 +771,15 @@ class TestUnreadableInput:
             (lambda doc: with_knob(doc, "ppo", "seed", 1.5), "ppo.seed"),
             (lambda doc: with_knob(doc, "algorithm", "preference", ["a", "b"]), "algorithm.preference"),
             (lambda doc: with_knob(doc, "algorithm", "preference", [0.5, "0.5"]), "algorithm.preference"),
+            (lambda doc: with_knob(json.loads(with_knob(doc, "environment", "name", "stealth")),
+                                   "environment", "n_targets", 2.5), "environment.n_targets"),
+            (lambda doc: with_knob(doc, "environment", "episode_cap", 40.5), "environment.episode_cap"),
+            (lambda doc: with_knob(doc, "environment", "episode_cap", True), "environment.episode_cap"),
+            (lambda doc: with_knob(doc, "environment", "scan_range", True), "environment.scan_range"),
         ],
         ids=["truncated_json", "no_config", "scalar_preference", "undeclared_key", "float_horizon",
-             "bool_horizon", "float_epochs", "float_seed", "string_preference", "mixed_preference"],
+             "bool_horizon", "float_epochs", "float_seed", "string_preference", "mixed_preference",
+             "float_n_targets", "float_episode_cap", "bool_episode_cap", "bool_scan_range"],
     )
     def test_manifest_to_train_from(self, tmp_path, capsys, mangle, detail):
         manifest = configlib.write_manifest(tmp_path, configlib.default_config())

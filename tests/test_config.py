@@ -208,6 +208,15 @@ class TestBuildTrainConfig:
         cfg[section][key] = value
         assert getattr(cfgmod.build_train_config(cfg), key) == value
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_the_removed_mode_points_to_stch_fixed(self, algorithm):
+        cfg = cfgmod.default_config()
+        cfg["algorithm"]["name"] = algorithm
+        cfg["controller"]["mode"] = "no_conflict_no_decay"
+        message = r"^controller\.mode .* removed: .* stch_fixed with algorithm\.fixed_mu = 10\.0$"
+        with pytest.raises(ConfigError, match=message):
+            cfgmod.build_train_config(cfg)
+
     def test_fixed_mu_must_keep_its_default_where_unread(self):
         cfg = cfgmod.default_config()
         cfg["algorithm"]["fixed_mu"] = -1.0
@@ -231,9 +240,8 @@ def knob_id(f):
 
 
 def reader(f) -> str:
-    """The first algorithm that reads knob f."""
-    read_by = f.metadata["read_by"]
-    return next(name for name, row in ALGORITHMS.items() if read_by is None or read_by(row))
+    """The first algorithm that reads knob f at its defaults."""
+    return next(name for name in ALGORITHMS if cfgmod.TrainConfig(algorithm=name).unmet(f) is None)
 
 
 def config_with(f, value):
@@ -313,62 +321,110 @@ class TestDeclaredRanges:
             assert getattr(cfgmod.build_train_config(config_with(f, value)), f.name) == value
 
 
-# A non-default, in-range value of every knob that some algorithm does not read.
-UNREAD_VALUES = {
+# A non-default, in-range value of every knob that has a read_by.
+PROBES = {
     "fixed_mu": 0.5, "no_pcgrad": True, "weighted_pcgrad": True, "controller_mode": "no_decay",
     "mu_start": 5.0, "mu_min": 0.1, "mu_max": 20.0, "tau": 0.2, "lambda_ema": 0.5, "rho": 0.3,
     "zeta": 1.5,
 }
-# Each (algorithm, knob) pair whose read_by is false.
-UNREAD = [
-    (name, f)
-    for name, row in ALGORITHMS.items()
-    for f in cfgmod.KNOBS
-    if f.metadata["read_by"] is not None and not f.metadata["read_by"](row)
-]
-UNREAD_IDS = [f"{name}-{knob_id(f)}" for name, f in UNREAD]
+CONDITIONAL = [f for f in cfgmod.KNOBS if f.metadata["read_by"] is not None]
+
+
+def configurations():
+    """(id, settings) of each algorithm at its defaults, then of every single
+    flip of a choice or boolean knob that it reads there; the environment and
+    the algorithm are not flipped."""
+    for name in ALGORITHMS:
+        yield name, (("algorithm", name),)
+        for f in CHOICE_KNOBS:
+            if f.name in ("env_name", "algorithm") or cfgmod.TrainConfig(algorithm=name).unmet(f):
+                continue
+            for choice in f.metadata["valid"]:
+                if choice != f.default:
+                    yield f"{name}[{knob_id(f)}={choice}]", (("algorithm", name), (f.name, choice))
+
+
+def probe(settings, f):
+    """Knob f's probe value, or its default where settings already set the probe."""
+    return f.default if dict(settings).get(f.name) == PROBES[f.name] else PROBES[f.name]
+
+
+# Where a read knob moves no bit at the defaults, the settings that show it is
+# read.  Under no_decay, mu_start = mu_max (as at the defaults) makes the
+# braking target mu_start at every iteration, so the EMA holds mu there.
+WITNESSES = {("pasta[controller.mode=no_decay]", "lambda_ema"): (("mu_start", 5.0),)}
+
+# (settings, knob) for each configuration and each knob with a read_by that
+# the configuration reads, and that it does not.
+READ, UNREAD = [], []
+for _id, _settings in configurations():
+    for _f in CONDITIONAL:
+        if cfgmod.TrainConfig(**dict(_settings)).unmet(_f) is None:
+            _witness = WITNESSES.get((_id, _f.name), ())
+            READ.append(pytest.param(_settings + _witness, _f, id=f"{_id}-{knob_id(_f)}"))
+        else:
+            UNREAD.append(pytest.param(_settings, _f, id=f"{_id}-{knob_id(_f)}"))
 
 
 @functools.cache
-def tiny_run(algorithm: str, knob: str | None = None) -> tuple:
-    """The CSV rows of 3 iterations and 1 evaluation of a tiny stub run, then
-    its actor's and critic's parameters, with knob set to its UNREAD_VALUES
-    entry unchecked."""
+def tiny_run(settings: tuple) -> tuple:
+    """The CSV rows of 3 iterations and 1 evaluation of a tiny stub run under
+    settings, (field, value) pairs not validated, then its actor's and
+    critic's parameters."""
     # Near-even weights and 64 steps: tch's worst objective then turns on zeta,
     # and the projection and the braking both act within 3 iterations.
     cfg = cfgmod.TrainConfig(
-        env_params={"episode_cap": 8}, algorithm=algorithm, preference=(0.45, 0.55), horizon=64,
-        epochs=1, minibatch=16, total_iterations=3, hidden=8, eval_episodes=1,
-        **({knob: UNREAD_VALUES[knob]} if knob else {}),
+        env_params={"episode_cap": 8}, preference=(0.45, 0.55), horizon=64, epochs=1, minibatch=16,
+        total_iterations=3, hidden=8, eval_episodes=1, **dict(settings),
     )
     trainer = trainer_mod.Trainer(cfg)
     rows = [_csv_row(iterate(trainer)) for _ in range(3)] + [_csv_row(trainer.evaluate(3))]
     return rows, trainer.actor.params.tobytes(), trainer.critic.params.tobytes()
 
 
-class TestReadBy:
-    """A knob's read_by declares which algorithms read it; validate refuses a
-    non-default value of a knob that the run's algorithm does not read."""
+def settings_dict(settings) -> dict:
+    """The default sectioned config under settings, (field, value) pairs."""
+    cfg = cfgmod.default_config()
+    for name, value in settings:
+        f = cfgmod.KNOB_FIELDS[name]
+        cfg[f.metadata["section"]][f.metadata["key"]] = value
+    return cfg
 
-    def test_every_unread_knob_has_an_in_range_probe_value(self):
-        assert {f.name for _, f in UNREAD} == set(UNREAD_VALUES)
-        for _, f in UNREAD:
-            value = UNREAD_VALUES[f.name]
+
+class TestReadBy:
+    """A knob's read_by declares which configurations read it; validate
+    refuses a non-default value of a knob that the configuration does not
+    read.  A read knob moves some bit of a tiny run, an unread one none."""
+
+    def test_every_knob_with_a_read_by_has_an_in_range_probe_value(self):
+        assert {f.name for f in CONDITIONAL} == set(PROBES)
+        for f in CONDITIONAL:
+            value = PROBES[f.name]
             assert value != f.default and cfgmod._within(value, f.metadata["valid"])
 
-    @pytest.mark.parametrize("algorithm, f", UNREAD, ids=UNREAD_IDS)
-    def test_an_unread_knob_changes_no_bit(self, monkeypatch, algorithm, f):
+    def test_every_knob_with_a_read_by_is_read_somewhere_and_unread_somewhere(self):
+        for pairs in (READ, UNREAD):
+            assert {f.name for _, f in (p.values for p in pairs)} == set(PROBES)
+
+    @pytest.mark.parametrize("settings, f", UNREAD)
+    def test_an_unread_knob_changes_no_bit(self, monkeypatch, settings, f):
         monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: False)
         monkeypatch.setattr(cfgmod.TrainConfig, "validate", lambda self: self)
-        assert tiny_run(algorithm, f.name) == tiny_run(algorithm)
+        assert tiny_run(settings + ((f.name, probe(settings, f)),)) == tiny_run(settings)
 
-    @pytest.mark.parametrize("algorithm, f", UNREAD, ids=UNREAD_IDS)
-    def test_an_unread_knob_must_keep_its_default(self, algorithm, f):
-        cfg = cfgmod.default_config()
-        cfg["algorithm"]["name"] = algorithm
+    @pytest.mark.parametrize("settings, f", READ)
+    def test_a_read_knob_changes_some_bit(self, monkeypatch, settings, f):
+        monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: False)
+        assert tiny_run(settings + ((f.name, probe(settings, f)),)) != tiny_run(settings)
+
+    @pytest.mark.parametrize("settings, f", UNREAD)
+    def test_an_unread_knob_must_keep_its_default(self, settings, f):
+        cfg = settings_dict(settings)
         assert cfgmod.build_train_config(cfg)
-        cfg[f.metadata["section"]][f.metadata["key"]] = UNREAD_VALUES[f.name]
-        with pytest.raises(ConfigError, match=f"^{algorithm} does not read {re.escape(knob_id(f))}"):
+        cfg[f.metadata["section"]][f.metadata["key"]] = probe(settings, f)
+        algorithm = dict(settings)["algorithm"]
+        message = f"^{algorithm}( with .*)? does not read {re.escape(knob_id(f))}"
+        with pytest.raises(ConfigError, match=message):
             cfgmod.build_train_config(cfg)
 
 

@@ -34,10 +34,24 @@ def _range_cell(valid) -> str:
 
 
 def _read_by_cell(read_by) -> str:
-    """``all``, or the algorithms whose ALGORITHMS row read_by accepts."""
+    """``all``, or the algorithms that read_by's first condition names, then,
+    for each further condition, the settings of those algorithms that fail it."""
     if read_by is None:
         return "all"
-    return ", ".join(name for name, row in ALGORITHMS.items() if read_by(row))
+    readers = read_by[0]["algorithm"]
+    cell = ", ".join(readers)
+    for cond in read_by[1:]:
+        algorithms = [name for name in readers if name not in cond.get("algorithm", ())]
+        settings = " and ".join(
+            f"{cfgmod._knob_id(cfgmod.KNOB_FIELDS[name])} = "
+            + " or ".join(_ini(v) for v in cfgmod.KNOB_FIELDS[name].metadata["valid"] if v not in values)
+            for name, values in cond.items()
+            if name != "algorithm"
+        )
+        if len(algorithms) < len(readers):
+            settings = f"{', '.join(algorithms)} with {settings}"
+        cell += f", except {settings}"
+    return cell
 
 
 def render_config_table() -> str:

@@ -865,17 +865,6 @@ class TestReductions:
         assert ra.clip_losses == rb.clip_losses
         np.testing.assert_array_equal(ta.actor.params, tb.actor.params)
 
-    def test_frozen_controller_at_mu_start_matches_fixed_mu_baseline(self):
-        # Disabling both decay and braking pins mu at mu_start, which must
-        # reproduce the fixed-mu baseline bit for bit.
-        t1 = Trainer(stub_cfg(controller_mode="no_conflict_no_decay", mu_start=10.0))
-        t2 = Trainer(stub_cfg(algorithm="stch_fixed", fixed_mu=10.0))
-        for _ in range(3):
-            r1, r2 = iterate(t1), iterate(t2)
-        assert r1.clip_losses == r2.clip_losses
-        assert r1.mu == r2.mu == 10.0
-        np.testing.assert_array_equal(t1.actor.params, t2.actor.params)
-
 
 class TestTrainLoop:
     def test_schedule_evaluates_initially_periodically_and_at_end(self, tmp_path):
