@@ -18,12 +18,18 @@ come out of one pass as the (k, P) matrix that gradient surgery consumes,
 written layer by layer into the caller's slice of one gradient.  Adam
 updates a model's vector in place, so the optimizer and the layers never
 need copying between them.  Checkpoints store each network's spec and flat
-vector; the format is unchanged at version 1.
+vector as JSON, format version 1.  A save writes json.dumps's text of the
+whole payload piece by piece, each vector a fixed-size chunk of floats at a
+time, so its memory does not grow with the model; it writes a temporary
+file beside the checkpoint and renames it over the path once complete, so a
+checkpoint appears whole or not at all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +39,10 @@ from pastarl.errors import ContractViolationError, DivergenceError
 ACTIVATIONS = ("tanh", "sigmoid", "identity")
 
 CHECKPOINT_FORMAT_VERSION = 1
+
+# Floats per json.dumps call when a checkpoint writes a parameter vector: a
+# save holds one chunk's float objects and text at a time (~200 KB).
+CHECKPOINT_CHUNK = 4096
 
 
 def _pre_activation_grad(activation: str, out: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -302,26 +312,59 @@ def network_from_spec(spec: dict, params: np.ndarray | None = None) -> Network:
     return Network(spec["dims"], spec["activations"], params)
 
 
-def save_checkpoint(path, networks: dict, vectors: dict | None = None, metadata: dict | None = None) -> None:
-    """Write a versioned JSON checkpoint.
+def _write_floats(f, values: np.ndarray) -> None:
+    """Write values as json.dumps(values.tolist()) would, CHECKPOINT_CHUNK
+    floats at a time: json formats each chunk, so float repr and
+    NaN/Infinity are its own, and the chunks are joined with its ", "."""
+    f.write("[")
+    for start in range(0, len(values), CHECKPOINT_CHUNK):
+        if start:
+            f.write(", ")
+        f.write(json.dumps(values[start : start + CHECKPOINT_CHUNK].tolist())[1:-1])
+    f.write("]")
 
-    networks maps name -> Network; vectors maps name -> 1-D float array
-    (e.g. a log-std vector).  JSON float round-trips are exact in Python, so
-    load_checkpoint restores bit-identical parameters.
+
+def _write_payload(f, networks: dict, vectors: dict, metadata: dict) -> None:
+    """Write json.dumps's text of the checkpoint payload piece by piece: the
+    small objects go through json.dumps whole, the vectors by chunk.  (One
+    json.dump(payload, f) would also stream, but through json's pure-Python
+    encoder and with every float object built first.)"""
+    f.write(f'{{"format_version": {json.dumps(CHECKPOINT_FORMAT_VERSION)}, "metadata": {json.dumps(metadata)}')
+    f.write(', "networks": {')
+    for i, (name, net) in enumerate(networks.items()):
+        # The spec's entries, then "flat", as {**network_spec(net), "flat": ...} dumps.
+        f.write(f'{", " if i else ""}{json.dumps(name)}: {json.dumps(network_spec(net))[:-1]}, "flat": ')
+        _write_floats(f, net.params)
+        f.write("}")
+    f.write('}, "vectors": {')
+    for i, (name, v) in enumerate(vectors.items()):
+        f.write(f'{", " if i else ""}{json.dumps(name)}: ')
+        _write_floats(f, np.asarray(v, dtype=np.float64))
+    f.write("}}")
+
+
+def save_checkpoint(path, networks: dict, vectors: dict | None = None, metadata: dict | None = None) -> None:
+    """Write a versioned JSON checkpoint, whole or not at all.
+
+    networks maps name -> Network (names are strings); vectors maps name ->
+    1-D float array (e.g. a log-std vector).  JSON float round-trips are
+    exact in Python, so load_checkpoint restores bit-identical parameters.
+    The file holds exactly the text of json.dumps of the payload
+    {format_version, metadata, networks: {name: {dims, activations, flat}},
+    vectors}, written in pieces so no list of the parameters and no
+    whole-file string is built: a save's memory is bounded by one chunk.
+    The text goes to a temporary file beside path, which replaces path only
+    once it is complete; on any error it is removed and path is untouched.
     """
-    payload = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "metadata": metadata or {},
-        "networks": {
-            name: {**network_spec(net), "flat": net.params.tolist()}
-            for name, net in networks.items()
-        },
-        "vectors": {name: np.asarray(v, dtype=np.float64).tolist() for name, v in (vectors or {}).items()},
-    }
-    with open(path, "w") as f:
-        # json.dumps takes the C encoder; json.dump streams through the
-        # pure-Python one.  The bytes are the same.
-        f.write(json.dumps(payload))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            _write_payload(f, networks, vectors or {}, metadata or {})
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict, dict]:

@@ -1,13 +1,19 @@
 import json
+import os
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pastarl import nn
 from pastarl.errors import ContractViolationError, DivergenceError
 from pastarl.nn import (
     ACTIVATIONS,
+    CHECKPOINT_CHUNK,
+    CHECKPOINT_FORMAT_VERSION,
     AdamState,
     Network,
     adam_update,
@@ -424,6 +430,107 @@ class TestCheckpoint:
         rebuilt = network_from_spec(network_spec(net))
         assert rebuilt.n_params == net.n_params
         assert network_spec(rebuilt) == network_spec(net)
+
+
+def one_shot_checkpoint_text(networks, vectors=None, metadata=None) -> str:
+    """The reference: the checkpoint text as one json.dumps of the payload."""
+    return json.dumps({
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "metadata": metadata or {},
+        "networks": {
+            name: {**network_spec(net), "flat": net.params.tolist()} for name, net in networks.items()
+        },
+        "vectors": {name: np.asarray(v, dtype=np.float64).tolist() for name, v in (vectors or {}).items()},
+    })
+
+
+def _special_floats(rng):
+    net = Network.random([3, 4, 2], ["tanh", "identity"], rng)
+    net.params[[0, 5, 7]] = [np.nan, np.inf, -np.inf]
+    return {"n": net}, {"log_std": np.array([np.nan, -np.inf, 0.5, np.inf, -0.0])}, None
+
+
+class TestStreamedCheckpoint:
+    """save_checkpoint streams json.dumps's text of the payload, in bounded
+    memory, and replaces its path only with a complete file."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda rng: ({"n": Network.random([2, 1], ["identity"], rng)}, None, None),
+            lambda rng: ({"n": Network.random([2, 1], ["identity"], rng)}, {"empty": np.zeros(0)}, {}),
+            lambda rng: ({}, {}, None),
+            _special_floats,
+            lambda rng: ({}, {"one_chunk": rng.normal(size=CHECKPOINT_CHUNK)}, None),
+            lambda rng: ({}, {"chunk_plus_one": rng.normal(size=CHECKPOINT_CHUNK + 1)}, None),
+            lambda rng: (
+                {"wide": Network.random([40, 200, 3], ["tanh", "identity"], rng)},  # 8 803 parameters
+                {"several": rng.normal(size=3 * CHECKPOINT_CHUNK + 7), "σ": np.array([1e-300, 1e300])},
+                None,
+            ),
+            lambda rng: (
+                {"backbone": Network.random([3, 8], ["tanh"], rng), "head": Network.random([8, 2], ["sigmoid"], rng)},
+                {"log_std": rng.normal(size=2)},
+                {"name": "größe ✓ \"quoted\" \\ \n", "nested": {"a": [1, 2.5, None, True], "b": {"c": "é"}}, "n": 7},
+            ),
+        ],
+        ids=[
+            "no_vectors", "zero_length_vector", "nothing", "nan_and_inf", "one_chunk",
+            "chunk_plus_one", "several_chunks", "non_ascii_nested_metadata",
+        ],
+    )
+    def test_bytes_equal_the_one_shot_dump(self, case, rng, tmp_path):
+        networks, vectors, metadata = case(rng)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, networks, vectors, metadata)
+        assert path.read_bytes() == one_shot_checkpoint_text(networks, vectors, metadata).encode()
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, MemoryError, OSError])
+    def test_a_failed_save_leaves_the_path_as_it_was(self, error, rng, tmp_path, monkeypatch):
+        # Every json.dumps call of one save, in turn, raises: the path keeps
+        # its previous bytes, or stays absent, and no temporary is left.
+        nets = {"n": Network.random([3, 4, 2], ["tanh", "identity"], rng)}
+        vectors = {"log_std": rng.normal(size=CHECKPOINT_CHUNK + 3)}
+        calls = []
+
+        def dumps(obj):
+            calls.append(obj)
+            if len(calls) == fail_at:
+                raise error("injected")
+            return json.dumps(obj)
+
+        monkeypatch.setattr(nn, "json", types.SimpleNamespace(dumps=dumps))
+        fail_at = 0
+        save_checkpoint(tmp_path / "count.json", nets, vectors, {"k": 1})
+        n_calls = len(calls)
+        (tmp_path / "count.json").unlink()
+        previous = one_shot_checkpoint_text({"n": Network([3, 2], ["identity"])}).encode()
+        for existing in (False, True):
+            path = tmp_path / "ckpt.json"
+            if existing:
+                path.write_bytes(previous)
+            for fail_at in range(1, n_calls + 1):
+                calls.clear()
+                with pytest.raises(error, match="injected"):
+                    save_checkpoint(path, nets, vectors, {"k": 1})
+                assert os.listdir(tmp_path) == (["ckpt.json"] if existing else [])
+                if existing:
+                    assert path.read_bytes() == previous
+        fail_at = 0
+        save_checkpoint(path, nets, vectors, {"k": 1})
+        assert path.read_bytes() == one_shot_checkpoint_text(nets, vectors, {"k": 1}).encode()
+        assert os.listdir(tmp_path) == ["ckpt.json"]
+
+    @pytest.mark.parametrize("dims", [[64, 128, 48, 8], [300, 400, 90, 8]])  # 14 904 and 157 218 parameters
+    def test_traced_peak_of_a_save_stays_under_1_mb(self, dims, rng, tmp_path):
+        net = Network.random(dims, ["tanh", "tanh", "identity"], rng)
+        tracemalloc.start()
+        try:
+            save_checkpoint(tmp_path / "ckpt.json", {"n": net}, {"log_std": np.zeros(8)}, {"k": 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"{peak} bytes traced"
 
 
 @given(st.lists(st.floats(-8, 8), min_size=13, max_size=13))
