@@ -27,7 +27,7 @@ from pastarl.errors import ConfigError, DivergenceError
 from pastarl.nn import load_checkpoint, save_checkpoint
 from pastarl.policy import GaussianActor
 from pastarl.scalarize import SCALARIZERS, preference_vector
-from pastarl.trainer import EvalRecord, IterationReport, Trainer, column, deterministic_returns
+from pastarl.trainer import Checkpoint, EvalRecord, IterationReport, Trainer, column, deterministic_returns
 
 
 def _fmt(x) -> str:
@@ -129,36 +129,29 @@ def load_actor(path) -> tuple:
 def run_training(cfg: dict, out_dir) -> Path:
     """Train one run and write manifest, metrics.csv, eval.csv, checkpoints.
 
-    Each metrics.csv row is written when its iteration's report completes,
-    which may be during the next iteration (``Trainer.run_iteration``); the
-    trainer settles before every checkpoint, and its critic child, if one is
-    pending when an error or Ctrl-C ends the run, is killed."""
+    The files are the sink of ``Trainer.run``, each record written as it
+    completes: a metrics.csv row per report, which may complete during the
+    next iteration; an eval.csv row per evaluation; and, per ``Checkpoint``,
+    checkpoint_iterNNNNN.json, or checkpoint_final.json after the last
+    iteration."""
     tc = configlib.build_train_config(cfg)
     # Bad input fails in Trainer(), before any file is written.
     trainer = Trainer(tc)
     out_dir = _out_dir(out_dir)
     configlib.write_manifest(out_dir, cfg)
-    try:
-        with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
-            mw, ew = _writer(mf), _writer(ef)
-            mw.writerow(_csv_header(IterationReport, trainer.m))
-            ew.writerow(_csv_header(EvalRecord, trainer.m))
-            ew.writerow(_csv_row(trainer.evaluate(0)))
-            for k in range(tc.total_iterations):
-                mw.writerows(map(_csv_row, trainer.run_iteration()))
-                if (k + 1) % tc.eval_every == 0 or k == tc.total_iterations - 1:
-                    ew.writerow(_csv_row(trainer.evaluate(k + 1)))
-                if (
-                    tc.checkpoint_every
-                    and (k + 1) % tc.checkpoint_every == 0
-                    and k != tc.total_iterations - 1
-                ):
-                    mw.writerows(map(_csv_row, trainer.settle()))
-                    save_trainer_checkpoint(trainer, out_dir / f"checkpoint_iter{k + 1:05d}.json")
-            mw.writerows(map(_csv_row, trainer.settle()))
-            save_trainer_checkpoint(trainer, out_dir / "checkpoint_final.json")
-    finally:
-        trainer.close()
+    with open(out_dir / "metrics.csv", "w") as mf, open(out_dir / "eval.csv", "w") as ef:
+        writers = {IterationReport: _writer(mf), EvalRecord: _writer(ef)}
+        for record_type, w in writers.items():
+            w.writerow(_csv_header(record_type, trainer.m))
+
+        def write(record) -> None:
+            if isinstance(record, Checkpoint):
+                name = "final" if record.final else f"iter{record.iteration:05d}"
+                save_trainer_checkpoint(trainer, out_dir / f"checkpoint_{name}.json")
+            else:
+                writers[type(record)].writerow(_csv_row(record))
+
+        trainer.run(write)
     return out_dir
 
 
@@ -243,18 +236,6 @@ def _read_eval_csv(path: Path, m: int) -> np.ndarray:
     return np.array(returns)
 
 
-def _format_value(value) -> str:
-    """A knob value as run-directory tags and method labels write it: strings
-    as they are, booleans as in an INI file, floats exactly."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, tuple):
-        return "-".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value).removesuffix(".0")
-    return str(value)
-
-
 # Knobs that never tag a label: compare's grid runs over preferences and
 # seeds, and every run has its own directory.
 _UNTAGGED = {("algorithm", "preference"), ("ppo", "seed"), ("output", "dir")}
@@ -281,7 +262,7 @@ def method_labels(configs: list) -> list:
     labels = []
     for name, values in runs:
         tags = [
-            f"{key}={_format_value(value)}"
+            f"{key}={configlib.format_value(value)}"
             for (section, key), value in values.items()
             if len(seen[name][section, key]) > 1 and value != defaults[section, key]
         ]
@@ -464,7 +445,7 @@ def cmd_sweep(args) -> int:
         tags = []
         for (_, section, key, _), value in zip(axes, combo):
             cfg[section][key] = value
-            tags.append(f"{key}_{_format_value(value)}")
+            tags.append(f"{key}_{configlib.format_value(value)}")
         run_dir = out_root / "_".join(tags)
         if any(run_dir == job[1] for job in jobs):
             raise ConfigError(f"an axis repeats a value: two runs would share {run_dir}")

@@ -249,7 +249,7 @@ class TrainConfig:
             off = self.unmet(f)
             if off is not None:
                 if value != f.default:
-                    settings = [f"{_knob_id(KNOB_FIELDS[name])} = {_ini(getattr(self, name))}"
+                    settings = [f"{_knob_id(KNOB_FIELDS[name])} = {format_value(getattr(self, name))}"
                                 for name in off if name != "algorithm"]
                     who = f"{self.algorithm} with {' and '.join(settings)}" if settings else self.algorithm
                     raise ConfigError(f"{who} does not read {_knob_name(f)}: keep its default {f.default!r}")
@@ -314,9 +314,17 @@ def _knob_name(f) -> str:
     return _knob_id(f) if f.name == f.metadata["key"] else f"{_knob_id(f)} ({f.name})"
 
 
-def _ini(choice) -> str:
-    """A choice as a config file writes it."""
-    return str(choice).lower() if isinstance(choice, bool) else str(choice)
+def format_value(value) -> str:
+    """A knob value as messages, run-directory tags and method labels write
+    it: strings as they are, booleans as in an INI file, floats exactly, and
+    a tuple's entries joined by ``-``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return "-".join(format_value(v) for v in value)
+    if isinstance(value, float):
+        return repr(value).removesuffix(".0")
+    return str(value)
 
 
 def default_config() -> dict:

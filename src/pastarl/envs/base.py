@@ -2,8 +2,9 @@
 
 Every environment takes actions in [0, 1]^action_dim, returns an m-vector
 reward, and computes that reward through a pure module-level function of a
-flat float snapshot.  step() puts the snapshot in info["reward_snapshot"],
-so a recorded trajectory can be replayed through the same pure function and
+flat float snapshot, which its class names as ``reward_fn``.  step() puts
+the snapshot in info["reward_snapshot"], so a recorded trajectory can be
+replayed through the same pure function (``pastarl.envs.replay_rewards``) and
 must reproduce the reward vectors bit for bit.
 
 The float helpers here (_clip, _dot, _norms) let the environments step on
@@ -14,17 +15,11 @@ the per-call np.clip and np.linalg.norm it stands for.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 
 import numpy as np
 
 from pastarl.errors import ConfigError
-
-# name -> pure snapshot -> reward function; populated by the env modules.
-REWARD_FUNCTIONS: dict = {}
-
-
-def register_reward_fn(name: str, fn) -> None:
-    REWARD_FUNCTIONS[name] = fn
 
 
 def checked_episode_cap(episode_cap: int) -> int:
@@ -65,6 +60,7 @@ class MomdpEnv:
     goal reached, targets scanned) is read from its entries."""
 
     name: str = "base"
+    reward_fn: Callable[[dict], np.ndarray]  # the pure function of the snapshot, a staticmethod
     observation_dim: int
     action_dim: int
     m: int
@@ -96,14 +92,3 @@ class TrajectoryRecorder:
     def load(path) -> list[dict]:
         with open(path) as f:
             return [json.loads(line) for line in f if line.strip()]
-
-
-def replay_rewards(records: list[dict]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Recompute each record's reward from its snapshot; returns (logged, replayed)."""
-    out = []
-    for rec in records:
-        fn = REWARD_FUNCTIONS.get(rec["env"])
-        if fn is None:
-            raise ConfigError(f"no reward function registered for env {rec['env']!r}")
-        out.append((np.array(rec["reward"], dtype=np.float64), fn(rec["snapshot"])))
-    return out

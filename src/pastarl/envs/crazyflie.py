@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pastarl.envs.base import MomdpEnv, _clip, _norms, checked_episode_cap, register_reward_fn
+from pastarl.envs.base import MomdpEnv, _clip, _norms, checked_episode_cap
 
 STEP_CAP_DISPLACEMENT = 0.05
 REVERSAL_PROB = 0.05
@@ -56,9 +56,6 @@ def frogger_rewards(snap: dict) -> np.ndarray:
     return np.array([r_goal, r_bounds, r_avoid])
 
 
-register_reward_fn("frogger", frogger_rewards)
-
-
 def _displacement(action, size: int) -> list[float]:
     """Each of the ``size`` action entries clipped into [0, 1] and mapped onto
     [-STEP_CAP_DISPLACEMENT, STEP_CAP_DISPLACEMENT], as Python floats."""
@@ -78,6 +75,7 @@ def _displacement(action, size: int) -> list[float]:
 
 class FroggerEnv(MomdpEnv):
     name = "frogger"
+    reward_fn = staticmethod(frogger_rewards)
     observation_dim = 10
     action_dim = 2
     m = 3
@@ -166,9 +164,6 @@ def formation_rewards(snap: dict) -> np.ndarray:
     return np.array([r_goal, r_bounds, r_avoid, r_form])
 
 
-register_reward_fn("formation", formation_rewards)
-
-
 def _centroid(xy: list[float]) -> tuple[float, float]:
     """positions.mean(axis=0) of the flat [x0, y0, x1, y1, x2, y2]: numpy adds
     the rows in order onto 0.0, then divides."""
@@ -183,6 +178,7 @@ def _pair_rows(xy: list[float]) -> list[float]:
 
 class FormationEnv(MomdpEnv):
     name = "formation"
+    reward_fn = staticmethod(formation_rewards)
     observation_dim = 14
     action_dim = 6
     m = 4

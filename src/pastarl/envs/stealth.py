@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from pastarl.envs.base import MomdpEnv, _clip, _dot, _norms, checked_episode_cap, register_reward_fn
+from pastarl.envs.base import MomdpEnv, _clip, _dot, _norms, checked_episode_cap
 from pastarl.errors import ConfigError
 
 
@@ -25,11 +25,9 @@ def stealth_rewards(snap: dict) -> np.ndarray:
     return np.array([r_score, r_stealth, r_expl], dtype=np.float64)
 
 
-register_reward_fn("stealth", stealth_rewards)
-
-
 class StealthWorld(MomdpEnv):
     name = "stealth"
+    reward_fn = staticmethod(stealth_rewards)
     observation_dim = 30
     action_dim = 2
     m = 3

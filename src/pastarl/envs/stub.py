@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from pastarl.envs.base import MomdpEnv, checked_episode_cap, register_reward_fn
+from pastarl.envs.base import MomdpEnv, checked_episode_cap
 
 
 def stub_rewards(snap: dict) -> np.ndarray:
     return np.array([snap["a0"], 1.0 - snap["a0"]])
 
 
-register_reward_fn("stub", stub_rewards)
-
-
 class StubEnv(MomdpEnv):
     name = "stub"
+    reward_fn = staticmethod(stub_rewards)
     observation_dim = 3
     action_dim = 2
     m = 2

@@ -1,4 +1,10 @@
-"""One training iteration of the adaptive smooth-Tchebycheff PPO and three baselines.
+"""Training runs of the adaptive smooth-Tchebycheff PPO and three baselines.
+
+``Trainer.run(sink)`` is the one training loop: it evaluates before the first
+iteration, then runs ``cfg.total_iterations`` iterations and passes the sink
+every record as it completes, in order: each iteration's reports, its
+``EvalRecord`` every ``eval_every``-th and at the last, and a ``Checkpoint``
+after every ``checkpoint_every``-th and the last (``checkpoints_after``).
 
 One iteration runs, in order: collect a fixed horizon of steps; per-objective
 GAE and advantage normalization; fold the iteration's completed-episode
@@ -20,11 +26,11 @@ Nothing else reads the critic until the next rollout's values pass, so the
 child of iteration k is left running under the actor's epochs, any
 evaluation and iteration k + 1's step loop, and joined just before that
 values pass; iteration k's report, whose value loss the child sends, is
-complete only then.  A checkpoint, the last iteration or ``settle()`` joins
-it sooner.  Either way every value is the one the interleaved loop (critic,
-then actor, per minibatch) gives, and no child outlives the trainer that
-forked it: ``close()``, or the trainer's collection, kills one still
-running.
+complete only then.  An iteration the run checkpoints after, the last among
+them, or ``settle()`` joins it sooner.  Either way every value is the one the
+interleaved loop (critic, then actor, per minibatch) gives, and no child
+outlives the trainer that forked it: ``close()``, which ``run`` ends with
+whatever ends the run, or the trainer's collection, kills one still running.
 
 Every algorithm is one row of ``scalarize.ALGORITHMS``; this module reads
 its mu source, coefficient rule, clip and projection from there.
@@ -98,6 +104,14 @@ class IterationReport:
     value_loss: float
     entropy: float
     n_episodes: int
+
+
+@dataclass
+class Checkpoint:
+    """The run checkpoints here: after this iteration, with its critic settled."""
+
+    iteration: int
+    final: bool  # the run's last iteration
 
 
 class CriticOutcome(NamedTuple):
@@ -255,6 +269,36 @@ class Trainer:
             episodic_returns=completed,
         )
 
+    # -- the run ----------------------------------------------------------------
+
+    def run(self, sink) -> None:
+        """Train up to ``cfg.total_iterations``, calling sink on each record as
+        it completes: the evaluation before the first iteration, then per
+        iteration the reports completed during it, its ``EvalRecord`` where
+        the iteration is an ``eval_every``-th or the last, and a
+        ``Checkpoint`` where ``checkpoints_after`` it.  The run ends in
+        ``close()``, so no critic child outlives the call, whatever the sink
+        or an iteration raises."""
+        cfg = self.cfg
+        try:
+            sink(self.evaluate(self.iteration))
+            while self.iteration < cfg.total_iterations:
+                for report in self.run_iteration():
+                    sink(report)
+                k, last = self.iteration, self.iteration == cfg.total_iterations
+                if k % cfg.eval_every == 0 or last:
+                    sink(self.evaluate(k))
+                if self.checkpoints_after(k):
+                    sink(Checkpoint(k, last))
+        finally:
+            self.close()
+
+    def checkpoints_after(self, k: int) -> bool:
+        """Whether the run checkpoints after iteration k, and so joins its
+        critic child there: every ``checkpoint_every``-th and the last."""
+        every = self.cfg.checkpoint_every
+        return k == self.cfg.total_iterations or (every > 0 and k % every == 0)
+
     # -- one iteration of Alg.-style training --------------------------------
 
     def run_iteration(self) -> list[IterationReport]:
@@ -263,9 +307,9 @@ class Trainer:
         Where a forked child runs the critic's epochs, this iteration's report
         waits for the child's value losses: the child is left pending, and
         the next iteration's rollout joins it, so that call returns this
-        report before its own.  The child is joined here instead when this
-        iteration is the last or one the run checkpoints after, so that the
-        wait for it is always part of an iteration, never of what follows.
+        report before its own.  The child is joined here instead when the run
+        checkpoints after this iteration, so that the wait for it is always
+        part of an iteration, never of what follows.
         """
         cfg = self.cfg
         batch = self.collect_rollout()
@@ -315,9 +359,7 @@ class Trainer:
             self._pending.report = report
         else:
             self._completed.append(report)
-        if self.iteration == cfg.total_iterations or (
-            cfg.checkpoint_every and self.iteration % cfg.checkpoint_every == 0
-        ):
+        if self.checkpoints_after(self.iteration):
             return self.settle()
         done, self._completed = self._completed, []
         return done
@@ -326,7 +368,8 @@ class Trainer:
         """Join the pending critic child, if any, and return the reports
         completed since ``run_iteration`` or this last returned, the pending
         iteration's last; or raise the child's failure, naming its iteration.
-        Call it before reading the critic, as a checkpoint does."""
+        Call it before reading the critic, as ``run_iteration`` does where
+        the run checkpoints."""
         if self._pending is not None:
             self._join()
         done, self._completed = self._completed, []

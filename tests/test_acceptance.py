@@ -15,8 +15,7 @@ from pastarl import metrics, toybench
 from pastarl.cli import main as cli_main
 from pastarl.config import DEFAULT_PREFERENCES_M3
 from pastarl.controller import SmoothnessController, base_decay
-from pastarl.envs import make_env
-from pastarl.envs.base import REWARD_FUNCTIONS, TrajectoryRecorder, replay_rewards
+from pastarl.envs import ENV_CLASSES, TrajectoryRecorder, make_env, replay_rewards
 from pastarl.nn import Network
 from pastarl.scalarize import stch_attention, tch_worst_index, utopia_point
 from pastarl.surgery import project_conflicts
@@ -510,7 +509,7 @@ def test_11_environment_reward_fidelity(tmp_path):
             replay_exact = replay_exact and bool(np.array_equal(logged, replayed))
 
         for snap in _hand_snapshots(name, np.random.default_rng(7)):
-            got = REWARD_FUNCTIONS[name](snap)
+            got = ENV_CLASSES[name].reward_fn(snap)
             want = _reward_oracle(name, snap)
             worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - t0

@@ -135,6 +135,10 @@ class TestTrain:
         out = train(tiny_ini, tmp_path / "run", extra=["--override", "output.checkpoint_every=2"])
         assert (out / "checkpoint_iter00002.json").exists()
 
+    def test_a_checkpoint_after_the_last_iteration_is_only_the_final_one(self, tiny_ini, tmp_path):
+        out = train(tiny_ini, tmp_path / "run", extra=["--override", "output.checkpoint_every=3"])
+        assert [p.name for p in out.glob("checkpoint_*.json")] == ["checkpoint_final.json"]
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "x")]) == 2
         assert "config" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from pastarl.cli import _csv_row
 from pastarl.envs import ENV_CLASSES
 from pastarl.errors import ConfigError
 from pastarl.scalarize import ALGORITHMS
-from tests.test_trainer import iterate
 
 
 INI = """
@@ -368,17 +367,18 @@ for _id, _settings in configurations():
 
 @functools.cache
 def tiny_run(settings: tuple) -> tuple:
-    """The CSV rows of 3 iterations and 1 evaluation of a tiny stub run under
-    settings, (field, value) pairs not validated, then its actor's and
-    critic's parameters."""
+    """The CSV rows of a 3-iteration tiny stub run under settings, (field,
+    value) pairs not validated: its evaluations before and after and its 3
+    reports; then its actor's and critic's parameters."""
     # Near-even weights and 64 steps: tch's worst objective then turns on zeta,
     # and the projection and the braking both act within 3 iterations.
     cfg = cfgmod.TrainConfig(
         env_params={"episode_cap": 8}, preference=(0.45, 0.55), horizon=64, epochs=1, minibatch=16,
         total_iterations=3, hidden=8, eval_episodes=1, **dict(settings),
     )
-    trainer = trainer_mod.Trainer(cfg)
-    rows = [_csv_row(iterate(trainer)) for _ in range(3)] + [_csv_row(trainer.evaluate(3))]
+    trainer, records = trainer_mod.Trainer(cfg), []
+    trainer.run(records.append)
+    rows = [_csv_row(r) for r in records if not isinstance(r, trainer_mod.Checkpoint)]
     return rows, trainer.actor.params.tobytes(), trainer.critic.params.tobytes()
 
 

@@ -1427,9 +1427,11 @@ class TestStub:
 
 
 class TestReplay:
-    @pytest.mark.parametrize("name", ["stub", "frogger", "formation", "stealth"])
+    @pytest.mark.parametrize("name", sorted(ENV_CLASSES))
     def test_replay_reproduces_rewards_bit_for_bit(self, name, tmp_path):
+        """Every environment class names the reward function its step uses."""
         env = make_env(name)
+        assert env.name == name
         rec = TrajectoryRecorder()
         rng = np.random.default_rng(5)
         act_rng = np.random.default_rng(6)

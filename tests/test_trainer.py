@@ -9,14 +9,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pastarl import config as configlib
 from pastarl import trainer as trainer_mod
-from pastarl.cli import main, run_training
+from pastarl.cli import main
 from pastarl.envs import make_env
 from pastarl.envs.base import MomdpEnv
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.gae import RolloutBatch
-from pastarl.trainer import IterationReport, TrainConfig, Trainer, deterministic_returns, weighted_value_loss
+from pastarl.trainer import (
+    Checkpoint,
+    EvalRecord,
+    IterationReport,
+    TrainConfig,
+    Trainer,
+    deterministic_returns,
+    weighted_value_loss,
+)
 from tests.oracles import act, act_deterministic, clipped_objective_loss
 
 
@@ -712,8 +719,8 @@ class TestCriticWorker:
         fds = open_fds()
         started = time.monotonic()
         try:
-            # The traceback, kept here, keeps the trainer alive: the CLI itself
-            # must kill the child, not the trainer's collection.
+            # The traceback, kept here, keeps the trainer alive: Trainer.run
+            # itself must kill the child, not the trainer's collection.
             with pytest.raises(KeyboardInterrupt) as interrupt:
                 main(["train", "--config", str(ini), "--out", str(tmp_path / "run")])
             assert time.monotonic() - started < 30
@@ -866,25 +873,86 @@ class TestReductions:
         np.testing.assert_array_equal(ta.actor.params, tb.actor.params)
 
 
+def record_codes(records) -> str:
+    """A run's records as the sink got them: E<k> an evaluation, R<k> a
+    report, C<k> a checkpoint and F<k> the final one."""
+    codes = []
+    for r in records:
+        kind = {EvalRecord: "E", IterationReport: "R"}.get(type(r)) or ("F" if r.final else "C")
+        codes.append(f"{kind}{r.iteration}")
+    return " ".join(codes)
+
+
 class TestTrainLoop:
-    def test_schedule_evaluates_initially_periodically_and_at_end(self, tmp_path):
-        cfg = configlib.default_config()
-        cfg["environment"]["episode_cap"] = 8
-        cfg["ppo"].update(
-            horizon=64, epochs=2, minibatch=32, total_iterations=5, seed=11, hidden=16
-        )
-        cfg["output"].update(eval_every=2, eval_episodes=2)
-        out = run_training(cfg, tmp_path / "run")
-        with open(out / "metrics.csv", newline="") as f:
-            metrics = list(csv.DictReader(f))
-        with open(out / "eval.csv", newline="") as f:
-            evals = list(csv.DictReader(f))
-        assert [int(r["iteration"]) for r in metrics] == [1, 2, 3, 4, 5]
-        assert [int(rec["iteration"]) for rec in evals] == [0, 2, 4, 5]
-        w = np.array(cfg["algorithm"]["preference"])
-        for rec in evals:
-            returns = [float(rec["return_0"]), float(rec["return_1"])]
-            assert float(rec["eu"]) == pytest.approx(float(np.dot(w, returns)))
+    @pytest.mark.parametrize(
+        "total, eval_every, checkpoint_every, inline, forked",
+        [
+            # A forked child's report comes with the next iteration's call,
+            # or with its own where the run checkpoints after it.
+            (5, 2, 0, "E0 R1 R2 E2 R3 R4 E4 R5 E5 F5", "E0 R1 E2 R2 R3 E4 R4 R5 E5 F5"),
+            # checkpoint_every divides total_iterations: one record for the last.
+            (4, 2, 2, "E0 R1 R2 E2 C2 R3 R4 E4 F4", "E0 R1 R2 E2 C2 R3 R4 E4 F4"),
+            (3, 1, 5, "E0 R1 E1 R2 E2 R3 E3 F3", "E0 E1 R1 E2 R2 R3 E3 F3"),
+            (3, 5, 0, "E0 R1 R2 R3 E3 F3", "E0 R1 R2 R3 E3 F3"),
+            (1, 1, 0, "E0 R1 E1 F1", "E0 R1 E1 F1"),
+        ],
+    )
+    def test_the_sink_gets_every_record_in_order(
+        self, placement, total, eval_every, checkpoint_every, inline, forked
+    ):
+        cfg = stub_cfg(total_iterations=total, eval_every=eval_every, checkpoint_every=checkpoint_every)
+        records = []
+        Trainer(cfg).run(records.append)
+        assert record_codes(records) == (forked if placement == "worker" else inline)
+        for r in records:
+            if isinstance(r, EvalRecord):
+                assert r.eu == pytest.approx(float(np.dot(cfg.preference, r.returns)))
+
+    def test_checkpoints_find_the_critic_settled(self, monkeypatch, worker_pids):
+        """run_iteration joins its own child exactly where the run checkpoints
+        after it, so each Checkpoint comes after every report up to its
+        iteration, with no child pending."""
+        joined, seen = [], []
+        run_iteration = Trainer.run_iteration
+
+        def recording(self):
+            reports = run_iteration(self)
+            joined.append((self.iteration, self._pending is None))
+            return reports
+
+        monkeypatch.setattr(Trainer, "run_iteration", recording)
+        t = Trainer(stub_cfg(total_iterations=5, checkpoint_every=2))
+
+        def sink(record):
+            seen.append(record)
+            if isinstance(record, Checkpoint):
+                assert t._pending is None and not t._completed
+                reported = [r.iteration for r in seen if isinstance(r, IterationReport)]
+                assert reported == list(range(1, record.iteration + 1))
+
+        t.run(sink)
+        assert joined == [(1, False), (2, True), (3, False), (4, True), (5, True)]
+        assert record_codes(r for r in seen if isinstance(r, Checkpoint)) == "C2 C4 F5"
+        assert len(worker_pids) == 5
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_a_failing_sink_leaves_no_child_or_pipe(self, error, worker_pids, child_pids, open_fds):
+        """A sink that raises on a report, with the next iteration's child
+        pending: run ends that child before the error leaves it."""
+        t = Trainer(stub_cfg(total_iterations=3))
+
+        def sink(record):
+            if isinstance(record, IterationReport):
+                assert t._pending is not None
+                raise error("the sink failed")
+
+        fds = open_fds()
+        with pytest.raises(error, match="the sink failed"):
+            t.run(sink)
+        # t is still referenced: run itself, not the trainer's collection,
+        # must have killed the child.
+        assert t._pending is None and len(worker_pids) == 2
+        assert not child_pids() and open_fds() == fds
 
     def test_policy_learns_single_objective_stub(self):
         # w = (1, 0) turns the stub into "push action 0 toward 1"; ten
