@@ -204,7 +204,8 @@ def cmd_evaluate(args) -> int:
     except (TypeError, ValueError) as e:  # ContractViolationError and JSONDecodeError too
         raise ConfigError(f"malformed checkpoint {ckpt}: {e}") from e
     rng = np.random.default_rng(args.seed)
-    means = deterministic_returns(actor, env, w, rng, args.episodes).mean(axis=0)
+    with np.errstate(over="ignore"):  # as in a training run's evaluations
+        means = deterministic_returns(actor, env, w, rng, args.episodes).mean(axis=0)
     for i, v in enumerate(means):
         print(f"return_{i} {_fmt(v)}")
     print(f"expected_utility {_fmt(w @ means)}")

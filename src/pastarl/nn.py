@@ -9,25 +9,28 @@ a fixed order (the actor puts its log-std vector last).
 
 Every network runs on a 2-D (B, in) batch of row vectors; one input row is
 a (1, in) batch.  Each layer is computed in place on its matmul's result,
-one array per layer.  A forward pass returns its output and its activation
-record [x, h_1, ..., output], which stores each activation once, and the
-backward pass takes that record; ``output`` gives the same output bits and
-keeps no record, for passes that need no backward.  Backward passes accept
-a leading objective axis on the output gradient: k per-objective gradients
-come out of one pass as the (k, P) matrix that gradient surgery consumes,
-written layer by layer into the caller's slice of one gradient.  Adam
-updates a model's vector in place, so the optimizer and the layers never
-need copying between them.  Checkpoints store each network's spec and flat
-vector as JSON, format version 1.  A save writes json.dumps's text of the
-whole payload piece by piece, each vector a fixed-size chunk of floats at a
-time, so its memory does not grow with the model; it writes a temporary
-file beside the checkpoint and renames it over the path once complete, so a
-checkpoint appears whole or not at all.
+one array per layer, by one layer loop that the input checks wrap.  A
+forward pass returns its output and its activation record [x, h_1, ...,
+output], which stores each activation once, and the backward pass takes
+that record; ``output`` gives the same output bits and keeps no record, for
+passes that need no backward; ``bind`` checks one input buffer once and
+returns the bare loop on it, for a pass repeated every step.  Backward
+passes accept a leading objective axis on the output gradient: k
+per-objective gradients come out of one pass as the (k, P) matrix that
+gradient surgery consumes, written layer by layer into the caller's slice
+of one gradient.  Adam updates a model's vector in place, so the optimizer
+and the layers never need copying between them.  Checkpoints store each
+network's spec and flat vector as JSON, format version 1.  A save writes
+json.dumps's text of the whole payload piece by piece, each vector a
+fixed-size chunk of floats at a time, so its memory does not grow with the
+model; it writes a temporary file beside the checkpoint and renames it over
+the path once complete, so a checkpoint appears whole or not at all.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from typing import NamedTuple
@@ -152,31 +155,48 @@ class Network:
         input and each layer's output, which backward() takes; it is only
         valid for the parameter values used here.
         """
-        record = []
-        return self._run(x, record), record
+        x = self._checked(x)
+        record = [x]
+        return self._layers(x, [None] * len(self.layers), record), record
 
     def output(self, x: np.ndarray) -> np.ndarray:
         """forward()'s output, bit for bit, without the activation record: a
         layer's input is dropped once the next layer is computed.  For
         passes that need no backward."""
-        return self._run(x, None)
+        return self._layers(self._checked(x), [None] * len(self.layers), None)
 
-    def _run(self, x, record: list | None) -> np.ndarray:
-        """The layer loop: each layer act(x @ W^T + b) is computed in place on
-        its matmul's result, with the ufuncs of the out-of-place expressions
-        tanh(z) and 1 / (1 + exp(-z)), so every value, NaN and inf included,
-        is theirs.  Appends the input and each layer's output to record
-        unless it is None."""
+    def bind(self, x: np.ndarray):
+        """(run, out) for a pass repeated on one buffer: run() computes the
+        stack's output on x's rows as they are at the call into out, the
+        same array every time, keeping no record.  x is checked here, once,
+        and must be a float64 (B, in) array, since run reads it in place;
+        run is the bare layer loop, writing each layer into a buffer of its
+        own, so it allocates nothing."""
+        if self._checked(x) is not x:
+            raise ContractViolationError("a bound pass reads its input in place: it must be a float64 array")
+        lead = self._table_shape[:-1]
+        outs = [np.empty(lead + (len(x), n)) for n in self.dims[1:]]
+        return functools.partial(self._layers, x, outs, None), outs[-1]
+
+    def _checked(self, x) -> np.ndarray:
+        """x as a float64 array, refused unless it is a (B, in) batch."""
         if not (isinstance(x, np.ndarray) and x.dtype == np.float64):
             x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ContractViolationError(
                 f"input shape {x.shape} != (B, {self.in_dim}) for this network"
             )
-        if record is not None:
-            record.append(x)
-        for weights_t, biases, activation in self._affine:
-            x = x @ weights_t
+        return x
+
+    def _layers(self, x: np.ndarray, outs, record: list | None) -> np.ndarray:
+        """The layer loop, on an input already checked: each layer act(x @ W^T
+        + b) is computed in place on its matmul's result, with the ufuncs of
+        the out-of-place expressions tanh(z) and 1 / (1 + exp(-z)), so every
+        value, NaN and inf included, is theirs.  Each matmul writes into its
+        entry of outs, or a new array where that is None.  Appends each
+        layer's output to record unless it is None."""
+        for (weights_t, biases, activation), out in zip(self._affine, outs):
+            x = np.matmul(x, weights_t, out=out)
             x += biases
             if activation == "tanh":
                 np.tanh(x, out=x)

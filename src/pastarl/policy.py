@@ -4,7 +4,10 @@ The actor consumes [state, w] and emits a diagonal Gaussian over actions in
 [0, 1]^d: a sigmoid mean head on a tanh backbone plus a state-independent
 learnable log-std vector.  Sampled actions are clamped into the box, but
 log-probabilities are always evaluated at the raw pre-clamp sample so the
-density stays consistent.
+density stays consistent.  The mean itself needs no clamp: the actor
+refuses a mean head that does not end in a sigmoid, whose outputs lie in
+[0, 1] or are NaN, so the rollouts' per-step pass (``mean_pass``, bound to
+one buffer and checked once) steps with its means as they are.
 
 Critics come in two shapes.  The branched critic shares a trunk and gives
 each objective its own head, so head gradients stay isolated; the shared
@@ -36,6 +39,11 @@ class GaussianActor:
     def __init__(self, backbone: Network, mean_head: Network, log_std: np.ndarray):
         if mean_head.in_dim != backbone.out_dim:
             raise ContractViolationError("mean head does not fit backbone output")
+        if mean_head.activations[-1] != "sigmoid":
+            # The rollouts step with the means unclipped: only a sigmoid keeps them in the box.
+            raise ContractViolationError(
+                f"the mean head must end in a sigmoid, not {mean_head.activations[-1]!r}"
+            )
         log_std = np.asarray(log_std, dtype=np.float64)
         if log_std.shape != (mean_head.out_dim,):
             raise ContractViolationError(
@@ -78,10 +86,23 @@ class GaussianActor:
         means, head_record = self.mean_head.forward(feats)
         return means, (backbone_record, head_record)
 
-    def means(self, x: np.ndarray) -> np.ndarray:
-        """mean_forward's means, bit for bit, without the activation records:
-        the rollouts' per-step pass."""
-        return self.mean_head.output(self.backbone.output(x))
+    def mean_pass(self, x: np.ndarray):
+        """The rollouts' per-step pass, bound to x, the caller's float64 (B,
+        obs_dim + m) buffer of [state, w] rows: (run, means), where run()
+        writes mean_forward's means of x's rows, as they are at the call,
+        into means, the same (B, act_dim) array every time.  x is checked
+        here, once; run is the two networks' bare layer loops and allocates
+        nothing.  The means are sigmoids, so they lie in [0, 1] or are NaN:
+        evaluation steps with them as they are, for clipping would change
+        no value."""
+        run_backbone, feats = self.backbone.bind(x)
+        run_head, means = self.mean_head.bind(feats)
+
+        def run() -> None:
+            run_backbone()
+            run_head()
+
+        return run, means
 
     def log_probs(self, means: np.ndarray, pre_clamp: np.ndarray) -> np.ndarray:
         """Diagonal-Gaussian log density of raw samples over the last axis;

@@ -32,6 +32,11 @@ interleaved loop (critic, then actor, per minibatch) gives, and no child
 outlives the trainer that forked it: ``close()``, which ``run`` ends with
 whatever ends the run, or the trainer's collection, kills one still running.
 
+The rollouts run the actor's per-step pass on one [obs, w] row, checked
+once per rollout; evaluation steps with the sigmoid means unclipped.  A run
+ignores numpy's overflow warnings: the updates' finiteness checks turn every
+overflow that matters into a DivergenceError.
+
 Every algorithm is one row of ``scalarize.ALGORITHMS``; this module reads
 its mu source, coefficient rule, clip and projection from there.
 """
@@ -141,20 +146,25 @@ def weighted_value_loss(values, targets, eta) -> float:
 
 
 def deterministic_returns(actor, env, w, rng, episodes: int) -> np.ndarray:
-    """(episodes, m) raw returns of the actor's mean action, resetting env from rng."""
+    """(episodes, m) raw returns of the actor's mean action, resetting env from rng.
+
+    Each step runs the actor's per-step pass on one [obs, w] row and steps
+    with its means as they are: a sigmoid's, they lie in the box or are NaN,
+    so clipping them would change no value."""
     totals = np.zeros((episodes, env.m))
     obs_dim = env.observation_dim
     x = np.empty((1, obs_dim + len(w)))  # the actor's input, one [obs, w] row
     x[0, obs_dim:] = w
-    for ep in range(episodes):
+    run_actor, means = actor.mean_pass(x)
+    action = means[0]
+    for total in totals:
         x[0, :obs_dim] = env.reset(rng)
         done = False
         while not done:
-            means = actor.means(x)
-            # np.clip's values without its Python-level dispatch.
-            obs, r, done, _ = env.step(np.minimum(np.maximum(means[0], 0.0), 1.0))
+            run_actor()
+            obs, r, done, _ = env.step(action)
             x[0, :obs_dim] = obs
-            totals[ep] += r
+            total += r
     return totals
 
 
@@ -213,12 +223,13 @@ class Trainer:
         The actor's parameters hold still for the whole horizon, so its std
         and the horizon's noise come first: one (T, act_dim) draw, the values
         T single-step draws give, in order.  Each step then runs only the
-        actor's mean, with no activation record, on its [obs, w] row, a
-        (1, obs_dim + m) view, and clips mean plus noise into the one action
-        buffer that ``env.step`` reads; the log-probs of all T samples come
-        from one batched pass after the loop.  The same (T + 1)-row input
-        buffer, the bootstrap state last, feeds the critic's record-free
-        values, and its first T rows are the batch's inputs to both updates.
+        actor's per-step pass, with no activation record, on one [obs, w]
+        row, and clips mean plus noise into the one action buffer that
+        ``env.step`` reads; the log-probs of all T samples come from one
+        batched pass after the loop.  Each observation also goes into a
+        (T + 1)-row input buffer, the bootstrap state last, which feeds the
+        critic's record-free values, and whose first T rows are the batch's
+        inputs to both updates.
         A critic child still pending from the previous iteration is joined
         just before that values pass, the critic's one read.
         """
@@ -230,6 +241,9 @@ class Trainer:
         obs_dim, act_dim = env.observation_dim, env.action_dim
         inputs = np.empty((T + 1, obs_dim + self.m))
         inputs[:, obs_dim:] = self.w
+        x = inputs[:1].copy()  # the per-step pass's [obs, w] row, w filled in
+        run_actor, mean = actor.mean_pass(x)
+        mean = mean[0]
         std = np.exp(actor.log_std)
         noise = self.action_rng.standard_normal((T, act_dim)) * std
         means = np.empty((T, act_dim))
@@ -239,9 +253,10 @@ class Trainer:
         dones = np.zeros(T, dtype=bool)
         completed: list[np.ndarray] = []
         obs = self._obs
-        inputs[0, :obs_dim] = obs
+        x[0, :obs_dim] = inputs[0, :obs_dim] = obs
         for t in range(T):
-            mean = means[t] = actor.means(inputs[t : t + 1])[0]
+            run_actor()
+            means[t] = mean
             pre = pre_clamp[t]
             np.add(mean, noise[t], out=pre)
             # np.clip's values without its Python-level dispatch.
@@ -255,7 +270,7 @@ class Trainer:
                 completed.append(self._partial_return.copy())
                 self._partial_return[:] = 0.0
                 obs = env.reset(self.env_rng)
-            inputs[t + 1, :obs_dim] = obs
+            x[0, :obs_dim] = inputs[t + 1, :obs_dim] = obs
         self._obs = obs
         if self._pending is not None:
             self._join()
@@ -278,18 +293,22 @@ class Trainer:
         the iteration is an ``eval_every``-th or the last, and a
         ``Checkpoint`` where ``checkpoints_after`` it.  The run ends in
         ``close()``, so no critic child outlives the call, whatever the sink
-        or an iteration raises."""
+        or an iteration raises.  numpy's overflow warnings are off for the
+        run, its critic children included: every overflow that matters ends
+        in a non-finite value, which the updates' checks raise as a
+        DivergenceError."""
         cfg = self.cfg
         try:
-            sink(self.evaluate(self.iteration))
-            while self.iteration < cfg.total_iterations:
-                for report in self.run_iteration():
-                    sink(report)
-                k, last = self.iteration, self.iteration == cfg.total_iterations
-                if k % cfg.eval_every == 0 or last:
-                    sink(self.evaluate(k))
-                if self.checkpoints_after(k):
-                    sink(Checkpoint(k, last))
+            with np.errstate(over="ignore"):
+                sink(self.evaluate(self.iteration))
+                while self.iteration < cfg.total_iterations:
+                    for report in self.run_iteration():
+                        sink(report)
+                    k, last = self.iteration, self.iteration == cfg.total_iterations
+                    if k % cfg.eval_every == 0 or last:
+                        sink(self.evaluate(k))
+                    if self.checkpoints_after(k):
+                        sink(Checkpoint(k, last))
         finally:
             self.close()
 

@@ -2,12 +2,16 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
 import pytest
 
+import pastarl
 from pastarl import config as configlib
 from pastarl.cli import _parse_axis, main
 from pastarl.envs import ENV_CLASSES
@@ -219,6 +223,22 @@ class TestTrain:
         assert rc == 2
 
 
+class TestDivergence:
+    def test_divergence_prints_its_message_alone(self, tiny_ini, tmp_path):
+        """A fresh interpreter, with numpy's default warnings: the run's
+        overflows raise no RuntimeWarning, so stderr holds only the line
+        that names where the run diverged."""
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(pastarl.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        argv = ["train", "--config", str(tiny_ini), "--out", str(tmp_path / "run"), "--override", "ppo.lr=1e300"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "pastarl.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 3, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("divergence: critic update at iteration 1, "), proc.stderr
+
+
 class TestEvaluate:
     def test_prints_per_objective_returns(self, tiny_ini, tmp_path, capsys):
         out = train(tiny_ini, tmp_path / "run")
@@ -286,6 +306,13 @@ class TestEvaluate:
                 id="non_finite_flat",
             ),
             pytest.param(None, id="truncated_json"),
+            pytest.param(
+                lambda p: {**p, "networks": {
+                    **p["networks"],
+                    "actor_mean_head": {**p["networks"]["actor_mean_head"], "activations": ["identity"]},
+                }},
+                id="mean_head_not_sigmoid",
+            ),
             pytest.param(
                 lambda p: {**p, "metadata": {**p["metadata"], "preference": [0.2, 0.3, 0.5]}},
                 id="preference_of_three",

@@ -271,8 +271,14 @@ class TestLeanPasses:
 
     @pytest.mark.parametrize("B", [1, 64, 2049])
     def test_actor_means_equal_mean_forward(self, actor, rng, B):
-        x = rng.normal(size=(B, OBS + M))
-        assert same_bits(actor.means(x), actor.mean_forward(x)[0])
+        """The per-step pass reads its buffer as it is at each call and
+        writes the same means array every time."""
+        x = np.zeros((B, OBS + M))
+        run, means = actor.mean_pass(x)
+        for _ in range(2):
+            x[...] = rng.normal(size=x.shape)
+            run()
+            assert same_bits(means, actor.mean_forward(x)[0])
 
     @pytest.mark.parametrize("critic_cls", [BranchedCritic, SharedCritic])
     @pytest.mark.parametrize("m", [3, 4])
@@ -384,6 +390,44 @@ class TestActorCriticShapes:
         bad_head = Network.random([HIDDEN + 1, ACT], ["sigmoid"], rng)
         with pytest.raises(ContractViolationError):
             GaussianActor(backbone, bad_head, np.zeros(ACT))
+
+    @pytest.mark.parametrize("activation", ["identity", "tanh"])
+    def test_mean_head_without_sigmoid_rejected(self, rng, activation):
+        backbone = GaussianActor.create(OBS, M, ACT, rng, hidden=HIDDEN).backbone
+        head = Network.random([HIDDEN, ACT], [activation], rng)
+        with pytest.raises(ContractViolationError, match="sigmoid"):
+            GaussianActor(backbone, head, np.zeros(ACT))
+
+
+class TestMeansInTheBox:
+    """The rollouts step with the means unclipped: the sigmoid head keeps
+    them in [0, 1], or NaN, however large its pre-activations."""
+
+    @pytest.mark.parametrize("bias", [-1e3, 1e3])
+    def test_huge_pre_activations_give_box_edges(self, actor, rng, bias):
+        actor.mean_head.layers[-1].weights[...] = 0.0
+        actor.mean_head.layers[-1].biases[...] = bias
+        x = rng.normal(size=(5, OBS + M))
+        run, means = actor.mean_pass(x)
+        with np.errstate(over="ignore"):  # exp(1e3) is inf, and its reciprocal 0.0
+            run()
+            forward_means = actor.mean_forward(x)[0]
+        assert np.all(means == (0.0 if bias < 0 else 1.0))
+        assert same_bits(means, forward_means)
+
+    def test_nan_parameters_give_nan_means(self, actor, rng):
+        actor.params[:] = np.nan
+        x = rng.normal(size=(5, OBS + M))
+        run, means = actor.mean_pass(x)
+        run()
+        assert np.all(np.isnan(means))
+        assert np.all(np.isnan(actor.mean_forward(x)[0]))
+
+    def test_pass_refuses_a_buffer_it_would_copy(self, actor):
+        with pytest.raises(ContractViolationError, match="float64"):
+            actor.mean_pass(np.zeros((1, OBS + M), dtype=np.float32))
+        with pytest.raises(ContractViolationError):
+            actor.mean_pass(np.zeros(OBS + M))
 
     def test_branched_head_shape_rejected(self, rng):
         trunk = Network.random([4, 6], ["tanh"], rng)

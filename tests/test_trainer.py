@@ -206,14 +206,21 @@ def step_by_step_rollout(t: Trainer, T: int) -> dict:
     return out
 
 
+# frogger and formation draw from the env rng inside step, so their cases pin
+# the order of those draws as well.
 ROLLOUT_CASES = [
     stub_cfg(horizon=20, env_params={"episode_cap": 8}),
     stub_cfg(env_name="stealth", preference=(0.3, 0.3, 0.4), horizon=24, env_params={"episode_cap": 10}),
+    stub_cfg(env_name="frogger", preference=(0.4, 0.3, 0.3), horizon=24, env_params={"episode_cap": 10}),
+    stub_cfg(
+        env_name="formation", preference=(0.1, 0.2, 0.3, 0.4), horizon=24, env_params={"episode_cap": 10}
+    ),
 ]
+ROLLOUT_IDS = ["stub", "stealth", "frogger", "formation"]
 
 
 class TestRolloutAgainstSingleSteps:
-    @pytest.mark.parametrize("cfg", ROLLOUT_CASES, ids=["stub", "stealth"])
+    @pytest.mark.parametrize("cfg", ROLLOUT_CASES, ids=ROLLOUT_IDS)
     def test_collect_rollout_equals_act_and_step_loop(self, cfg):
         """Two horizons, each spanning a reset, the second continuing the
         episode the first left open: every array and the action stream's
@@ -228,11 +235,34 @@ class TestRolloutAgainstSingleSteps:
             assert fast.action_rng.bit_generator.state == slow.action_rng.bit_generator.state
             assert_same_bits(fast._obs, slow._obs, "carried observation")
 
-    @pytest.mark.parametrize("cfg", ROLLOUT_CASES, ids=["stub", "stealth"])
+    @pytest.mark.parametrize("cfg", ROLLOUT_CASES, ids=ROLLOUT_IDS)
     def test_evaluation_totals_equal_oracle_loop(self, cfg):
         t = Trainer(cfg)
         t.actor.params[:] += np.random.default_rng(1).normal(scale=0.3, size=t.actor.n_params)
-        env = make_env(cfg.env_name, **cfg.env_params)
+        self.assert_evaluation_matches_oracle(t)
+
+    def test_evaluation_at_the_box_edges_equals_clipped_oracle(self):
+        """Mean-head weights scaled until every mean is exactly 0.0 or 1.0:
+        the evaluation steps with them unclipped, the oracle clips them, and
+        the totals agree bit for bit."""
+        t = Trainer(ROLLOUT_CASES[3])  # formation: six action dimensions
+        head = t.actor.mean_head.layers[-1]
+        head.weights[...] = np.sign(head.weights) * 1e6
+        head.biases[...] = np.where(np.arange(t.env.action_dim) % 2, 1e6, -1e6)
+        actions, step = [], t.eval_env.step
+
+        def recording_step(action):
+            actions.append(action.copy())
+            return step(action)
+
+        t.eval_env.step = recording_step
+        with np.errstate(over="ignore"):  # exp(-z) is inf where the mean is 0.0
+            self.assert_evaluation_matches_oracle(t)
+        assert set(np.concatenate(actions).tolist()) == {0.0, 1.0}
+
+    @staticmethod
+    def assert_evaluation_matches_oracle(t: Trainer) -> None:
+        env = make_env(t.cfg.env_name, **t.cfg.env_params)
         rng = np.random.default_rng(5)
         want = np.zeros((3, t.m))
         for ep in range(3):
