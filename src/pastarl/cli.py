@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from pastarl import config as configlib
-from pastarl import metrics, toybench
+from pastarl import toybench
 from pastarl.envs import make_env
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.nn import load_checkpoint, save_checkpoint
@@ -215,26 +215,25 @@ def cmd_evaluate(args) -> int:
 # -- compare ------------------------------------------------------------------
 
 
-def _read_eval_csv(path: Path, m: int) -> np.ndarray:
-    """Eval returns as an (n_checkpoints, m) array of raw per-objective means."""
+def _final_evaluation(path: Path, m: int) -> EvalRecord:
+    """The last row of an eval.csv, every row checked: the run's final evaluation."""
     try:
         with open(path, newline="") as f:
             rows = list(csv.reader(f))
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"could not read {path}: {e}") from e
     if len(rows) < 2:
-        raise ConfigError(f"{path} has no checkpoints")
+        raise ConfigError(f"{path} has no evaluations")
     if rows[0] != _csv_header(EvalRecord, m):
         raise ConfigError(f"{path} does not have the columns of an eval.csv: {','.join(rows[0])}")
-    returns = []
     for line, row in enumerate(rows[1:], start=2):  # the header is line 1
         try:
-            returns.append(_csv_record(EvalRecord, m, row).returns)
+            record = _csv_record(EvalRecord, m, row)
         except ValueError as e:
             raise ConfigError(f"malformed {path}: line {line}: {e}") from e
-        if not all(map(math.isfinite, returns[-1])):
+        if not all(map(math.isfinite, record.returns)):
             raise ConfigError(f"malformed {path}: line {line} has a non-finite return")
-    return np.array(returns)
+    return record
 
 
 # Knobs that never tag a label: compare's grid runs over preferences and
@@ -280,10 +279,16 @@ def _load_runs(run_dirs: list) -> list[dict]:
             raise ConfigError(f"no manifest.json in {d}; is it a run directory?")
         cfg = configlib.load_manifest(man_path)["config"]
         tc = configlib.build_train_config(cfg)
+        # load_manifest checked one weight per objective of the run's environment.
+        final = _final_evaluation(d / "eval.csv", len(tc.preference))
+        if final.iteration != tc.total_iterations:
+            raise ConfigError(
+                f"{d / 'eval.csv'} ends at iteration {final.iteration}, not at the "
+                f"{tc.total_iterations} iterations its manifest trains: the run did not finish"
+            )
         runs.append({
             "dir": d, "env": tc.env_name, "config": cfg, "preference": tc.preference, "seed": tc.seed,
-            # load_manifest checked one weight per objective of the run's environment.
-            "points": _read_eval_csv(d / "eval.csv", len(tc.preference)),
+            "returns": final.returns, "eu": final.eu,
         })
     envs = sorted({r["env"] for r in runs})
     if len(envs) > 1:
@@ -311,11 +316,6 @@ class MethodSummary:
     """One row of summary.csv: one method over all its runs."""
 
     method: str
-    hypervolume_mean: float
-    hypervolume_std: float
-    win_rate: float
-    objective_dominance_rate: float
-    dmp_auc: float
     expected_utility_mean: float
     expected_utility_std: float
 
@@ -326,33 +326,19 @@ class PreferenceSummary:
 
     method: str
     pref: tuple
-    hv_mean: float
-    hv_std: float
     eu_mean: float
     eu_std: float
-    returns: tuple = column("return")  # per-objective mean of the runs' best raw returns
+    returns: tuple = column("return")  # per-objective mean of the runs' final returns
 
 
 def compare_runs(run_dirs: list, out_dir) -> list:
     """Cross-method comparison over (method, preference, seed) runs: writes
     summary.csv and per_preference.csv and returns the summary's rows.
 
-    Normalization bounds are shared across every eval checkpoint of every
-    run being compared.  Each run contributes its best checkpoint, the one
-    maximizing single-point hypervolume under those shared bounds; that
-    checkpoint's hypervolume, raw returns and expected utility score the run
-    in both tables.
+    Each run is scored by its final evaluation, the last row of its eval.csv,
+    and by nothing else: its raw returns and their expected utility w . returns.
     """
     runs = _load_runs(run_dirs)
-    m = runs[0]["points"].shape[1]
-    normed_groups = metrics.normalize_points({i: r["points"] for i, r in enumerate(runs)})
-    for i, r in enumerate(runs):
-        hv_per_ckpt = np.prod(normed_groups[i], axis=1)
-        best = int(np.argmax(hv_per_ckpt))
-        r["hv"] = float(hv_per_ckpt[best])
-        r["raw"] = r["points"][best]
-        r["eu"] = r["raw"] @ np.asarray(r["preference"])
-
     methods = sorted({r["method"] for r in runs})
     prefs = sorted({r["preference"] for r in runs})
     by_method = {meth: [r for r in runs if r["method"] == meth] for meth in methods}
@@ -365,24 +351,11 @@ def compare_runs(run_dirs: list, out_dir) -> list:
                     f"method {meth!r} has no run for preference {pref}; "
                     "compare needs a full method x preference grid"
                 )
-            raw = tuple(np.mean([r["raw"] for r in cell], axis=0))
-            cells.append(PreferenceSummary(meth, pref, *_mean_std(cell, "hv"), *_mean_std(cell, "eu"), raw))
-
-    shape = (len(methods), len(prefs))
-    win = metrics.win_rate(np.reshape([c.hv_mean for c in cells], shape))
-    dom = metrics.objective_dominance_rate(np.reshape([c.returns for c in cells], (*shape, m)))
-    # Performance-profile instances: one per (preference, seed) pair that
-    # every method has a run for.
-    hv = {(r["method"], r["preference"], r["seed"]): r["hv"] for r in runs}
-    instances = sorted({(p, s) for _, p, s in hv if all((meth, p, s) in hv for meth in methods)})
-    auc = np.full(len(methods), np.nan)
-    if instances:
-        auc = metrics.dolan_more_auc(np.array([[hv[(meth, *i)] for meth in methods] for i in instances]))
-    summary = [
-        MethodSummary(meth, *_mean_std(rs, "hv"), win[a], dom[a], auc[a], *_mean_std(rs, "eu"))
-        for a, (meth, rs) in enumerate(by_method.items())
-    ]
+            returns = tuple(np.mean([r["returns"] for r in cell], axis=0))
+            cells.append(PreferenceSummary(meth, pref, *_mean_std(cell, "eu"), returns))
+    summary = [MethodSummary(meth, *_mean_std(rs, "eu")) for meth, rs in by_method.items()]
     out_dir = _out_dir(out_dir)
+    m = len(prefs[0])
     _write_table(out_dir / "summary.csv", MethodSummary, m, summary)
     _write_table(out_dir / "per_preference.csv", PreferenceSummary, m, cells)
     return summary
@@ -391,9 +364,9 @@ def compare_runs(run_dirs: list, out_dir) -> list:
 def cmd_compare(args) -> int:
     summary = compare_runs(args.runs, args.out)
     width = max(len("method"), *(len(row.method) for row in summary))
-    print(f"{'method':<{width}}  {'hv_mean':>12}  {'win_rate':>12}  {'obj_dom':>12}  {'dmp_auc':>12}")
+    print(f"{'method':<{width}}  {'eu_mean':>12}  {'eu_std':>12}")
     for row in summary:
-        scores = (row.hypervolume_mean, row.win_rate, row.objective_dominance_rate, row.dmp_auc)
+        scores = (row.expected_utility_mean, row.expected_utility_std)
         print(f"{row.method:<{width}}" + "".join(f"  {_fmt(v):>12}" for v in scores))
     print(f"wrote {Path(args.out) / 'summary.csv'} and per_preference.csv")
     return 0

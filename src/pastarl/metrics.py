@@ -1,9 +1,11 @@
-"""Pareto-front evaluation metrics: hypervolume, win rate, dominance, profiles.
+"""Exact hypervolume of a point set in the unit box.
 
-All metrics assume maximization with points normalized to [0, 1]^m and the
-reference point at the origin, so the hypervolume of a set is the Lebesgue
-measure of the union of boxes [0, p].  Normalization bounds must be shared
-across every method entering a comparison; normalize_points handles that.
+Assumes maximization with points normalized to [0, 1]^m and the reference
+point at the origin, so the hypervolume of a set is the Lebesgue measure of
+the union of boxes [0, p].  ``pastarl compare`` scores each run by its final
+evaluation and calls none of this yet; it stays, with its oracle tests, for
+the front scores still to come: the hypervolume of a method's front, one
+point per preference, under fixed normalization bounds declared in advance.
 """
 
 from __future__ import annotations
@@ -11,9 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from pastarl.errors import ContractViolationError
-
-WIN_TIE_TOL = 1e-12
-DOMINANCE_TOL = 1e-9
 
 
 def _clean_points(points) -> np.ndarray:
@@ -61,78 +60,3 @@ def _hv_recursive(pts: np.ndarray) -> float:
         reach = pts[pts[:, -1] >= z - 1e-15][:, :-1]
         total += slab * _hv_recursive(reach)
     return float(total)
-
-
-def normalize_points(groups: dict) -> dict:
-    """Min-max normalize every group's points with bounds shared across groups.
-
-    groups: label -> (n, m) raw point array.  Degenerate objectives (zero
-    spread) map to 0 through the epsilon guard.
-    """
-    all_pts = np.vstack([np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in groups.values()])
-    lo = all_pts.min(axis=0)
-    hi = all_pts.max(axis=0)
-    span = hi - lo + 1e-8
-    return {
-        label: np.clip((np.atleast_2d(np.asarray(v, dtype=np.float64)) - lo) / span, 0.0, 1.0)
-        for label, v in groups.items()
-    }
-
-
-def win_rate(mean_hv: np.ndarray) -> np.ndarray:
-    """Per-method fraction of preference columns where it attains the max HV.
-
-    mean_hv: (n_methods, n_preferences).  Ties within 1e-12 count for all.
-    """
-    hv = np.atleast_2d(np.asarray(mean_hv, dtype=np.float64))
-    col_max = hv.max(axis=0)
-    wins = hv >= col_max - WIN_TIE_TOL
-    return wins.mean(axis=1)
-
-
-def objective_dominance_rate(per_objective_means: np.ndarray) -> np.ndarray:
-    """Per-method fraction of (preference, objective) cells where it is best.
-
-    per_objective_means: (n_methods, n_preferences, m); cells within 1e-9 of
-    the cross-method max all count.
-    """
-    vals = np.asarray(per_objective_means, dtype=np.float64)
-    best = vals.max(axis=0)
-    hits = vals >= best - DOMINANCE_TOL
-    return hits.reshape(vals.shape[0], -1).mean(axis=1)
-
-
-def dolan_more_profile(hv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Performance ratios and the shared theta grid.
-
-    hv: (n_instances, n_methods) of per-instance hypervolumes.  Ratio
-    r_pb = max_beta HV_p,beta / HV_p,b; a zero HV maps to +inf.  The grid is
-    the sorted union of finite ratios with 1 prepended.
-    """
-    hv = np.atleast_2d(np.asarray(hv, dtype=np.float64))
-    best = hv.max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(hv > 0.0, best / hv, np.inf)
-    finite = ratios[np.isfinite(ratios)]
-    grid = np.unique(np.concatenate([[1.0], finite])) if finite.size else np.array([1.0])
-    return ratios, grid
-
-
-def dolan_more_auc(hv: np.ndarray) -> np.ndarray:
-    """Normalized area under each method's performance profile over [1, theta_max].
-
-    theta_max is the largest finite ratio observed.  If every ratio is 1 the
-    interval degenerates and AUC is the profile value at 1.  An all-zero HV
-    column yields AUC 0.
-    """
-    ratios, grid = dolan_more_profile(hv)
-    n_methods = ratios.shape[1]
-    theta_max = grid[-1]
-    aucs = np.zeros(n_methods)
-    for b in range(n_methods):
-        rho = np.array([(ratios[:, b] <= th).mean() for th in grid])
-        if theta_max == 1.0:
-            aucs[b] = rho[-1]
-        else:
-            aucs[b] = np.trapezoid(rho, grid) / (theta_max - 1.0)
-    return aucs

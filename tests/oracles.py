@@ -32,6 +32,50 @@ def clipped_objective_loss(ratio, a_hat, clip_eps: float):
     return np.minimum(ratio * a_hat, np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * a_hat)
 
 
+def attention_mix(r_bar, w, z_star, mu: float, rho: float) -> np.ndarray:
+    """eta = (1 - rho) * softmax(w * (z* - r_bar) / mu) + rho / m: the
+    smooth Tchebycheff attention blended with the uniform weights."""
+    y = np.asarray(w, dtype=np.float64) * (np.asarray(z_star, dtype=np.float64) - np.asarray(r_bar)) / mu
+    e = np.exp(y - np.max(y))
+    return (1.0 - rho) * e / e.sum() + rho / y.size
+
+
+def actor_coefficients(rule: str, r_bar, w, z_star, mu: float, rho: float, weighted_pcgrad: bool) -> np.ndarray:
+    """The actor's per-objective coefficients c as the README states each rule.
+
+    linear: w.  tch: w_j at the largest weighted deviation w_j (z*_j - r_bar_j),
+    the lowest such j, and 0 elsewhere.  stch: the trainer's combination of
+    the attention, all ones, or m * eta with weighted_pcgrad.  This pins the
+    combination as it stands: changing it changes this oracle, the README
+    and ``Trainer._combine`` together.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if rule == "linear":
+        return w.copy()
+    if rule == "tch":
+        j = int(np.argmax(w * (np.asarray(z_star) - np.asarray(r_bar))))
+        return np.where(np.arange(w.size) == j, w, 0.0)
+    if weighted_pcgrad:
+        return w.size * attention_mix(r_bar, w, z_star, mu, rho)
+    return np.ones_like(w)
+
+
+def pcgrad(grads, rng) -> np.ndarray:
+    """Yu et al.'s projection (NeurIPS 2020) of each row of (m, P) grads:
+    the other rows' originals are visited in the order rng.permutation of
+    their indices gives, and g_i loses its component along each g_j it still
+    conflicts with; a g_j of squared norm <= 1e-12 is skipped."""
+    original = np.array(grads, dtype=np.float64)
+    out = original.copy()
+    m = len(original)
+    for i in range(m):
+        for j in rng.permutation([k for k in range(m) if k != i]):
+            sq = float(original[j] @ original[j])
+            if sq > 1e-12 and float(out[i] @ original[j]) < 0.0:
+                out[i] = out[i] - (out[i] @ original[j]) / sq * original[j]
+    return out
+
+
 def pareto_filter(points) -> np.ndarray:
     """Rows not strictly dominated by any other row (maximization)."""
     pts = np.asarray(points, dtype=np.float64)
@@ -91,6 +135,15 @@ def act(actor, state, w, rng) -> ActSample:
     half_log_2pi = 0.5 * float(np.log(2.0 * np.pi))
     log_prob = float(-0.5 * (z * z).sum() - actor.log_std.sum() - pre.size * half_log_2pi)
     return ActSample(np.minimum(np.maximum(pre, 0.0), 1.0), log_prob, pre)
+
+
+def log_probs(actor, x, pre_clamp) -> np.ndarray:
+    """(B,) log densities of raw samples under the actor's diagonal Gaussian
+    at the (B, obs_dim + m) rows x, its means from ``forward``."""
+    means = forward(actor.mean_head, forward(actor.backbone, x)[0])[0]
+    z = (pre_clamp - means) / np.exp(actor.log_std)
+    d = pre_clamp.shape[-1]
+    return -0.5 * (z * z).sum(axis=-1) - actor.log_std.sum() - 0.5 * d * float(np.log(2.0 * np.pi))
 
 
 def act_deterministic(actor, state, w) -> np.ndarray:

@@ -9,6 +9,7 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pastarl
@@ -576,22 +577,30 @@ class TestCompare:
         assert rc == 0
         rows = read_csv(out / "summary.csv")
         header, body = rows[0], rows[1:]
-        assert header[0] == "method"
-        for col in ("hypervolume_mean", "win_rate", "objective_dominance_rate", "dmp_auc"):
-            assert col in header
+        assert header == ["method", "expected_utility_mean", "expected_utility_std"]
         assert sorted(r[0] for r in body) == ["linear", "pasta"]
         per_pref = read_csv(out / "per_preference.csv")
-        assert per_pref[0][0] == "method"
+        assert per_pref[0] == ["method", "pref_0", "pref_1", "eu_mean", "eu_std", "return_0", "return_1"]
         assert len(per_pref) == 3  # two methods, one preference each
-        assert "method" in capsys.readouterr().out
+        assert "eu_mean" in capsys.readouterr().out
 
-    def test_win_rates_sum_to_one_for_two_methods(self, four_runs, tmp_path):
-        out = tmp_path / "cmp"
-        main(["compare", *map(str, four_runs), "--out", str(out)])
-        rows = read_csv(out / "summary.csv")
-        w = rows[0].index("win_rate")
-        total = sum(float(r[w]) for r in rows[1:])
-        assert total == pytest.approx(1.0, abs=1e-9)
+    def test_scores_each_run_by_its_final_evaluation(self, four_runs, tmp_path):
+        """Each cell is the mean over seeds of the runs' last eval.csv rows,
+        even where every run's untrained iteration-0 row dominates them."""
+        finals = {}  # method -> each seed's last (return_0, return_1, eu)
+        for run in four_runs:
+            for col in (1, 2, 3):
+                replace_cell(run / "eval.csv", 1, col, "100.0000000000")
+            last = [float(v) for v in read_csv(run / "eval.csv")[-1][1:]]
+            finals.setdefault(run.name.split("_")[0], []).append(last)
+        assert main(["compare", *map(str, four_runs), "--out", str(tmp_path / "cmp")]) == 0
+        for method, _, _, eu_mean, eu_std, *returns in read_csv(tmp_path / "cmp" / "per_preference.csv")[1:]:
+            runs = np.array(finals[method])
+            got = np.array([*returns, eu_mean, eu_std], dtype=float)
+            np.testing.assert_allclose(got, [*runs.mean(axis=0), runs[:, 2].std()], rtol=0, atol=1e-9)
+        for method, eu_mean, eu_std in read_csv(tmp_path / "cmp" / "summary.csv")[1:]:
+            eu = np.array(finals[method])[:, 2]
+            np.testing.assert_allclose([float(eu_mean), float(eu_std)], [eu.mean(), eu.std()], rtol=0, atol=1e-9)
 
     def test_rejects_duplicate_runs(self, four_runs, tmp_path, capsys):
         copy = tmp_path / "copy"
@@ -831,14 +840,16 @@ class TestUnreadableInput:
             ("eval.csv", lambda path: path.write_text(path.read_text().rsplit(",", 1)[0] + "\n"), "line 4"),
             ("eval.csv", lambda path: replace_cell(path, 0, 1, "ret_0"), "columns of an eval.csv"),
             ("eval.csv", add_return_column, "columns of an eval.csv"),
+            ("eval.csv", lambda path: path.write_text("".join(path.read_text().splitlines(True)[:-1])),
+             "ends at iteration 2, not at the 3 iterations"),
             ("manifest.json", lambda path: path.write_text("{"), ""),
             ("manifest.json", lambda path: edit_knob(path, "algorithm", "preference", [0.4, 0.3, 0.3]), "3 entries"),
             ("manifest.json", lambda path: edit_knob(path, "algorithm", "preference", ["a", "b"]),
              "algorithm.preference"),
         ],
         ids=["missing_eval_csv", "empty_eval_csv", "non_numeric_eval_cell", "non_finite_eval_cell", "short_eval_row",
-             "foreign_eval_header", "three_return_columns", "truncated_manifest", "three_weight_preference",
-             "string_preference"],
+             "foreign_eval_header", "three_return_columns", "unfinished_run", "truncated_manifest",
+             "three_weight_preference", "string_preference"],
     )
     def test_run_directory_to_compare(self, tiny_ini, tmp_path, capsys, name, mangle, detail):
         run = train(tiny_ini, tmp_path / "run")

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from pastarl.config import TrainConfig
 from pastarl.errors import ContractViolationError
 from pastarl.surgery import ProjectionResult, conflict_ratio, project_conflicts
 
@@ -125,6 +128,42 @@ class TestConflictRatio:
             g = rng.normal(size=(2, 8))
             res = project_conflicts(g, rng)
             assert res.kappa == pytest.approx(conflict_ratio(g))
+
+
+    def test_identical_rows_are_zero_and_opposite_rows_one(self, rng):
+        g = rng.standard_normal(8)
+        assert conflict_ratio(np.stack([g, g, g])) == 0.0
+        assert conflict_ratio(np.stack([g, -g])) == 1.0
+
+    @pytest.mark.parametrize("P", [2, 8, 256])
+    def test_noise_in_closed_form_over_sign_flips(self, P):
+        """Isotropic Gaussian rows are as likely as each of their 8 sign
+        flips.  Flipping a row flips the signs of its two pairs, so over the
+        flips of any draw the three pair indicators are pairwise independent
+        fair coins: with m = 3, kappa is a multiple of 1/3 with mean 1/2 and
+        variance 3 * (1/4) / 9 = 1/12, exactly, at any P."""
+        rng = np.random.default_rng(P)
+        for _ in range(20):
+            g = rng.standard_normal((3, P))
+            kappas = np.array([
+                conflict_ratio(np.array(signs)[:, None] * g)
+                for signs in itertools.product((1.0, -1.0), repeat=3)
+            ])
+            np.testing.assert_array_equal(kappas * 3, np.round(kappas * 3))
+            assert kappas.mean() == pytest.approx(0.5, abs=1e-15)
+            assert kappas.std() == pytest.approx(np.sqrt(1 / 12), abs=1e-15)
+
+    def test_noise_alone_averages_above_the_braking_threshold(self):
+        """4 000 draws of three isotropic Gaussian rows at P = 2, 8 and 256:
+        kappa's mean is 1/2 and its standard deviation sqrt(1/12) ~ 0.289,
+        so minibatch noise alone reads above the default tau = 0.4."""
+        rng = np.random.default_rng(22)
+        n = 4000
+        for P in (2, 8, 256):
+            kappas = np.array([conflict_ratio(rng.standard_normal((3, P))) for _ in range(n)])
+            assert abs(kappas.mean() - 0.5) < 4 * np.sqrt(1 / 12 / n)
+            assert abs(kappas.std() - np.sqrt(1 / 12)) < 0.015
+            assert kappas.mean() > TrainConfig().tau
 
 
 class TestProjectionResult:
