@@ -36,7 +36,7 @@ MANIFEST_FORMAT_VERSION = 1
 
 # (section, key) of knobs that were removed; a manifest written before their
 # removal still loads, without them.
-RETIRED_KEYS = (("algorithm", "tch_per_minibatch"),)
+RETIRED_KEYS = (("algorithm", "tch_per_minibatch"), ("algorithm", "weighted_pcgrad"))
 
 # The eight-preference evaluation set used throughout the experiments (m=3).
 DEFAULT_PREFERENCES_M3 = (
@@ -121,12 +121,8 @@ def _rows(test) -> dict:
 
 # read_by conditions
 CONTROLLED = _rows(lambda a: a.mu == "controller")
-STCH = _rows(lambda a: a.rule == "stch")
 BRAKES = {"controller_mode": ("full", "no_decay")}
 DECAYS = {"controller_mode": ("full", "no_conflict")}
-# eta, the maintenance mix of the attention delta, reaches training through an
-# eta-weighted value loss or weighted_pcgrad's actor coefficients.
-ETA = {"critic": ("branched_weighted", "shared_weighted"), "weighted_pcgrad": (True,)}
 
 # Choices that were removed, by field and value, with what to use instead; a
 # hint may name the configuration's fields as {field}.
@@ -135,6 +131,8 @@ RETIRED_CHOICES = {
         "it held mu at controller.mu_start, which is "
         "algorithm.name = stch_fixed with algorithm.fixed_mu = {mu_start!r}"
     ),
+    ("critic", "branched_unweighted"): "every value loss is eta-weighted, as branched_weighted weights it",
+    ("critic", "shared_unweighted"): "every value loss is eta-weighted, as shared_weighted weights it",
 }
 
 
@@ -158,14 +156,9 @@ class TrainConfig:
         "algorithm", "no_pcgrad", _parse_bool, False, BOOL, "ablation: skip the gradient projection",
         (_rows(lambda a: a.projects),),
     )
-    weighted_pcgrad: bool = knob(
-        "algorithm", "weighted_pcgrad", _parse_bool, False, BOOL,
-        "ablation: eta-weighted sum of the projected gradients", (STCH,),
-    )
     critic: str = knob(
-        "algorithm", "critic", str, "branched_weighted",
-        ("branched_weighted", "branched_unweighted", "shared_weighted", "shared_unweighted"),
-        "one value head per objective or one shared trunk, eta-weighted value loss or not",
+        "algorithm", "critic", str, "branched_weighted", ("branched_weighted", "shared_weighted"),
+        "one value head per objective or one shared trunk, each on the eta-weighted value loss",
     )
     controller_mode: str = knob(
         "controller", "mode", str, "full",
@@ -189,11 +182,12 @@ class TrainConfig:
         "controller", "lambda_ema", float, 0.05, "(0, 1]", "smoothing-parameter EMA rate", (CONTROLLED,)
     )
     rho: float = knob(
-        "controller", "rho", float, 0.15, "(0, 1)", "uniform maintenance mass in eta", (STCH, ETA)
+        "controller", "rho", float, 0.15, "(0, 1)", "uniform maintenance mass in eta",
+        (_rows(lambda a: a.rule == "stch"),),
     )
     zeta: float = knob(
         "controller", "zeta", float, 1.05, "(1, inf)", "utopia point in normalized return space",
-        (_rows(lambda a: a.rule != "linear"), {**_rows(lambda a: a.rule == "tch"), **ETA}),
+        (_rows(lambda a: a.rule != "linear"),),
     )
     horizon: int = knob("ppo", "horizon", int, 2048, AT_LEAST_1, "rollout steps per iteration")
     epochs: int = knob("ppo", "epochs", int, 10, AT_LEAST_1, "passes over each rollout")

@@ -9,9 +9,11 @@ refuses a mean head that does not end in a sigmoid, whose outputs lie in
 [0, 1] or are NaN, so the rollouts' per-step pass (``mean_pass``, bound to
 one buffer and checked once) steps with its means as they are.
 
-Critics come in two shapes.  The branched critic shares a trunk and gives
-each objective its own head, so head gradients stay isolated; the shared
-critic is a single network with an m-dimensional output layer.
+Critics come in two shapes, the choice of ``algorithm.critic``.  The branched
+critic shares a trunk and gives each objective its own head, so head
+gradients stay isolated; the shared critic is a single network with an
+m-dimensional output layer.  Either is trained on the value loss weighted by
+the trainer's eta, the same weighting as the actor's coefficients.
 """
 
 from __future__ import annotations

@@ -11,6 +11,11 @@ which is maximized as every weighted deviation shrinks.  mu -> 0 recovers the
 hard Tchebycheff objective; mu -> infinity approaches a weighted sum.  S itself
 lives in ``tests/oracles.py``, as the reference whose finite differences the
 attention must match.
+
+An stch row weights its objectives once per iteration, by
+eta = maintenance_mix(p, rho) of p = w * delta / sum(w * delta), the
+normalized gradient of S: the actor's coefficients are m * eta, and the
+critic's value loss weighs its heads by eta.
 """
 
 from __future__ import annotations
@@ -133,28 +138,28 @@ def stch_attention(r_bar: np.ndarray, w: np.ndarray, z_star: np.ndarray, mu: flo
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def maintenance_mix(delta: np.ndarray, rho: float) -> np.ndarray:
-    """Blend attention with uniform: eta = (1 - rho) * delta + rho / m.
+def maintenance_mix(p: np.ndarray, rho: float) -> np.ndarray:
+    """Blend a weighting p on the simplex with uniform: eta = (1 - rho) * p + rho / m.
 
-    Guarantees eta_i >= rho / m so no objective's critic head starves.
+    Guarantees eta_i >= rho / m, so no objective's actor row or critic head
+    starves.
     """
     if not 0.0 < rho < 1.0:
         raise ConfigError(f"maintenance rho must lie in (0, 1), got {rho}")
-    delta = np.asarray(delta, dtype=np.float64)
-    return (1.0 - rho) * delta + rho / delta.shape[-1]
+    p = np.asarray(p, dtype=np.float64)
+    return (1.0 - rho) * p + rho / p.shape[-1]
 
 
-def actor_coefficients(rule: str, r_bar, w, z_star, mu: float, combine) -> np.ndarray:
+def actor_coefficients(rule: str, r_bar, w, z_star, mu: float) -> np.ndarray:
     """Per-objective actor coefficients c (..., m), row-wise over leading axes.
 
     linear: w.  tch: w_j * e_j at the worst objective j of ``tch_worst_index``.
-    stch: combine(delta, w) of the attention delta at mu, the only rule that
-    reads mu and combine; with np.multiply it is w * delta = dS/dr_bar, which
-    tends to w / m as mu -> infinity and to tch's c as mu -> 0 (Lin et al.,
-    ICML 2024).
+    stch: w * delta = dS/dr_bar of the attention delta at mu, the only rule
+    that reads mu; normalized, it tends to w as mu -> infinity and to tch's
+    e_j as mu -> 0 (Lin et al., ICML 2024).
     """
     if rule == "stch":
-        return combine(stch_attention(r_bar, w, z_star, mu), np.asarray(w, dtype=np.float64))
+        return np.asarray(w, dtype=np.float64) * stch_attention(r_bar, w, z_star, mu)
     j, y = tch_worst_index(r_bar, w, z_star)
     w = np.broadcast_to(np.asarray(w, dtype=np.float64), y.shape)
     if rule == "linear":

@@ -97,7 +97,7 @@ def solve_scalarized(
         raise ContractViolationError(f"preferences {W.shape} and starts {x.shape} differ in leading axes")
     z = np.full(mop.m, z, dtype=np.float64)
     for k in range(steps):
-        c = actor_coefficients(scalarizer, -mop.f(x), W, -z, mu, np.multiply)
+        c = actor_coefficients(scalarizer, -mop.f(x), W, -z, mu)
         g = (c[..., None, :] @ mop.grad(x))[..., 0, :]
         x = np.clip(x - lr * g, mop.lo, mop.hi)
         if not np.all(np.isfinite(x)):

@@ -9,12 +9,14 @@ after every ``checkpoint_every``-th and the last (``checkpoints_after``).
 One iteration runs, in order: collect a fixed horizon of steps; per-objective
 GAE and advantage normalization; fold the iteration's completed-episode
 returns into the running normalizer to get r_bar; step the smoothness
-controller with the PREVIOUS iteration's conflict ratio; compute attention
-and the maintenance mix at the new mu; then run clipped-PPO epochs over
-shuffled minibatches.  The actor update gets its per-objective gradient
-rows from one backward pass, projects conflicts away, combines the rows
-with the actor coefficients c, adds the unprojected entropy term, and
-ascends in place on the actor's vector.
+controller with the PREVIOUS iteration's conflict ratio; weight the
+objectives once, at the new mu (an stch row's c is m * eta and its critic
+reads eta, as ``scalarize`` states; linear and tch keep their rule's c and
+a uniform eta); then run clipped-PPO epochs over shuffled minibatches.  The
+actor update gets its per-objective gradient rows from one backward pass,
+projects conflicts away, combines the rows with c, adds the unprojected
+entropy term, and ascends in place on the actor's vector; the critic update
+descends its eta-weighted value loss.
 
 The actor and the critic have separate vectors and Adam states, so within
 an iteration neither update reads what the other writes.  The critic's
@@ -69,7 +71,6 @@ from pastarl.scalarize import (
     actor_coefficients,
     maintenance_mix,
     preference_vector,
-    stch_attention,
     utopia_point,
 )
 from pastarl.surgery import conflict_ratio, project_conflicts
@@ -202,7 +203,6 @@ class Trainer:
         self.actor = GaussianActor.create(obs_dim, self.m, act_dim, init_rng, cfg.hidden)
         critic_cls = BranchedCritic if cfg.critic.startswith("branched") else SharedCritic
         self.critic = critic_cls.create(obs_dim, self.m, init_rng, cfg.hidden)
-        self.critic_weighted = cfg.critic.endswith("_weighted")
         self.actor_opt = AdamState(self.actor.n_params, lr=cfg.lr)
         self.critic_opt = AdamState(self.critic.n_params, lr=cfg.lr)
 
@@ -346,12 +346,13 @@ class Trainer:
         else:  # a constant mu: the fixed_mu knob, or 0 where there is none
             mu = cfg.fixed_mu if algorithm.mu == "fixed_mu" else 0.0
             trace = ControllerTrace(self.iteration, self.last_kappa, mu, 0.0, mu, mu)
-        eta_critic = np.full(self.m, 1.0 / self.m)
-        if self.critic_weighted and algorithm.rule == "stch":
-            eta_critic = maintenance_mix(stch_attention(r_bar, self.w, self.z_star, trace.mu), cfg.rho)
-        c = actor_coefficients(algorithm.rule, r_bar, self.w, self.z_star, trace.mu, self._combine)
+        c = actor_coefficients(algorithm.rule, r_bar, self.w, self.z_star, trace.mu)
+        eta = np.full(self.m, 1.0 / self.m)
+        if algorithm.rule == "stch":
+            eta = maintenance_mix(c / c.sum(), cfg.rho)
+            c = self.m * eta
 
-        value_losses, kappas, clip_loss_acc, entropy_acc = self._epochs(batch, c, eta_critic)
+        value_losses, kappas, clip_loss_acc, entropy_acc = self._epochs(batch, c, eta)
         n_updates = len(kappas)
 
         self.last_kappa = float(np.mean(kappas))
@@ -407,13 +408,7 @@ class Trainer:
             for start in range(0, len(perm), size):
                 yield perm[start : start + size]
 
-    def _combine(self, delta, w):
-        """The actor's coefficients of attention delta: m * eta with weighted_pcgrad, else ones."""
-        if self.cfg.weighted_pcgrad:
-            return self.m * maintenance_mix(delta, self.cfg.rho)
-        return np.ones_like(delta)
-
-    def _epochs(self, batch, c, eta_critic):
+    def _epochs(self, batch, c, eta):
         """The critic's epochs and the actor's over the same minibatches.
 
         Returns (value losses, kappas, summed clip losses, summed entropy),
@@ -430,7 +425,7 @@ class Trainer:
         """
         perms = [self.shuffle_rng.permutation(self.cfg.horizon) for _ in range(self.cfg.epochs)]
         critic_epochs = functools.partial(
-            self._critic_epochs, batch.inputs, batch.value_targets, perms, eta_critic
+            self._critic_epochs, batch.inputs, batch.value_targets, perms, eta
         )
         kappas: list[float] = []
         clip_loss_acc = np.zeros(self.m)

@@ -33,21 +33,23 @@ def clipped_objective_loss(ratio, a_hat, clip_eps: float):
 
 
 def attention_mix(r_bar, w, z_star, mu: float, rho: float) -> np.ndarray:
-    """eta = (1 - rho) * softmax(w * (z* - r_bar) / mu) + rho / m: the
-    smooth Tchebycheff attention blended with the uniform weights."""
-    y = np.asarray(w, dtype=np.float64) * (np.asarray(z_star, dtype=np.float64) - np.asarray(r_bar)) / mu
+    """eta = (1 - rho) * p + rho / m, where p = w * delta / sum(w * delta) is
+    the normalized gradient of the smooth Tchebycheff value, delta =
+    softmax(w * (z* - r_bar) / mu): that gradient blended with the uniform
+    weights."""
+    w = np.asarray(w, dtype=np.float64)
+    y = w * (np.asarray(z_star, dtype=np.float64) - np.asarray(r_bar)) / mu
     e = np.exp(y - np.max(y))
-    return (1.0 - rho) * e / e.sum() + rho / y.size
+    p = w * e / e.sum()
+    return (1.0 - rho) * p / p.sum() + rho / y.size
 
 
-def actor_coefficients(rule: str, r_bar, w, z_star, mu: float, rho: float, weighted_pcgrad: bool) -> np.ndarray:
+def actor_coefficients(rule: str, r_bar, w, z_star, mu: float, rho: float) -> np.ndarray:
     """The actor's per-objective coefficients c as the README states each rule.
 
     linear: w.  tch: w_j at the largest weighted deviation w_j (z*_j - r_bar_j),
-    the lowest such j, and 0 elsewhere.  stch: the trainer's combination of
-    the attention, all ones, or m * eta with weighted_pcgrad.  This pins the
-    combination as it stands: changing it changes this oracle, the README
-    and ``Trainer._combine`` together.
+    the lowest such j, and 0 elsewhere.  stch: m * eta, with eta the
+    ``attention_mix`` that the critic's value loss also reads.
     """
     w = np.asarray(w, dtype=np.float64)
     if rule == "linear":
@@ -55,9 +57,7 @@ def actor_coefficients(rule: str, r_bar, w, z_star, mu: float, rho: float, weigh
     if rule == "tch":
         j = int(np.argmax(w * (np.asarray(z_star) - np.asarray(r_bar))))
         return np.where(np.arange(w.size) == j, w, 0.0)
-    if weighted_pcgrad:
-        return w.size * attention_mix(r_bar, w, z_star, mu, rho)
-    return np.ones_like(w)
+    return w.size * attention_mix(r_bar, w, z_star, mu, rho)
 
 
 def pcgrad(grads, rng) -> np.ndarray:

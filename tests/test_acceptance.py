@@ -1,7 +1,7 @@
 """End-to-end acceptance checks for the toolkit.
 
 Each test covers one release criterion, measures its margin, and prints a
-single ``[ k/12] name: PASS/FAIL (...)`` line (run with ``-s`` to see the
+single ``[ k/13] name: PASS/FAIL (...)`` line (run with ``-s`` to see the
 lines as they appear).  Criteria with stated runtime budgets assert them.
 """
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pastarl import metrics, toybench
+from pastarl import trainer as trainer_mod
 from pastarl.cli import main as cli_main
 from pastarl.config import DEFAULT_PREFERENCES_M3
 from pastarl.controller import SmoothnessController, base_decay
@@ -19,13 +20,13 @@ from pastarl.envs import ENV_CLASSES, TrajectoryRecorder, make_env, replay_rewar
 from pastarl.nn import Network
 from pastarl.scalarize import stch_attention, tch_worst_index, utopia_point
 from pastarl.surgery import project_conflicts
-from pastarl.trainer import TrainConfig, Trainer, deterministic_returns
+from pastarl.trainer import EvalRecord, TrainConfig, Trainer, deterministic_returns
 from tests.oracles import stch_scalarize
 from tests.test_trainer import iterate
 
 
 def report(index: int, name: str, ok: bool, detail: str) -> None:
-    print(f"[{index:2d}/12] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    print(f"[{index:2d}/13] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name}: {detail}"
 
 
@@ -567,4 +568,56 @@ def test_12_manifest_rerun_determinism(tmp_path):
         "manifest-rerun-determinism",
         ok,
         f"metrics_identical={a == b}, eval_identical={eval_a == eval_b}, {elapsed:.1f}s",
+    )
+
+
+class ConcaveBandit:
+    """One step on ``toybench.concave_mop(spread=1.7)``: the action a in
+    [0, 1]^2 picks x = lo + a (hi - lo) in its box, and the reward is 1 - f(x)."""
+
+    name = "concave_bandit"
+    observation_dim, action_dim, m = 1, 2, 2
+    mop = toybench.concave_mop(spread=1.7)
+
+    def reset(self, rng):
+        return np.zeros(1)
+
+    def step(self, action):
+        x = self.mop.lo + action * (self.mop.hi - self.mop.lo)
+        return np.zeros(1), 1.0 - self.mop.f(x), True, {}
+
+
+def test_13_concave_bandit_follows_the_preference(monkeypatch):
+    """On a one-step bandit over the concave front, linear lands on an
+    endpoint while pasta lands on an interior front point on w's side, each
+    on >= 11 of 12 runs (three seeds, four preferences)."""
+    monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: False)
+    t0 = time.perf_counter()
+    front, _ = toybench.pareto_grid_oracle(ConcaveBandit.mop, resolution=600)
+    hits = {"linear": 0, "pasta": 0}
+    for algorithm, seed, w0 in itertools.product(hits, (0, 1, 2), (0.2, 0.3, 0.7, 0.8)):
+        cfg = TrainConfig(
+            algorithm=algorithm, preference=(w0, 1.0 - w0), horizon=128, epochs=5,
+            total_iterations=40, hidden=16, seed=seed, eval_every=40, eval_episodes=1,
+        )
+        trainer, records = Trainer(cfg, env=ConcaveBandit(), eval_env=ConcaveBandit()), []
+        trainer.run(records.append)
+        # The normalizer spans the rewards' [0, 1], so r_bar and the reward agree.
+        assert np.all(trainer.normalizer.low < 0.01) and np.all(trainer.normalizer.high > 0.99)
+        reward = np.array([r for r in records if isinstance(r, EvalRecord)][-1].returns)
+        f = 1.0 - reward
+        to_endpoint = np.linalg.norm(f - toybench.nearest_endpoint(front, f))
+        if algorithm == "linear":
+            hits[algorithm] += bool(to_endpoint < 0.05)
+        else:
+            to_front = np.min(np.linalg.norm(front - f, axis=-1))
+            side = (reward[0] / reward.sum() - 0.5) * np.sign(w0 - 0.5)
+            hits[algorithm] += bool(to_front < 0.01 and to_endpoint > 0.3 and side > 0.1)
+    elapsed = time.perf_counter() - t0
+    ok = hits["linear"] >= 11 and hits["pasta"] >= 11 and elapsed < 30.0
+    report(
+        13,
+        "concave-bandit-follows-preference",
+        ok,
+        f"linear_endpoint_hits={hits['linear']}/12, pasta_interior_hits={hits['pasta']}/12, {elapsed:.1f}s",
     )

@@ -120,15 +120,17 @@ class TestTrain:
         rc = main(["train", "--manifest", str(a / "manifest.json"), "--out", str(tmp_path / "c")])
         assert rc == 0
         assert (a / "metrics.csv").read_bytes() == (tmp_path / "c" / "metrics.csv").read_bytes()
-        # A manifest written before algorithm.tch_per_minibatch was removed still reruns.
+        # A manifest written before algorithm.tch_per_minibatch and
+        # algorithm.weighted_pcgrad were removed still reruns.
         old = json.loads((a / "manifest.json").read_text())
         old["config"]["algorithm"]["tch_per_minibatch"] = False
+        old["config"]["algorithm"]["weighted_pcgrad"] = False
         (tmp_path / "old.json").write_text(json.dumps(old))
         rc = main(["train", "--manifest", str(tmp_path / "old.json"), "--out", str(tmp_path / "d")])
         assert rc == 0
         assert (a / "metrics.csv").read_bytes() == (tmp_path / "d" / "metrics.csv").read_bytes()
         rerun = json.loads((tmp_path / "d" / "manifest.json").read_text())
-        assert "tch_per_minibatch" not in rerun["config"]["algorithm"]
+        assert not {"tch_per_minibatch", "weighted_pcgrad"} & set(rerun["config"]["algorithm"])
 
     def test_seed_flag_changes_results(self, tiny_ini, tmp_path):
         a = train(tiny_ini, tmp_path / "a")
@@ -679,8 +681,7 @@ class TestCompare:
 
 
 # Overrides that set a knob off its default where the configuration turns it
-# off, or that set the removed mode, and what the refusal says.
-UNWEIGHTED = "algorithm.weighted_pcgrad = false does not read"
+# off, or that set a removed choice, and what the refusal says.
 TURNED_OFF = [
     pytest.param(["controller.mode=no_conflict", "controller.tau=0.3"],
                  "pasta with controller.mode = no_conflict does not read controller.tau", id="no_conflict-tau"),
@@ -689,12 +690,17 @@ TURNED_OFF = [
                  id="no_conflict-mu_max"),
     pytest.param(["controller.mode=no_decay", "controller.mu_min=0.1"],
                  "pasta with controller.mode = no_decay does not read controller.mu_min", id="no_decay-mu_min"),
-    pytest.param(["algorithm.critic=shared_unweighted", "controller.rho=0.3"],
-                 f"pasta with algorithm.critic = shared_unweighted and {UNWEIGHTED} controller.rho",
-                 id="unweighted-rho"),
-    pytest.param(["algorithm.name=stch_fixed", "algorithm.critic=branched_unweighted", "controller.zeta=1.5"],
-                 f"stch_fixed with algorithm.critic = branched_unweighted and {UNWEIGHTED} controller.zeta",
-                 id="unweighted-zeta"),
+    pytest.param(["algorithm.name=tch", "controller.rho=0.3"], "tch does not read controller.rho", id="tch-rho"),
+    pytest.param(["algorithm.name=linear", "controller.rho=0.3"], "linear does not read controller.rho",
+                 id="linear-rho"),
+    pytest.param(["algorithm.name=linear", "controller.zeta=1.5"], "linear does not read controller.zeta",
+                 id="linear-zeta"),
+    pytest.param(["algorithm.name=stch_fixed", "algorithm.critic=shared_unweighted"],
+                 "algorithm.critic = shared_unweighted was removed: every value loss is eta-weighted, "
+                 "as shared_weighted weights it", id="removed_critic"),
+    pytest.param(["algorithm.critic=branched_unweighted"],
+                 "algorithm.critic = branched_unweighted was removed: every value loss is eta-weighted, "
+                 "as branched_weighted weights it", id="removed_branched_critic"),
     pytest.param(["controller.mode=no_conflict_no_decay", "controller.mu_start=5"],
                  "controller.mode (controller_mode) = no_conflict_no_decay was removed: it held mu at "
                  "controller.mu_start, which is algorithm.name = stch_fixed with algorithm.fixed_mu = 5.0",
@@ -708,7 +714,7 @@ def as_overrides(settings) -> list:
 
 class TestTurnedOffKnobs:
     """A knob set off its default where the configuration turns it off, and
-    the removed mode, exit 2 naming ``section.key`` from every source, and
+    a removed choice, exit 2 naming ``section.key`` from every source, and
     leave no file behind."""
 
     @pytest.mark.parametrize("settings, message", TURNED_OFF)

@@ -103,10 +103,16 @@ class TestLoadConfig:
             cfgmod.load_config(tmp_path / "absent.ini")
 
     def test_booleans_parse_both_spellings(self, tmp_path):
-        p = write_ini(tmp_path, "[algorithm]\nno_pcgrad = true\nweighted_pcgrad = 0\n")
-        cfg = cfgmod.load_config(p)
-        assert cfg["algorithm"]["no_pcgrad"] is True
-        assert cfg["algorithm"]["weighted_pcgrad"] is False
+        for text, value in (("true", True), ("0", False)):
+            p = write_ini(tmp_path, f"[algorithm]\nno_pcgrad = {text}\n")
+            assert cfgmod.load_config(p)["algorithm"]["no_pcgrad"] is value
+
+    def test_the_retired_weighted_pcgrad_is_an_unknown_key(self, tmp_path):
+        p = write_ini(tmp_path, "[algorithm]\nweighted_pcgrad = true\n")
+        with pytest.raises(ConfigError, match=r"unknown config entries: algorithm\.weighted_pcgrad"):
+            cfgmod.load_config(p)
+        with pytest.raises(ConfigError, match="unknown key 'weighted_pcgrad'"):
+            cfgmod.apply_overrides(cfgmod.default_config(), ["algorithm.weighted_pcgrad=true"])
 
 
 class TestOverrides:
@@ -216,6 +222,16 @@ class TestBuildTrainConfig:
         with pytest.raises(ConfigError, match=message):
             cfgmod.build_train_config(cfg)
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("shape", ["branched", "shared"])
+    def test_the_unweighted_critics_point_to_their_weighted_counterpart(self, algorithm, shape):
+        cfg = cfgmod.default_config()
+        cfg["algorithm"]["name"] = algorithm
+        cfg["algorithm"]["critic"] = f"{shape}_unweighted"
+        message = rf"^algorithm\.critic = {shape}_unweighted was removed: .* as {shape}_weighted weights it$"
+        with pytest.raises(ConfigError, match=message):
+            cfgmod.build_train_config(cfg)
+
     def test_fixed_mu_must_keep_its_default_where_unread(self):
         cfg = cfgmod.default_config()
         cfg["algorithm"]["fixed_mu"] = -1.0
@@ -322,7 +338,7 @@ class TestDeclaredRanges:
 
 # A non-default, in-range value of every knob that has a read_by.
 PROBES = {
-    "fixed_mu": 0.5, "no_pcgrad": True, "weighted_pcgrad": True, "controller_mode": "no_decay",
+    "fixed_mu": 0.5, "no_pcgrad": True, "controller_mode": "no_decay",
     "mu_start": 5.0, "mu_min": 0.1, "mu_max": 20.0, "tau": 0.2, "lambda_ema": 0.5, "rho": 0.3,
     "zeta": 1.5,
 }
@@ -330,17 +346,26 @@ CONDITIONAL = [f for f in cfgmod.KNOBS if f.metadata["read_by"] is not None]
 
 
 def configurations():
-    """(id, settings) of each algorithm at its defaults, then of every single
-    flip of a choice or boolean knob that it reads there; the environment and
-    the algorithm are not flipped."""
-    for name in ALGORITHMS:
-        yield name, (("algorithm", name),)
-        for f in CHOICE_KNOBS:
-            if f.name in ("env_name", "algorithm") or cfgmod.TrainConfig(algorithm=name).unmet(f):
-                continue
+    """(id, settings) of each algorithm under every combination of the choice
+    and boolean knobs that it reads, its defaults first; the environment and
+    the algorithm are not flipped.  A knob is flipped only where the choices
+    before it leave it read."""
+    flippable = [f for f in CHOICE_KNOBS if f.name not in ("env_name", "algorithm")]
+
+    def combine(settings, flips, knobs):
+        if not knobs:
+            name = settings[0][1]
+            yield (f"{name}[{','.join(flips)}]" if flips else name), settings
+            return
+        f, rest = knobs[0], knobs[1:]
+        yield from combine(settings, flips, rest)
+        if cfgmod.TrainConfig(**dict(settings)).unmet(f) is None:
             for choice in f.metadata["valid"]:
                 if choice != f.default:
-                    yield f"{name}[{knob_id(f)}={choice}]", (("algorithm", name), (f.name, choice))
+                    yield from combine(settings + ((f.name, choice),), flips + [f"{knob_id(f)}={choice}"], rest)
+
+    for name in ALGORITHMS:
+        yield from combine((("algorithm", name),), [], flippable)
 
 
 def probe(settings, f):
@@ -349,9 +374,10 @@ def probe(settings, f):
 
 
 # Where a read knob moves no bit at the defaults, the settings that show it is
-# read.  Under no_decay, mu_start = mu_max (as at the defaults) makes the
-# braking target mu_start at every iteration, so the EMA holds mu there.
-WITNESSES = {("pasta[controller.mode=no_decay]", "lambda_ema"): (("mu_start", 5.0),)}
+# read, by the knob and a (field, value) of the configurations that need them.
+# Under no_decay, mu_start = mu_max (as at the defaults) makes the braking
+# target mu_start at every iteration, so the EMA holds mu there.
+WITNESSES = {("lambda_ema", ("controller_mode", "no_decay")): (("mu_start", 5.0),)}
 
 # (settings, knob) for each configuration and each knob with a read_by that
 # the configuration reads, and that it does not.
@@ -359,7 +385,7 @@ READ, UNREAD = [], []
 for _id, _settings in configurations():
     for _f in CONDITIONAL:
         if cfgmod.TrainConfig(**dict(_settings)).unmet(_f) is None:
-            _witness = WITNESSES.get((_id, _f.name), ())
+            _witness = next((w for (name, s), w in WITNESSES.items() if name == _f.name and s in _settings), ())
             READ.append(pytest.param(_settings + _witness, _f, id=f"{_id}-{knob_id(_f)}"))
         else:
             UNREAD.append(pytest.param(_settings, _f, id=f"{_id}-{knob_id(_f)}"))
@@ -455,6 +481,7 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["config"]["ppo"]["learning_rat"] = 0.1
         doc["config"]["algorithm"]["tch_per_minibatch"] = True  # retired, so dropped
+        doc["config"]["algorithm"]["weighted_pcgrad"] = True  # likewise
         doc["config"]["extra"] = {"key": 1}
         doc["config"]["note"] = "x"
         path.write_text(json.dumps(doc))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pastarl.config import KNOBS, TrainConfig
+from pastarl.config import DEFAULT_PREFERENCES_M3, KNOBS
+from pastarl.envs import ENV_CLASSES
 from pastarl.errors import ConfigError, ContractViolationError
 from pastarl.scalarize import (
     ALGORITHMS,
@@ -16,8 +17,9 @@ from pastarl.scalarize import (
     tch_worst_index,
     utopia_point,
 )
-from pastarl.trainer import Trainer
 from tests.oracles import stch_scalarize
+from tests.test_config import configurations
+from tests.test_trainer import iteration_weights
 
 
 class TestPreferenceVector:
@@ -255,33 +257,24 @@ class TestMaintenanceMix:
         np.testing.assert_allclose(E.sum(axis=-1), 1.0, rtol=1e-12)
 
 
-def trainer_combine(m: int, weighted_pcgrad: bool):
-    """The combine that a Trainer with m objectives passes to actor_coefficients."""
-    env = {2: "stub", 3: "frogger", 4: "formation"}[m]
-    w = np.full(m, 1.0 / m)
-    w[-1] = 1.0 - w[:-1].sum()
-    cfg = TrainConfig(env_name=env, preference=tuple(w), hidden=4, weighted_pcgrad=weighted_pcgrad)
-    return Trainer(cfg)._combine
-
-
 class TestActorCoefficients:
     def test_linear_is_w(self):
         w = np.array([0.2, 0.8])
-        c = actor_coefficients("linear", np.array([0.0, 0.9]), w, utopia_point(2), 0.0, None)
+        c = actor_coefficients("linear", np.array([0.0, 0.9]), w, utopia_point(2), 0.0)
         np.testing.assert_array_equal(c, w)
 
     def test_tch_is_the_weight_of_the_worst_objective(self):
         # Deviations 0.21 vs 0.12: objective 0 is the worst.
-        c = actor_coefficients("tch", np.array([0.0, 0.9]), np.array([0.2, 0.8]), utopia_point(2), 0.0, None)
+        c = actor_coefficients("tch", np.array([0.0, 0.9]), np.array([0.2, 0.8]), utopia_point(2), 0.0)
         np.testing.assert_array_equal(c, [0.2, 0.0])
 
     def test_tch_tie_goes_to_lowest_index(self):
-        c = actor_coefficients("tch", np.array([0.5, 0.5]), np.full(2, 0.5), utopia_point(2), 0.0, None)
+        c = actor_coefficients("tch", np.array([0.5, 0.5]), np.full(2, 0.5), utopia_point(2), 0.0)
         np.testing.assert_array_equal(c, [0.5, 0.0])
 
-    def test_stch_combines_the_attention(self):
+    def test_stch_is_w_times_the_attention(self):
         r, w, z = np.array([0.1, 0.9, 0.5]), np.array([0.2, 0.3, 0.5]), utopia_point(3)
-        c = actor_coefficients("stch", r, w, z, 0.2, np.multiply)
+        c = actor_coefficients("stch", r, w, z, 0.2)
         np.testing.assert_array_equal(c, w * stch_attention(r, w, z, 0.2))
 
     @pytest.mark.parametrize("w", [(0.2, 0.8), (0.5, 0.5), (0.1, 0.6, 0.3), (0.4, 0.1, 0.2, 0.3)])
@@ -289,8 +282,8 @@ class TestActorCoefficients:
         w = np.array(w)
         r = np.linspace(0.0, 1.0, w.size)
         z = utopia_point(w.size)
-        c = actor_coefficients("stch", r, w, z, 1e6, np.multiply)
-        np.testing.assert_allclose(c / c.sum(), actor_coefficients("linear", r, w, z, 0.0, None), atol=1e-6)
+        c = actor_coefficients("stch", r, w, z, 1e6)
+        np.testing.assert_allclose(c / c.sum(), actor_coefficients("linear", r, w, z, 0.0), atol=1e-6)
 
     @pytest.mark.parametrize(
         "r, w",
@@ -299,8 +292,8 @@ class TestActorCoefficients:
     def test_small_mu_gradient_tends_to_tch(self, r, w):
         r, w = np.array(r), np.array(w)
         z = utopia_point(w.size)
-        c = actor_coefficients("stch", r, w, z, 1e-4, np.multiply)
-        np.testing.assert_allclose(c, actor_coefficients("tch", r, w, z, 0.0, None), atol=1e-12)
+        c = actor_coefficients("stch", r, w, z, 1e-4)
+        np.testing.assert_allclose(c, actor_coefficients("tch", r, w, z, 0.0), atol=1e-12)
 
     @pytest.mark.parametrize("rule", SCALARIZERS)
     def test_rows_match_one_row_at_a_time(self, rule):
@@ -308,14 +301,14 @@ class TestActorCoefficients:
         R = rng.uniform(0.0, 1.0, size=(4, 5, 3))
         W = rng.dirichlet(np.ones(3), size=(4, 5))
         z = utopia_point(3)
-        C = actor_coefficients(rule, R, W, z, 0.05, np.multiply)
+        C = actor_coefficients(rule, R, W, z, 0.05)
         assert C.shape == (4, 5, 3)
         for idx in np.ndindex(4, 5):
-            np.testing.assert_array_equal(C[idx], actor_coefficients(rule, R[idx], W[idx], z, 0.05, np.multiply))
+            np.testing.assert_array_equal(C[idx], actor_coefficients(rule, R[idx], W[idx], z, 0.05))
 
     def test_unknown_rule_rejected(self):
         with pytest.raises(ConfigError):
-            actor_coefficients("mean", np.ones(2), np.full(2, 0.5), utopia_point(2), 0.1, np.multiply)
+            actor_coefficients("mean", np.ones(2), np.full(2, 0.5), utopia_point(2), 0.1)
 
     def test_every_algorithm_name_has_exactly_one_table_row(self):
         names = next(f for f in KNOBS if f.name == "algorithm").metadata["valid"]
@@ -327,31 +320,95 @@ class TestActorCoefficients:
             assert row.clip in ("objective", "scalarized")
             assert row.projects in (False, True)
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_all_ones_combine_is_the_plain_sum(self, m):
-        rng = np.random.default_rng(m)
-        r, w = rng.uniform(size=m), rng.dirichlet(np.ones(m))
-        c = actor_coefficients("stch", r, w, utopia_point(m), 0.3, trainer_combine(m, False))
-        np.testing.assert_array_equal(c, np.ones(m))
-        g = rng.normal(size=(m, 500))
-        np.testing.assert_array_equal((c[:, None] * g).sum(axis=0), g.sum(axis=0))
 
-    def test_weighted_combine_scales_by_m_eta(self):
-        # delta = (1, 0) at rho = 0.15 mixes to eta = (0.925, 0.075).
-        c = trainer_combine(2, True)(np.array([1.0, 0.0]), np.full(2, 0.5))
-        np.testing.assert_allclose(c, [1.85, 0.15], rtol=1e-14)
-        np.testing.assert_allclose((c[:, None] * np.eye(2)).sum(axis=0), [1.85, 0.15], rtol=1e-14)
+class TestIterationWeights:
+    """The weighting one trainer iteration passes to its updates, in closed
+    form: an stch row's c is m * eta, eta the maintenance mix of toybench's
+    normalized w * delta, and the critic reads that eta; linear and tch keep
+    their rule's c and a uniform critic eta."""
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
-    def test_weighted_combine_is_the_m_eta_sum_bit_for_bit(self, m):
-        rng = np.random.default_rng(m)
-        r, w, z = rng.uniform(size=m), rng.dirichlet(np.ones(m)), utopia_point(m)
-        c = actor_coefficients("stch", r, w, z, 0.3, trainer_combine(m, True))
-        eta = maintenance_mix(stch_attention(r, w, z, 0.3), 0.15)
-        g = rng.normal(size=(m, 500))
-        np.testing.assert_array_equal((c[:, None] * g).sum(axis=0), (m * eta[:, None] * g).sum(axis=0))
+    @staticmethod
+    def unfloored(c, rho):
+        """p of c = m * ((1 - rho) * p + rho / m)."""
+        return (c / c.size - rho / c.size) / (1.0 - rho)
 
-    def test_uniform_eta_reproduces_the_sum(self):
-        g = np.random.default_rng(1).normal(size=(3, 7))
-        c = trainer_combine(3, True)(np.full(3, 1 / 3), np.full(3, 1 / 3))
-        np.testing.assert_allclose((c[:, None] * g).sum(axis=0), g.sum(axis=0), rtol=1e-12)
+    @pytest.mark.parametrize(
+        "env, r_bar, w",
+        [("stub", (0.3, 0.6), (0.3, 0.7)), ("stub", (0.9, 0.1), (0.5, 0.5)),
+         ("frogger", (0.2, 0.7, 0.5), (0.1, 0.6, 0.3)), ("stealth", (0.6, 0.1, 0.4), (0.5, 0.3, 0.2)),
+         ("formation", (0.2, 0.7, 0.5, 0.1), (0.1, 0.2, 0.3, 0.4))],
+    )
+    def test_pasta_weights_are_toybenchs_normalized_gradient(self, env, r_bar, w):
+        c, eta, mu = iteration_weights(r_bar, env_name=env, preference=w)
+        p = actor_coefficients("stch", np.array(r_bar), np.array(w), utopia_point(len(w)), mu)
+        np.testing.assert_allclose(self.unfloored(c, 0.15), p / p.sum(), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(c, len(w) * eta)
+        assert c.sum() == pytest.approx(len(w), rel=1e-12)
+
+    @pytest.mark.parametrize("w", DEFAULT_PREFERENCES_M3)
+    @pytest.mark.parametrize("algorithm", ["pasta", "stch_fixed"])
+    def test_stch_rows_follow_toybench_at_every_default_preference(self, algorithm, w):
+        r_bar = (0.2, 0.7, 0.5)
+        c, eta, mu = iteration_weights(r_bar, env_name="frogger", algorithm=algorithm, preference=w)
+        p = actor_coefficients("stch", np.array(r_bar), np.array(w), utopia_point(3), mu)
+        np.testing.assert_allclose(self.unfloored(c, 0.15), p / p.sum(), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(c, 3 * eta)
+
+    @pytest.mark.parametrize(
+        "env, r_bar, w",
+        [("stub", (0.0, 0.9), (0.2, 0.8)), ("stub", (0.0, 0.9), (0.5, 0.5)), ("stub", (0.0, 0.9), (0.9, 0.1)),
+         ("formation", (0.2, 0.7, 0.5, 0.1), (0.1, 0.2, 0.3, 0.4))],
+    )
+    def test_tends_to_w_as_mu_grows(self, env, r_bar, w):
+        c, _, _ = iteration_weights(r_bar, env_name=env, algorithm="stch_fixed", fixed_mu=1e6, preference=w)
+        np.testing.assert_allclose(self.unfloored(c, 0.15), w, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("w", DEFAULT_PREFERENCES_M3)
+    def test_tends_to_w_as_mu_grows_at_every_default_preference(self, w):
+        c, _, _ = iteration_weights(
+            (0.2, 0.7, 0.5), env_name="frogger", algorithm="stch_fixed", fixed_mu=1e6, preference=w,
+        )
+        np.testing.assert_allclose(self.unfloored(c, 0.15), w, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "env, r_bar, w, worst",
+        [("stub", (0.0, 0.9), (0.6, 0.4), 0), ("stub", (0.9, 0.0), (0.6, 0.4), 1),
+         ("stub", (0.6, 0.5), (0.6, 0.4), 0), ("formation", (0.2, 0.7, 0.5, 0.1), (0.1, 0.2, 0.3, 0.4), 3)],
+    )
+    def test_concentrates_on_the_worst_weighted_deviation_as_mu_shrinks(self, env, r_bar, w, worst):
+        # Weighted deviations 0.63, 0.06; 0.09, 0.42; 0.27, 0.22; and
+        # 0.085, 0.07, 0.165, 0.38.
+        c, _, _ = iteration_weights(r_bar, env_name=env, algorithm="stch_fixed", fixed_mu=1e-4, preference=w)
+        np.testing.assert_allclose(self.unfloored(c, 0.15), np.eye(len(w))[worst], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("w", DEFAULT_PREFERENCES_M3)
+    def test_concentrates_on_the_worst_weighted_deviation_at_every_default_preference(self, w):
+        # Deviations (0.85, 0.35, 0.55): the worst weighted one leads the
+        # next by 0.04 or more at each preference, 400 times mu.
+        r_bar = np.array([0.2, 0.7, 0.5])
+        worst = np.argmax(np.array(w) * (1.05 - r_bar))
+        c, _, _ = iteration_weights(r_bar, env_name="frogger", algorithm="stch_fixed", fixed_mu=1e-4, preference=w)
+        np.testing.assert_allclose(self.unfloored(c, 0.15), np.eye(3)[worst], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("env", ["stub", "frogger", "formation", "stealth"])
+    @pytest.mark.parametrize("algorithm", ["linear", "tch"])
+    def test_linear_and_tch_keep_their_rule_and_a_uniform_critic(self, algorithm, env):
+        m = ENV_CLASSES[env]().m
+        r_bar, w = np.linspace(0.2, 0.7, m), np.arange(m, 0, -1) / (m * (m + 1) / 2)
+        c, eta, _ = iteration_weights(r_bar, env_name=env, algorithm=algorithm, preference=tuple(w))
+        np.testing.assert_array_equal(c, actor_coefficients(algorithm, r_bar, w, utopia_point(m), 0.0))
+        np.testing.assert_array_equal(eta, np.full(m, 1.0 / m))
+
+    @pytest.mark.parametrize("settings", [pytest.param(s, id=i) for i, s in configurations()])
+    def test_every_configuration_weights_by_its_rule(self, settings):
+        """No critic shape, projection or controller mode changes the weighting."""
+        r_bar, w = np.array([0.3, 0.6]), np.array([0.45, 0.55])
+        c, eta, mu = iteration_weights(r_bar, preference=tuple(w), **dict(settings))
+        rule = ALGORITHMS[dict(settings)["algorithm"]].rule
+        expected = actor_coefficients(rule, r_bar, w, utopia_point(2), mu)
+        if rule == "stch":
+            np.testing.assert_allclose(self.unfloored(c, 0.15), expected / expected.sum(), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(c, 2 * eta)
+        else:
+            np.testing.assert_array_equal(c, expected)
+            np.testing.assert_array_equal(eta, [0.5, 0.5])

@@ -11,7 +11,7 @@ import pytest
 
 from pastarl import trainer as trainer_mod
 from pastarl.cli import main
-from pastarl.envs import make_env
+from pastarl.envs import ENV_CLASSES, make_env
 from pastarl.envs.base import MomdpEnv
 from pastarl.errors import ConfigError, DivergenceError
 from pastarl.gae import RolloutBatch
@@ -49,6 +49,23 @@ def stub_cfg(**overrides) -> TrainConfig:
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def iteration_weights(r_bar, **overrides) -> tuple:
+    """(c, eta, mu): the actor's coefficients and the critic's eta that one
+    iteration of a tiny run passes to its updates, and its mu, with the
+    normalizer giving r_bar; the updates themselves are skipped."""
+    t = Trainer(TrainConfig(**{"horizon": 8, "hidden": 4, **overrides}))
+    t.normalizer.update_and_normalize = lambda rows: np.asarray(r_bar, dtype=np.float64)
+    seen = []
+
+    def epochs(batch, c, eta):
+        seen.append((c, eta))
+        return [0.0], [0.0], np.zeros(t.m), 0.0
+
+    t._epochs = epochs
+    (report,) = t.run_iteration()
+    return (*seen[0], report.mu)
 
 
 class OneObjectiveEnv(MomdpEnv):
@@ -329,12 +346,15 @@ class TestIterationMechanics:
         assert r_proj.kappa == r_raw.kappa  # same batch, same conflict count
         assert not np.array_equal(t_proj.actor.params, t_raw.actor.params)
 
-    def test_weighted_aggregation_changes_update(self):
-        t_sum = Trainer(stub_cfg(seed=2))
-        t_wtd = Trainer(stub_cfg(seed=2, weighted_pcgrad=True))
-        iterate(t_sum)
-        iterate(t_wtd)
-        assert not np.array_equal(t_sum.actor.params, t_wtd.actor.params)
+    @pytest.mark.parametrize("env", ["stub", "frogger", "formation", "stealth"])
+    @pytest.mark.parametrize("algorithm", ["pasta", "stch_fixed"])
+    def test_two_preferences_give_pasta_different_coefficients_at_the_same_r_bar(self, algorithm, env):
+        m = ENV_CLASSES[env]().m
+        r_bar, w = np.linspace(0.3, 0.6, m), np.arange(1, m + 1) / (m * (m + 1) / 2)
+        c_a, _, mu_a = iteration_weights(r_bar, env_name=env, algorithm=algorithm, preference=tuple(w))
+        c_b, _, mu_b = iteration_weights(r_bar, env_name=env, algorithm=algorithm, preference=tuple(w[::-1]))
+        assert mu_a == mu_b
+        assert not np.allclose(c_a, c_b)
 
     def test_critic_divergence_raises(self):
         t = Trainer(stub_cfg())
@@ -429,8 +449,8 @@ def failing_update(name, k):
 
 
 class TestSplitEpochs:
-    @pytest.mark.parametrize("critic", ["branched_weighted", "shared_unweighted"])
-    @pytest.mark.parametrize("algorithm", ["pasta", "linear", "tch"])
+    @pytest.mark.parametrize("critic", ["branched_weighted", "shared_weighted"])
+    @pytest.mark.parametrize("algorithm", ["pasta", "linear", "tch", "stch_fixed"])
     def test_matches_the_interleaved_loop_bit_for_bit(self, algorithm, critic, placement, worker_pids):
         # minibatch 24 leaves a short last minibatch in each epoch.
         cfg = stub_cfg(algorithm=algorithm, critic=critic, minibatch=24, seed=5)

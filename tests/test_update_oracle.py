@@ -113,7 +113,7 @@ def coefficients(u: FirstUpdates) -> np.ndarray:
     t, cfg = u.trainer, u.trainer.cfg
     z_star = np.full(t.m, cfg.zeta)
     rule = ALGORITHMS[cfg.algorithm].rule
-    return oracles.actor_coefficients(rule, u.r_bar, t.w, z_star, u.mu, cfg.rho, cfg.weighted_pcgrad)
+    return oracles.actor_coefficients(rule, u.r_bar, t.w, z_star, u.mu, cfg.rho)
 
 
 def ratios(u: FirstUpdates) -> np.ndarray:
@@ -162,13 +162,11 @@ ACTOR_CASES = [
     pytest.param({"algorithm": "linear"}, id="linear"),
     pytest.param({"algorithm": "tch"}, id="tch"),
     pytest.param({"algorithm": "pasta", "no_pcgrad": True}, id="pasta-no_pcgrad"),
-    pytest.param({"algorithm": "stch_fixed", "fixed_mu": 0.3, "no_pcgrad": True, "weighted_pcgrad": True},
-                 id="stch_fixed-no_pcgrad-weighted_pcgrad"),
+    pytest.param({"algorithm": "stch_fixed", "fixed_mu": 0.3, "no_pcgrad": True}, id="stch_fixed-no_pcgrad"),
 ]
 PROJECTING_CASES = [
     pytest.param({"algorithm": "pasta"}, id="pasta"),
-    pytest.param({"algorithm": "stch_fixed", "fixed_mu": 0.3, "weighted_pcgrad": True},
-                 id="stch_fixed-weighted_pcgrad"),
+    pytest.param({"algorithm": "stch_fixed", "fixed_mu": 0.3}, id="stch_fixed"),
 ]
 
 
@@ -207,14 +205,13 @@ def critic_values(critic, x: np.ndarray) -> np.ndarray:
     return oracles.forward(critic.net, x)[0]
 
 
-@pytest.mark.parametrize(
-    "critic", ["branched_weighted", "branched_unweighted", "shared_weighted", "shared_unweighted"]
-)
-def test_critic_gradient_is_the_weighted_value_loss_gradient(critic, monkeypatch):
-    u = first_updates(frogger_cfg(critic=critic), monkeypatch)
+@pytest.mark.parametrize("critic", ["branched_weighted", "shared_weighted"])
+@pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+def test_critic_gradient_is_the_weighted_value_loss_gradient(algorithm, critic, monkeypatch):
+    u = first_updates(frogger_cfg(algorithm=algorithm, critic=critic), monkeypatch)
     t, cfg = u.trainer, u.trainer.cfg
     eta = np.full(t.m, 1.0 / t.m)
-    if critic.endswith("_weighted"):  # pasta's rule is stch
+    if ALGORITHMS[algorithm].rule == "stch":
         eta = oracles.attention_mix(u.r_bar, t.w, np.full(t.m, cfg.zeta), u.mu, cfg.rho)
     x, targets = u.batch.inputs[u.mb], u.batch.value_targets[u.mb]
     theta, grad = u.steps["critic"]
