@@ -34,9 +34,10 @@ from pastarl.scalarize import ALGORITHMS, preference_vector
 
 MANIFEST_FORMAT_VERSION = 1
 
-# (section, key) of knobs that were removed; a manifest written before their
-# removal still loads, without them.
-RETIRED_KEYS = (("algorithm", "tch_per_minibatch"), ("algorithm", "weighted_pcgrad"))
+# Removed knobs by (section, key), each with None or (the value that still trains
+# today's method, why others exit 2); a manifest still loads without them.
+RETIRED_KEYS = {("algorithm", "tch_per_minibatch"): None,
+                ("algorithm", "weighted_pcgrad"): (False, "the actor now always steps along m * eta")}
 
 # The eight-preference evaluation set used throughout the experiments (m=3).
 DEFAULT_PREFERENCES_M3 = (
@@ -121,14 +122,17 @@ def _rows(test) -> dict:
 
 # read_by conditions
 CONTROLLED = _rows(lambda a: a.mu == "controller")
-BRAKES = {"controller_mode": ("full", "no_decay")}
-DECAYS = {"controller_mode": ("full", "no_conflict")}
+BRAKES = {"controller_mode": ("full",)}
 
 # Choices that were removed, by field and value, with what to use instead; a
 # hint may name the configuration's fields as {field}.
 RETIRED_CHOICES = {
     ("controller_mode", "no_conflict_no_decay"): (
         "it held mu at controller.mu_start, which is "
+        "algorithm.name = stch_fixed with algorithm.fixed_mu = {mu_start!r}"
+    ),
+    ("controller_mode", "no_decay"): (
+        "it did not anneal, and at mu_start = mu_max it held mu at controller.mu_start, which is "
         "algorithm.name = stch_fixed with algorithm.fixed_mu = {mu_start!r}"
     ),
     ("critic", "branched_unweighted"): "every value loss is eta-weighted, as branched_weighted weights it",
@@ -162,15 +166,15 @@ class TrainConfig:
     )
     controller_mode: str = knob(
         "controller", "mode", str, "full",
-        ("full", "no_conflict", "no_decay"),
-        "ablations: drop the conflict braking or the decay; `stch_fixed` drops both", (CONTROLLED,),
+        ("full", "no_conflict"),
+        "ablation: drop the conflict braking; `stch_fixed` drops the anneal too", (CONTROLLED,),
     )
     mu_start: float = knob(
         "controller", "mu_start", float, 10.0, POSITIVE,
         "initial smoothing; `mu_min <= mu_start <= mu_max` where the mode reads them", (CONTROLLED,),
     )
     mu_min: float = knob(
-        "controller", "mu_min", float, 0.05, POSITIVE, "end of the anneal", (CONTROLLED, DECAYS)
+        "controller", "mu_min", float, 0.05, POSITIVE, "end of the anneal", (CONTROLLED,)
     )
     mu_max: float = knob(
         "controller", "mu_max", float, 10.0, POSITIVE, "braking ceiling", (CONTROLLED, BRAKES)
@@ -179,7 +183,7 @@ class TrainConfig:
         "controller", "tau", float, 0.4, "[0, 1)", "conflict threshold for braking", (CONTROLLED, BRAKES)
     )
     lambda_ema: float = knob(
-        "controller", "lambda_ema", float, 0.05, "(0, 1]", "smoothing-parameter EMA rate", (CONTROLLED,)
+        "controller", "lambda_ema", float, 0.05, "(0, 1]", "EMA rate of the braking lift", (CONTROLLED, BRAKES)
     )
     rho: float = knob(
         "controller", "rho", float, 0.15, "(0, 1)", "uniform maintenance mass in eta",
@@ -250,7 +254,7 @@ class TrainConfig:
             elif isinstance(valid, str) and not _within(value, valid):
                 raise ConfigError(f"{_knob_name(f)} must lie in {valid}, got {value!r}")
         # After the ranges, so that an out-of-range value gets its own message.
-        if self.unmet(KNOB_FIELDS["mu_min"]) is None and not self.mu_min <= self.mu_start:
+        if not self.mu_min <= self.mu_start:
             raise ConfigError(
                 f"controller.mu_start must be at least controller.mu_min = {self.mu_min!r}, "
                 f"got {self.mu_start!r}"
@@ -454,7 +458,7 @@ def load_manifest(path) -> dict:
     """A manifest that ``write_manifest`` wrote; ConfigError naming the file
     if it cannot be read, or its config lacks a declared knob, holds an entry
     that no knob declares, does not validate or has a preference that does
-    not fit its environment.  RETIRED_KEYS are dropped."""
+    not fit its environment.  RETIRED_KEYS are dropped, or refused off their old value."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as f:
@@ -469,9 +473,10 @@ def load_manifest(path) -> dict:
     cfg = manifest.get("config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"manifest {path} has no config")
-    for section, key in RETIRED_KEYS:
-        if isinstance(cfg.get(section), dict):
-            cfg[section].pop(key, None)
+    for (section, key), retired in RETIRED_KEYS.items():
+        value = cfg[section].pop(key, None) if isinstance(cfg.get(section), dict) else None
+        if retired is not None and value not in (None, retired[0]):
+            raise ConfigError(f"manifest {path}: {section}.{key} = {format_value(value)} was removed: {retired[1]}")
     undeclared = []
     for section, entries in cfg.items():
         if isinstance(entries, dict):

@@ -1,15 +1,16 @@
 """Conflict-driven schedule for the Tchebycheff smoothing parameter mu.
 
 The controller anneals mu from mu_start toward mu_min over the run's
-total_iterations, but brakes (pushes mu back up toward mu_max) whenever
-the observed gradient-conflict ratio kappa exceeds the threshold tau.  The
-braking target is tracked through an exponential moving average, so a short
-conflict spike produces a transient bump that relaxes back to the base
-schedule, while sustained conflict holds mu high.  The ``no_conflict`` mode
-drops the braking, ``no_decay`` the anneal; ``stch_fixed``, a constant mu,
-drops both.  The knobs are read from TrainConfig (the ``[controller]``
-fields, and ``ppo.total_iterations`` as the anneal horizon), whose validate()
-checks them and refuses those the mode does not read.
+total_iterations, but brakes (lifts mu back toward mu_max) whenever the
+observed gradient-conflict ratio kappa exceeds the threshold tau.  Its one
+state is the lift l, an exponential moving average of the braking boost
+beta, and mu = mu_base + l * (mu_max - mu_base): a short conflict spike
+produces a transient bump that relaxes back to the base schedule, sustained
+conflict holds mu near mu_max, and without conflict mu is the base schedule
+exactly.  The ``no_conflict`` mode drops the braking; ``stch_fixed``, a
+constant mu, drops the anneal too.  The knobs are read from TrainConfig (the
+``[controller]`` fields, and ``ppo.total_iterations`` as the anneal horizon),
+whose validate() checks them and refuses those the mode does not read.
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ class ControllerTrace:
     kappa: float
     mu_base: float
     beta: float
-    mu_star: float
+    lift: float  # the state the next step carries
     mu: float
 
 
 def base_decay(cfg: TrainConfig, t: int) -> float:
     """Linear anneal mu_start -> mu_min over cfg.total_iterations, then flat."""
-    if cfg.controller_mode == "no_decay":
-        return cfg.mu_start
     frac = min(1.0, t / cfg.total_iterations)
     return cfg.mu_start - (cfg.mu_start - cfg.mu_min) * frac
 
@@ -49,26 +48,21 @@ def braking_boost(cfg: TrainConfig, kappa: float) -> float:
     return (kappa - cfg.tau) / (1.0 - cfg.tau)
 
 
-def target_mu(cfg: TrainConfig, t: int, kappa: float) -> tuple[float, float, float]:
-    """Returns (mu_base, beta, mu_star) with mu_star = mu_base + beta*(mu_max - mu_base)."""
-    mu_b = base_decay(cfg, t)
-    beta = braking_boost(cfg, kappa)
-    return mu_b, beta, mu_b + beta * (cfg.mu_max - mu_b)
-
-
 class SmoothnessController:
     """Stateful mu schedule: call step(kappa) once per training iteration."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
-        self.mu = cfg.mu_start
+        self.lift = 0.0
         self.t = 0
 
     def step(self, kappa: float) -> ControllerTrace:
-        """Advance one iteration: EMA-track the braking target at the current t."""
-        mu_b, beta, mu_star = target_mu(self.cfg, self.t, kappa)
+        """Advance one iteration: fold beta into the lift, then lift the base at the current t."""
+        beta = braking_boost(self.cfg, kappa)
         lam = self.cfg.lambda_ema
-        self.mu = (1.0 - lam) * self.mu + lam * mu_star
-        trace = ControllerTrace(self.t, kappa, mu_b, beta, mu_star, self.mu)
+        self.lift = (1.0 - lam) * self.lift + lam * beta
+        mu_b = base_decay(self.cfg, self.t)
+        mu = mu_b + self.lift * (self.cfg.mu_max - mu_b)
+        trace = ControllerTrace(self.t, kappa, mu_b, beta, self.lift, mu)
         self.t += 1
         return trace

@@ -104,7 +104,7 @@ class IterationReport:
     mu: float
     mu_base: float
     beta: float
-    mu_star: float
+    lift: float  # the controller's state after this iteration's step; 0 without one
     return_means: tuple = column("return")  # per-objective mean completed-episode returns
     clip_losses: tuple = column("clip_loss")
     value_loss: float
@@ -345,7 +345,7 @@ class Trainer:
             trace = self.controller.step(self.last_kappa)
         else:  # a constant mu: the fixed_mu knob, or 0 where there is none
             mu = cfg.fixed_mu if algorithm.mu == "fixed_mu" else 0.0
-            trace = ControllerTrace(self.iteration, self.last_kappa, mu, 0.0, mu, mu)
+            trace = ControllerTrace(self.iteration, self.last_kappa, mu, 0.0, 0.0, mu)
         c = actor_coefficients(algorithm.rule, r_bar, self.w, self.z_star, trace.mu)
         eta = np.full(self.m, 1.0 / self.m)
         if algorithm.rule == "stch":
@@ -368,7 +368,7 @@ class Trainer:
             mu=float(trace.mu),
             mu_base=float(trace.mu_base),
             beta=float(trace.beta),
-            mu_star=float(trace.mu_star),
+            lift=float(trace.lift),
             return_means=ret_means,
             clip_losses=tuple((clip_loss_acc / n_updates).tolist()),
             value_loss=float("nan") if value_losses is None else _mean_in_order(value_losses),

@@ -216,32 +216,30 @@ def test_05_gradient_projection_contract():
 
 
 def test_06_controller_dynamics():
-    """(a) exact base tracking below the conflict threshold, (b) elastic
-    recovery within 200 iterations of a conflict spike, (c) sustained maximal
-    conflict pins mu near mu_max."""
+    """(a) exact base tracking below the conflict threshold and the closed
+    form of the lift under sustained conflict, (b) elastic recovery within
+    200 iterations of a conflict spike, (c) sustained maximal conflict pins
+    mu near mu_max."""
     t0 = time.perf_counter()
     base_cfg = dict(mu_start=10.0, mu_min=0.05, mu_max=10.0, tau=0.4, total_iterations=400)
 
-    # (a) lambda = 1 with kappa <= tau follows the decay schedule exactly,
-    # and the default EMA matches an in-test scalar recursion.
+    # (a) kappa <= tau follows the decay schedule exactly, at lambda = 1 and
+    # at the default, and kappa = 1 lifts l to 1 - (1 - lambda)^(t + 1).
     rng = np.random.default_rng(606)
-    c = SmoothnessController(TrainConfig(lambda_ema=1.0, **base_cfg))
     exact = True
-    for t in range(400):
-        tr = c.step(float(rng.uniform(0.0, 0.4)))
-        exact = exact and tr.mu == base_decay(c.cfg, t)
+    for lam in (1.0, 0.05):
+        c = SmoothnessController(TrainConfig(lambda_ema=lam, **base_cfg))
+        for t in range(400):
+            tr = c.step(float(rng.uniform(0.0, 0.4)))
+            exact = exact and tr.mu == base_decay(c.cfg, t)
     cfg = TrainConfig(lambda_ema=0.05, **base_cfg)
     c2 = SmoothnessController(cfg)
-    mu_ref = cfg.mu_start
     worst_rec = 0.0
     for t in range(400):
-        kappa = float(rng.uniform(0.0, 1.0))
-        tr = c2.step(kappa)
-        mb = base_decay(cfg, t)
-        beta = (kappa - cfg.tau) / (1.0 - cfg.tau) if kappa > cfg.tau else 0.0
-        mu_star = mb + beta * (cfg.mu_max - mb)
-        mu_ref = (1.0 - cfg.lambda_ema) * mu_ref + cfg.lambda_ema * mu_star
-        worst_rec = max(worst_rec, abs(tr.mu - mu_ref) / mu_ref)
+        tr = c2.step(1.0)
+        lift = 1.0 - (1.0 - cfg.lambda_ema) ** (t + 1)
+        mu = tr.mu_base + lift * (cfg.mu_max - tr.mu_base)
+        worst_rec = max(worst_rec, abs(tr.lift - lift), abs(tr.mu - mu))
 
     # (b) 5-iteration kappa = 0.9 spike: back within 1% of the no-spike
     # trajectory within 200 iterations of the spike's end.
@@ -275,7 +273,7 @@ def test_06_controller_dynamics():
         6,
         "controller-dynamics",
         ok,
-        f"recursion_err={worst_rec:.1e}, spike_gap={gap_at_check:.2e}, "
+        f"lift_err={worst_rec:.1e}, spike_gap={gap_at_check:.2e}, "
         f"brake_err={brake_err:.2e}, {elapsed:.2f}s",
     )
 

@@ -80,7 +80,7 @@ class TestTrain:
         out = train(tiny_ini, tmp_path / "run")
         rows = read_csv(out / "metrics.csv")
         header, body = rows[0], rows[1:]
-        assert header[:6] == ["iteration", "kappa", "mu", "mu_base", "beta", "mu_star"]
+        assert header[:6] == ["iteration", "kappa", "mu", "mu_base", "beta", "lift"]
         assert "return_0" in header and "return_1" in header
         assert len(body) == 3
         assert [r[0] for r in body] == ["1", "2", "3"]
@@ -688,8 +688,9 @@ TURNED_OFF = [
     pytest.param(["controller.mode=no_conflict", "controller.mu_max=20"],
                  "pasta with controller.mode = no_conflict does not read controller.mu_max",
                  id="no_conflict-mu_max"),
-    pytest.param(["controller.mode=no_decay", "controller.mu_min=0.1"],
-                 "pasta with controller.mode = no_decay does not read controller.mu_min", id="no_decay-mu_min"),
+    pytest.param(["controller.mode=no_conflict", "controller.lambda_ema=0.5"],
+                 "pasta with controller.mode = no_conflict does not read controller.lambda_ema",
+                 id="no_conflict-lambda_ema"),
     pytest.param(["algorithm.name=tch", "controller.rho=0.3"], "tch does not read controller.rho", id="tch-rho"),
     pytest.param(["algorithm.name=linear", "controller.rho=0.3"], "linear does not read controller.rho",
                  id="linear-rho"),
@@ -705,6 +706,10 @@ TURNED_OFF = [
                  "controller.mode (controller_mode) = no_conflict_no_decay was removed: it held mu at "
                  "controller.mu_start, which is algorithm.name = stch_fixed with algorithm.fixed_mu = 5.0",
                  id="removed_mode"),
+    pytest.param(["controller.mode=no_decay", "controller.mu_start=5"],
+                 "controller.mode (controller_mode) = no_decay was removed: it did not anneal, and at "
+                 "mu_start = mu_max it held mu at controller.mu_start, which is algorithm.name = stch_fixed "
+                 "with algorithm.fixed_mu = 5.0", id="removed_no_decay"),
 ]
 
 
@@ -742,6 +747,18 @@ class TestTurnedOffKnobs:
         assert str(tmp_path / "manifest.json") in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_a_retired_key_off_the_value_that_runs_todays_method(self, tiny_ini, tmp_path, capsys, command):
+        run = train(tiny_ini, tmp_path / "run")
+        path, out = run / "manifest.json", tmp_path / "out"
+        edit_knob(path, "algorithm", "weighted_pcgrad", True)
+        argv = ["train", "--manifest", str(path)] if command == "train" else ["compare", str(run)]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "algorithm.weighted_pcgrad = true was removed: the actor now always steps along m * eta" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("settings, message", TURNED_OFF)
     def test_compare(self, tiny_ini, tmp_path, capsys, settings, message):
         run = train(tiny_ini, tmp_path / "run")
@@ -752,11 +769,9 @@ class TestTurnedOffKnobs:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
-    @pytest.mark.parametrize(
-        "settings", [["controller.mode=no_decay", "controller.mu_start=0.01"],
-                     ["controller.mode=no_conflict", "controller.mu_start=20"]],
-    )
-    def test_the_mu_ordering_compares_only_the_bounds_the_mode_reads(self, tiny_ini, tmp_path, settings):
+    def test_the_mu_ordering_compares_only_the_bounds_the_mode_reads(self, tiny_ini, tmp_path):
+        # no_conflict does not read mu_max, so mu_start may exceed it.
+        settings = ["controller.mode=no_conflict", "controller.mu_start=20"]
         train(tiny_ini, tmp_path / "run", extra=as_overrides(settings))
 
 

@@ -213,11 +213,12 @@ class TestBuildTrainConfig:
         cfg[section][key] = value
         assert getattr(cfgmod.build_train_config(cfg), key) == value
 
+    @pytest.mark.parametrize("mode", ["no_conflict_no_decay", "no_decay"])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_the_removed_mode_points_to_stch_fixed(self, algorithm):
+    def test_the_removed_mode_points_to_stch_fixed(self, algorithm, mode):
         cfg = cfgmod.default_config()
         cfg["algorithm"]["name"] = algorithm
-        cfg["controller"]["mode"] = "no_conflict_no_decay"
+        cfg["controller"]["mode"] = mode
         message = r"^controller\.mode .* removed: .* stch_fixed with algorithm\.fixed_mu = 10\.0$"
         with pytest.raises(ConfigError, match=message):
             cfgmod.build_train_config(cfg)
@@ -338,7 +339,7 @@ class TestDeclaredRanges:
 
 # A non-default, in-range value of every knob that has a read_by.
 PROBES = {
-    "fixed_mu": 0.5, "no_pcgrad": True, "controller_mode": "no_decay",
+    "fixed_mu": 0.5, "no_pcgrad": True, "controller_mode": "no_conflict",
     "mu_start": 5.0, "mu_min": 0.1, "mu_max": 20.0, "tau": 0.2, "lambda_ema": 0.5, "rho": 0.3,
     "zeta": 1.5,
 }
@@ -373,20 +374,13 @@ def probe(settings, f):
     return f.default if dict(settings).get(f.name) == PROBES[f.name] else PROBES[f.name]
 
 
-# Where a read knob moves no bit at the defaults, the settings that show it is
-# read, by the knob and a (field, value) of the configurations that need them.
-# Under no_decay, mu_start = mu_max (as at the defaults) makes the braking
-# target mu_start at every iteration, so the EMA holds mu there.
-WITNESSES = {("lambda_ema", ("controller_mode", "no_decay")): (("mu_start", 5.0),)}
-
 # (settings, knob) for each configuration and each knob with a read_by that
 # the configuration reads, and that it does not.
 READ, UNREAD = [], []
 for _id, _settings in configurations():
     for _f in CONDITIONAL:
         if cfgmod.TrainConfig(**dict(_settings)).unmet(_f) is None:
-            _witness = next((w for (name, s), w in WITNESSES.items() if name == _f.name and s in _settings), ())
-            READ.append(pytest.param(_settings + _witness, _f, id=f"{_id}-{knob_id(_f)}"))
+            READ.append(pytest.param(_settings, _f, id=f"{_id}-{knob_id(_f)}"))
         else:
             UNREAD.append(pytest.param(_settings, _f, id=f"{_id}-{knob_id(_f)}"))
 
@@ -481,13 +475,24 @@ class TestManifest:
         doc = json.loads(path.read_text())
         doc["config"]["ppo"]["learning_rat"] = 0.1
         doc["config"]["algorithm"]["tch_per_minibatch"] = True  # retired, so dropped
-        doc["config"]["algorithm"]["weighted_pcgrad"] = True  # likewise
+        doc["config"]["algorithm"]["weighted_pcgrad"] = False  # likewise, at the value that ran today's method
         doc["config"]["extra"] = {"key": 1}
         doc["config"]["note"] = "x"
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as e:
             cfgmod.load_manifest(path)
         assert str(e.value).endswith("no knob declares: ppo.learning_rat, extra.key, note")
+
+    @pytest.mark.parametrize(
+        "key, value", [("tch_per_minibatch", False), ("tch_per_minibatch", True), ("weighted_pcgrad", False)]
+    )
+    def test_a_retired_key_that_ran_todays_method_is_dropped(self, tmp_path, key, value):
+        cfgmod.write_manifest(tmp_path, cfgmod.default_config())
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["algorithm"][key] = value
+        path.write_text(json.dumps(doc))
+        assert cfgmod.load_manifest(path)["config"] == cfgmod.default_config()
 
     def test_manifest_records_identity_fields(self, tmp_path):
         manifest = cfgmod.write_manifest(tmp_path, cfgmod.default_config())

@@ -4,13 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pastarl.config import TrainConfig
-from pastarl.controller import (
-    ControllerTrace,
-    SmoothnessController,
-    base_decay,
-    braking_boost,
-    target_mu,
-)
+from pastarl.controller import ControllerTrace, SmoothnessController, base_decay, braking_boost
 from pastarl.errors import ConfigError, ContractViolationError
 
 CFG = TrainConfig(
@@ -26,11 +20,6 @@ class TestBaseDecay:
 
     def test_flat_after_horizon(self):
         assert base_decay(CFG, 100) == base_decay(CFG, 5000)
-
-    def test_disabled_decay_pins_mu_start(self):
-        cfg = TrainConfig(controller_mode="no_decay")
-        for t in (0, 10, 10_000):
-            assert base_decay(cfg, t) == cfg.mu_start
 
 
 class TestBrakingBoost:
@@ -52,49 +41,73 @@ class TestBrakingBoost:
                 braking_boost(CFG, kappa)
 
 
-class TestTargetMu:
-    def test_interpolates_base_toward_max(self):
-        mu_b, beta, mu_star = target_mu(CFG, 50, 0.7)
-        assert mu_star == pytest.approx(mu_b + beta * (CFG.mu_max - mu_b))
-        assert mu_b < mu_star < CFG.mu_max
-
-    def test_no_conflict_reduces_to_base(self):
-        mu_b, beta, mu_star = target_mu(CFG, 30, 0.1)
-        assert beta == 0.0
-        assert mu_star == mu_b
-
-
 class TestController:
-    def test_step_matches_scalar_recursion_oracle(self):
-        ctl = SmoothnessController(CFG)
-        rng = np.random.default_rng(3)
-        kappas = rng.random(60)
-        mu = CFG.mu_start
-        for t, kappa in enumerate(kappas):
-            trace = ctl.step(float(kappa))
-            mu_b = CFG.mu_start - (CFG.mu_start - CFG.mu_min) * min(1.0, t / CFG.total_iterations)
-            beta = (kappa - CFG.tau) / (1.0 - CFG.tau) if kappa > CFG.tau else 0.0
-            mu_star = mu_b + beta * (CFG.mu_max - mu_b)
-            mu = (1.0 - CFG.lambda_ema) * mu + CFG.lambda_ema * mu_star
-            assert trace.t == t
-            assert trace.mu_base == pytest.approx(mu_b, rel=1e-14)
-            assert trace.beta == pytest.approx(beta, rel=1e-14)
-            assert trace.mu_star == pytest.approx(mu_star, rel=1e-14)
-            assert trace.mu == pytest.approx(mu, rel=1e-14)
+    """Closed forms of mu = mu_base + l * (mu_max - mu_base), where the lift
+    l <- (1 - lambda) * l + lambda * beta starts at 0."""
 
-    def test_lambda_one_tracks_base_schedule_exactly(self):
-        cfg = TrainConfig(lambda_ema=1.0, total_iterations=10)
+    def test_a_step_lifts_the_base_toward_mu_max(self):
+        ctl = SmoothnessController(CFG)
+        for _ in range(50):
+            ctl.step(0.0)
+        trace = ctl.step(0.7)
+        assert trace.lift == CFG.lambda_ema * trace.beta
+        assert trace.mu == trace.mu_base + trace.lift * (CFG.mu_max - trace.mu_base)
+        assert trace.mu_base < trace.mu < CFG.mu_max
+
+    @pytest.mark.parametrize("lambda_ema", [0.05, 0.3, 1.0])
+    def test_without_conflict_mu_is_the_base_schedule_exactly(self, lambda_ema):
+        """At kappa = 0 for the defaults' 100 iterations mu anneals all the way:
+        the last step reads mu_base(99) = 0.1495, within 3 * mu_min."""
+        cfg = TrainConfig(lambda_ema=lambda_ema)
         ctl = SmoothnessController(cfg)
-        for t in range(15):
+        for t in range(cfg.total_iterations):
             trace = ctl.step(0.0)
+            assert trace.lift == 0.0
             assert trace.mu == base_decay(cfg, t)
+        assert trace.mu == pytest.approx(0.1495, abs=1e-12)
+        assert trace.mu <= 3 * cfg.mu_min
+
+    @pytest.mark.parametrize("lambda_ema", [0.05, 0.3, 1.0])
+    def test_conflict_at_or_below_tau_leaves_the_base_schedule_exact(self, lambda_ema):
+        cfg = TrainConfig(lambda_ema=lambda_ema)
+        ctl = SmoothnessController(cfg)
+        kappas = np.random.default_rng(3).uniform(0.0, cfg.tau, 150)
+        for t, kappa in enumerate(kappas):
+            assert ctl.step(float(kappa)).mu == base_decay(cfg, t)
+
+    @pytest.mark.parametrize("kappa", [0.7, 1.0])
+    @pytest.mark.parametrize("lambda_ema", [0.05, 0.3, 1.0])
+    def test_sustained_conflict_lifts_in_closed_form(self, lambda_ema, kappa):
+        """l = beta * (1 - (1 - lambda)^(t + 1)): at kappa = 1 and the default
+        lambda, mu > 0.99 * mu_max after 100 steps."""
+        cfg = TrainConfig(lambda_ema=lambda_ema)
+        ctl = SmoothnessController(cfg)
+        beta = braking_boost(cfg, kappa)
+        for t in range(100):
+            trace = ctl.step(kappa)
+            assert trace.lift == pytest.approx(beta * (1.0 - (1.0 - lambda_ema) ** (t + 1)), abs=1e-14)
+        assert trace.mu > trace.mu_base + 0.99 * beta * (cfg.mu_max - trace.mu_base)
+
+    @pytest.mark.parametrize("lambda_ema, settled", [(0.05, 32), (0.3, 10), (1.0, 1)])
+    def test_a_spike_relaxes_geometrically(self, lambda_ema, settled):
+        """One kappa = 1 step leaves l = lambda * (1 - lambda)^n n steps later,
+        under 1 % of mu_max - mu_base from the settled-th step on (the 32nd at
+        the default lambda)."""
+        cfg = TrainConfig(lambda_ema=lambda_ema)
+        ctl = SmoothnessController(cfg)
+        for _ in range(10):
+            ctl.step(0.0)
+        for n in range(60):
+            trace = ctl.step(1.0 if n == 0 else 0.0)
+            assert trace.lift == pytest.approx(lambda_ema * (1.0 - lambda_ema) ** n, abs=1e-14)
+            gap = (trace.mu - trace.mu_base) / (cfg.mu_max - trace.mu_base)
+            assert (gap < 0.01) == (n >= settled)
 
     def test_first_step_uses_t_zero(self):
         ctl = SmoothnessController(CFG)
         trace = ctl.step(0.0)
         assert trace.t == 0
         assert trace.mu_base == CFG.mu_start
-        # One EMA step toward mu_star = mu_start leaves mu unchanged.
         assert trace.mu == CFG.mu_start
 
     def test_spike_recovers_to_base_schedule(self):
@@ -118,8 +131,9 @@ class TestController:
     def test_mu_stays_within_bounds(self, kappas):
         ctl = SmoothnessController(CFG)
         for kappa in kappas:
-            mu = ctl.step(kappa).mu
-            assert CFG.mu_min - 1e-12 <= mu <= CFG.mu_max + 1e-12
+            trace = ctl.step(kappa)
+            assert 0.0 <= trace.lift <= 1.0
+            assert CFG.mu_min - 1e-12 <= trace.mu <= CFG.mu_max + 1e-12
 
     def test_trace_is_complete_record(self):
         trace = SmoothnessController(CFG).step(0.5)

@@ -8,6 +8,7 @@ import pytest
 
 from pastarl import config as cfgmod
 from pastarl.cli import MethodSummary, PreferenceSummary, ToybenchRecord, _layout, _parse_axis
+from pastarl.controller import SmoothnessController
 from pastarl.scalarize import ALGORITHMS
 from pastarl.trainer import EvalRecord, IterationReport
 
@@ -152,3 +153,18 @@ def test_readme_output_columns_match_the_declarations(file_name, record_type):
     listed = re.search(rf"^- `{re.escape(file_name)}` - [^:]*: `([^`]*)`", section, flags=re.M)
     assert listed, f"README lists no columns for {file_name}"
     assert " ".join(listed[1].split()) == render_columns(record_type)
+
+
+def test_readme_controller_trajectory_matches_the_controller():
+    """The README's mu at kappa = 0 and the defaults is the controller's."""
+    text = " ".join(README.read_text().split())
+    listed = re.search(
+        r"κ = 0 for 100 iterations gives μ = ([^a-z]+) and ([\d.]+) at iterations ([^a-z]+) and (\d+)", text
+    )
+    assert listed, "README gives no kappa = 0 trajectory"
+    mus = [float(v) for v in listed[1].split(",")] + [float(listed[2])]
+    iterations = [int(v) for v in listed[3].split(",")] + [int(listed[4])]
+    cfg = cfgmod.TrainConfig()
+    controller = SmoothnessController(cfg)
+    trajectory = [controller.step(0.0).mu for _ in range(cfg.total_iterations)]
+    assert [round(trajectory[k - 1], 2) for k in iterations] == mus

@@ -11,6 +11,7 @@ import pytest
 
 from pastarl import trainer as trainer_mod
 from pastarl.cli import main
+from pastarl.controller import base_decay, braking_boost
 from pastarl.envs import ENV_CLASSES, make_env
 from pastarl.envs.base import MomdpEnv
 from pastarl.errors import ConfigError, DivergenceError
@@ -813,13 +814,34 @@ class TestAlgorithmTraces:
         rep = iterate(t)
         assert rep.mu == 0.7
         assert rep.mu_base == 0.7
-        assert rep.mu_star == 0.7
+        assert rep.lift == 0.0
         assert rep.beta == 0.0
 
     def test_linear_and_tch_report_zero_controller_fields(self):
         for algo in ("linear", "tch"):
             rep = iterate(Trainer(stub_cfg(algorithm=algo)))
             assert rep.mu == 0.0 and rep.kappa == 0.0 and rep.beta == 0.0
+
+    @pytest.mark.parametrize("env", ["stub", "frogger", "formation", "stealth"])
+    @pytest.mark.parametrize("mode", ["full", "no_conflict"])
+    def test_pasta_reports_the_controllers_closed_form(self, mode, env):
+        """Each row's beta is the previous row's kappa braked (0 at the first),
+        its lift folds that beta in, and its mu lifts the anneal's mu_base by
+        it; no_conflict reports the pure anneal, lift 0, on every row."""
+        m = ENV_CLASSES[env]().m
+        cfg = stub_cfg(env_name=env, preference=(1.0 / m,) * m, controller_mode=mode, total_iterations=4)
+        records = []
+        Trainer(cfg).run(records.append)
+        reports = [r for r in records if isinstance(r, IterationReport)]
+        kappa, lift, lam = 0.0, 0.0, cfg.lambda_ema
+        for t, rep in enumerate(reports):
+            lift = (1.0 - lam) * lift + lam * braking_boost(cfg, kappa)
+            assert (rep.mu_base, rep.lift) == (base_decay(cfg, t), lift)
+            assert rep.mu == rep.mu_base + lift * (cfg.mu_max - rep.mu_base)
+            kappa = rep.kappa
+        assert len(reports) == 4
+        if mode == "no_conflict":
+            assert all(rep.mu == rep.mu_base and rep.lift == 0.0 for rep in reports)
 
     def test_pasta_mu_descends_under_low_conflict(self):
         t = Trainer(stub_cfg(seed=2, total_iterations=4))
