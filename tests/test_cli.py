@@ -769,6 +769,14 @@ class TestTurnedOffKnobs:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "cmp").exists()
 
+    @pytest.mark.parametrize("mode", ["full", "no_conflict"])
+    def test_every_mode_reads_mu_min_under_mu_start(self, tiny_ini, tmp_path, capsys, mode):
+        out = tmp_path / "out"
+        settings = [f"controller.mode={mode}", "controller.mu_start=0.01"]
+        assert main(["train", "--config", str(tiny_ini), "--out", str(out), *as_overrides(settings)]) == 2
+        assert "controller.mu_start must be at least controller.mu_min = 0.05, got 0.01" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_the_mu_ordering_compares_only_the_bounds_the_mode_reads(self, tiny_ini, tmp_path):
         # no_conflict does not read mu_max, so mu_start may exceed it.
         settings = ["controller.mode=no_conflict", "controller.mu_start=20"]

@@ -223,6 +223,26 @@ class TestBuildTrainConfig:
         with pytest.raises(ConfigError, match=message):
             cfgmod.build_train_config(cfg)
 
+    @pytest.mark.parametrize("mu_start", [0.5, 5.0])
+    @pytest.mark.parametrize("mode", ["no_conflict_no_decay", "no_decay"])
+    def test_the_removed_modes_hint_fixes_mu_at_the_configured_mu_start(self, mode, mu_start):
+        cfg = cfgmod.default_config()
+        cfg["controller"]["mode"] = mode
+        cfg["controller"]["mu_start"] = mu_start
+        with pytest.raises(ConfigError, match=rf"stch_fixed with algorithm\.fixed_mu = {mu_start}$"):
+            cfgmod.build_train_config(cfg)
+
+    @pytest.mark.parametrize("mode, mu", [("full", 10.0), ("no_conflict", 5.0)])
+    def test_a_constant_mu_trains_the_bytes_of_stch_fixed(self, monkeypatch, mode, mu):
+        """At mu_min = mu_start (= mu_max where the mode brakes) pasta's mu never
+        moves, and it trains what the hint's stch_fixed trains; only the
+        report's beta and lift columns tell them apart."""
+        monkeypatch.setattr(trainer_mod, "_worker_wanted", lambda: False)
+        pasta = tiny_run((("algorithm", "pasta"), ("controller_mode", mode), ("mu_start", mu), ("mu_min", mu)))
+        fixed = tiny_run((("algorithm", "stch_fixed"), ("fixed_mu", mu)))
+        assert pasta[1:] == fixed[1:]
+        assert [r[:4] + r[6:] for r in pasta[0]] == [r[:4] + r[6:] for r in fixed[0]]
+
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("shape", ["branched", "shared"])
     def test_the_unweighted_critics_point_to_their_weighted_counterpart(self, algorithm, shape):
@@ -493,6 +513,19 @@ class TestManifest:
         doc["config"]["algorithm"][key] = value
         path.write_text(json.dumps(doc))
         assert cfgmod.load_manifest(path)["config"] == cfgmod.default_config()
+
+    def test_a_retired_key_off_the_value_that_ran_todays_method_is_refused(self, tmp_path):
+        cfgmod.write_manifest(tmp_path, cfgmod.default_config())
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["config"]["algorithm"]["weighted_pcgrad"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as e:
+            cfgmod.load_manifest(path)
+        assert str(e.value) == (
+            f"manifest {path}: algorithm.weighted_pcgrad = true was removed: "
+            "the actor now always steps along m * eta"
+        )
 
     def test_manifest_records_identity_fields(self, tmp_path):
         manifest = cfgmod.write_manifest(tmp_path, cfgmod.default_config())

@@ -103,6 +103,52 @@ class TestController:
             gap = (trace.mu - trace.mu_base) / (cfg.mu_max - trace.mu_base)
             assert (gap < 0.01) == (n >= settled)
 
+    def test_lambda_one_tracks_base_schedule_exactly(self):
+        cfg = TrainConfig(lambda_ema=1.0, total_iterations=10)
+        ctl = SmoothnessController(cfg)
+        for t in range(15):
+            trace = ctl.step(0.0)
+            assert trace.mu == base_decay(cfg, t)
+
+    @pytest.mark.parametrize("lambda_ema", [0.05, 0.3, 1.0])
+    def test_the_lift_weighs_past_betas_geometrically(self, lambda_ema):
+        """For any kappas, l_t = sum over s <= t of lambda * (1 - lambda)^(t - s) * beta_s."""
+        cfg = TrainConfig(lambda_ema=lambda_ema)
+        ctl = SmoothnessController(cfg)
+        betas = []
+        for t, kappa in enumerate(np.random.default_rng(5).uniform(0.0, 1.0, 120)):
+            trace = ctl.step(float(kappa))
+            betas.append(braking_boost(cfg, float(kappa)))
+            lift = sum(lambda_ema * (1.0 - lambda_ema) ** (t - s) * b for s, b in enumerate(betas))
+            assert trace.beta == betas[-1]
+            assert trace.lift == pytest.approx(lift, abs=1e-12)
+            assert trace.mu == trace.mu_base + trace.lift * (cfg.mu_max - trace.mu_base)
+
+    @pytest.mark.parametrize("lambda_ema", [0.05, 0.3, 1.0])
+    def test_a_constant_base_gives_an_ema_of_the_braking_target(self, lambda_ema):
+        """With mu_min = mu_start the base is constant, and mu is then the EMA
+        of mu_base + beta * (mu_max - mu_base) started at mu_start: what the
+        removed no_decay mode computed."""
+        cfg = TrainConfig(mu_start=5.0, mu_min=5.0, lambda_ema=lambda_ema)
+        ctl = SmoothnessController(cfg)
+        mu = cfg.mu_start
+        for kappa in np.random.default_rng(7).uniform(0.0, 1.0, 120):
+            trace = ctl.step(float(kappa))
+            target = cfg.mu_start + trace.beta * (cfg.mu_max - cfg.mu_start)
+            mu = (1.0 - lambda_ema) * mu + lambda_ema * target
+            assert trace.mu_base == cfg.mu_start
+            assert trace.mu == pytest.approx(mu, rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.41, 0.7, 1.0])
+    def test_no_conflict_is_the_pure_anneal_at_any_kappa(self, kappa):
+        """Without braking the lift never leaves 0, so lambda_ema is not read."""
+        cfg = TrainConfig(controller_mode="no_conflict")
+        ctl = SmoothnessController(cfg)
+        for t in range(cfg.total_iterations + 5):
+            trace = ctl.step(kappa)
+            assert (trace.beta, trace.lift) == (0.0, 0.0)
+            assert trace.mu == base_decay(cfg, t)
+
     def test_first_step_uses_t_zero(self):
         ctl = SmoothnessController(CFG)
         trace = ctl.step(0.0)
