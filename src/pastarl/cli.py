@@ -568,6 +568,10 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:
+        print(f"out of memory: {e}; lower ppo.hidden, ppo.horizon or output.eval_episodes "
+              "(evaluate: --episodes)", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

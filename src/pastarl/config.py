@@ -37,7 +37,8 @@ MANIFEST_FORMAT_VERSION = 1
 # Removed knobs by (section, key), each with None or (the value that still trains
 # today's method, why others exit 2); a manifest still loads without them.
 RETIRED_KEYS = {("algorithm", "tch_per_minibatch"): None,
-                ("algorithm", "weighted_pcgrad"): (False, "the actor now always steps along m * eta")}
+                ("algorithm", "weighted_pcgrad"): (False, "the actor now always steps along m * eta"),
+                ("ppo", "c1"): (0.5, "the critic's own Adam turned a value-loss scale into an epsilon scale")}
 
 # The eight-preference evaluation set used throughout the experiments (m=3).
 DEFAULT_PREFERENCES_M3 = (
@@ -197,7 +198,6 @@ class TrainConfig:
     epochs: int = knob("ppo", "epochs", int, 10, AT_LEAST_1, "passes over each rollout")
     minibatch: int = knob("ppo", "minibatch", int, 64, AT_LEAST_1, "steps per update")
     clip_eps: float = knob("ppo", "clip_eps", float, 0.2, "(0, 1)", "clip range")
-    c1: float = knob("ppo", "c1", float, 0.5, POSITIVE, "value-loss coefficient")
     c2: float = knob("ppo", "c2", float, 0.01, "[0, inf)", "entropy coefficient")
     gamma: float = knob("ppo", "gamma", float, 0.99, "(0, 1]", "discount")
     lambda_gae: float = knob("ppo", "lambda_gae", float, 0.95, "[0, 1]", "advantage decay")

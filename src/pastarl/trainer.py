@@ -123,7 +123,7 @@ class Checkpoint:
 class CriticOutcome(NamedTuple):
     """What one iteration's critic epochs give back, and the critic's state after them."""
 
-    losses: list            # c1-scaled value loss of each minibatch, in order
+    losses: list            # weighted_value_loss of each minibatch, in order
     failure: tuple | None   # (minibatch index, error) of the first failed update
     params: np.ndarray      # the critic's vector
     m: np.ndarray           # its Adam moments
@@ -142,8 +142,8 @@ class _PendingCritic:
 
 
 def weighted_value_loss(values, targets, eta) -> float:
-    """(1/N) sum_t sum_i eta_i (V_i(s_t) - y_i(s_t))^2 over (N, m) values and targets."""
-    return float(np.mean(np.sum(eta * (values - targets) ** 2, axis=1)))
+    """(1/2)(1/N) sum_t sum_i eta_i (V_i(s_t) - y_i(s_t))^2 over (N, m) values and targets."""
+    return 0.5 * float(np.mean(np.sum(eta * (values - targets) ** 2, axis=1)))
 
 
 def deterministic_returns(actor, env, w, rng, episodes: int) -> np.ndarray:
@@ -509,17 +509,15 @@ class Trainer:
         return CriticOutcome(losses, failure, self.critic.params, opt.m, opt.v, opt.step_count)
 
     def _critic_update(self, x, targets, eta) -> float:
-        """One Adam step on the critic's eta-weighted value loss; returns the
-        loss times c1."""
-        cfg = self.cfg
+        """One Adam step down the critic's weighted_value_loss; returns the loss."""
         vals, cache = self.critic.forward(x)
         loss = weighted_value_loss(vals, targets, eta)
         if not np.isfinite(loss):
             raise DivergenceError("non-finite value_loss in critic update")
-        dldv = cfg.c1 * 2.0 * eta[None, :] * (vals - targets) / x.shape[0]
+        dldv = eta[None, :] * (vals - targets) / x.shape[0]
         grad = self.critic.backward(cache, dldv)
         adam_update(self.critic.params, grad, self.critic_opt, ascent=False, name="critic")
-        return cfg.c1 * loss
+        return loss
 
     def _actor_update(self, x, batch, mb, c):
         cfg, algorithm = self.cfg, self.algorithm

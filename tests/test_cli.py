@@ -120,17 +120,20 @@ class TestTrain:
         rc = main(["train", "--manifest", str(a / "manifest.json"), "--out", str(tmp_path / "c")])
         assert rc == 0
         assert (a / "metrics.csv").read_bytes() == (tmp_path / "c" / "metrics.csv").read_bytes()
-        # A manifest written before algorithm.tch_per_minibatch and
-        # algorithm.weighted_pcgrad were removed still reruns.
+        # A manifest written before algorithm.tch_per_minibatch,
+        # algorithm.weighted_pcgrad and ppo.c1 were removed still reruns.
         old = json.loads((a / "manifest.json").read_text())
         old["config"]["algorithm"]["tch_per_minibatch"] = False
         old["config"]["algorithm"]["weighted_pcgrad"] = False
+        old["config"]["ppo"]["c1"] = 0.5
         (tmp_path / "old.json").write_text(json.dumps(old))
         rc = main(["train", "--manifest", str(tmp_path / "old.json"), "--out", str(tmp_path / "d")])
         assert rc == 0
-        assert (a / "metrics.csv").read_bytes() == (tmp_path / "d" / "metrics.csv").read_bytes()
+        for name in ("metrics.csv", "eval.csv"):
+            assert (a / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
         rerun = json.loads((tmp_path / "d" / "manifest.json").read_text())
         assert not {"tch_per_minibatch", "weighted_pcgrad"} & set(rerun["config"]["algorithm"])
+        assert "c1" not in rerun["config"]["ppo"]
 
     def test_seed_flag_changes_results(self, tiny_ini, tmp_path):
         a = train(tiny_ini, tmp_path / "a")
@@ -166,10 +169,22 @@ class TestTrain:
             assert rc == 2
             assert key in capsys.readouterr().err
 
+    # Each first array needs 2^58 to 2^59 bytes: more than any address space
+    # maps, so the request fails at once, and under numpy's 2^63-byte ValueError.
+    @pytest.mark.parametrize(
+        "override", [f"ppo.hidden={2**28}", f"ppo.horizon={2**53}", f"output.eval_episodes={2**55}"]
+    )
+    def test_a_size_that_cannot_be_allocated_is_usage_error(self, tiny_ini, tmp_path, capsys, override):
+        argv = ["train", "--config", str(tiny_ini), "--out", str(tmp_path / "x")]
+        assert main([*argv, "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("out of memory: Unable to allocate")
+        assert err.endswith("lower ppo.hidden, ppo.horizon or output.eval_episodes (evaluate: --episodes)\n")
+
     @pytest.mark.parametrize(
         "override",
         ["ppo.gamma=1.5", "ppo.lambda_gae=2.0", "ppo.lr=-1", "ppo.hidden=0", "ppo.hidden=-4",
-         "ppo.c1=-1", "ppo.c1=inf", "ppo.c2=nan", "ppo.c2=-0.5", "ppo.seed=-1",
+         "ppo.c2=nan", "ppo.c2=-0.5", "ppo.seed=-1",
          "controller.zeta=nan", "algorithm.name=stch_fixed algorithm.fixed_mu=nan",
          "algorithm.preference=nan,nan", "controller.rho=0", "controller.rho=nan",
          "output.checkpoint_every=-1", "controller.mu_start=0.01", "controller.mu_max=0.01"],
@@ -747,16 +762,26 @@ class TestTurnedOffKnobs:
         assert str(tmp_path / "manifest.json") in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [("algorithm", "weighted_pcgrad", True,
+          "algorithm.weighted_pcgrad = true was removed: the actor now always steps along m * eta"),
+         ("ppo", "c1", 1.0,
+          "ppo.c1 = 1 was removed: the critic's own Adam turned a value-loss scale into an epsilon scale")],
+        ids=["weighted_pcgrad", "c1"],
+    )
     @pytest.mark.parametrize("command", ["train", "compare"])
-    def test_a_retired_key_off_the_value_that_runs_todays_method(self, tiny_ini, tmp_path, capsys, command):
+    def test_a_retired_key_off_the_value_that_runs_todays_method(
+        self, tiny_ini, tmp_path, capsys, command, section, key, value, message
+    ):
         run = train(tiny_ini, tmp_path / "run")
         path, out = run / "manifest.json", tmp_path / "out"
-        edit_knob(path, "algorithm", "weighted_pcgrad", True)
+        edit_knob(path, section, key, value)
         argv = ["train", "--manifest", str(path)] if command == "train" else ["compare", str(run)]
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err
-        assert "algorithm.weighted_pcgrad = true was removed: the actor now always steps along m * eta" in err
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("settings, message", TURNED_OFF)

@@ -107,12 +107,13 @@ class TestLoadConfig:
             p = write_ini(tmp_path, f"[algorithm]\nno_pcgrad = {text}\n")
             assert cfgmod.load_config(p)["algorithm"]["no_pcgrad"] is value
 
-    def test_the_retired_weighted_pcgrad_is_an_unknown_key(self, tmp_path):
-        p = write_ini(tmp_path, "[algorithm]\nweighted_pcgrad = true\n")
-        with pytest.raises(ConfigError, match=r"unknown config entries: algorithm\.weighted_pcgrad"):
+    @pytest.mark.parametrize("section, key, value", [("algorithm", "weighted_pcgrad", "true"), ("ppo", "c1", "0.5")])
+    def test_a_retired_key_is_an_unknown_key(self, tmp_path, section, key, value):
+        p = write_ini(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"unknown config entries: {section}\.{key}"):
             cfgmod.load_config(p)
-        with pytest.raises(ConfigError, match="unknown key 'weighted_pcgrad'"):
-            cfgmod.apply_overrides(cfgmod.default_config(), ["algorithm.weighted_pcgrad=true"])
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            cfgmod.apply_overrides(cfgmod.default_config(), [f"{section}.{key}={value}"])
 
 
 class TestOverrides:
@@ -189,7 +190,6 @@ class TestBuildTrainConfig:
         "key, value",
         [("gamma", 1.5), ("gamma", 0.0), ("gamma", float("nan")), ("lambda_gae", 2.0),
          ("lambda_gae", -0.1), ("lr", -1.0), ("lr", 0.0), ("hidden", 0), ("hidden", -4),
-         ("c1", -1.0), ("c1", 0.0), ("c1", float("inf")), ("c1", float("nan")),
          ("c2", -0.01), ("c2", float("inf")), ("c2", float("nan")), ("seed", -1),
          ("controller.zeta", float("nan")), ("algorithm.fixed_mu", float("nan")),
          ("algorithm.preference", (float("nan"), float("nan"))), ("controller.rho", 0.0),
@@ -203,7 +203,7 @@ class TestBuildTrainConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("gamma", 1.0), ("lambda_gae", 0.0), ("lambda_gae", 1.0), ("hidden", 1), ("c1", 1e-12),
+        [("gamma", 1.0), ("lambda_gae", 0.0), ("lambda_gae", 1.0), ("hidden", 1),
          ("c2", 0.0), ("seed", 0), ("controller.tau", 0.0), ("controller.lambda_ema", 1.0),
          ("output.checkpoint_every", 0), ("gamma", 1), ("lr", 1), ("algorithm.preference", (1, 0))],
     )
@@ -496,6 +496,7 @@ class TestManifest:
         doc["config"]["ppo"]["learning_rat"] = 0.1
         doc["config"]["algorithm"]["tch_per_minibatch"] = True  # retired, so dropped
         doc["config"]["algorithm"]["weighted_pcgrad"] = False  # likewise, at the value that ran today's method
+        doc["config"]["ppo"]["c1"] = 0.5  # likewise
         doc["config"]["extra"] = {"key": 1}
         doc["config"]["note"] = "x"
         path.write_text(json.dumps(doc))
@@ -504,28 +505,37 @@ class TestManifest:
         assert str(e.value).endswith("no knob declares: ppo.learning_rat, extra.key, note")
 
     @pytest.mark.parametrize(
-        "key, value", [("tch_per_minibatch", False), ("tch_per_minibatch", True), ("weighted_pcgrad", False)]
+        "section, key, value",
+        [("algorithm", "tch_per_minibatch", False), ("algorithm", "tch_per_minibatch", True),
+         ("algorithm", "weighted_pcgrad", False), ("ppo", "c1", 0.5)],
     )
-    def test_a_retired_key_that_ran_todays_method_is_dropped(self, tmp_path, key, value):
+    def test_a_retired_key_that_ran_todays_method_is_dropped(self, tmp_path, section, key, value):
         cfgmod.write_manifest(tmp_path, cfgmod.default_config())
         path = tmp_path / "manifest.json"
         doc = json.loads(path.read_text())
-        doc["config"]["algorithm"][key] = value
+        doc["config"][section][key] = value
         path.write_text(json.dumps(doc))
         assert cfgmod.load_manifest(path)["config"] == cfgmod.default_config()
 
-    def test_a_retired_key_off_the_value_that_ran_todays_method_is_refused(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [("algorithm", "weighted_pcgrad", True,
+          "algorithm.weighted_pcgrad = true was removed: the actor now always steps along m * eta"),
+         ("ppo", "c1", 1.0,
+          "ppo.c1 = 1 was removed: the critic's own Adam turned a value-loss scale into an epsilon scale")],
+        ids=["weighted_pcgrad", "c1"],
+    )
+    def test_a_retired_key_off_the_value_that_ran_todays_method_is_refused(
+        self, tmp_path, section, key, value, message
+    ):
         cfgmod.write_manifest(tmp_path, cfgmod.default_config())
         path = tmp_path / "manifest.json"
         doc = json.loads(path.read_text())
-        doc["config"]["algorithm"]["weighted_pcgrad"] = True
+        doc["config"][section][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError) as e:
             cfgmod.load_manifest(path)
-        assert str(e.value) == (
-            f"manifest {path}: algorithm.weighted_pcgrad = true was removed: "
-            "the actor now always steps along m * eta"
-        )
+        assert str(e.value) == f"manifest {path}: {message}"
 
     def test_manifest_records_identity_fields(self, tmp_path):
         manifest = cfgmod.write_manifest(tmp_path, cfgmod.default_config())

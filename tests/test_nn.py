@@ -383,6 +383,24 @@ class TestAdam:
             np.testing.assert_array_equal(state.v.view(np.int64), v.view(np.int64))
         assert state.m is m_obj and state.v is v_obj and state.step_count == 60
 
+    @pytest.mark.parametrize("k", [-3, -1, 1, 4])
+    def test_a_power_of_two_gradient_scale_is_an_eps_scale(self, rng, k):
+        """30 steps on c * g with eps c * eps, c = 2^k, land on the bits of 30
+        steps on g with eps: scaling by c is exact, m and sqrt(v) + eps both
+        carry it, and their ratio cancels it.  So a constant coefficient on a
+        loss that has an Adam of its own only rescales that Adam's eps."""
+        c, size = 2.0**k, 20
+        for _ in range(20):
+            theta = rng.normal(size=size)
+            plain, scaled = theta.copy(), theta.copy()
+            plain_state, scaled_state = AdamState(size, lr=1e-2), AdamState(size, lr=1e-2)
+            scaled_state.eps = c * AdamState.eps
+            for _ in range(30):
+                g = rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(-9, 1, size=size)
+                adam_update(plain, g, plain_state)
+                adam_update(scaled, c * g, scaled_state)
+            assert same_bits(scaled, plain)
+
     def test_non_finite_gradient_raises_named_divergence(self):
         state = AdamState(2)
         with pytest.raises(DivergenceError, match="actor"):

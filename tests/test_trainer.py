@@ -127,8 +127,8 @@ class TestWeightedValueLoss:
     def test_uniform_weights_fixture(self):
         v = np.array([[1.0, 2.0], [3.0, 4.0]])
         y = np.zeros((2, 2))
-        # rows: 0.5*1 + 0.5*4 = 2.5 and 0.5*9 + 0.5*16 = 12.5, mean 7.5
-        assert weighted_value_loss(v, y, np.array([0.5, 0.5])) == pytest.approx(7.5)
+        # rows: 0.5*1 + 0.5*4 = 2.5 and 0.5*9 + 0.5*16 = 12.5, mean 7.5, halved
+        assert weighted_value_loss(v, y, np.array([0.5, 0.5])) == pytest.approx(3.75)
 
     def test_weights_mask_objectives(self):
         v = np.array([[0.0, 100.0]])

@@ -1,6 +1,9 @@
 """Whole-update oracles: each algorithm's actor update ascends the surrogate
-the README states, and the critic's update descends c1 times its weighted
-value loss.
+the README states, and the critic's update descends its weighted value loss
+
+    L(phi) = 1/2 mean_b sum_i eta_i (V_i(x_b) - y_bi)^2,
+
+written here in numpy rather than taken from ``trainer.weighted_value_loss``.
 
 One iteration of a short frogger run is traced: the direction each update
 passes to Adam in its first minibatch is compared with central differences
@@ -27,7 +30,7 @@ import pytest
 from pastarl import trainer as trainer_mod
 from pastarl.gae import RolloutBatch
 from pastarl.scalarize import ALGORITHMS
-from pastarl.trainer import TrainConfig, Trainer, weighted_value_loss
+from pastarl.trainer import TrainConfig, Trainer
 from tests import oracles
 from tests.conftest import finite_difference
 from tests.test_trainer import iterate
@@ -217,6 +220,6 @@ def test_critic_gradient_is_the_weighted_value_loss_gradient(algorithm, critic, 
     theta, grad = u.steps["critic"]
 
     def loss() -> float:
-        return cfg.c1 * weighted_value_loss(critic_values(t.critic, x), targets, eta)
+        return 0.5 * np.mean(np.sum(eta * (critic_values(t.critic, x) - targets) ** 2, axis=1))
 
     assert_close(grad, finite_difference(lambda th: at(t.critic.params, th, loss), theta))
